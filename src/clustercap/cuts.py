@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import DomainError, EnumerationBudgetError
-from .recipes import ParallelGraph, build_parallel_graph
+from .recipes import MAX_CHAMBERS, ParallelGraph, build_parallel_graph
 from . import redundancy
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -258,6 +258,9 @@ def read_matrix_csv(path: str | os.PathLike, reduced: bool) -> CutMatrix:
             labels = tuple(next(reader))
         except StopIteration:
             raise DomainError(f"{path}: empty cut matrix file") from None
+        n = max((len(lbl) for lbl in labels), default=0)
+        if not 1 <= n <= MAX_CHAMBERS or labels != build_parallel_graph(n).labels:
+            raise DomainError(f"{path}: header is not the canonical recipe list for {n} chambers")
         rows = []
         for lineno, cells in enumerate(reader, start=2):
             if len(cells) != len(labels):
@@ -268,7 +271,4 @@ def read_matrix_csv(path: str | os.PathLike, reduced: bool) -> CutMatrix:
                     raise DomainError(f"{path}:{lineno}: bad entry {cell!r}")
                 row.append(1.0 - float(cell))
             rows.append(tuple(row))
-    n = max(len(lbl) for lbl in labels)
-    if len(labels) != 2**n - 1:
-        raise DomainError(f"{path}: header does not list all {2**n - 1} recipes")
     return CutMatrix(n=n, labels=labels, rows=tuple(rows), reduced=reduced)

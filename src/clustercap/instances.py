@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,15 +189,23 @@ def write_instance(inst: Instance, path: str | os.PathLike):
     Path(path).write_text(text)
 
 
+def _number(value, what: str, where: str) -> float:
+    # the comparison also rejects NaN, and integers too large for a float
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise InstanceFormatError(f"{where}: {what} must be a finite number")
+    return float(value)
+
+
 def _need(obj: dict, key: str, kind, where: str):
+    if not isinstance(obj, dict):
+        raise InstanceFormatError(f"{where}: expected a JSON object")
     if key not in obj:
         raise InstanceFormatError(f"{where}: missing field {key!r}")
     value = obj[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise InstanceFormatError(f"{where}: field {key!r} must be a number")
-        return float(value)
-    if not isinstance(value, kind):
+        return _number(value, f"field {key!r}", where)
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise InstanceFormatError(f"{where}: field {key!r} must be {kind.__name__}")
     return value
 
@@ -221,14 +230,13 @@ def instance_from_dict(d: dict, where: str = "instance") -> Instance:
         for letter, rate in sorted(rates.items()):
             if len(letter) != 1 or not "A" <= letter <= "H":
                 raise InstanceFormatError(f"{wq}: bad chamber {letter!r}")
-            if not isinstance(rate, (int, float)) or isinstance(rate, bool):
-                raise InstanceFormatError(f"{wq}: rate for {letter} must be a number")
-            pairs.append((ord(letter) - ord("A"), float(rate)))
+            pairs.append((ord(letter) - ord("A"), _number(rate, f"rate for {letter}", wq)))
         quals.append(
             Qualification(_need(obj, "job", str, wq), _need(obj, "tool", str, wq), tuple(pairs))
         )
     overrides = []
-    for k, obj in enumerate(d.get("recipe_rate_overrides", [])):
+    listed = _need(d, "recipe_rate_overrides", list, where) if "recipe_rate_overrides" in d else []
+    for k, obj in enumerate(listed):
         wo = f"{where}.recipe_rate_overrides[{k}]"
         overrides.append(
             RateOverride(

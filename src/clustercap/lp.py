@@ -131,8 +131,9 @@ class LpBuilder:
         self._vars.append(Variable(name, lower, upper))
         return len(self._vars) - 1
 
-    def add_constraint(self, name, coeffs, sense, rhs):
+    def add_constraint(self, name, coeffs, sense, rhs) -> int:
         self._rows.append(Constraint(name, tuple(coeffs), sense, float(rhs)))
+        return len(self._rows) - 1
 
     def set_objective(self, coeffs):
         self._obj = list(coeffs)
@@ -218,6 +219,25 @@ def _check_optimal(p: LpProblem, x: np.ndarray, objective: float, tol: Tolerance
         raise LpSolverError(f"{p.name}: objective mismatch {obj} vs {objective}")
 
 
+_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+
+
+def _highs(name: str, c, **blocks):
+    """One HiGHS call under the layer's tolerances: (mapped status, scipy result)."""
+    res = linprog(
+        c,
+        **blocks,
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": 1e-9,
+            "dual_feasibility_tolerance": 1e-9,
+        },
+    )
+    if res.status not in _STATUS:
+        raise LpSolverError(f"{name}: solver failure: {res.message}")
+    return _STATUS[res.status], res
+
+
 def solve(p: LpProblem, tol: Tolerances = TOL) -> LpSolution:
     """Solve the problem; deterministic for a fixed problem.
 
@@ -226,25 +246,17 @@ def solve(p: LpProblem, tol: Tolerances = TOL) -> LpSolution:
     mapped onto Infeasible.
     """
     c, a_ub, b_ub, a_eq, b_eq, bounds, row_kind = _assemble(p)
-    res = linprog(
+    status, res = _highs(
+        p.name,
         c,
         A_ub=a_ub,
         b_ub=b_ub if a_ub is not None else None,
         A_eq=a_eq,
         b_eq=b_eq if a_eq is not None else None,
         bounds=bounds,
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-9,
-            "dual_feasibility_tolerance": 1e-9,
-        },
     )
-    if res.status == 2:
-        return LpSolution(INFEASIBLE, None, (), None, int(res.nit))
-    if res.status == 3:
-        return LpSolution(UNBOUNDED, None, (), None, int(res.nit))
-    if res.status != 0:
-        raise LpSolverError(f"{p.name}: solver failure: {res.message}")
+    if status != OPTIMAL:
+        return LpSolution(status, None, (), None, int(res.nit))
     x = np.asarray(res.x, dtype=float)
     objective = float(res.fun) if p.sense == MINIMIZE else -float(res.fun)
     _check_optimal(p, x, objective, tol)
@@ -269,23 +281,11 @@ def solve_geq_dense(
     """
     a_rows = np.asarray(a_rows, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    res = linprog(
-        np.asarray(c, dtype=float),
-        A_ub=-a_rows,
-        b_ub=-rhs,
-        bounds=(0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-9,
-            "dual_feasibility_tolerance": 1e-9,
-        },
+    status, res = _highs(
+        name, np.asarray(c, dtype=float), A_ub=-a_rows, b_ub=-rhs, bounds=(0, None)
     )
-    if res.status == 2:
-        return LpSolution(INFEASIBLE, None, (), None, int(res.nit))
-    if res.status == 3:
-        return LpSolution(UNBOUNDED, None, (), None, int(res.nit))
-    if res.status != 0:
-        raise LpSolverError(f"{name}: solver failure: {res.message}")
+    if status != OPTIMAL:
+        return LpSolution(status, None, (), None, int(res.nit))
     x = np.asarray(res.x, dtype=float)
     if np.any(a_rows @ x < rhs - tol.feasibility) or np.any(x < -tol.feasibility):
         raise LpSolverError(f"{name}: returned solution violates feasibility contract")

@@ -18,6 +18,7 @@ on the optimal bottleneck utilization.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -69,8 +70,8 @@ class Instance:
         jobs = {j.id for j in self.jobs}
         tools = set(self.tools)
         for j in self.jobs:
-            if j.demand < 0:
-                raise DomainError(f"job {j.id}: demand must be >= 0")
+            if not 0 <= j.demand < math.inf:
+                raise DomainError(f"job {j.id}: demand must be finite and >= 0")
         seen = set()
         for q in self.qualifications:
             if q.job not in jobs:
@@ -89,8 +90,8 @@ class Instance:
                 if c in chambers:
                     raise DomainError(f"({q.job}, {q.tool}): duplicate chamber {c}")
                 chambers.add(c)
-                if rate <= 0:
-                    raise DomainError(f"({q.job}, {q.tool}): rate must be > 0")
+                if not 0 < rate < math.inf:
+                    raise DomainError(f"({q.job}, {q.tool}): rate must be finite and > 0")
         qual_index = {(q.job, q.tool): q for q in self.qualifications}
         for ov in self.rate_overrides:
             q = qual_index.get((ov.job, ov.tool))
@@ -102,8 +103,8 @@ class Instance:
                     f"override recipe {ov.recipe!r} outside qualified chambers of "
                     f"({ov.job}, {ov.tool})"
                 )
-            if ov.rate <= 0:
-                raise DomainError("override rate must be > 0")
+            if not 0 < ov.rate < math.inf:
+                raise DomainError("override rate must be finite and > 0")
 
     def qual(self, job: str, tool: str) -> Qualification | None:
         return self._qual_index.get((job, tool))
@@ -153,12 +154,22 @@ def derive_recipe_rate(inst: Instance, job: str, tool: str, recipe: str) -> floa
 
 @dataclass(frozen=True)
 class BuiltModel:
+    """A built LP plus what result extraction reads back from it.
+
+    `x_cols` maps (job, tool, recipe) to its time column and `rates` to that
+    column's wafers per time unit.  `util_rows` holds one (tool, row_kind,
+    row indices) entry per reported utilization: the model's own
+    `... - rho <= 0` rows, whose largest left-hand side is the entry's value.
+    """
+
     kind: str
     problem: lp.LpProblem
     rho_col: int
     x_cols: dict
     agg_cols: dict
     pair_cols: dict
+    rates: dict
+    util_rows: tuple
     stats: lp.SizeStats
 
 
@@ -228,40 +239,81 @@ def _full_recipe_label(inst: Instance, job: str, tool: str) -> str:
     return "".join(chamber_letter(c) for c in range(inst.chambers) if mask >> c & 1)
 
 
+class _Draft:
+    """A model under construction; `finish` freezes it into a BuiltModel."""
+
+    def __init__(self, inst: Instance, kind: str):
+        _require_feasible_jobs(inst)
+        self.inst = inst
+        self.kind = kind
+        self.build = lp.LpBuilder(f"{kind}[{inst.name}]", lp.MINIMIZE)
+        self.rho = self.build.add_var("rho")
+        self.build.set_objective([(self.rho, 1.0)])
+        self.x_cols, self.rates, self.agg_cols, self.pair_cols = {}, {}, {}, {}
+        self.util_rows = []
+
+    def add_time(self, name: str, job: str, tool: str, recipe: str, rate: float) -> int:
+        col = self.build.add_var(name)
+        self.x_cols[(job, tool, recipe)] = col
+        self.rates[(job, tool, recipe)] = rate
+        return col
+
+    def add_demand_rows(self):
+        """One row per job: the wafers of its time columns meet its demand."""
+        terms = {job.id: [] for job in self.inst.jobs}
+        for key, col in self.x_cols.items():
+            terms[key[0]].append((col, self.rates[key]))
+        for ji, job in enumerate(self.inst.jobs):
+            self.build.add_constraint(f"dem_j{ji}", terms[job.id], lp.EQ, job.demand)
+
+    def add_rho_rows(self, tool: str, row_kind: str, rows):
+        """Rows `coeffs - rho <= 0` from (name, coeffs), reported as one entry."""
+        idx = tuple(
+            self.build.add_constraint(name, [*coeffs, (self.rho, -1.0)], lp.LE, 0.0)
+            for name, coeffs in rows
+        )
+        self.util_rows.append((tool, row_kind, idx))
+
+    def finish(self) -> BuiltModel:
+        problem = self.build.problem()
+        return BuiltModel(
+            self.kind, problem, self.rho, self.x_cols, self.agg_cols, self.pair_cols,
+            self.rates, tuple(self.util_rows), lp.size_stats(problem),
+        )
+
+
+def _time_model(inst: Instance, kind: str, pair_rate, tool_rows=None) -> BuiltModel:
+    """Core of `basic` and `serial`.
+
+    One time column per qualified (job, tool) pair, running the full
+    qualified recipe at `pair_rate(q, recipe)`; the demand rows; then per
+    tool a load row followed by `tool_rows(draft, ti, tool)`.
+    """
+    d = _Draft(inst, kind)
+    for ji, job in enumerate(inst.jobs):
+        for ti, tool in enumerate(inst.tools):
+            q = inst.qual(job.id, tool)
+            if q is not None:
+                label = _full_recipe_label(inst, job.id, tool)
+                d.add_time(f"x_j{ji}_t{ti}", job.id, tool, label, pair_rate(q, label))
+    d.add_demand_rows()
+    for ti, tool in enumerate(inst.tools):
+        load = [(col, 1.0) for (_, t, _), col in d.x_cols.items() if t == tool]
+        d.add_rho_rows(tool, "total_time", [(f"load_t{ti}", load)])
+        if tool_rows is not None:
+            tool_rows(d, ti, tool)
+    return d.finish()
+
+
 def build_basic(inst: Instance) -> BuiltModel:
     """Load-lock-free relaxation: one time variable per qualified pair.
 
     The pair rate is the full qualified-chamber recipe rate; one shared bound
     rho caps every tool's total committed time.
     """
-    _require_feasible_jobs(inst)
-    build = lp.LpBuilder(f"basic[{inst.name}]", lp.MINIMIZE)
-    rho = build.add_var("rho")
-    x_cols = {}
-    rates = {}
-    for ji, job in enumerate(inst.jobs):
-        for ti, tool in enumerate(inst.tools):
-            if inst.qual(job.id, tool) is None:
-                continue
-            col = build.add_var(f"x_j{ji}_t{ti}")
-            x_cols[(job.id, tool)] = col
-            rates[(job.id, tool)] = derive_recipe_rate(
-                inst, job.id, tool, _full_recipe_label(inst, job.id, tool)
-            )
-    build.set_objective([(rho, 1.0)])
-    for ji, job in enumerate(inst.jobs):
-        coeffs = [
-            (x_cols[(job.id, tool)], rates[(job.id, tool)])
-            for tool in inst.tools
-            if (job.id, tool) in x_cols
-        ]
-        build.add_constraint(f"dem_j{ji}", coeffs, lp.EQ, job.demand)
-    for ti, tool in enumerate(inst.tools):
-        coeffs = [(col, 1.0) for (j, t), col in x_cols.items() if t == tool]
-        coeffs.append((rho, -1.0))
-        build.add_constraint(f"load_t{ti}", coeffs, lp.LE, 0.0)
-    problem = build.problem()
-    return BuiltModel("basic", problem, rho, x_cols, {}, {}, lp.size_stats(problem))
+    return _time_model(
+        inst, "basic", lambda q, label: derive_recipe_rate(inst, q.job, q.tool, label)
+    )
 
 
 def build_serial(inst: Instance) -> BuiltModel:
@@ -271,67 +323,58 @@ def build_serial(inst: Instance) -> BuiltModel:
     row u_{i,v} = sum_j x_{ji} mu_{ji} / mu_{j,(i,v)} <= rho: the wafers sent
     to the tool occupy every chamber for that chamber's own service time.
     """
-    _require_feasible_jobs(inst)
-    build = lp.LpBuilder(f"serial[{inst.name}]", lp.MINIMIZE)
-    rho = build.add_var("rho")
-    x_cols = {}
-    serial_rate = {}
-    for ji, job in enumerate(inst.jobs):
-        for ti, tool in enumerate(inst.tools):
-            q = inst.qual(job.id, tool)
-            if q is None:
-                continue
-            col = build.add_var(f"x_j{ji}_t{ti}")
-            x_cols[(job.id, tool)] = col
-            serial_rate[(job.id, tool)] = min(rate for _, rate in q.chamber_rates)
-    build.set_objective([(rho, 1.0)])
-    for ji, job in enumerate(inst.jobs):
-        coeffs = [
-            (x_cols[(job.id, tool)], serial_rate[(job.id, tool)])
-            for tool in inst.tools
-            if (job.id, tool) in x_cols
+
+    def chamber_rows(d: _Draft, ti: int, tool: str):
+        pairs = [
+            (key, dict(inst.qual(key[0], tool).chamber_rates)) for key in d.x_cols if key[1] == tool
         ]
-        build.add_constraint(f"dem_j{ji}", coeffs, lp.EQ, job.demand)
-    for ti, tool in enumerate(inst.tools):
-        coeffs = [(col, 1.0) for (j, t), col in x_cols.items() if t == tool]
-        coeffs.append((rho, -1.0))
-        build.add_constraint(f"load_t{ti}", coeffs, lp.LE, 0.0)
         for c in range(inst.chambers):
-            coeffs = []
-            for job in inst.jobs:
-                q = inst.qual(job.id, tool)
-                if q is None:
-                    continue
-                chamber_rate = dict(q.chamber_rates).get(c)
-                if chamber_rate is None:
-                    continue
-                col = x_cols[(job.id, tool)]
-                coeffs.append((col, serial_rate[(job.id, tool)] / chamber_rate))
+            coeffs = [
+                (d.x_cols[key], d.rates[key] / rates[c]) for key, rates in pairs if c in rates
+            ]
             if coeffs:
-                coeffs.append((rho, -1.0))
-                build.add_constraint(f"cham_t{ti}_{chamber_letter(c)}", coeffs, lp.LE, 0.0)
-    problem = build.problem()
-    return BuiltModel("serial", problem, rho, x_cols, {}, {}, lp.size_stats(problem))
+                letter = chamber_letter(c)
+                d.add_rho_rows(tool, f"chamber_{letter}", [(f"cham_t{ti}_{letter}", coeffs)])
+
+    return _time_model(
+        inst, "serial", lambda q, _: min(rate for _, rate in q.chamber_rates), chamber_rows
+    )
 
 
-def _recipe_members(inst: Instance, graph_labels: tuple[str, ...]):
-    """Qualification-set triples in canonical order with their rates."""
-    members = []
+def _recipe_model(inst: Instance, kind: str, labels, tool_rows, tool_cols=None) -> BuiltModel:
+    """Core of `generalized` and `alternative`.
+
+    One time column per qualification-set triple (job, tool, recipe); per
+    tool one aggregate column per recipe, followed by `tool_cols(draft, ti,
+    tool)`; the demand rows; then per tool one balance row per recipe
+    (aggregate = sum of its time columns), followed by `tool_rows(draft, ti,
+    tool)`.
+    """
+    d = _Draft(inst, kind)
+    label_masks = [(lbl, sum(1 << (ord(ch) - ord("A")) for ch in lbl)) for lbl in labels]
+    members = {}  # (tool, recipe) -> its time columns, in column order
     for ji, job in enumerate(inst.jobs):
         for ti, tool in enumerate(inst.tools):
             mask = inst.qualified_mask(job.id, tool)
-            if mask == 0:
-                continue
-            for label in graph_labels:
-                label_mask = 0
-                for ch in label:
-                    label_mask |= 1 << (ord(ch) - ord("A"))
+            for label, label_mask in label_masks:
                 if label_mask & ~mask:
                     continue
-                members.append(
-                    (ji, job.id, ti, tool, label, derive_recipe_rate(inst, job.id, tool, label))
-                )
-    return members
+                rate = derive_recipe_rate(inst, job.id, tool, label)
+                col = d.add_time(f"x_j{ji}_t{ti}_{label}", job.id, tool, label, rate)
+                members.setdefault((tool, label), []).append(col)
+    for ti, tool in enumerate(inst.tools):
+        for label in labels:
+            d.agg_cols[(tool, label)] = d.build.add_var(f"agg_t{ti}_{label}")
+        if tool_cols is not None:
+            tool_cols(d, ti, tool)
+    d.add_demand_rows()
+    for ti, tool in enumerate(inst.tools):
+        for label in labels:
+            coeffs = [(d.agg_cols[(tool, label)], 1.0)]
+            coeffs.extend((col, -1.0) for col in members.get((tool, label), ()))
+            d.build.add_constraint(f"bal_t{ti}_{label}", coeffs, lp.EQ, 0.0)
+        tool_rows(d, ti, tool)
+    return d.finish()
 
 
 def build_generalized(inst: Instance, matrix: CutMatrix) -> BuiltModel:
@@ -343,45 +386,19 @@ def build_generalized(inst: Instance, matrix: CutMatrix) -> BuiltModel:
         raise DomainError(f"cut matrix is for {matrix.n} chambers, instance has {inst.chambers}")
     if not matrix.reduced:
         raise DomainError("generalized model requires the reduced cut matrix")
-    _require_feasible_jobs(inst)
-    build = lp.LpBuilder(f"generalized[{inst.name}]", lp.MINIMIZE)
-    rho = build.add_var("rho")
-    members = _recipe_members(inst, matrix.labels)
-    x_cols = {}
-    for ji, job, ti, tool, label, rate in members:
-        x_cols[(job, tool, label)] = build.add_var(f"x_j{ji}_t{ti}_{label}")
-    agg_cols = {}
-    for ti, tool in enumerate(inst.tools):
-        for label in matrix.labels:
-            agg_cols[(tool, label)] = build.add_var(f"agg_t{ti}_{label}")
-    build.set_objective([(rho, 1.0)])
-    for ji, job in enumerate(inst.jobs):
-        coeffs = [
-            (x_cols[(job.id, tool, label)], rate)
-            for _ji, j, ti, tool, label, rate in members
-            if j == job.id
+    cuts = [
+        [(label, coef) for label, coef in zip(matrix.labels, row) if coef != 0.0]
+        for row in matrix.coeff_rows()
+    ]
+
+    def cut_rows(d: _Draft, ti: int, tool: str):
+        rows = [
+            (f"cut_t{ti}_k{k}", [(d.agg_cols[(tool, label)], coef) for label, coef in cut])
+            for k, cut in enumerate(cuts)
         ]
-        build.add_constraint(f"dem_j{ji}", coeffs, lp.EQ, job.demand)
-    coeff_rows = matrix.coeff_rows()
-    for ti, tool in enumerate(inst.tools):
-        for label in matrix.labels:
-            coeffs = [(agg_cols[(tool, label)], 1.0)]
-            coeffs.extend(
-                (x_cols[(j, t, lab)], -1.0)
-                for _ji, j, _ti, t, lab, _rate in members
-                if t == tool and lab == label
-            )
-            build.add_constraint(f"bal_t{ti}_{label}", coeffs, lp.EQ, 0.0)
-        for k, row in enumerate(coeff_rows):
-            coeffs = [
-                (agg_cols[(tool, label)], coef)
-                for label, coef in zip(matrix.labels, row)
-                if coef != 0.0
-            ]
-            coeffs.append((rho, -1.0))
-            build.add_constraint(f"cut_t{ti}_k{k}", coeffs, lp.LE, 0.0)
-    problem = build.problem()
-    return BuiltModel("generalized", problem, rho, x_cols, agg_cols, {}, lp.size_stats(problem))
+        d.add_rho_rows(tool, "cut_max", rows)
+
+    return _recipe_model(inst, "generalized", matrix.labels, cut_rows)
 
 
 def build_alternative(inst: Instance) -> BuiltModel:
@@ -390,58 +407,27 @@ def build_alternative(inst: Instance) -> BuiltModel:
     Per tool: availability rows cap each recipe's incident pairing time, and
     one makespan row total-time-minus-paired-time <= rho.
     """
-    _require_feasible_jobs(inst)
     g = build_parallel_graph(inst.chambers)
-    build = lp.LpBuilder(f"alternative[{inst.name}]", lp.MINIMIZE)
-    rho = build.add_var("rho")
-    members = _recipe_members(inst, g.labels)
-    x_cols = {}
-    for ji, job, ti, tool, label, rate in members:
-        x_cols[(job, tool, label)] = build.add_var(f"x_j{ji}_t{ti}_{label}")
-    agg_cols = {}
-    pair_cols = {}
-    for ti, tool in enumerate(inst.tools):
-        for label in g.labels:
-            agg_cols[(tool, label)] = build.add_var(f"agg_t{ti}_{label}")
+    labels = g.labels
+    incident = [g.incident_edges(r) for r in range(len(labels))]
+
+    def pair_cols(d: _Draft, ti: int, tool: str):
         for i, j in g.edges:
-            pair_cols[(tool, g.labels[i], g.labels[j])] = build.add_var(
-                f"pair_t{ti}_{g.labels[i]}_{g.labels[j]}"
+            d.pair_cols[(tool, labels[i], labels[j])] = d.build.add_var(
+                f"pair_t{ti}_{labels[i]}_{labels[j]}"
             )
-    build.set_objective([(rho, 1.0)])
-    for ji, job in enumerate(inst.jobs):
-        coeffs = [
-            (x_cols[(job.id, tool, label)], rate)
-            for _ji, j, ti, tool, label, rate in members
-            if j == job.id
-        ]
-        build.add_constraint(f"dem_j{ji}", coeffs, lp.EQ, job.demand)
-    for ti, tool in enumerate(inst.tools):
-        for label in g.labels:
-            coeffs = [(agg_cols[(tool, label)], 1.0)]
-            coeffs.extend(
-                (x_cols[(j, t, lab)], -1.0)
-                for _ji, j, _ti, t, lab, _rate in members
-                if t == tool and lab == label
-            )
-            build.add_constraint(f"bal_t{ti}_{label}", coeffs, lp.EQ, 0.0)
-        for r, label in enumerate(g.labels):
-            incident = g.incident_edges(r)
-            coeffs = [
-                (pair_cols[(tool, g.labels[i], g.labels[j])], 1.0)
-                for i, j in (g.edges[k] for k in incident)
-            ]
-            coeffs.append((agg_cols[(tool, label)], -1.0))
-            build.add_constraint(f"par_t{ti}_{label}", coeffs, lp.LE, 0.0)
-        coeffs = [(agg_cols[(tool, label)], 1.0) for label in g.labels]
-        coeffs.extend(
-            (pair_cols[(tool, g.labels[i], g.labels[j])], -1.0) for i, j in g.edges
-        )
-        coeffs.append((rho, -1.0))
-        build.add_constraint(f"mk_t{ti}", coeffs, lp.LE, 0.0)
-    problem = build.problem()
-    return BuiltModel(
-        "alternative", problem, rho, x_cols, agg_cols, pair_cols, lp.size_stats(problem)
-    )
+
+    def pairing_rows(d: _Draft, ti: int, tool: str):
+        pairs = [d.pair_cols[(tool, labels[i], labels[j])] for i, j in g.edges]
+        for r, label in enumerate(labels):
+            coeffs = [(pairs[k], 1.0) for k in incident[r]]
+            coeffs.append((d.agg_cols[(tool, label)], -1.0))
+            d.build.add_constraint(f"par_t{ti}_{label}", coeffs, lp.LE, 0.0)
+        coeffs = [(d.agg_cols[(tool, label)], 1.0) for label in labels]
+        coeffs.extend((col, -1.0) for col in pairs)
+        d.add_rho_rows(tool, "makespan", [(f"mk_t{ti}", coeffs)])
+
+    return _recipe_model(inst, "alternative", labels, pairing_rows, pair_cols)
 
 
 def build_model(
@@ -463,80 +449,23 @@ def build_model(
     raise DomainError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
 
 
-def _extract(inst: Instance, model: BuiltModel, sol: lp.LpSolution) -> tuple:
-    tol = 1e-9
-    assignments = []
-    if model.kind in ("basic", "serial"):
-        for (job, tool), col in model.x_cols.items():
-            t = sol.x[col]
-            if t <= tol:
-                continue
-            label = _full_recipe_label(inst, job, tool)
-            if model.kind == "basic":
-                rate = derive_recipe_rate(inst, job, tool, label)
-            else:
-                rate = min(r for _, r in inst.qual(job, tool).chamber_rates)
-            assignments.append(Assignment(job, tool, label, t, t * rate))
-    else:
-        for (job, tool, label), col in model.x_cols.items():
-            t = sol.x[col]
-            if t <= tol:
-                continue
-            rate = derive_recipe_rate(inst, job, tool, label)
-            assignments.append(Assignment(job, tool, label, t, t * rate))
+def _extract(model: BuiltModel, sol: lp.LpSolution) -> tuple:
+    x = sol.x
+    assignments = tuple(
+        Assignment(job, tool, recipe, x[col], x[col] * model.rates[(job, tool, recipe)])
+        for (job, tool, recipe), col in model.x_cols.items()
+        if x[col] > 1e-9
+    )
+    rows = model.problem.constraints
 
-    utilization = []
-    if model.kind == "basic":
-        for ti, tool in enumerate(inst.tools):
-            v = sum(sol.x[c] for (j, t), c in model.x_cols.items() if t == tool)
-            utilization.append(UtilizationEntry(tool, "total_time", v))
-    elif model.kind == "serial":
-        for ti, tool in enumerate(inst.tools):
-            v = sum(sol.x[c] for (j, t), c in model.x_cols.items() if t == tool)
-            utilization.append(UtilizationEntry(tool, "total_time", v))
-            for c in range(inst.chambers):
-                v = 0.0
-                present = False
-                for job in inst.jobs:
-                    q = inst.qual(job.id, tool)
-                    if q is None:
-                        continue
-                    rate_map = dict(q.chamber_rates)
-                    if c not in rate_map:
-                        continue
-                    present = True
-                    serial = min(r for _, r in q.chamber_rates)
-                    v += sol.x[model.x_cols[(job.id, tool)]] * serial / rate_map[c]
-                if present:
-                    utilization.append(
-                        UtilizationEntry(tool, f"chamber_{chamber_letter(c)}", v)
-                    )
-    elif model.kind == "generalized":
-        for ti, tool in enumerate(inst.tools):
-            utilization.append(
-                UtilizationEntry(tool, "cut_max", _worst_cut(model, sol, f"cut_t{ti}_"))
-            )
-    else:
-        for ti, tool in enumerate(inst.tools):
-            total = sum(
-                sol.x[model.agg_cols[(t, lbl)]] for (t, lbl) in model.agg_cols if t == tool
-            )
-            paired = sum(
-                sol.x[c] for (t, l1, l2), c in model.pair_cols.items() if t == tool
-            )
-            utilization.append(UtilizationEntry(tool, "makespan", total - paired))
-    return tuple(assignments), tuple(utilization)
+    def lhs(i: int) -> float:  # row i without its rho term
+        return sum(v * x[j] for j, v in rows[i].coeffs if j != model.rho_col)
 
-
-def _worst_cut(model: BuiltModel, sol: lp.LpSolution, prefix: str) -> float:
-    worst = 0.0
-    for con in model.problem.constraints:
-        if not con.name.startswith(prefix):
-            continue
-        value = sum(v * sol.x[j] for j, v in con.coeffs if j != model.rho_col)
-        if value > worst:
-            worst = value
-    return worst
+    utilization = tuple(
+        UtilizationEntry(tool, row_kind, max(lhs(i) for i in idx))
+        for tool, row_kind, idx in model.util_rows
+    )
+    return assignments, utilization
 
 
 def solve_capacity(
@@ -551,18 +480,7 @@ def solve_capacity(
     t1 = time.perf_counter()
     sol = lp.solve(model.problem)
     t2 = time.perf_counter()
-    if sol.status != lp.OPTIMAL:
-        return CapacityResult(
-            model=kind,
-            status=sol.status,
-            rho=None,
-            assignments=(),
-            utilization=(),
-            build_ms=(t1 - t0) * 1e3,
-            solve_ms=(t2 - t1) * 1e3,
-            stats=model.stats,
-        )
-    assignments, utilization = _extract(inst, model, sol)
+    assignments, utilization = _extract(model, sol) if sol.status == lp.OPTIMAL else ((), ())
     return CapacityResult(
         model=kind,
         status=sol.status,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from clustercap import build_cut_matrix, models
+from clustercap.recipes import chamber_letter
 
 settings.register_profile(
     "fixed",
@@ -46,18 +47,23 @@ def random_instance(
     max_tools: int = 5,
     max_jobs: int = 5,
     homogeneous: bool = False,
+    overrides: bool = False,
 ) -> models.Instance:
     """Small random instance with every job qualified somewhere.
 
     With homogeneous=True every qualified pair uses all chambers at one
     shared rate (rates still vary across pairs), the regime in which the
-    load-lock-free model is a true relaxation of the cut models.
+    load-lock-free model is a true relaxation of the cut models.  With
+    overrides=True about half the qualified pairs also pin the rate of one
+    recipe drawn from their chambers; the default draws nothing extra, so
+    the instances of a given seed do not change.
     """
     n_tools = int(rng.integers(1, max_tools + 1))
     n_jobs = int(rng.integers(1, max_jobs + 1))
     tools = tuple(f"t{i}" for i in range(n_tools))
     jobs = tuple(models.Job(f"j{j}", float(rng.integers(1, 60))) for j in range(n_jobs))
     quals = []
+    rate_overrides = []
     for j in range(n_jobs):
         picked = [i for i in range(n_tools) if rng.random() < 0.6]
         if not picked:
@@ -72,10 +78,18 @@ def random_instance(
                     kept = [int(rng.integers(0, chambers))]
                 rates = tuple((c, float(rng.uniform(0.1, 1.0))) for c in kept)
             quals.append(models.Qualification(f"j{j}", f"t{i}", rates))
+            if overrides and rng.random() < 0.5:
+                own = [c for c, _ in rates]
+                picked_chambers = [c for c in own if rng.random() < 0.5] or own
+                label = "".join(chamber_letter(c) for c in picked_chambers)
+                rate_overrides.append(
+                    models.RateOverride(f"j{j}", f"t{i}", label, float(rng.uniform(0.1, 2.0)))
+                )
     return models.Instance(
         name="fuzz",
         chambers=chambers,
         tools=tools,
         jobs=jobs,
         qualifications=tuple(quals),
+        rate_overrides=tuple(rate_overrides),
     )

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,14 @@ class TestGenSolve:
 
     def test_missing_file(self, env_cache, capsys):
         assert cli(["solve", "--model", "basic", "nope.json"]) == 1
+
+    @pytest.mark.parametrize("bad", ['"demand": Infinity', '"demand": "lots"'])
+    def test_malformed_instance_exits_1(self, env_cache, tmp_path, capsys, bad):
+        text = (Path(DATA) / "example1.json").read_text()
+        path = tmp_path / "bad.json"
+        path.write_text(re.sub(r'"demand": [0-9.]+', bad, text, count=1))
+        assert cli(["solve", "--model", "basic", str(path)]) == 1
+        assert "jobs[0]" in capsys.readouterr().err
 
     def test_bad_model_is_usage_error(self, env_cache, tmp_path):
         inst = gen_instance(tmp_path)

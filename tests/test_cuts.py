@@ -258,3 +258,20 @@ def test_csv_rejects_short_rows(tmp_path):
     path.write_text("A,B,AB\n0,1\n")
     with pytest.raises(DomainError, match="expected 3 cells"):
         read_matrix_csv(path, reduced=True)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\n",  # empty header line
+        "\nA,B,AB\n0,1,0\n",
+        "A,B,C,AB,AC,BC,ACB\n0,0,0,1,1,1,1\n",  # label not in canonical form
+        "A,B,AB,C\n0,0,1,1\n",  # labels out of canonical order
+        "A,AB\n0,1\n",  # a recipe missing
+    ],
+)
+def test_csv_rejects_bad_header(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match="header is not the canonical recipe list"):
+        read_matrix_csv(path, reduced=True)

@@ -182,6 +182,89 @@ class TestParsing:
         with pytest.raises(InstanceFormatError, match="demand"):
             instance_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "edit,context",
+        [
+            pytest.param(
+                lambda d: d["jobs"][0].update(demand=float("nan")),
+                r"jobs\[0\]: field 'demand' must be a finite number",
+                id="nan-demand",
+            ),
+            pytest.param(
+                lambda d: d["jobs"][1].update(demand=float("inf")),
+                r"jobs\[1\]: field 'demand'",
+                id="inf-demand",
+            ),
+            pytest.param(
+                lambda d: d["jobs"][0].update(demand=10**400),
+                r"jobs\[0\]: field 'demand'",
+                id="huge-int-demand",
+            ),
+            pytest.param(
+                lambda d: d["qualifications"][0]["chamber_rates"].update(B=float("nan")),
+                r"qualifications\[0\]: rate for B must be a finite number",
+                id="nan-rate",
+            ),
+            pytest.param(
+                lambda d: d["qualifications"][1]["chamber_rates"].update(A=float("-inf")),
+                r"qualifications\[1\]: rate for A",
+                id="inf-rate",
+            ),
+            pytest.param(
+                lambda d: d.update(
+                    recipe_rate_overrides=[
+                        {"job": "lot1", "tool": "tool1", "recipe": "AB", "rate": float("inf")}
+                    ]
+                ),
+                r"recipe_rate_overrides\[0\]: field 'rate'",
+                id="inf-override-rate",
+            ),
+            pytest.param(
+                lambda d: d.update(chambers=True),
+                "field 'chambers' must be int",
+                id="bool-chambers",
+            ),
+            pytest.param(
+                lambda d: d["jobs"].__setitem__(0, "lot1"),
+                r"jobs\[0\]: expected a JSON object",
+                id="job-not-object",
+            ),
+            pytest.param(
+                lambda d: d["tools"].__setitem__(0, 7),
+                r"tools\[0\]: expected a JSON object",
+                id="tool-not-object",
+            ),
+            pytest.param(
+                lambda d: d["qualifications"].__setitem__(1, None),
+                r"qualifications\[1\]: expected a JSON object",
+                id="qualification-not-object",
+            ),
+            pytest.param(
+                lambda d: d.update(recipe_rate_overrides=5),
+                "field 'recipe_rate_overrides' must be list",
+                id="overrides-not-list",
+            ),
+            pytest.param(
+                lambda d: d.update(recipe_rate_overrides=[["lot1", "tool1", "AB", 0.5]]),
+                r"recipe_rate_overrides\[0\]: expected a JSON object",
+                id="override-not-object",
+            ),
+        ],
+    )
+    def test_non_finite_or_mistyped_field(self, edit, context):
+        d = instance_to_dict(example1_instance())
+        edit(d)
+        with pytest.raises(InstanceFormatError, match=context):
+            instance_from_dict(d)
+
+    def test_non_finite_literal_in_file(self, tmp_path):
+        # Python's JSON reader accepts NaN and Infinity, which are not JSON
+        text = json.dumps(instance_to_dict(example1_instance()))
+        path = tmp_path / "nan.json"
+        path.write_text(text.replace('"demand": 90.0', '"demand": NaN', 1))
+        with pytest.raises(InstanceFormatError, match=r"nan.json.jobs\[0\].*demand"):
+            read_instance(path)
+
     def test_unknown_tool_reference(self):
         d = instance_to_dict(example1_instance())
         d["qualifications"][0]["tool"] = "ghost"

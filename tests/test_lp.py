@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustercap import lp
-from clustercap.errors import DomainError
+from clustercap.errors import DomainError, LpSolverError
 
 
 def simple_problem(sense=lp.MINIMIZE):
@@ -223,3 +223,23 @@ def test_random_problem_roundtrip(n_vars, n_rows, data):
     assert a.status == b.status
     if a.status == lp.OPTIMAL:
         assert b.objective == pytest.approx(a.objective, rel=1e-6, abs=1e-6)
+
+
+def test_dense_path_maps_status_like_solve():
+    assert lp.solve_geq_dense([1.0], [[0.0]], [1.0]).status == lp.INFEASIBLE
+    assert lp.solve_geq_dense([-1.0], [[1.0]], [0.0]).status == lp.UNBOUNDED
+    sol = lp.solve_geq_dense([1.0, 2.0], [[1.0, 1.0]], [3.0])
+    assert sol.status == lp.OPTIMAL and sol.objective == pytest.approx(3.0)
+
+
+def test_solver_breakdown_raises_on_both_paths(monkeypatch):
+    from scipy.optimize import OptimizeResult
+
+    def broken(*args, **kwargs):
+        return OptimizeResult(status=4, message="numerical difficulties", nit=0)
+
+    monkeypatch.setattr(lp, "linprog", broken)
+    with pytest.raises(LpSolverError, match="simple: solver failure"):
+        lp.solve(simple_problem())
+    with pytest.raises(LpSolverError, match="geq: solver failure"):
+        lp.solve_geq_dense([1.0], [[1.0]], [1.0])

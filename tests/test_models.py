@@ -1,12 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from clustercap import (
+    GenParams,
     build_alternative,
     build_basic,
     build_generalized,
     build_serial,
     derive_recipe_rate,
+    export_lp_text,
+    generate,
     lp,
     makespan_via_cuts,
     models,
@@ -34,6 +39,77 @@ def one_tool_instance(chambers, jobs, quals, overrides=(), name="inst"):
         ),
         rate_overrides=tuple(overrides),
     )
+
+
+def overrides_instance():
+    """Two tools, four chambers, rate overrides (one on a full qualified
+    set, so `basic` reads it too) and a job with zero demand."""
+    return models.Instance(
+        name="overrides4",
+        chambers=4,
+        tools=("t0", "t1"),
+        jobs=(models.Job("j0", 30.0), models.Job("j1", 0.0), models.Job("j2", 45.0)),
+        qualifications=(
+            models.Qualification("j0", "t0", ((0, 0.2), (1, 0.3), (2, 0.25), (3, 0.4))),
+            models.Qualification("j0", "t1", ((1, 0.5), (3, 0.15))),
+            models.Qualification("j1", "t0", ((0, 0.6), (2, 0.35))),
+            models.Qualification("j2", "t0", ((2, 0.45),)),
+            models.Qualification("j2", "t1", ((0, 0.3), (1, 0.2), (2, 0.7))),
+        ),
+        rate_overrides=(
+            models.RateOverride("j0", "t0", "ABCD", 0.9),
+            models.RateOverride("j0", "t1", "BD", 0.55),
+            models.RateOverride("j1", "t0", "AC", 1.1),
+            models.RateOverride("j2", "t1", "A", 0.35),
+        ),
+    )
+
+
+PINNED_INSTANCES = {
+    "example1": example1_instance,
+    "gen_n3": lambda: generate(GenParams(0, "1:4", 3, 2, 3, 5)),
+    "gen_n4": lambda: generate(GenParams(0, "1:1", 3, 2, 4, 6)),
+    "overrides_n4": overrides_instance,
+}
+
+# sha256 prefix of export_lp_text, then rows, columns, nonzeros; recorded
+# before the builders were rebuilt around shared cores, which must keep
+# every name, column and row in place
+PINNED_LP = {
+    ("basic", "example1"): ("3462fa7934a203a2", 3, 3, 5),
+    ("serial", "example1"): ("fa66fd65f530018e", 6, 3, 14),
+    ("generalized", "example1"): ("f1a1a069b047a591", 14, 22, 63),
+    ("alternative", "example1"): ("c02d385e4794e435", 17, 28, 68),
+    ("basic", "gen_n3"): ("9845482c8c6f7f96", 25, 59, 121),
+    ("serial", "gen_n3"): ("c897d2fa11ca946a", 40, 59, 256),
+    ("generalized", "gen_n3"): ("2e75aa1f82bc0ce6", 80, 254, 611),
+    ("alternative", "gen_n3"): ("4618099d5d75911d", 95, 284, 636),
+    ("basic", "gen_n4"): ("71f83dc1de63b82a", 20, 59, 126),
+    ("serial", "gen_n4"): ("2990aa9de782466b", 60, 59, 330),
+    ("generalized", "gen_n4"): ("c695a8305b593874", 390, 573, 3674),
+    ("alternative", "gen_n4"): ("05c86b046a6dcb31", 320, 823, 2054),
+    ("basic", "overrides_n4"): ("7da673ec9b7d6280", 5, 6, 12),
+    ("serial", "overrides_n4"): ("0130649ac25e90ef", 13, 6, 32),
+    ("generalized", "overrides_n4"): ("b78879f080c41875", 79, 60, 624),
+    ("alternative", "overrides_n4"): ("43907dd42a794260", 65, 110, 300),
+}
+
+
+@pytest.mark.parametrize("kind,case", sorted(PINNED_LP))
+def test_lp_text_is_pinned(kind, case, matrices):
+    inst = PINNED_INSTANCES[case]()
+    built = models.build_model(inst, kind, matrix=matrices[inst.chambers])
+    digest = hashlib.sha256(export_lp_text(built.problem).encode()).hexdigest()[:16]
+    stats = built.stats
+    assert (digest, stats.rows, stats.columns, stats.nonzeros) == PINNED_LP[(kind, case)]
+
+
+@pytest.mark.parametrize("kind,case", sorted(PINNED_LP))
+def test_largest_utilization_is_rho(kind, case, matrices):
+    inst = PINNED_INSTANCES[case]()
+    res = solve_capacity(inst, kind, matrix=matrices[inst.chambers])
+    assert res.status == lp.OPTIMAL
+    assert max(u.value for u in res.utilization) == pytest.approx(res.rho, abs=1e-7)
 
 
 class TestRecipeRates:
@@ -215,6 +291,19 @@ class TestModelAgreement:
             res_a = solve_capacity(inst, "alternative")
             assert res_g.status == res_a.status == lp.OPTIMAL
             assert abs(res_g.rho - res_a.rho) <= 1e-6 * max(1.0, abs(res_g.rho))
+
+    def test_fuzz_with_rate_overrides(self, matrices):
+        rng = np.random.default_rng(4242)
+        with_overrides = 0
+        for _ in range(20):
+            n = int(rng.integers(2, 5))
+            inst = random_instance(rng, n, overrides=True)
+            with_overrides += bool(inst.rate_overrides)
+            res_g = solve_capacity(inst, "generalized", matrix=matrices[n])
+            res_a = solve_capacity(inst, "alternative")
+            assert res_g.status == res_a.status == lp.OPTIMAL
+            assert abs(res_g.rho - res_a.rho) <= 1e-6 * max(1.0, abs(res_g.rho))
+        assert with_overrides >= 15
 
     def test_demand_scaling(self, matrices):
         rng = np.random.default_rng(5)
