@@ -348,60 +348,36 @@ def run_bench(
 
 
 def render_bench_csv(records: list[BenchRecord], summaries: list[dict]) -> str:
+    """One row per record, then one per summary; missing cells are empty."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(BENCH_HEADER)
-
-    def pcol(params, key):
-        return params.get(key, "")
-
+    writer = csv.DictWriter(buf, BENCH_HEADER, restval="", lineterminator="\n")
+    writer.writeheader()
     for r in records:
         writer.writerow(
-            [
-                "bench",
-                r.instance,
-                pcol(r.params, "sizecat"),
-                pcol(r.params, "shape"),
-                pcol(r.params, "locked"),
-                pcol(r.params, "density"),
-                pcol(r.params, "chambers"),
-                pcol(r.params, "seed"),
-                r.model,
-                r.rep,
-                r.rows,
-                r.cols,
-                r.nonzeros,
-                f"{r.build_ms:.3f}",
-                f"{r.solve_ms:.3f}",
-                "" if r.rho is None else f"{r.rho:.9g}",
-                r.status,
-                "",
-                "",
-            ]
+            {
+                **r.params,
+                "record_type": "bench",
+                "instance": r.instance,
+                "model": r.model,
+                "rep": r.rep,
+                "rows": r.rows,
+                "cols": r.cols,
+                "nonzeros": r.nonzeros,
+                "build_ms": f"{r.build_ms:.3f}",
+                "solve_ms": f"{r.solve_ms:.3f}",
+                "rho": "" if r.rho is None else f"{r.rho:.9g}",
+                "status": r.status,
+            }
         )
     for s in summaries:
         writer.writerow(
-            [
-                "summary",
-                s["instance"],
-                pcol(s["params"], "sizecat"),
-                pcol(s["params"], "shape"),
-                pcol(s["params"], "locked"),
-                pcol(s["params"], "density"),
-                pcol(s["params"], "chambers"),
-                pcol(s["params"], "seed"),
-                "",
-                "",
-                "",
-                "",
-                "",
-                "",
-                "",
-                "",
-                "",
-                f"{s['speedup_gen_over_alt']:.4f}",
-                f"{s['nonzeros_gen_over_alt']:.4f}",
-            ]
+            {
+                **s["params"],
+                "record_type": "summary",
+                "instance": s["instance"],
+                "speedup_gen_over_alt": f"{s['speedup_gen_over_alt']:.4f}",
+                "nonzeros_gen_over_alt": f"{s['nonzeros_gen_over_alt']:.4f}",
+            }
         )
     return buf.getvalue()
 

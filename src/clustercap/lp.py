@@ -11,7 +11,7 @@ re-parses to an equivalent problem.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -158,75 +158,48 @@ def size_stats(p: LpProblem) -> SizeStats:
 
 
 def _assemble(p: LpProblem):
-    """Split into the <=/= blocks linprog expects; >= rows are negated."""
-    n = len(p.variables)
+    """Objective, bounds, and all rows in their own order as one CSR matrix:
+    >= rows are negated (`sign` -1) so each row reads a_i x <= b_i, or = where
+    the mask `eq` is set."""
+    n, m = len(p.variables), len(p.constraints)
     c = np.zeros(n)
     for j, v in p.objective:
         c[j] = v
-    if p.sense == MAXIMIZE:
-        c = -c
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    row_kind = []  # (block, position, flip) per original constraint
-    for con in p.constraints:
-        idx = [j for j, _ in con.coeffs]
-        val = [v for _, v in con.coeffs]
-        if con.sense == EQ:
-            row_kind.append(("eq", len(eq_rows), 1.0))
-            eq_rows.append((idx, val))
-            eq_rhs.append(con.rhs)
-        elif con.sense == LE:
-            row_kind.append(("ub", len(ub_rows), 1.0))
-            ub_rows.append((idx, val))
-            ub_rhs.append(con.rhs)
-        else:
-            row_kind.append(("ub", len(ub_rows), -1.0))
-            ub_rows.append((idx, [-v for v in val]))
-            ub_rhs.append(-con.rhs)
-
-    def to_csr(rows):
-        if not rows:
-            return None
-        data, indices, indptr = [], [], [0]
-        for idx, val in rows:
-            indices.extend(idx)
-            data.extend(val)
-            indptr.append(len(indices))
-        return sparse.csr_matrix(
-            (np.array(data, dtype=float), np.array(indices), np.array(indptr)),
-            shape=(len(rows), n),
-        )
-
-    bounds = [(v.lower, v.upper) for v in p.variables]
-    return c, to_csr(ub_rows), np.array(ub_rhs), to_csr(eq_rows), np.array(eq_rhs), bounds, row_kind
-
-
-def _check_optimal(p: LpProblem, x: np.ndarray, objective: float, tol: Tolerances):
-    for v, xv in zip(p.variables, x):
-        if xv < v.lower - tol.feasibility:
-            raise LpSolverError(f"{p.name}: bound violated for {v.name}")
-        if v.upper is not None and xv > v.upper + tol.feasibility:
-            raise LpSolverError(f"{p.name}: bound violated for {v.name}")
-    for con in p.constraints:
-        lhs = sum(v * x[j] for j, v in con.coeffs)
-        if con.sense == EQ and abs(lhs - con.rhs) > tol.feasibility:
-            raise LpSolverError(f"{p.name}: equality {con.name} violated by {lhs - con.rhs:.3e}")
-        if con.sense == LE and lhs - con.rhs > tol.feasibility:
-            raise LpSolverError(f"{p.name}: row {con.name} violated by {lhs - con.rhs:.3e}")
-        if con.sense == GE and con.rhs - lhs > tol.feasibility:
-            raise LpSolverError(f"{p.name}: row {con.name} violated by {con.rhs - lhs:.3e}")
-    obj = sum(v * x[j] for j, v in p.objective)
-    if abs(obj - objective) > tol.comparison * max(1.0, abs(obj)):
-        raise LpSolverError(f"{p.name}: objective mismatch {obj} vs {objective}")
+    lower = np.fromiter((v.lower for v in p.variables), float, n)
+    upper = np.fromiter((np.inf if v.upper is None else v.upper for v in p.variables), float, n)
+    rows = p.constraints
+    counts = np.fromiter((len(r.coeffs) for r in rows), np.int64, m)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indices = np.fromiter((j for r in rows for j, _ in r.coeffs), np.int64, indptr[-1])
+    data = np.fromiter((v for r in rows for _, v in r.coeffs), float, indptr[-1])
+    sign = np.fromiter((-1.0 if r.sense == GE else 1.0 for r in rows), float, m)
+    eq = np.fromiter((r.sense == EQ for r in rows), bool, m)
+    rhs = sign * np.fromiter((r.rhs for r in rows), float, m)
+    a = sparse.csr_matrix((data * np.repeat(sign, counts), indices, indptr), shape=(m, n))
+    return c, lower, upper, a, rhs, sign, eq
 
 
 _STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
-def _highs(name: str, c, **blocks):
-    """One HiGHS call under the layer's tolerances: (mapped status, scipy result)."""
+def _highs(
+    name, c, lower, upper, a, rhs, sign, eq, var_name="x{}".format, row_name=str
+) -> LpSolution:
+    """Minimize c'x s.t. a x <= rhs (= on rows in `eq`), lower <= x <= upper.
+
+    `a` is a dense array or a sparse matrix.  One HiGHS call under the layer's
+    tolerances; an optimal answer is checked against every bound and row and
+    the objective before it is returned, with duals per row times `sign`.
+    `var_name`/`row_name` turn an index into the name an error reports.
+    """
+    if eq.any():
+        split = {"A_ub": a[~eq], "b_ub": rhs[~eq], "A_eq": a[eq], "b_eq": rhs[eq]}
+    else:
+        split = {"A_ub": a, "b_ub": rhs}
     res = linprog(
         c,
-        **blocks,
+        **{k: v for k, v in split.items() if v.shape[0]},
+        bounds=np.column_stack((lower, upper)),
         method="highs",
         options={
             "primal_feasibility_tolerance": 1e-9,
@@ -235,62 +208,63 @@ def _highs(name: str, c, **blocks):
     )
     if res.status not in _STATUS:
         raise LpSolverError(f"{name}: solver failure: {res.message}")
-    return _STATUS[res.status], res
+    if res.status != 0:
+        return LpSolution(_STATUS[res.status], None, (), None, int(res.nit))
+    x = np.asarray(res.x, dtype=float)
+    feas = TOL.feasibility
+    bad = np.flatnonzero((x < lower - feas) | (x > upper + feas))
+    if bad.size:
+        raise LpSolverError(f"{name}: bound violated for {var_name(bad[0])}")
+    gap = a @ x - rhs
+    bad = np.flatnonzero(np.where(eq, np.abs(gap), gap) > feas)
+    if bad.size:
+        i = bad[0]
+        raise LpSolverError(f"{name}: row {row_name(i)} violated by {abs(gap[i]):.3e}")
+    obj = float(c @ x)
+    if abs(obj - res.fun) > TOL.comparison * max(1.0, abs(obj)):
+        raise LpSolverError(f"{name}: objective mismatch {obj} vs {res.fun}")
+    duals = np.zeros(len(eq))
+    duals[~eq] = res.ineqlin.marginals
+    duals[eq] = res.eqlin.marginals
+    duals = tuple((sign * duals).tolist())
+    return LpSolution(OPTIMAL, float(res.fun), tuple(x.tolist()), duals, int(res.nit))
 
 
-def solve(p: LpProblem, tol: Tolerances = TOL) -> LpSolution:
+def solve(p: LpProblem) -> LpSolution:
     """Solve the problem; deterministic for a fixed problem.
 
     Optimal solutions are re-verified against the feasibility contract before
     being returned.  Solver breakdown raises LpSolverError instead of being
-    mapped onto Infeasible.
+    mapped onto Infeasible.  Duals are per row, for the minimization form.
     """
-    c, a_ub, b_ub, a_eq, b_eq, bounds, row_kind = _assemble(p)
-    status, res = _highs(
-        p.name,
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub if a_ub is not None else None,
-        A_eq=a_eq,
-        b_eq=b_eq if a_eq is not None else None,
-        bounds=bounds,
-    )
-    if status != OPTIMAL:
-        return LpSolution(status, None, (), None, int(res.nit))
-    x = np.asarray(res.x, dtype=float)
-    objective = float(res.fun) if p.sense == MINIMIZE else -float(res.fun)
-    _check_optimal(p, x, objective, tol)
-    duals = None
-    if getattr(res, "ineqlin", None) is not None or getattr(res, "eqlin", None) is not None:
-        out = []
-        for block, pos, flip in row_kind:
-            marg = res.eqlin.marginals if block == "eq" else res.ineqlin.marginals
-            out.append(flip * float(marg[pos]))
-        duals = tuple(out)
-    return LpSolution(OPTIMAL, objective, tuple(float(v) for v in x), duals, int(res.nit))
+    c, *arrays = _assemble(p)
+    flip = -1.0 if p.sense == MAXIMIZE else 1.0
+    var_name, row_name = (lambda j: p.variables[j].name), (lambda i: p.constraints[i].name)
+    sol = _highs(p.name, flip * c, *arrays, var_name, row_name)
+    return sol if sol.objective is None else replace(sol, objective=flip * sol.objective)
 
 
 def solve_geq_dense(
-    c: np.ndarray, a_rows: np.ndarray, rhs: np.ndarray, name: str = "geq", tol: Tolerances = TOL
+    c: np.ndarray, a_rows: np.ndarray, rhs: np.ndarray, name: str = "geq"
 ) -> LpSolution:
     """Fast path for min c'x s.t. a_rows @ x >= rhs, x >= 0 (dense rows).
 
-    Same backend and status mapping as solve(), without the per-row problem
-    objects; used where thousands of uniformly shaped LPs are solved in a
-    loop.  Optimal solutions are verified against the feasibility contract.
+    Same HiGHS call and contract check as solve(), without the per-row
+    problem objects; used where thousands of uniformly shaped LPs are solved
+    in a loop.
     """
     a_rows = np.asarray(a_rows, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    status, res = _highs(
-        name, np.asarray(c, dtype=float), A_ub=-a_rows, b_ub=-rhs, bounds=(0, None)
+    m, n = a_rows.shape
+    return _highs(
+        name,
+        np.asarray(c, dtype=float),
+        np.zeros(n),
+        np.full(n, np.inf),
+        -a_rows,
+        -np.asarray(rhs, dtype=float),
+        np.full(m, -1.0),
+        np.zeros(m, dtype=bool),
     )
-    if status != OPTIMAL:
-        return LpSolution(status, None, (), None, int(res.nit))
-    x = np.asarray(res.x, dtype=float)
-    if np.any(a_rows @ x < rhs - tol.feasibility) or np.any(x < -tol.feasibility):
-        raise LpSolverError(f"{name}: returned solution violates feasibility contract")
-    duals = tuple(-float(v) for v in res.ineqlin.marginals)
-    return LpSolution(OPTIMAL, float(res.fun), tuple(float(v) for v in x), duals, int(res.nit))
 
 
 # --- textual LP format -----------------------------------------------------

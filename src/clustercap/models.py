@@ -19,6 +19,7 @@ on the optimal bottleneck utilization.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -61,8 +62,12 @@ class Instance:
     rate_overrides: tuple[RateOverride, ...] = ()
 
     def __post_init__(self):
-        if not 1 <= self.chambers <= MAX_CHAMBERS:
-            raise DomainError(f"chamber count must be in 1..{MAX_CHAMBERS}")
+        if (
+            isinstance(self.chambers, bool)
+            or not isinstance(self.chambers, numbers.Integral)
+            or not 1 <= self.chambers <= MAX_CHAMBERS
+        ):
+            raise DomainError(f"chamber count must be an integer in 1..{MAX_CHAMBERS}")
         if len(set(self.tools)) != len(self.tools):
             raise DomainError("duplicate tool id")
         if len({j.id for j in self.jobs}) != len(self.jobs):

@@ -197,13 +197,14 @@ def _hull_phase1(b: np.ndarray, a: np.ndarray):
 
 
 def reduce_to_minimal(a_set) -> list[tuple[float, ...]]:
-    """Strip redundant members until none remains (deterministic fixpoint).
+    """Strip redundant members in one deterministic pass.
 
     Candidates are visited in lexicographic order; each is tested against all
-    currently retained vectors.  Passes repeat until one full pass removes
-    nothing, which doubles as the final verification that the survivors
-    satisfy the minimality definition.  The minimum of <a, x> over the set is
-    preserved for every x >= 0.
+    vectors still retained.  One pass suffices: removing a redundant vector
+    leaves conv(set) + R+^n unchanged, and a vector that is not redundant
+    against a set is not redundant against any subset of it, so every
+    survivor is non-redundant against the final set.  The minimum of <a, x>
+    over the set is preserved for every x >= 0.
     """
     rows = sorted(tuple(float(v) for v in row) for row in a_set)
     try:
@@ -214,17 +215,8 @@ def reduce_to_minimal(a_set) -> list[tuple[float, ...]]:
         raise DomainError("expected a set of equal-length vectors")
     alive = np.ones(len(rows), dtype=bool)
     idx = np.arange(len(rows))
-    while True:
-        removed = 0
-        for i in range(len(rows)):
-            if not alive[i]:
-                continue
-            others = arr[alive & (idx != i)]
-            if others.shape[0] == 0:
-                continue
-            if is_redundant_lp(arr[i], others).redundant:
-                alive[i] = False
-                removed += 1
-        if removed == 0:
-            break
+    for i in range(len(rows)):
+        others = arr[alive & (idx != i)]
+        if others.shape[0] and is_redundant_lp(arr[i], others).redundant:
+            alive[i] = False
     return [rows[i] for i in range(len(rows)) if alive[i]]

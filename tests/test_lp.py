@@ -15,6 +15,18 @@ def simple_problem(sense=lp.MINIMIZE):
     return build.problem()
 
 
+def mix_problem():
+    build = lp.LpBuilder("mix", lp.MAXIMIZE)
+    x = build.add_var("x", upper=4.0)
+    y = build.add_var("y", lower=1.0)
+    z = build.add_var("z", lower=float("-inf"))
+    build.set_objective([(x, 2.0), (y, -1.0), (z, 0.5)])
+    build.add_constraint("r1", [(x, 1.0), (y, 2.0)], lp.LE, 9.0)
+    build.add_constraint("r2", [(y, 1.0), (z, -1.0)], lp.GE, 0.5)
+    build.add_constraint("r3", [(x, 1.0), (z, 1.0)], lp.EQ, 3.0)
+    return build.problem()
+
+
 class TestSolve:
     def test_minimize_with_floor(self):
         sol = lp.solve(simple_problem())
@@ -163,15 +175,7 @@ class TestExport:
         assert back.constraints[0].rhs == float(np.pi)
 
     def test_roundtrip_preserves_solution(self):
-        build = lp.LpBuilder("mix", lp.MAXIMIZE)
-        x = build.add_var("x", upper=4.0)
-        y = build.add_var("y", lower=1.0)
-        z = build.add_var("z", lower=float("-inf"))
-        build.set_objective([(x, 2.0), (y, -1.0), (z, 0.5)])
-        build.add_constraint("r1", [(x, 1.0), (y, 2.0)], lp.LE, 9.0)
-        build.add_constraint("r2", [(y, 1.0), (z, -1.0)], lp.GE, 0.5)
-        build.add_constraint("r3", [(x, 1.0), (z, 1.0)], lp.EQ, 3.0)
-        p = build.problem()
+        p = mix_problem()
         back = roundtrip(p)
         a, b = lp.solve(p), lp.solve(back)
         assert a.status == b.status == lp.OPTIMAL
@@ -243,3 +247,68 @@ def test_solver_breakdown_raises_on_both_paths(monkeypatch):
         lp.solve(simple_problem())
     with pytest.raises(LpSolverError, match="geq: solver failure"):
         lp.solve_geq_dense([1.0], [[1.0]], [1.0])
+
+
+class TestDuals:
+    """Per-row duals in constraint order; values recorded before the solve
+    path was rebuilt on one constraint matrix."""
+
+    def test_mixed_senses_on_maximization(self):
+        sol = lp.solve(mix_problem())
+        assert sol == lp.LpSolution(lp.OPTIMAL, 6.5, (4.0, 1.0, -1.0), (-0.0, 0.0, -0.5), 0)
+
+    def test_equality_rows_only(self):
+        build = lp.LpBuilder("eqonly")
+        x = build.add_var("x")
+        y = build.add_var("y")
+        build.set_objective([(x, 1.0), (y, 3.0)])
+        build.add_constraint("s", [(x, 1.0), (y, 1.0)], lp.EQ, 4.0)
+        build.add_constraint("t", [(x, 1.0), (y, -1.0)], lp.EQ, 1.0)
+        sol = lp.solve(build.problem())
+        assert sol == lp.LpSolution(lp.OPTIMAL, 7.0, (2.5, 1.5), (2.0, -1.0), 0)
+
+    def test_no_rows(self):
+        build = lp.LpBuilder("box")
+        x = build.add_var("x", lower=2.0, upper=5.0)
+        y = build.add_var("y", upper=3.0)
+        build.set_objective([(x, 1.0), (y, -2.0)])
+        sol = lp.solve(build.problem())
+        assert sol == lp.LpSolution(lp.OPTIMAL, -4.0, (2.0, 3.0), (), 0)
+
+    def test_dense_path(self):
+        sol = lp.solve_geq_dense([1.0, 2.0], [[1.0, 1.0], [1.0, 0.0]], [3.0, 1.0])
+        assert sol == lp.LpSolution(lp.OPTIMAL, 3.0, (3.0, 0.0), (1.0, 0.0), 0)
+
+
+def _optimal_at(x):
+    """A linprog stand-in reporting status 0 at the given point."""
+    from scipy.optimize import OptimizeResult
+
+    def fake(c, **kwargs):
+        x_arr = np.asarray(x, dtype=float)
+        return OptimizeResult(status=0, x=x_arr, fun=float(np.dot(c, x_arr)), nit=0)
+
+    return fake
+
+
+class TestContractCheck:
+    """A status-0 answer that breaks the problem is refused on both paths."""
+
+    def test_broken_row(self, monkeypatch):
+        monkeypatch.setattr(lp, "linprog", _optimal_at([4.0]))
+        with pytest.raises(LpSolverError, match="simple: row floor violated"):
+            lp.solve(simple_problem())
+        with pytest.raises(LpSolverError, match="geq"):
+            lp.solve_geq_dense([1.0], [[1.0]], [5.0])
+
+    def test_broken_bound(self, monkeypatch):
+        build = lp.LpBuilder("capped")
+        x = build.add_var("x", upper=10.0)
+        build.set_objective([(x, 1.0)])
+        build.add_constraint("floor", [(x, 1.0)], lp.GE, 5.0)
+        monkeypatch.setattr(lp, "linprog", _optimal_at([11.0]))
+        with pytest.raises(LpSolverError, match="capped: bound violated for x"):
+            lp.solve(build.problem())
+        monkeypatch.setattr(lp, "linprog", _optimal_at([-1.0]))
+        with pytest.raises(LpSolverError, match="geq"):
+            lp.solve_geq_dense([1.0], [[-1.0]], [0.0])

@@ -112,6 +112,23 @@ def test_largest_utilization_is_rho(kind, case, matrices):
     assert max(u.value for u in res.utilization) == pytest.approx(res.rho, abs=1e-7)
 
 
+ROUNDTRIP_INSTANCES = {
+    "example1": example1_instance,
+    "gen_n4_seed7": lambda: generate(GenParams(0, "1:1", 3, 2, 4, 7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUNDTRIP_INSTANCES))
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_lp_text_roundtrip_keeps_rho(kind, case, matrices):
+    inst = ROUNDTRIP_INSTANCES[case]()
+    problem = models.build_model(inst, kind, matrix=matrices[inst.chambers]).problem
+    direct = lp.solve(problem)
+    back = lp.solve(lp.parse_lp_text(export_lp_text(problem)))
+    assert direct.status == back.status == lp.OPTIMAL
+    assert back.objective == pytest.approx(direct.objective, rel=1e-9)
+
+
 class TestRecipeRates:
     def test_two_equal_chambers_double_the_rate(self):
         inst = example1_instance()
@@ -150,6 +167,11 @@ class TestInstanceValidation:
     def test_negative_demand_rejected(self):
         with pytest.raises(DomainError, match="demand"):
             one_tool_instance(3, [("j0", -1.0)], [("j0", [(0, 0.5)])])
+
+    @pytest.mark.parametrize("chambers", [True, 2.0])
+    def test_non_integer_chamber_count_rejected(self, chambers):
+        with pytest.raises(DomainError, match="chamber count"):
+            one_tool_instance(chambers, [("j0", 1.0)], [("j0", [(0, 0.5)])])
 
     def test_structural_feasibility_flag(self):
         inst = models.Instance(
