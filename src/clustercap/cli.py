@@ -165,6 +165,8 @@ def verify_instance(
     inst: models.Instance, samples: int = 200, seed: int = 0, cache_dir=None
 ) -> list[tuple[str, bool, str]]:
     """Cross-checks for one instance; returns (check name, passed, detail)."""
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
     checks: list[tuple[str, bool, str]] = []
     g = build_parallel_graph(inst.chambers)
     matrix = cuts_mod.build_cut_matrix(inst.chambers, reduce=True, cache_dir=cache_dir)
@@ -311,15 +313,12 @@ def run_bench(
             raise DomainError(f"unknown model kind {kind!r}")
     if reps < 1:
         raise DomainError("reps must be >= 1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_bench_instance, path, kinds, reps, cache_dir)
-                for path in instance_paths
-            ]
-            groups = [f.result() for f in futures]
-    else:
-        groups = [_bench_instance(path, kinds, reps, cache_dir) for path in instance_paths]
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        groups = list(
+            pool.map(lambda path: _bench_instance(path, kinds, reps, cache_dir), instance_paths)
+        )
     records = [rec for group in groups for rec in group]
     summaries = []
     for group in groups:

@@ -15,7 +15,6 @@ import io
 import os
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import DomainError, EnumerationBudgetError
@@ -58,9 +57,12 @@ class BasicCut:
         sel |= {("R", i) for i, v in enumerate(self.right) if v}
         return frozenset(sel)
 
-    def weights(self) -> tuple[Fraction, ...]:
-        """Per-recipe cut weight (0, 1/2 or 1): half per selected copy."""
-        return tuple(Fraction(l + r, 2) for l, r in zip(self.left, self.right))
+    def weights(self) -> tuple[float, ...]:
+        """Per-recipe cut weight (0, 1/2 or 1): half per selected copy.
+
+        Halves are exact in binary floating point, so the values compare and
+        sort exactly."""
+        return tuple((l + r) / 2 for l, r in zip(self.left, self.right))
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def cuts_to_matrix(g: ParallelGraph, cuts: list[BasicCut]) -> CutMatrix:
     return CutMatrix(
         n=g.n,
         labels=g.labels,
-        rows=tuple(tuple(float(v) for v in w) for w in rows),
+        rows=tuple(rows),
         reduced=False,
     )
 

@@ -74,8 +74,7 @@ def solve_parallelization_lp(x, g: ParallelGraph) -> tuple[ParallelizationPlan, 
     for k, (i, j) in enumerate(g.edges):
         build.add_var(f"pair_{g.labels[i]}_{g.labels[j]}")
     build.set_objective((k, 1.0) for k in range(len(g.edges)))
-    for r in range(len(g.recipes)):
-        incident = g.incident_edges(r)
+    for r, incident in enumerate(g.incident):
         if incident:
             build.add_constraint(
                 f"avail_{g.labels[r]}", [(k, 1.0) for k in incident], lp.LE, arr[r]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InstanceFormatError
 from .models import Instance, Job, Qualification, RateOverride
-from .recipes import chamber_letter
+from .recipes import RECIPE_MASKS, chamber_letter
 
 SHAPES = ("1:4", "1:1", "4:1", "16:1")
 LOCKED = (0, 3, 6, 9)
@@ -228,9 +228,10 @@ def instance_from_dict(d: dict, where: str = "instance") -> Instance:
         rates = _need(obj, "chamber_rates", dict, wq)
         pairs = []
         for letter, rate in sorted(rates.items()):
-            if len(letter) != 1 or not "A" <= letter <= "H":
+            mask = RECIPE_MASKS.get(letter, 0)  # a chamber letter is a one-chamber label
+            if mask.bit_count() != 1:
                 raise InstanceFormatError(f"{wq}: bad chamber {letter!r}")
-            pairs.append((ord(letter) - ord("A"), _number(rate, f"rate for {letter}", wq)))
+            pairs.append((mask.bit_length() - 1, _number(rate, f"rate for {letter}", wq)))
         quals.append(
             Qualification(_need(obj, "job", str, wq), _need(obj, "tool", str, wq), tuple(pairs))
         )

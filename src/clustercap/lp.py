@@ -59,7 +59,8 @@ class LpProblem:
     """Immutable sparse LP in general form.
 
     Coefficients are (variable index, value) pairs; indices must be in range
-    and unique within a row, and all names must be unique.
+    and unique within a row and within the objective, and all names must be
+    unique.
     """
 
     name: str
@@ -93,9 +94,13 @@ class LpProblem:
                 if j in seen:
                     raise DomainError(f"constraint {row.name!r}: duplicate index {j}")
                 seen.add(j)
+        seen = set()
         for j, _ in self.objective:
             if not 0 <= j < nvar:
                 raise DomainError(f"objective index {j} out of range")
+            if j in seen:
+                raise DomainError(f"objective: duplicate index {j}")
+            seen.add(j)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,15 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import lp
 from .cuts import CutMatrix, build_cut_matrix
 from .errors import DomainError, NotQualifiedError, StructurallyInfeasibleError
-from .recipes import MAX_CHAMBERS, build_parallel_graph, chamber_letter
+from .recipes import (
+    MAX_CHAMBERS, RECIPE_MASKS, ParallelGraph, build_parallel_graph, chamber_letter,
+    label_for_mask, predict_graph_counts,
+)
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,8 @@ class Qualification:
 
 @dataclass(frozen=True)
 class RateOverride:
+    """A pinned (job, tool, recipe) rate; `recipe` is a canonical label."""
+
     job: str
     tool: str
     recipe: str
@@ -53,13 +58,36 @@ class RateOverride:
 
 
 @dataclass(frozen=True)
+class PairRates:
+    """Rates of one qualified (job, tool) pair: `mask` is its chamber set,
+    `chamber_rates` maps those chambers, ascending, to their base rates, and
+    `overrides` maps recipe masks to pinned rates."""
+
+    mask: int
+    chamber_rates: dict[int, float]
+    overrides: dict[int, float]
+
+    def rate(self, recipe: int) -> float:
+        """The pinned rate of a recipe mask within `mask`, else the sum of its
+        chamber rates (each chamber processes wafers independently)."""
+        pinned = self.overrides.get(recipe)
+        if pinned is not None:
+            return pinned
+        return sum(r for c, r in self.chamber_rates.items() if recipe >> c & 1)
+
+
+@dataclass(frozen=True)
 class Instance:
+    """A validated instance; `pair_rates` indexes every qualified (job, tool)
+    pair, in qualification order."""
+
     name: str
     chambers: int
     tools: tuple[str, ...]
     jobs: tuple[Job, ...]
     qualifications: tuple[Qualification, ...]
     rate_overrides: tuple[RateOverride, ...] = ()
+    pair_rates: dict[tuple[str, str], PairRates] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (
@@ -77,84 +105,65 @@ class Instance:
         for j in self.jobs:
             if not 0 <= j.demand < math.inf:
                 raise DomainError(f"job {j.id}: demand must be finite and >= 0")
-        seen = set()
+        pairs = {}
         for q in self.qualifications:
             if q.job not in jobs:
                 raise DomainError(f"qualification references unknown job {q.job!r}")
             if q.tool not in tools:
                 raise DomainError(f"qualification references unknown tool {q.tool!r}")
-            if (q.job, q.tool) in seen:
+            if (q.job, q.tool) in pairs:
                 raise DomainError(f"duplicate qualification for ({q.job}, {q.tool})")
-            seen.add((q.job, q.tool))
             if not q.chamber_rates:
                 raise DomainError(f"qualification ({q.job}, {q.tool}) lists no chambers")
-            chambers = set()
+            rates = {}
             for c, rate in q.chamber_rates:
                 if not 0 <= c < self.chambers:
                     raise DomainError(f"({q.job}, {q.tool}): chamber index {c} out of range")
-                if c in chambers:
+                if c in rates:
                     raise DomainError(f"({q.job}, {q.tool}): duplicate chamber {c}")
-                chambers.add(c)
                 if not 0 < rate < math.inf:
                     raise DomainError(f"({q.job}, {q.tool}): rate must be finite and > 0")
-        qual_index = {(q.job, q.tool): q for q in self.qualifications}
-        for ov in self.rate_overrides:
-            q = qual_index.get((ov.job, ov.tool))
-            if q is None:
-                raise DomainError(f"override references unqualified pair ({ov.job}, {ov.tool})")
-            have = {chamber_letter(c) for c, _ in q.chamber_rates}
-            if not ov.recipe or not set(ov.recipe) <= have:
-                raise DomainError(
-                    f"override recipe {ov.recipe!r} outside qualified chambers of "
-                    f"({ov.job}, {ov.tool})"
-                )
+                rates[c] = rate
+            mask = sum(1 << c for c in rates)
+            pairs[(q.job, q.tool)] = PairRates(mask, dict(sorted(rates.items())), {})
+        for k, ov in enumerate(self.rate_overrides):
+            where = f"rate override {k} ({ov.job}, {ov.tool}, {ov.recipe!r})"
+            pair = pairs.get((ov.job, ov.tool))
+            if pair is None:
+                raise DomainError(f"{where}: references an unqualified pair")
+            mask = RECIPE_MASKS.get(ov.recipe)
+            if mask is None:
+                raise DomainError(f"{where}: recipe is not a canonical label")
+            if mask & ~pair.mask:
+                raise DomainError(f"{where}: recipe outside the qualified chambers")
+            if mask in pair.overrides:
+                raise DomainError(f"{where}: duplicate of an earlier override")
             if not 0 < ov.rate < math.inf:
-                raise DomainError("override rate must be finite and > 0")
+                raise DomainError(f"{where}: rate must be finite and > 0")
+            pair.overrides[mask] = ov.rate
+        object.__setattr__(self, "pair_rates", pairs)
 
-    def qual(self, job: str, tool: str) -> Qualification | None:
-        return self._qual_index.get((job, tool))
-
-    @property
-    def _qual_index(self) -> dict[tuple[str, str], Qualification]:
-        cached = self.__dict__.get("_qual_cache")
-        if cached is None:
-            cached = {(q.job, q.tool): q for q in self.qualifications}
-            self.__dict__["_qual_cache"] = cached
-        return cached
-
-    def qualified_mask(self, job: str, tool: str) -> int:
-        q = self.qual(job, tool)
-        if q is None:
-            return 0
-        mask = 0
-        for c, _ in q.chamber_rates:
-            mask |= 1 << c
-        return mask
-
-    def structurally_feasible(self) -> bool:
-        """Every job reaches at least one (tool, chamber)."""
-        qualified = {q.job for q in self.qualifications}
-        return all(j.id in qualified for j in self.jobs)
+    def unqualified_jobs(self) -> tuple[str, ...]:
+        """Jobs that reach no (tool, chamber); no model can serve them."""
+        qualified = {job for job, _ in self.pair_rates}
+        return tuple(j.id for j in self.jobs if j.id not in qualified)
 
 
 def derive_recipe_rate(inst: Instance, job: str, tool: str, recipe: str) -> float:
     """Wafers per time unit for running `recipe` of (job, tool).
 
-    The triple belongs to the qualification set only when every chamber of
-    the recipe is qualified for the pair; otherwise NotQualifiedError.  An
-    explicit override wins; the default is the sum of the chamber base rates
-    (each chamber of the recipe processes wafers independently).
+    The triple belongs to the qualification set only when `recipe` is a
+    canonical label whose chambers are all qualified for the pair; otherwise
+    NotQualifiedError.  An explicit override wins; the default is the sum of
+    the chamber base rates in ascending chamber order.
     """
-    q = inst.qual(job, tool)
-    if q is None:
+    pair = inst.pair_rates.get((job, tool))
+    if pair is None:
         raise NotQualifiedError(f"({job}, {tool}) is not qualified")
-    rates = {chamber_letter(c): r for c, r in q.chamber_rates}
-    if not recipe or not set(recipe) <= set(rates):
-        raise NotQualifiedError(f"({job}, {tool}, {recipe or '?'}) is outside the qualification set")
-    for ov in inst.rate_overrides:
-        if (ov.job, ov.tool, ov.recipe) == (job, tool, recipe):
-            return ov.rate
-    return sum(rates[ch] for ch in recipe)
+    mask = RECIPE_MASKS.get(recipe)
+    if mask is None or mask & ~pair.mask:
+        raise NotQualifiedError(f"({job}, {tool}, {recipe!r}) is outside the qualification set")
+    return pair.rate(mask)
 
 
 @dataclass(frozen=True)
@@ -230,25 +239,15 @@ class CapacityResult:
 MODEL_KINDS = ("basic", "serial", "generalized", "alternative")
 
 
-def _require_feasible_jobs(inst: Instance):
-    qualified = {q.job for q in inst.qualifications}
-    missing = [j.id for j in inst.jobs if j.id not in qualified]
-    if missing:
-        raise StructurallyInfeasibleError(
-            f"jobs without any qualification: {', '.join(missing)}"
-        )
-
-
-def _full_recipe_label(inst: Instance, job: str, tool: str) -> str:
-    mask = inst.qualified_mask(job, tool)
-    return "".join(chamber_letter(c) for c in range(inst.chambers) if mask >> c & 1)
-
-
 class _Draft:
     """A model under construction; `finish` freezes it into a BuiltModel."""
 
     def __init__(self, inst: Instance, kind: str):
-        _require_feasible_jobs(inst)
+        missing = inst.unqualified_jobs()
+        if missing:
+            raise StructurallyInfeasibleError(
+                f"jobs without any qualification: {', '.join(missing)}"
+            )
         self.inst = inst
         self.kind = kind
         self.build = lp.LpBuilder(f"{kind}[{inst.name}]", lp.MINIMIZE)
@@ -291,16 +290,16 @@ def _time_model(inst: Instance, kind: str, pair_rate, tool_rows=None) -> BuiltMo
     """Core of `basic` and `serial`.
 
     One time column per qualified (job, tool) pair, running the full
-    qualified recipe at `pair_rate(q, recipe)`; the demand rows; then per
+    qualified recipe at `pair_rate(pair_rates)`; the demand rows; then per
     tool a load row followed by `tool_rows(draft, ti, tool)`.
     """
     d = _Draft(inst, kind)
     for ji, job in enumerate(inst.jobs):
         for ti, tool in enumerate(inst.tools):
-            q = inst.qual(job.id, tool)
-            if q is not None:
-                label = _full_recipe_label(inst, job.id, tool)
-                d.add_time(f"x_j{ji}_t{ti}", job.id, tool, label, pair_rate(q, label))
+            pair = inst.pair_rates.get((job.id, tool))
+            if pair is not None:
+                label = label_for_mask(pair.mask)
+                d.add_time(f"x_j{ji}_t{ti}", job.id, tool, label, pair_rate(pair))
     d.add_demand_rows()
     for ti, tool in enumerate(inst.tools):
         load = [(col, 1.0) for (_, t, _), col in d.x_cols.items() if t == tool]
@@ -316,9 +315,7 @@ def build_basic(inst: Instance) -> BuiltModel:
     The pair rate is the full qualified-chamber recipe rate; one shared bound
     rho caps every tool's total committed time.
     """
-    return _time_model(
-        inst, "basic", lambda q, label: derive_recipe_rate(inst, q.job, q.tool, label)
-    )
+    return _time_model(inst, "basic", lambda pair: pair.rate(pair.mask))
 
 
 def build_serial(inst: Instance) -> BuiltModel:
@@ -330,9 +327,7 @@ def build_serial(inst: Instance) -> BuiltModel:
     """
 
     def chamber_rows(d: _Draft, ti: int, tool: str):
-        pairs = [
-            (key, dict(inst.qual(key[0], tool).chamber_rates)) for key in d.x_cols if key[1] == tool
-        ]
+        pairs = [(key, inst.pair_rates[key[:2]].chamber_rates) for key in d.x_cols if key[1] == tool]
         for c in range(inst.chambers):
             coeffs = [
                 (d.x_cols[key], d.rates[key] / rates[c]) for key, rates in pairs if c in rates
@@ -342,31 +337,32 @@ def build_serial(inst: Instance) -> BuiltModel:
                 d.add_rho_rows(tool, f"chamber_{letter}", [(f"cham_t{ti}_{letter}", coeffs)])
 
     return _time_model(
-        inst, "serial", lambda q, _: min(rate for _, rate in q.chamber_rates), chamber_rows
+        inst, "serial", lambda pair: min(pair.chamber_rates.values()), chamber_rows
     )
 
 
-def _recipe_model(inst: Instance, kind: str, labels, tool_rows, tool_cols=None) -> BuiltModel:
+def _recipe_model(
+    inst: Instance, kind: str, g: ParallelGraph, tool_rows, tool_cols=None
+) -> BuiltModel:
     """Core of `generalized` and `alternative`.
 
-    One time column per qualification-set triple (job, tool, recipe); per
-    tool one aggregate column per recipe, followed by `tool_cols(draft, ti,
-    tool)`; the demand rows; then per tool one balance row per recipe
-    (aggregate = sum of its time columns), followed by `tool_rows(draft, ti,
-    tool)`.
+    One time column per qualification-set triple (job, tool, recipe), the
+    recipes taken in graph order; per tool one aggregate column per recipe,
+    followed by `tool_cols(draft, ti, tool)`; the demand rows; then per tool
+    one balance row per recipe (aggregate = sum of its time columns),
+    followed by `tool_rows(draft, ti, tool)`.
     """
     d = _Draft(inst, kind)
-    label_masks = [(lbl, sum(1 << (ord(ch) - ord("A")) for ch in lbl)) for lbl in labels]
+    labels = g.labels
     members = {}  # (tool, recipe) -> its time columns, in column order
     for ji, job in enumerate(inst.jobs):
         for ti, tool in enumerate(inst.tools):
-            mask = inst.qualified_mask(job.id, tool)
-            for label, label_mask in label_masks:
-                if label_mask & ~mask:
-                    continue
-                rate = derive_recipe_rate(inst, job.id, tool, label)
-                col = d.add_time(f"x_j{ji}_t{ti}_{label}", job.id, tool, label, rate)
-                members.setdefault((tool, label), []).append(col)
+            pair = inst.pair_rates.get((job.id, tool))
+            for r in g.recipes:
+                if pair is not None and r.mask & ~pair.mask == 0:
+                    rate = pair.rate(r.mask)
+                    col = d.add_time(f"x_j{ji}_t{ti}_{r.label}", job.id, tool, r.label, rate)
+                    members.setdefault((tool, r.label), []).append(col)
     for ti, tool in enumerate(inst.tools):
         for label in labels:
             d.agg_cols[(tool, label)] = d.build.add_var(f"agg_t{ti}_{label}")
@@ -403,7 +399,7 @@ def build_generalized(inst: Instance, matrix: CutMatrix) -> BuiltModel:
         ]
         d.add_rho_rows(tool, "cut_max", rows)
 
-    return _recipe_model(inst, "generalized", matrix.labels, cut_rows)
+    return _recipe_model(inst, "generalized", build_parallel_graph(inst.chambers), cut_rows)
 
 
 def build_alternative(inst: Instance) -> BuiltModel:
@@ -414,7 +410,6 @@ def build_alternative(inst: Instance) -> BuiltModel:
     """
     g = build_parallel_graph(inst.chambers)
     labels = g.labels
-    incident = [g.incident_edges(r) for r in range(len(labels))]
 
     def pair_cols(d: _Draft, ti: int, tool: str):
         for i, j in g.edges:
@@ -425,14 +420,14 @@ def build_alternative(inst: Instance) -> BuiltModel:
     def pairing_rows(d: _Draft, ti: int, tool: str):
         pairs = [d.pair_cols[(tool, labels[i], labels[j])] for i, j in g.edges]
         for r, label in enumerate(labels):
-            coeffs = [(pairs[k], 1.0) for k in incident[r]]
+            coeffs = [(pairs[k], 1.0) for k in g.incident[r]]
             coeffs.append((d.agg_cols[(tool, label)], -1.0))
             d.build.add_constraint(f"par_t{ti}_{label}", coeffs, lp.LE, 0.0)
         coeffs = [(d.agg_cols[(tool, label)], 1.0) for label in labels]
         coeffs.extend((col, -1.0) for col in pairs)
         d.add_rho_rows(tool, "makespan", [(f"mk_t{ti}", coeffs)])
 
-    return _recipe_model(inst, "alternative", labels, pairing_rows, pair_cols)
+    return _recipe_model(inst, "alternative", g, pairing_rows, pair_cols)
 
 
 def build_model(
@@ -534,8 +529,7 @@ def predict_sizes(
     if kind not in ("generalized", "alternative"):
         raise DomainError("size formulas exist for 'generalized' and 'alternative' only")
     matrix = build_cut_matrix(n, reduce=True, cache_dir=cache_dir)
-    n_recipes = 2**n - 1
-    n_edges = (3**n - 1) // 2 - n_recipes
+    n_recipes, n_edges = predict_graph_counts(n)
     k_rows = len(matrix.rows)
     coeff_nz = matrix.nonzeros()
     delta_n = 1 + k_rows + coeff_nz - 3**n

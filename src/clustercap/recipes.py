@@ -8,6 +8,7 @@ pairs are the edges of the parallelization graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError
 
@@ -22,6 +23,11 @@ def chamber_letter(c: int) -> str:
 
 def label_for_mask(mask: int) -> str:
     return "".join(_LETTERS[c] for c in range(MAX_CHAMBERS) if mask >> c & 1)
+
+
+# canonical label (chambers in alphabetical order, each once) -> chamber mask;
+# any other spelling of a chamber set is absent
+RECIPE_MASKS = {label_for_mask(mask): mask for mask in range(1, 1 << MAX_CHAMBERS)}
 
 
 @dataclass(frozen=True)
@@ -59,23 +65,20 @@ class ParallelGraph:
     edges: tuple[tuple[int, int], ...]
 
     def index_of(self, label: str) -> int:
-        return self._label_index[label]
+        return self.labels.index(label)
 
-    @property
-    def _label_index(self) -> dict[str, int]:
-        idx = self.__dict__.get("_label_index_cache")
-        if idx is None:
-            idx = {r.label: i for i, r in enumerate(self.recipes)}
-            self.__dict__["_label_index_cache"] = idx
-        return idx
-
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(r.label for r in self.recipes)
 
-    def incident_edges(self, r: int) -> list[int]:
-        """Indices of edges touching recipe index r."""
-        return [k for k, (a, b) in enumerate(self.edges) if a == r or b == r]
+    @cached_property
+    def incident(self) -> tuple[tuple[int, ...], ...]:
+        """Per recipe index, the ascending indices of the edges touching it."""
+        out = [[] for _ in self.recipes]
+        for k, (a, b) in enumerate(self.edges):
+            out[a].append(k)
+            out[b].append(k)
+        return tuple(map(tuple, out))
 
 
 def predict_graph_counts(n: int) -> tuple[int, int]:

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from clustercap.cli import cli, run_bench
+from clustercap import read_instance
+from clustercap.cli import cli, run_bench, verify_instance
+from clustercap.errors import DomainError
 
 from conftest import DATA
 
@@ -118,6 +120,14 @@ class TestVerify:
         rc = cli(["verify", f"{DATA}/example1.json", "--samples", "20"])
         assert rc == 0
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_is_an_error(self, env_cache, capsys, samples):
+        rc = cli(["verify", f"{DATA}/example1.json", "--samples", str(samples)])
+        assert rc == 1
+        assert "samples must be >= 1" in capsys.readouterr().err
+        with pytest.raises(DomainError, match="samples"):
+            verify_instance(read_instance(f"{DATA}/example1.json"), samples=samples)
+
 
 class TestExportLp:
     def test_export_and_reparse(self, env_cache, tmp_path):
@@ -177,6 +187,13 @@ class TestBench:
         assert [(r.instance, r.model, r.rho) for r in seq_records] == [
             (r.instance, r.model, r.rho) for r in par_records
         ]
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_no_workers_is_an_error(self, env_cache, tmp_path, workers):
+        inst = str(gen_instance(tmp_path, seed=9))
+        with pytest.raises(DomainError, match="workers must be >= 1"):
+            run_bench([inst], ["alternative"], reps=1, workers=workers)
+        assert cli(["bench", inst, "--workers", str(workers), "--out", "/dev/null"]) == 1
 
     def test_empty_models_list_is_error(self, env_cache, tmp_path):
         inst = gen_instance(tmp_path, seed=8)

@@ -83,7 +83,7 @@ class TestGeneration:
     def test_high_locking_still_structurally_feasible(self):
         for seed in range(5):
             inst = generate(params(locked=9, density=1, seed=seed))
-            assert inst.structurally_feasible()
+            assert not inst.unqualified_jobs()
             served = {q.tool for q in inst.qualifications}
             assert served == set(inst.tools)
 
@@ -125,7 +125,7 @@ class TestGeneration:
         inst = generate(
             GenParams(sizecat, shape, locked, density, chambers, seed)
         )
-        assert inst.structurally_feasible()
+        assert not inst.unqualified_jobs()
         assert {q.tool for q in inst.qualifications} == set(inst.tools)
 
 
@@ -153,6 +153,10 @@ class TestRoundTrip:
         path = tmp_path / "ov.json"
         write_instance(inst, path)
         assert read_instance(path) == inst
+
+
+def override(recipe, rate=0.5):
+    return {"job": "lot1", "tool": "tool1", "recipe": recipe, "rate": rate}
 
 
 class TestParsing:
@@ -248,6 +252,26 @@ class TestParsing:
                 lambda d: d.update(recipe_rate_overrides=[["lot1", "tool1", "AB", 0.5]]),
                 r"recipe_rate_overrides\[0\]: expected a JSON object",
                 id="override-not-object",
+            ),
+            pytest.param(
+                lambda d: d.update(recipe_rate_overrides=[override("BA")]),
+                r"rate override 0 \(lot1, tool1, 'BA'\): recipe is not a canonical label",
+                id="override-recipe-out-of-order",
+            ),
+            pytest.param(
+                lambda d: d.update(recipe_rate_overrides=[override("AAB")]),
+                r"rate override 0 \(lot1, tool1, 'AAB'\): recipe is not a canonical label",
+                id="override-recipe-repeated-chamber",
+            ),
+            pytest.param(
+                lambda d: d.update(recipe_rate_overrides=[override("")]),
+                r"rate override 0 \(lot1, tool1, ''\): recipe is not a canonical label",
+                id="override-recipe-empty",
+            ),
+            pytest.param(
+                lambda d: d.update(recipe_rate_overrides=[override("AB"), override("AB", 0.7)]),
+                r"rate override 1 \(lot1, tool1, 'AB'\): duplicate of an earlier override",
+                id="override-repeated",
             ),
         ],
     )

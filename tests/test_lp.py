@@ -117,6 +117,14 @@ class TestValidation:
         with pytest.raises(DomainError, match="duplicate index"):
             build.problem()
 
+    def test_duplicate_index_in_objective(self):
+        # solving kept the last coefficient while the LP text summed them
+        build = lp.LpBuilder("dup")
+        x = build.add_var("x")
+        build.set_objective([(x, -1.0), (x, 2.0)])
+        with pytest.raises(DomainError, match="objective: duplicate index"):
+            build.problem()
+
     def test_out_of_range_index(self):
         build = lp.LpBuilder("oob")
         build.add_var("x")

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -38,6 +39,13 @@ def one_tool_instance(chambers, jobs, quals, overrides=(), name="inst"):
             models.Qualification(j, "t0", tuple(rates)) for j, rates in quals
         ),
         rate_overrides=tuple(overrides),
+    )
+
+
+def two_chamber_override(*overrides):
+    """Demand 10 on two chambers of rate 1, with the given rate overrides."""
+    return one_tool_instance(
+        2, [("j0", 10.0)], [("j0", [(0, 1.0), (1, 1.0)])], overrides=overrides
     )
 
 
@@ -112,6 +120,42 @@ def test_largest_utilization_is_rho(kind, case, matrices):
     assert max(u.value for u in res.utilization) == pytest.approx(res.rho, abs=1e-7)
 
 
+def reference_rates(inst, kind):
+    """Every time column's rate, worked out letter by letter from the instance."""
+    pinned = {(ov.job, ov.tool, ov.recipe): ov.rate for ov in inst.rate_overrides}
+    out = {}
+    for q in inst.qualifications:
+        rates = {"ABCDEFGH"[c]: r for c, r in q.chamber_rates}
+        letters = sorted(rates)
+        if kind in ("basic", "serial"):
+            recipes = ["".join(letters)]
+        else:
+            recipes = [
+                "".join(pick)
+                for size in range(1, len(letters) + 1)
+                for pick in combinations(letters, size)
+            ]
+        for recipe in recipes:
+            if kind == "serial":
+                out[(q.job, q.tool, recipe)] = min(rates.values())
+            else:
+                default = sum(rates[letter] for letter in recipe)
+                out[(q.job, q.tool, recipe)] = pinned.get((q.job, q.tool, recipe), default)
+    return out
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_builder_rates_match_letter_reference(kind, matrices):
+    rng = np.random.default_rng(99)
+    cases = [overrides_instance()]
+    for _ in range(10):
+        cases.append(random_instance(rng, int(rng.integers(2, 5)), overrides=True))
+    assert sum(bool(inst.rate_overrides) for inst in cases) >= 8
+    for inst in cases:
+        built = models.build_model(inst, kind, matrix=matrices[inst.chambers])
+        assert built.rates == reference_rates(inst, kind)
+
+
 ROUNDTRIP_INSTANCES = {
     "example1": example1_instance,
     "gen_n4_seed7": lambda: generate(GenParams(0, "1:1", 3, 2, 4, 7)),
@@ -158,6 +202,12 @@ class TestRecipeRates:
         with pytest.raises(NotQualifiedError):
             derive_recipe_rate(inst, "lot1", "ghost", "A")
 
+    @pytest.mark.parametrize("recipe", ["BA", "AAB"])
+    def test_non_canonical_label_raises(self, recipe):
+        inst = example1_instance()
+        with pytest.raises(NotQualifiedError):
+            derive_recipe_rate(inst, "lot1", "tool1", recipe)
+
 
 class TestInstanceValidation:
     def test_zero_rate_rejected(self):
@@ -173,6 +223,20 @@ class TestInstanceValidation:
         with pytest.raises(DomainError, match="chamber count"):
             one_tool_instance(chambers, [("j0", 1.0)], [("j0", [(0, 0.5)])])
 
+    @pytest.mark.parametrize("recipe", ["BA", "AAB", ""])
+    def test_non_canonical_override_rejected(self, recipe):
+        # "BA" used to pass validation and then never match any column, so the
+        # summed chamber rate stood in for the pinned one
+        with pytest.raises(DomainError, match="not a canonical label"):
+            two_chamber_override(models.RateOverride("j0", "t0", recipe, 100.0))
+
+    def test_repeated_override_rejected(self):
+        with pytest.raises(DomainError, match="override 1 .*duplicate"):
+            two_chamber_override(
+                models.RateOverride("j0", "t0", "AB", 100.0),
+                models.RateOverride("j0", "t0", "AB", 50.0),
+            )
+
     def test_structural_feasibility_flag(self):
         inst = models.Instance(
             name="lonely",
@@ -181,7 +245,7 @@ class TestInstanceValidation:
             jobs=(models.Job("j0", 5.0),),
             qualifications=(),
         )
-        assert not inst.structurally_feasible()
+        assert inst.unqualified_jobs() == ("j0",)
 
 
 class TestBasicModel:

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from clustercap import build_parallel_graph, predict_graph_counts
 from clustercap.errors import DomainError
+from clustercap.recipes import RECIPE_MASKS
 
 
 def brute_force_edges(n):
@@ -90,3 +91,18 @@ def test_counts_match_construction(n):
     assert predict_graph_counts(n) == (len(g.recipes), len(g.edges))
     assert all(g.recipes[i].mask & g.recipes[j].mask == 0 for i, j in g.edges)
     assert len(set(g.edges)) == len(g.edges)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_incidence_and_label_lookup_match_slow_scans(n):
+    g = build_parallel_graph(n)
+    for r in range(len(g.recipes)):
+        assert g.incident[r] == tuple(k for k, (a, b) in enumerate(g.edges) if r in (a, b))
+    known = {label: mask for label, mask in RECIPE_MASKS.items() if mask < 1 << n}
+    assert len(known) == 2**n - 1
+    assert known == {r.label: r.mask for r in g.recipes}
+    for label in known:
+        for spelling in map("".join, permutations(label)):
+            assert (spelling in RECIPE_MASKS) == (spelling == label)
+        assert label + label[-1] not in RECIPE_MASKS
+    assert "" not in RECIPE_MASKS
