@@ -308,6 +308,8 @@ def run_bench(
     Speedup is median generalized solve time over median alternative solve
     time, so values above 1 mean the alternative model is faster.
     """
+    if not kinds:
+        raise DomainError("no model kinds given")
     for kind in kinds:
         if kind not in models.MODEL_KINDS:
             raise DomainError(f"unknown model kind {kind!r}")

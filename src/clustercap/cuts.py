@@ -15,7 +15,10 @@ import io
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DomainError, EnumerationBudgetError
 from .recipes import MAX_CHAMBERS, ParallelGraph, build_parallel_graph
@@ -79,13 +82,21 @@ class CutMatrix:
     rows: tuple[tuple[float, ...], ...]
     reduced: bool
 
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The (1 - weight) rows used as makespan coefficients, one read-only
+        array of shape (rows, labels)."""
+        out = 1.0 - np.array(self.rows, dtype=float).reshape(len(self.rows), len(self.labels))
+        out.flags.writeable = False
+        return out
+
     def coeff_rows(self) -> tuple[tuple[float, ...], ...]:
-        """The (1 - weight) rows used as makespan coefficients."""
-        return tuple(tuple(1.0 - v for v in row) for row in self.rows)
+        """The coefficient rows as tuples."""
+        return tuple(map(tuple, self.coeffs.tolist()))
 
     def nonzeros(self) -> int:
         """Nonzero entries across the coefficient rows."""
-        return sum(1 for row in self.rows for v in row if v != 1.0)
+        return int(np.count_nonzero(self.coeffs))
 
 
 def double_graph(g: ParallelGraph) -> DoubledGraph:
@@ -273,4 +284,6 @@ def read_matrix_csv(path: str | os.PathLike, reduced: bool) -> CutMatrix:
                     raise DomainError(f"{path}:{lineno}: bad entry {cell!r}")
                 row.append(1.0 - float(cell))
             rows.append(tuple(row))
+    if not rows:
+        raise DomainError(f"{path}: no cut rows below the header")
     return CutMatrix(n=n, labels=labels, rows=tuple(rows), reduced=reduced)

@@ -224,5 +224,4 @@ def makespan_via_cuts(x, matrix: CutMatrix) -> float:
         raise DomainError(f"allocation vector must have length {len(matrix.labels)}")
     if np.any(arr < 0):
         raise DomainError("allocation times must be nonnegative")
-    coeff = 1.0 - np.asarray(matrix.rows, dtype=float)
-    return float((coeff @ arr).max())
+    return float((matrix.coeffs @ arr).max())

@@ -46,28 +46,25 @@ class Variable:
     upper: float | None = None
 
 
-@dataclass(frozen=True)
-class Constraint:
-    name: str
-    coeffs: tuple[tuple[int, float], ...]
-    sense: str
-    rhs: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
     """Immutable sparse LP in general form.
 
-    Coefficients are (variable index, value) pairs; indices must be in range
-    and unique within a row and within the objective, and all names must be
-    unique.
+    Row i is named `row_names[i]` and reads `matrix[i] x  senses[i]  rhs[i]`;
+    `matrix` is CSR with each row's entries in the order they were given, and
+    nothing modifies it in place.  The objective is (variable index, value)
+    pairs.  Indices must be in range and unique within a row and within the
+    objective, and all names must be unique.
     """
 
     name: str
     sense: str
     objective: tuple[tuple[int, float], ...]
     variables: tuple[Variable, ...]
-    constraints: tuple[Constraint, ...]
+    row_names: tuple[str, ...]
+    senses: tuple[str, ...]
+    rhs: np.ndarray
+    matrix: sparse.csr_matrix
 
     def __post_init__(self):
         if self.sense not in (MINIMIZE, MAXIMIZE):
@@ -80,20 +77,30 @@ class LpProblem:
             names.add(v.name)
             if v.upper is not None and v.upper < v.lower:
                 raise DomainError(f"variable {v.name!r} has empty bound interval")
-        cnames = set()
-        for row in self.constraints:
-            if row.name in cnames or row.name in names:
-                raise DomainError(f"duplicate constraint name {row.name!r}")
-            cnames.add(row.name)
-            if row.sense not in _SENSES:
-                raise DomainError(f"constraint sense {row.sense!r}")
-            seen = set()
-            for j, _ in row.coeffs:
-                if not 0 <= j < nvar:
-                    raise DomainError(f"constraint {row.name!r}: index {j} out of range")
-                if j in seen:
-                    raise DomainError(f"constraint {row.name!r}: duplicate index {j}")
-                seen.add(j)
+        m, a, row_names = len(self.row_names), self.matrix, self.row_names
+        if not len(self.senses) == len(self.rhs) == m or getattr(a, "format", None) != "csr":
+            raise DomainError(f"rows need {m} senses, right-hand sides and CSR matrix rows")
+        if a.shape != (m, nvar):
+            raise DomainError(f"constraint matrix is {a.shape}, expected {(m, nvar)}")
+        if len(set(row_names)) != m or not names.isdisjoint(row_names):
+            seen = set(names)
+            for rname in row_names:
+                if rname in seen:
+                    raise DomainError(f"duplicate constraint name {rname!r}")
+                seen.add(rname)
+        bad = set(self.senses).difference(_SENSES)
+        if bad:
+            raise DomainError(f"constraint sense {bad.pop()!r}")
+        rows = np.repeat(np.arange(m), np.diff(a.indptr))  # the row of each entry
+        bad = np.flatnonzero((a.indices < 0) | (a.indices >= nvar))
+        if bad.size:
+            i, j = rows[bad[0]], a.indices[bad[0]]
+            raise DomainError(f"constraint {row_names[i]!r}: index {j} out of range")
+        ordered = a.sorted_indices().indices  # a repeat now sits next to its twin
+        dup = np.flatnonzero((ordered[1:] == ordered[:-1]) & (rows[1:] == rows[:-1]))
+        if dup.size:
+            i, j = rows[dup[0]], ordered[dup[0]]
+            raise DomainError(f"constraint {row_names[i]!r}: duplicate index {j}")
         seen = set()
         for j, _ in self.objective:
             if not 0 <= j < nvar:
@@ -129,59 +136,77 @@ class LpBuilder:
         self.name = name
         self.sense = sense
         self._vars: list[Variable] = []
-        self._rows: list[Constraint] = []
         self._obj: list[tuple[int, float]] = []
+        self._names, self._senses, self._rhs, self._blocks = [], [], [], []
 
     def add_var(self, name: str, lower: float = 0.0, upper: float | None = None) -> int:
         self._vars.append(Variable(name, lower, upper))
         return len(self._vars) - 1
 
     def add_constraint(self, name, coeffs, sense, rhs) -> int:
-        self._rows.append(Constraint(name, tuple(coeffs), sense, float(rhs)))
-        return len(self._rows) - 1
+        """One row from (variable index, value) pairs; returns its index."""
+        pairs = tuple(coeffs)
+        cols, vals = [j for j, _ in pairs], [v for _, v in pairs]
+        return self.add_rows([name], [len(pairs)], cols, vals, sense, rhs).start
+
+    def add_rows(self, names, counts, cols, vals, sense, rhs) -> range:
+        """Rows `names[i]` sharing one sense and right-hand side; row i takes
+        the next `counts[i]` entries of `cols`/`vals`, in order.  Returns the
+        new rows' indices."""
+        counts = np.asarray(counts, np.int64)
+        cols = np.asarray(cols, np.int64)
+        vals = np.asarray(vals, float)
+        bad = len(counts) != len(names) or min(counts, default=0) < 0
+        if bad or not sum(counts) == len(cols) == len(vals):
+            raise DomainError(f"row block {names[:1]}: counts, columns and values disagree")
+        start = len(self._names)
+        self._names.extend(names)
+        self._senses.extend([sense] * len(names))
+        self._rhs.extend([float(rhs)] * len(names))
+        self._blocks.append((counts, cols, vals))
+        return range(start, len(self._names))
 
     def set_objective(self, coeffs):
         self._obj = list(coeffs)
 
     def problem(self) -> LpProblem:
+        empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+        counts, cols, vals = (np.concatenate(parts) for parts in zip(empty, *self._blocks))
+        m = len(self._names)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
         return LpProblem(
             name=self.name,
             sense=self.sense,
             objective=tuple(self._obj),
             variables=tuple(self._vars),
-            constraints=tuple(self._rows),
+            row_names=tuple(self._names),
+            senses=tuple(self._senses),
+            rhs=np.array(self._rhs, dtype=float),
+            matrix=sparse.csr_matrix((vals, cols, indptr), shape=(m, len(self._vars))),
         )
 
 
 def size_stats(p: LpProblem) -> SizeStats:
     """Row/column/nonzero counts of the constraint matrix."""
-    return SizeStats(
-        rows=len(p.constraints),
-        columns=len(p.variables),
-        nonzeros=sum(len(c.coeffs) for c in p.constraints),
-    )
+    return SizeStats(rows=p.matrix.shape[0], columns=len(p.variables), nonzeros=p.matrix.nnz)
 
 
 def _assemble(p: LpProblem):
-    """Objective, bounds, and all rows in their own order as one CSR matrix:
-    >= rows are negated (`sign` -1) so each row reads a_i x <= b_i, or = where
-    the mask `eq` is set."""
-    n, m = len(p.variables), len(p.constraints)
+    """Objective, bounds, and the stored rows with >= rows negated (`sign`
+    -1), so each row reads a_i x <= b_i, or = where the mask `eq` is set."""
+    n = len(p.variables)
     c = np.zeros(n)
     for j, v in p.objective:
         c[j] = v
     lower = np.fromiter((v.lower for v in p.variables), float, n)
     upper = np.fromiter((np.inf if v.upper is None else v.upper for v in p.variables), float, n)
-    rows = p.constraints
-    counts = np.fromiter((len(r.coeffs) for r in rows), np.int64, m)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    indices = np.fromiter((j for r in rows for j, _ in r.coeffs), np.int64, indptr[-1])
-    data = np.fromiter((v for r in rows for _, v in r.coeffs), float, indptr[-1])
-    sign = np.fromiter((-1.0 if r.sense == GE else 1.0 for r in rows), float, m)
-    eq = np.fromiter((r.sense == EQ for r in rows), bool, m)
-    rhs = sign * np.fromiter((r.rhs for r in rows), float, m)
-    a = sparse.csr_matrix((data * np.repeat(sign, counts), indices, indptr), shape=(m, n))
-    return c, lower, upper, a, rhs, sign, eq
+    senses = np.array(p.senses, dtype="U2")
+    sign = np.where(senses == GE, -1.0, 1.0)
+    a = p.matrix
+    signed = sparse.csr_matrix(
+        (a.data * np.repeat(sign, np.diff(a.indptr)), a.indices, a.indptr), shape=a.shape
+    )
+    return c, lower, upper, signed, sign * p.rhs, sign, senses == EQ
 
 
 _STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
@@ -244,8 +269,7 @@ def solve(p: LpProblem) -> LpSolution:
     """
     c, *arrays = _assemble(p)
     flip = -1.0 if p.sense == MAXIMIZE else 1.0
-    var_name, row_name = (lambda j: p.variables[j].name), (lambda i: p.constraints[i].name)
-    sol = _highs(p.name, flip * c, *arrays, var_name, row_name)
+    sol = _highs(p.name, flip * c, *arrays, lambda j: p.variables[j].name, p.row_names.__getitem__)
     return sol if sol.objective is None else replace(sol, objective=flip * sol.objective)
 
 
@@ -299,24 +323,24 @@ def export_lp_text(p: LpProblem) -> str:
     an explicit Bounds line so the text is self-describing.  Coefficients keep
     17 significant digits so a re-parse reproduces the numbers exactly.
     """
-    names = []
-    for v in p.variables:
-        if not _NAME_RE.match(v.name):
-            raise DomainError(f"variable name {v.name!r} is not LP-format safe")
-        names.append(v.name)
-    for con in p.constraints:
-        if not _NAME_RE.match(con.name):
-            raise DomainError(f"constraint name {con.name!r} is not LP-format safe")
+    names = [v.name for v in p.variables]
+    for kind, group in (("variable", names), ("constraint", p.row_names)):
+        for name in group:
+            if not _NAME_RE.match(name):
+                raise DomainError(f"{kind} name {name!r} is not LP-format safe")
     lines = [f"\\ {p.name}"]
     lines.append("Minimize" if p.sense == MINIMIZE else "Maximize")
     obj = _emit_terms(sorted(p.objective), names)
     lines.append(f" obj: {obj}".rstrip())
     lines.append("Subject To")
-    for con in p.constraints:
-        lhs = _emit_terms(sorted(con.coeffs), names)
+    a = p.matrix
+    cols, vals, bounds = a.indices.tolist(), a.data.tolist(), a.indptr.tolist()
+    for i, (rname, sense, rhs) in enumerate(zip(p.row_names, p.senses, p.rhs.tolist())):
+        lo, hi = bounds[i], bounds[i + 1]
+        lhs = _emit_terms(sorted(zip(cols[lo:hi], vals[lo:hi])), names)
         if not lhs:
             lhs = f"0 {names[0]}" if names else "0"
-        lines.append(f" {con.name}: {lhs} {con.sense} {_fmt(con.rhs)}")
+        lines.append(f" {rname}: {lhs} {sense} {_fmt(rhs)}")
     lines.append("Bounds")
     for v in p.variables:
         if v.upper is None and v.lower == float("-inf"):
@@ -362,14 +386,7 @@ def parse_lp_text(text: str) -> LpProblem:
     sense = MINIMIZE
     obj_terms: list[tuple[str, float]] = []
     rows: list[tuple[str, list[tuple[str, float]], str, float]] = []
-    bounds: dict[str, tuple[float, float | None]] = {}
-    order: list[str] = []
-
-    def touch(var: str):
-        if var not in bounds:
-            bounds[var] = (0.0, None)
-            order.append(var)
-
+    bounds: dict[str, tuple[float, float | None]] = {}  # variables in order of appearance
     for ln in lines:
         stripped = ln.strip()
         low = stripped.lower()
@@ -383,7 +400,7 @@ def parse_lp_text(text: str) -> LpProblem:
         if section in ("minimize", "maximize"):
             body = stripped.split(":", 1)[1] if ":" in stripped else stripped
             for var, coef in _parse_terms(body):
-                touch(var)
+                bounds.setdefault(var, (0.0, None))
                 obj_terms.append((var, coef))
         elif section == "subject to":
             if ":" not in stripped:
@@ -394,12 +411,11 @@ def parse_lp_text(text: str) -> LpProblem:
                 raise DomainError(f"constraint line without sense/rhs: {stripped!r}")
             terms = _parse_terms(body[: m.start()])
             for var, _ in terms:
-                touch(var)
+                bounds.setdefault(var, (0.0, None))
             rows.append((rname.strip(), terms, m.group(1), float(m.group(2))))
         elif section == "bounds":
             if low.endswith(" free"):
                 var = stripped[: -len(" free")].strip()
-                touch(var)
                 bounds[var] = (float("-inf"), None)
                 continue
             m = re.match(
@@ -408,13 +424,11 @@ def parse_lp_text(text: str) -> LpProblem:
             )
             if m:
                 var = m.group(2)
-                touch(var)
                 bounds[var] = (float(m.group(1)), float(m.group(3)))
                 continue
             m = re.match(r"^([A-Za-z_][A-Za-z0-9_.]*)\s*(<=|>=)\s*([+-]?[\d.eE+-]+)$", stripped)
             if m:
                 var = m.group(1)
-                touch(var)
                 if m.group(2) == ">=":
                     bounds[var] = (float(m.group(3)), bounds.get(var, (0.0, None))[1])
                 else:
@@ -426,22 +440,16 @@ def parse_lp_text(text: str) -> LpProblem:
         else:
             raise DomainError(f"content before a section header: {stripped!r}")
 
-    index = {v: i for i, v in enumerate(order)}
-    merged_obj: dict[int, float] = {}
-    for var, coef in obj_terms:
-        j = index[var]
-        merged_obj[j] = merged_obj.get(j, 0.0) + coef
-    constraints = []
-    for rname, terms, s, rhs in rows:
-        merged: dict[int, float] = {}
+    build = LpBuilder(name, sense)
+    index = {var: build.add_var(var, *bound) for var, bound in bounds.items()}
+
+    def merged(terms) -> list[tuple[int, float]]:
+        out: dict[int, float] = {}
         for var, coef in terms:
-            j = index[var]
-            merged[j] = merged.get(j, 0.0) + coef
-        constraints.append(Constraint(rname, tuple(sorted(merged.items())), s, rhs))
-    return LpProblem(
-        name=name,
-        sense=sense,
-        objective=tuple(sorted(merged_obj.items())),
-        variables=tuple(Variable(v, *bounds[v]) for v in order),
-        constraints=tuple(constraints),
-    )
+            out[index[var]] = out.get(index[var], 0.0) + coef
+        return sorted(out.items())
+
+    build.set_objective(merged(obj_terms))
+    for rname, terms, s, rhs in rows:
+        build.add_constraint(rname, merged(terms), s, rhs)
+    return build.problem()

@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from . import lp
 from .cuts import CutMatrix, build_cut_matrix
@@ -76,6 +78,11 @@ class PairRates:
         return sum(r for c, r in self.chamber_rates.items() if recipe >> c & 1)
 
 
+def _is_a(value, kind) -> bool:
+    """`isinstance` for numbers.Integral or numbers.Real that rejects bools."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A validated instance; `pair_rates` indexes every qualified (job, tool)
@@ -90,11 +97,7 @@ class Instance:
     pair_rates: dict[tuple[str, str], PairRates] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (
-            isinstance(self.chambers, bool)
-            or not isinstance(self.chambers, numbers.Integral)
-            or not 1 <= self.chambers <= MAX_CHAMBERS
-        ):
+        if not _is_a(self.chambers, numbers.Integral) or not 1 <= self.chambers <= MAX_CHAMBERS:
             raise DomainError(f"chamber count must be an integer in 1..{MAX_CHAMBERS}")
         if len(set(self.tools)) != len(self.tools):
             raise DomainError("duplicate tool id")
@@ -103,8 +106,8 @@ class Instance:
         jobs = {j.id for j in self.jobs}
         tools = set(self.tools)
         for j in self.jobs:
-            if not 0 <= j.demand < math.inf:
-                raise DomainError(f"job {j.id}: demand must be finite and >= 0")
+            if not _is_a(j.demand, numbers.Real) or not 0 <= j.demand < math.inf:
+                raise DomainError(f"job {j.id}: demand must be a finite number >= 0")
         pairs = {}
         for q in self.qualifications:
             if q.job not in jobs:
@@ -117,12 +120,12 @@ class Instance:
                 raise DomainError(f"qualification ({q.job}, {q.tool}) lists no chambers")
             rates = {}
             for c, rate in q.chamber_rates:
-                if not 0 <= c < self.chambers:
-                    raise DomainError(f"({q.job}, {q.tool}): chamber index {c} out of range")
+                if not _is_a(c, numbers.Integral) or not 0 <= c < self.chambers:
+                    raise DomainError(f"({q.job}, {q.tool}): chamber index {c!r} out of range")
                 if c in rates:
                     raise DomainError(f"({q.job}, {q.tool}): duplicate chamber {c}")
-                if not 0 < rate < math.inf:
-                    raise DomainError(f"({q.job}, {q.tool}): rate must be finite and > 0")
+                if not _is_a(rate, numbers.Real) or not 0 < rate < math.inf:
+                    raise DomainError(f"({q.job}, {q.tool}): rate must be a finite number > 0")
                 rates[c] = rate
             mask = sum(1 << c for c in rates)
             pairs[(q.job, q.tool)] = PairRates(mask, dict(sorted(rates.items())), {})
@@ -131,15 +134,15 @@ class Instance:
             pair = pairs.get((ov.job, ov.tool))
             if pair is None:
                 raise DomainError(f"{where}: references an unqualified pair")
-            mask = RECIPE_MASKS.get(ov.recipe)
+            mask = RECIPE_MASKS.get(ov.recipe) if isinstance(ov.recipe, str) else None
             if mask is None:
                 raise DomainError(f"{where}: recipe is not a canonical label")
             if mask & ~pair.mask:
                 raise DomainError(f"{where}: recipe outside the qualified chambers")
             if mask in pair.overrides:
                 raise DomainError(f"{where}: duplicate of an earlier override")
-            if not 0 < ov.rate < math.inf:
-                raise DomainError(f"{where}: rate must be finite and > 0")
+            if not _is_a(ov.rate, numbers.Real) or not 0 < ov.rate < math.inf:
+                raise DomainError(f"{where}: rate must be a finite number > 0")
             pair.overrides[mask] = ov.rate
         object.__setattr__(self, "pair_rates", pairs)
 
@@ -172,7 +175,7 @@ class BuiltModel:
 
     `x_cols` maps (job, tool, recipe) to its time column and `rates` to that
     column's wafers per time unit.  `util_rows` holds one (tool, row_kind,
-    row indices) entry per reported utilization: the model's own
+    row range) entry per reported utilization: the model's own
     `... - rho <= 0` rows, whose largest left-hand side is the entry's value.
     """
 
@@ -219,20 +222,8 @@ class CapacityResult:
             "model": self.model,
             "status": self.status,
             "rho": self.rho,
-            "assignments": [
-                {
-                    "job": a.job,
-                    "tool": a.tool,
-                    "recipe": a.recipe,
-                    "time": a.time,
-                    "wafers": a.wafers,
-                }
-                for a in self.assignments
-            ],
-            "utilization": [
-                {"tool": u.tool, "row_kind": u.row_kind, "value": u.value}
-                for u in self.utilization
-            ],
+            "assignments": [asdict(a) for a in self.assignments],
+            "utilization": [asdict(u) for u in self.utilization],
         }
 
 
@@ -270,13 +261,10 @@ class _Draft:
         for ji, job in enumerate(self.inst.jobs):
             self.build.add_constraint(f"dem_j{ji}", terms[job.id], lp.EQ, job.demand)
 
-    def add_rho_rows(self, tool: str, row_kind: str, rows):
-        """Rows `coeffs - rho <= 0` from (name, coeffs), reported as one entry."""
-        idx = tuple(
-            self.build.add_constraint(name, [*coeffs, (self.rho, -1.0)], lp.LE, 0.0)
-            for name, coeffs in rows
-        )
-        self.util_rows.append((tool, row_kind, idx))
+    def add_rho_row(self, tool: str, row_kind: str, name: str, coeffs):
+        """Row `coeffs - rho <= 0`, reported as its own utilization entry."""
+        row = self.build.add_constraint(name, [*coeffs, (self.rho, -1.0)], lp.LE, 0.0)
+        self.util_rows.append((tool, row_kind, range(row, row + 1)))
 
     def finish(self) -> BuiltModel:
         problem = self.build.problem()
@@ -303,7 +291,7 @@ def _time_model(inst: Instance, kind: str, pair_rate, tool_rows=None) -> BuiltMo
     d.add_demand_rows()
     for ti, tool in enumerate(inst.tools):
         load = [(col, 1.0) for (_, t, _), col in d.x_cols.items() if t == tool]
-        d.add_rho_rows(tool, "total_time", [(f"load_t{ti}", load)])
+        d.add_rho_row(tool, "total_time", f"load_t{ti}", load)
         if tool_rows is not None:
             tool_rows(d, ti, tool)
     return d.finish()
@@ -334,7 +322,7 @@ def build_serial(inst: Instance) -> BuiltModel:
             ]
             if coeffs:
                 letter = chamber_letter(c)
-                d.add_rho_rows(tool, f"chamber_{letter}", [(f"cham_t{ti}_{letter}", coeffs)])
+                d.add_rho_row(tool, f"chamber_{letter}", f"cham_t{ti}_{letter}", coeffs)
 
     return _time_model(
         inst, "serial", lambda pair: min(pair.chamber_rates.values()), chamber_rows
@@ -387,17 +375,18 @@ def build_generalized(inst: Instance, matrix: CutMatrix) -> BuiltModel:
         raise DomainError(f"cut matrix is for {matrix.n} chambers, instance has {inst.chambers}")
     if not matrix.reduced:
         raise DomainError("generalized model requires the reduced cut matrix")
-    cuts = [
-        [(label, coef) for label, coef in zip(matrix.labels, row) if coef != 0.0]
-        for row in matrix.coeff_rows()
-    ]
+    # one row per cut: its nonzero coefficients in label order, then rho,
+    # which stands in the block's last column
+    block = np.hstack((matrix.coeffs, np.full((len(matrix.rows), 1), -1.0)))
+    counts = np.count_nonzero(block, axis=1)
+    rows, slots = np.nonzero(block)
+    vals = block[rows, slots]
 
     def cut_rows(d: _Draft, ti: int, tool: str):
-        rows = [
-            (f"cut_t{ti}_k{k}", [(d.agg_cols[(tool, label)], coef) for label, coef in cut])
-            for k, cut in enumerate(cuts)
-        ]
-        d.add_rho_rows(tool, "cut_max", rows)
+        cols = np.array([*(d.agg_cols[(tool, label)] for label in matrix.labels), d.rho])
+        names = [f"cut_t{ti}_k{k}" for k in range(len(counts))]
+        idx = d.build.add_rows(names, counts, cols[slots], vals, lp.LE, 0.0)
+        d.util_rows.append((tool, "cut_max", idx))
 
     return _recipe_model(inst, "generalized", build_parallel_graph(inst.chambers), cut_rows)
 
@@ -425,7 +414,7 @@ def build_alternative(inst: Instance) -> BuiltModel:
             d.build.add_constraint(f"par_t{ti}_{label}", coeffs, lp.LE, 0.0)
         coeffs = [(d.agg_cols[(tool, label)], 1.0) for label in labels]
         coeffs.extend((col, -1.0) for col in pairs)
-        d.add_rho_rows(tool, "makespan", [(f"mk_t{ti}", coeffs)])
+        d.add_rho_row(tool, "makespan", f"mk_t{ti}", coeffs)
 
     return _recipe_model(inst, "alternative", g, pairing_rows, pair_cols)
 
@@ -456,13 +445,11 @@ def _extract(model: BuiltModel, sol: lp.LpSolution) -> tuple:
         for (job, tool, recipe), col in model.x_cols.items()
         if x[col] > 1e-9
     )
-    rows = model.problem.constraints
-
-    def lhs(i: int) -> float:  # row i without its rho term
-        return sum(v * x[j] for j, v in rows[i].coeffs if j != model.rho_col)
-
+    no_rho = np.array(x)
+    no_rho[model.rho_col] = 0.0
+    lhs = model.problem.matrix @ no_rho
     utilization = tuple(
-        UtilizationEntry(tool, row_kind, max(lhs(i) for i in idx))
+        UtilizationEntry(tool, row_kind, float(lhs[idx].max()))
         for tool, row_kind, idx in model.util_rows
     )
     return assignments, utilization

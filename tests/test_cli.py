@@ -102,6 +102,14 @@ class TestGenSolve:
         assert cli(["solve", "--model", "basic", str(path)]) == 1
         assert "jobs[0]" in capsys.readouterr().err
 
+    def test_cut_cache_without_rows_exits_1(self, env_cache, tmp_path, capsys):
+        cache = tmp_path / "rowless"
+        cache.mkdir()
+        (cache / "cuts_n3.csv").write_text("A,B,C,AB,AC,BC,ABC\n")
+        args = ["solve", "--model", "generalized", f"{DATA}/example1.json", "--cache", str(cache)]
+        assert cli(args) == 1
+        assert "cuts_n3.csv: no cut rows" in capsys.readouterr().err
+
     def test_bad_model_is_usage_error(self, env_cache, tmp_path):
         inst = gen_instance(tmp_path)
         assert cli(["solve", "--model", "quantum", str(inst)]) == 2
@@ -194,6 +202,14 @@ class TestBench:
         with pytest.raises(DomainError, match="workers must be >= 1"):
             run_bench([inst], ["alternative"], reps=1, workers=workers)
         assert cli(["bench", inst, "--workers", str(workers), "--out", "/dev/null"]) == 1
+
+    def test_no_models_is_an_error(self, env_cache, capsys):
+        # a list of blanks used to print only the CSV header and exit 0
+        inst = f"{DATA}/example1.json"
+        with pytest.raises(DomainError, match="no model kinds"):
+            run_bench([inst], [], reps=1)
+        assert cli(["bench", inst, "--models", " , ", "--out", "/dev/null"]) == 1
+        assert "no model kinds" in capsys.readouterr().err
 
     def test_empty_models_list_is_error(self, env_cache, tmp_path):
         inst = gen_instance(tmp_path, seed=8)

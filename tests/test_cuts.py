@@ -1,3 +1,4 @@
+import re
 import threading
 
 import numpy as np
@@ -260,18 +261,20 @@ def test_csv_rejects_short_rows(tmp_path):
         read_matrix_csv(path, reduced=True)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "\n",  # empty header line
-        "\nA,B,AB\n0,1,0\n",
-        "A,B,C,AB,AC,BC,ACB\n0,0,0,1,1,1,1\n",  # label not in canonical form
-        "A,B,AB,C\n0,0,1,1\n",  # labels out of canonical order
-        "A,AB\n0,1\n",  # a recipe missing
-    ],
-)
+NOT_CANONICAL = "header is not the canonical recipe list"
+BAD_HEADERS = {
+    "\n": NOT_CANONICAL,  # empty header line
+    "\nA,B,AB\n0,1,0\n": NOT_CANONICAL,
+    "A,B,C,AB,AC,BC,ACB\n0,0,0,1,1,1,1\n": NOT_CANONICAL,  # label not in canonical form
+    "A,B,AB,C\n0,0,1,1\n": NOT_CANONICAL,  # labels out of canonical order
+    "A,AB\n0,1\n": NOT_CANONICAL,  # a recipe missing
+    "A,B,AB\n": "no cut rows below the header",  # used to fail later, in model extraction
+}
+
+
+@pytest.mark.parametrize("text", list(BAD_HEADERS))
 def test_csv_rejects_bad_header(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(DomainError, match="header is not the canonical recipe list"):
+    with pytest.raises(DomainError, match=f"{re.escape(str(path))}: {BAD_HEADERS[text]}"):
         read_matrix_csv(path, reduced=True)

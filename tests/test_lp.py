@@ -86,7 +86,7 @@ class TestSolve:
         p = build.problem()
         sol = lp.solve(p)
         assert sol.status == lp.OPTIMAL and sol.duals is not None
-        dual_obj = sum(d * c.rhs for d, c in zip(sol.duals, p.constraints))
+        dual_obj = sum(d * rhs for d, rhs in zip(sol.duals, p.rhs))
         assert dual_obj <= sol.objective + 1e-6
 
     @given(st.floats(min_value=0.01, max_value=100.0))
@@ -179,8 +179,8 @@ class TestExport:
         build.add_constraint("row", [(x, 0.1234567890123456789)], lp.GE, np.pi)
         back = roundtrip(build.problem())
         assert back.objective[0][1] == coef
-        assert back.constraints[0].coeffs[0][1] == 0.1234567890123456789
-        assert back.constraints[0].rhs == float(np.pi)
+        assert back.matrix[0, 0] == 0.1234567890123456789
+        assert back.rhs[0] == float(np.pi)
 
     def test_roundtrip_preserves_solution(self):
         p = mix_problem()
@@ -235,6 +235,33 @@ def test_random_problem_roundtrip(n_vars, n_rows, data):
     assert a.status == b.status
     if a.status == lp.OPTIMAL:
         assert b.objective == pytest.approx(a.objective, rel=1e-6, abs=1e-6)
+
+
+def test_stored_rows_match_added_pairs():
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        build = lp.LpBuilder(f"rows{trial}")
+        n_vars = int(rng.integers(1, 8))
+        for j in range(n_vars):
+            build.add_var(f"v{j}")
+        want = []
+        for r in range(int(rng.integers(0, 12))):
+            cols = rng.permutation(n_vars)[: rng.integers(0, n_vars + 1)].tolist()
+            pairs = [(j, float(rng.normal())) for j in cols]
+            sense = (lp.LE, lp.GE, lp.EQ)[r % 3]
+            rhs = float(rng.normal())
+            assert build.add_constraint(f"r{r}", iter(pairs), sense, rhs) == r
+            want.append((f"r{r}", pairs, sense, rhs))
+        p = build.problem()
+        a = p.matrix
+        got = [
+            (name, list(zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist())), sense, rhs)
+            for name, lo, hi, sense, rhs in zip(
+                p.row_names, a.indptr[:-1], a.indptr[1:], p.senses, p.rhs.tolist()
+            )
+        ]
+        assert got == want
+        assert lp.size_stats(p) == lp.SizeStats(len(want), n_vars, sum(len(w[1]) for w in want))
 
 
 def test_dense_path_maps_status_like_solve():

@@ -156,6 +156,45 @@ def test_builder_rates_match_letter_reference(kind, matrices):
         assert built.rates == reference_rates(inst, kind)
 
 
+def stored_rows(problem):
+    """Each stored row as its (column, value) pairs, read one entry at a time."""
+    a = problem.matrix
+    return [
+        [(int(a.indices[k]), float(a.data[k])) for k in range(a.indptr[i], a.indptr[i + 1])]
+        for i in range(a.shape[0])
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_INSTANCES))
+def test_cut_block_matches_row_reference(case, matrices):
+    inst = PINNED_INSTANCES[case]()
+    matrix = matrices[inst.chambers]
+    built = build_generalized(inst, matrix)
+    rows = dict(zip(built.problem.row_names, stored_rows(built.problem)))
+    for ti, tool in enumerate(inst.tools):
+        for k, coeffs in enumerate(matrix.coeff_rows()):
+            want = [
+                (built.agg_cols[(tool, label)], coef)
+                for label, coef in zip(matrix.labels, coeffs)
+                if coef != 0.0
+            ]
+            assert rows[f"cut_t{ti}_k{k}"] == [*want, (built.rho_col, -1.0)]
+
+
+@pytest.mark.parametrize("kind,case", sorted(PINNED_LP))
+def test_utilization_matches_row_sums(kind, case, matrices):
+    inst = PINNED_INSTANCES[case]()
+    built = models.build_model(inst, kind, matrix=matrices[inst.chambers])
+    sol = lp.solve(built.problem)
+    _, utilization = models._extract(built, sol)
+    rows = stored_rows(built.problem)
+    want = [
+        max(sum(v * sol.x[j] for j, v in rows[i] if j != built.rho_col) for i in idx)
+        for _, _, idx in built.util_rows
+    ]
+    assert [u.value for u in utilization] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 ROUNDTRIP_INSTANCES = {
     "example1": example1_instance,
     "gen_n4_seed7": lambda: generate(GenParams(0, "1:1", 3, 2, 4, 7)),
@@ -237,6 +276,36 @@ class TestInstanceValidation:
                 models.RateOverride("j0", "t0", "AB", 50.0),
             )
 
+    @pytest.mark.parametrize(
+        "jobs,quals,overrides",
+        [
+            ([("j0", "5")], [("j0", [(0, 0.5)])], ()),  # demand as text
+            ([("j0", True)], [("j0", [(0, 0.5)])], ()),  # demand as a bool
+            ([("j0", 1.0)], [("j0", [(0, "1.0")])], ()),  # rate as text
+            ([("j0", 1.0)], [("j0", [(0.0, 0.5)])], ()),  # chamber index as a float
+            ([("j0", 1.0)], [("j0", [(True, 0.5)])], ()),  # chamber index as a bool
+            (
+                [("j0", 1.0)],
+                [("j0", [(0, 0.5), (1, 0.5)])],
+                (models.RateOverride("j0", "t0", ["A"], 1.0),),  # recipe as a list
+            ),
+            (
+                [("j0", 1.0)],
+                [("j0", [(0, 0.5)])],
+                (models.RateOverride("j0", "t0", "A", "2"),),  # override rate as text
+            ),
+        ],
+        ids=[
+            "demand-text", "demand-bool", "rate-text", "chamber-float", "chamber-bool",
+            "recipe-list", "override-rate-text",
+        ],
+    )
+    def test_mistyped_field_rejected(self, jobs, quals, overrides):
+        # library callers skip the file reader's type checks; these used to
+        # raise TypeError, or (demand True) build a job of demand 1
+        with pytest.raises(DomainError):
+            one_tool_instance(2, jobs, quals, overrides)
+
     def test_structural_feasibility_flag(self):
         inst = models.Instance(
             name="lonely",
@@ -298,7 +367,7 @@ class TestSerialModel:
         # chamber rows coincide with the tool row, so the optimum equals the
         # demand time at the serial rate
         assert res.rho == pytest.approx(24.0, abs=1e-8)
-        chamber_rows = [c for c in built.problem.constraints if c.name.startswith("cham_")]
+        chamber_rows = [name for name in built.problem.row_names if name.startswith("cham_")]
         assert len(chamber_rows) == 3
 
     def test_distinct_bottlenecks_tighten(self):
