@@ -3,8 +3,8 @@
 
 Writes cuts_n<k>.csv for each requested chamber count and prints, per count:
 row count, nonzeros of the coefficient rows, and the derived size constants
-used by the capacity-model nonzero formulas.  Five chambers takes about a
-minute on first run; results are cached.
+used by the capacity-model nonzero formulas.  Five chambers takes a few
+seconds on first run; results are cached.
 """
 
 import argparse

@@ -187,9 +187,14 @@ def cuts_to_matrix(g: ParallelGraph, cuts: list[BasicCut]) -> CutMatrix:
 
 
 def _reduce(matrix: CutMatrix) -> CutMatrix:
-    kept = redundancy.reduce_to_minimal([list(r) for r in matrix.rows])
-    rows = sorted((tuple(r) for r in kept), key=lambda w: tuple(1 - v for v in w))
-    return CutMatrix(n=matrix.n, labels=matrix.labels, rows=tuple(rows), reduced=True)
+    """Keep the coefficient rows that can be the worst one for some x >= 0.
+
+    The makespan is the largest coefficient row applied to x, so a row is
+    dropped when a convex combination of the others covers it; the kept
+    rows come back sorted by coefficients, the matrix row order."""
+    kept = redundancy.reduce_to_minimal(matrix.coeffs)
+    rows = tuple(tuple(1.0 - v for v in c) for c in kept)
+    return CutMatrix(n=matrix.n, labels=matrix.labels, rows=rows, reduced=True)
 
 
 def build_cut_matrix(

@@ -130,7 +130,11 @@ OPTIMAL, INFEASIBLE, UNBOUNDED = "Optimal", "Infeasible", "Unbounded"
 
 
 class LpBuilder:
-    """Incremental construction helper; `problem()` freezes the result."""
+    """Incremental construction helper; `problem()` freezes the result.
+
+    Rows from `add_constraint` gather in Python lists and become one array
+    block when the next block arrives or the problem is built.
+    """
 
     def __init__(self, name: str, sense: str = MINIMIZE):
         self.name = name
@@ -138,6 +142,7 @@ class LpBuilder:
         self._vars: list[Variable] = []
         self._obj: list[tuple[int, float]] = []
         self._names, self._senses, self._rhs, self._blocks = [], [], [], []
+        self._counts, self._cols, self._vals = [], [], []  # rows not yet in a block
 
     def add_var(self, name: str, lower: float = 0.0, upper: float | None = None) -> int:
         self._vars.append(Variable(name, lower, upper))
@@ -146,8 +151,25 @@ class LpBuilder:
     def add_constraint(self, name, coeffs, sense, rhs) -> int:
         """One row from (variable index, value) pairs; returns its index."""
         pairs = tuple(coeffs)
-        cols, vals = [j for j, _ in pairs], [v for _, v in pairs]
-        return self.add_rows([name], [len(pairs)], cols, vals, sense, rhs).start
+        self._cols += [j for j, _ in pairs]
+        self._vals += [v for _, v in pairs]
+        self._counts.append(len(pairs))
+        self._names.append(name)
+        self._senses.append(sense)
+        self._rhs.append(float(rhs))
+        return len(self._names) - 1
+
+    def _close_rows(self):
+        """Turn the rows gathered by `add_constraint` into one block."""
+        if self._counts:
+            self._blocks.append(
+                (
+                    np.array(self._counts, np.int64),
+                    np.array(self._cols, np.int64),
+                    np.array(self._vals, float),
+                )
+            )
+            self._counts, self._cols, self._vals = [], [], []
 
     def add_rows(self, names, counts, cols, vals, sense, rhs) -> range:
         """Rows `names[i]` sharing one sense and right-hand side; row i takes
@@ -159,6 +181,7 @@ class LpBuilder:
         bad = len(counts) != len(names) or min(counts, default=0) < 0
         if bad or not sum(counts) == len(cols) == len(vals):
             raise DomainError(f"row block {names[:1]}: counts, columns and values disagree")
+        self._close_rows()
         start = len(self._names)
         self._names.extend(names)
         self._senses.extend([sense] * len(names))
@@ -170,6 +193,7 @@ class LpBuilder:
         self._obj = list(coeffs)
 
     def problem(self) -> LpProblem:
+        self._close_rows()
         empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
         counts, cols, vals = (np.concatenate(parts) for parts in zip(empty, *self._blocks))
         m = len(self._names)
@@ -307,7 +331,7 @@ def _fmt(value: float) -> str:
 
 def _emit_terms(coeffs, names) -> str:
     if not coeffs:
-        return "0 " + names[0] if names else ""
+        return "0"  # no terms; "0 x" would read back as an explicit zero entry
     parts = []
     for k, (j, v) in enumerate(coeffs):
         sign = "-" if v < 0 else ("+" if k > 0 else "")
@@ -321,7 +345,9 @@ def export_lp_text(p: LpProblem) -> str:
 
     Sections: Minimize/Maximize, Subject To, Bounds, End.  Every variable gets
     an explicit Bounds line so the text is self-describing.  Coefficients keep
-    17 significant digits so a re-parse reproduces the numbers exactly.
+    17 significant digits so a re-parse reproduces the numbers exactly.  An
+    objective or row without entries reads `0`, so an explicit zero entry and
+    no entry stay apart.
     """
     names = [v.name for v in p.variables]
     for kind, group in (("variable", names), ("constraint", p.row_names)):
@@ -338,8 +364,6 @@ def export_lp_text(p: LpProblem) -> str:
     for i, (rname, sense, rhs) in enumerate(zip(p.row_names, p.senses, p.rhs.tolist())):
         lo, hi = bounds[i], bounds[i + 1]
         lhs = _emit_terms(sorted(zip(cols[lo:hi], vals[lo:hi])), names)
-        if not lhs:
-            lhs = f"0 {names[0]}" if names else "0"
         lines.append(f" {rname}: {lhs} {sense} {_fmt(rhs)}")
     lines.append("Bounds")
     for v in p.variables:
@@ -357,6 +381,8 @@ _TERM_RE = re.compile(r"([+-]?)\s*(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)?\s*([A-Za-z_]
 
 
 def _parse_terms(text: str) -> list[tuple[str, float]]:
+    if text.strip() == "0":  # how export_lp_text writes an empty sum
+        return []
     out = []
     pos = 0
     while pos < len(text):

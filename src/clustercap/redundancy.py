@@ -1,17 +1,41 @@
 """Redundancy tests for nonnegative constraint vectors and set reduction.
 
 A vector b is redundant with respect to a set A when, for every x >= 0,
-<b, x> >= min_i <a_i, x>; its constraint row then never changes the optimum
-and can be dropped.  Two equivalent criteria are implemented:
+<b, x> <= max_i <a_i, x>; as a row of a max-type bound (the makespan is the
+largest <c, x> over the cut coefficient rows c) it then never changes the
+optimum and can be dropped.  Two equivalent criteria are implemented:
 
 * the separation LP  min 1'x  s.t. (b - a_i)'x >= 1, x >= 0  is infeasible
   exactly when b is redundant (solved through the shared LP backend);
-* b is dominated componentwise by a convex combination of the a_i, decided
+* b is covered componentwise by a convex combination of the a_i, decided
   by a dedicated phase-1 simplex (independent of the LP backend), which also
   produces the combination weights as a certificate.
 
 The two criteria are duals of each other and must always agree; the second
 serves as the oracle for the first.
+
+`reduce_to_minimal` keeps exactly the vertices of conv(set) - R+^n, the
+members that are redundant against no other member.  On half-integral sets
+(entries in {0, 1/2, 1}, at most MASK_WIDTH columns) three stages decide the
+rows, each by a proof rather than a guess:
+
+1. Pair prefilter.  Row b is dropped when two other rows a_i, a_j (i = j
+   allowed) give a_i + a_j >= 2b entrywise: b lies below their midpoint, so
+   it is redundant.  Rows are int64 bit masks (entry below 1, zero, half).
+   A candidate a_i must be 1 wherever b is 1, and on the half entries of b
+   no pair may put a 0 against an entry below 1.  All such rows go at once:
+   each lies in conv(others) - R+^n, so neither the polyhedron nor its
+   vertex set changes.
+2. Direction certificates.  A survivor that is the strict unique argmax of
+   <a, x> over the survivors, for some x >= 0, is a vertex: the face that x
+   exposes has a vertex, every vertex survived stage 1, and only b attains
+   the maximum.  The directions are integer vectors in [0, CERT_BOUND]^n
+   from a fixed-seed generator; every score is a multiple of 1/2 below
+   2^16, so the float sums are exact and a tie is a real tie.
+3. Separation LPs.  The survivors without a certificate are tested one by
+   one, in lexicographic order, against the rows still alive.
+
+Any other input goes through stage 3 alone.
 """
 
 from __future__ import annotations
@@ -24,6 +48,16 @@ from . import lp
 from .errors import DomainError, LpSolverError
 
 WITNESS_SLACK = 1e-7
+
+HALF_INTEGRAL = (0.0, 0.5, 1.0)
+MASK_WIDTH = 63  # columns an int64 bit mask holds
+PAIR_BLOCK = 256  # candidate rows per side of one block of pair tests
+CERT_SEED = 1605
+CERT_BATCHES = 20
+CERT_BATCH_SIZE = 1000
+CERT_BOUND = 1024
+
+_BITS = np.left_shift(np.int64(1), np.arange(MASK_WIDTH, dtype=np.int64))
 
 _PIV_TOL = lp.TOL.pivot
 
@@ -71,21 +105,6 @@ def _check_combination(b: np.ndarray, a: np.ndarray, lam: np.ndarray):
         raise LpSolverError("combination weights do not sum to one")
     if np.any(lam @ a < b - WITNESS_SLACK):
         raise LpSolverError("combination does not dominate the candidate")
-
-
-def lp_problem_for(b, a_set) -> lp.LpProblem:
-    """The separation LP as a full problem object (for export/cross-checks)."""
-    b, a = _validate_inputs(b, a_set)
-    build = lp.LpBuilder("redundancy_separation", lp.MINIMIZE)
-    for j in range(b.shape[0]):
-        build.add_var(f"x{j}")
-    build.set_objective((j, 1.0) for j in range(b.shape[0]))
-    for i in range(a.shape[0]):
-        row = b - a[i]
-        build.add_constraint(
-            f"sep{i}", [(j, float(v)) for j, v in enumerate(row) if v != 0.0], lp.GE, 1.0
-        )
-    return build.problem()
 
 
 def is_redundant_lp(b, a_set) -> RedundancyVerdict:
@@ -196,27 +215,97 @@ def _hull_phase1(b: np.ndarray, a: np.ndarray):
     return False, None, direction
 
 
-def reduce_to_minimal(a_set) -> list[tuple[float, ...]]:
-    """Strip redundant members in one deterministic pass.
 
-    Candidates are visited in lexicographic order; each is tested against all
-    vectors still retained.  One pass suffices: removing a redundant vector
-    leaves conv(set) + R+^n unchanged, and a vector that is not redundant
-    against a set is not redundant against any subset of it, so every
-    survivor is non-redundant against the final set.  The minimum of <a, x>
-    over the set is preserved for every x >= 0.
+
+def _pack(flags: np.ndarray) -> np.ndarray:
+    """Each row of a boolean matrix as one int64 bit mask."""
+    return flags.astype(np.int64) @ _BITS[: flags.shape[1]]
+
+
+def _some_pair_fits(zero: np.ndarray, below: np.ndarray) -> bool:
+    """Whether zero[i] & below[j] == zero[j] & below[i] == 0 for some i, j
+    (i = j allowed), testing at most PAIR_BLOCK rows against PAIR_BLOCK."""
+    for p in range(0, len(zero), PAIR_BLOCK):
+        zp, bp = zero[p : p + PAIR_BLOCK, None], below[p : p + PAIR_BLOCK, None]
+        for q in range(p, len(zero), PAIR_BLOCK):
+            zq, bq = zero[q : q + PAIR_BLOCK], below[q : q + PAIR_BLOCK]
+            if not ((zp & bq) | (zq & bp)).all():
+                return True
+    return False
+
+
+def pair_dominated(rows) -> np.ndarray:
+    """Stage 1: mask of the rows b with a_i + a_j >= 2b entrywise for two
+    other rows (i = j allowed).  Each such row is redundant.
+
+    `rows` must be distinct and half-integral, at most MASK_WIDTH wide.
     """
-    rows = sorted(tuple(float(v) for v in row) for row in a_set)
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except ValueError as exc:
-        raise DomainError("expected a set of equal-length vectors") from exc
-    if arr.ndim != 2:
-        raise DomainError("expected a set of equal-length vectors")
-    alive = np.ones(len(rows), dtype=bool)
-    idx = np.arange(len(rows))
-    for i in range(len(rows)):
+    arr = np.asarray(rows, dtype=float)
+    below, zero, half = (_pack(f) for f in (arr < 1.0, arr == 0.0, arr == 0.5))
+    out = np.zeros(len(arr), dtype=bool)
+    for k in range(len(arr)):
+        cand = (below & ~below[k]) == 0  # 1 wherever b is 1
+        cand[k] = False
+        out[k] = _some_pair_fits(zero[cand] & half[k], below[cand] & half[k])
+    return out
+
+
+def direction_certified(rows) -> np.ndarray:
+    """Stage 2: mask of the rows that are the strict unique argmax of <a, x>
+    over `rows` for a sampled integer direction x in [0, CERT_BOUND]^n.
+
+    Each such row is a vertex when `rows` holds every vertex of the set.
+    `rows` must be half-integral, at most MASK_WIDTH wide.
+    """
+    arr = np.asarray(rows, dtype=float)
+    rng = np.random.default_rng(CERT_SEED)
+    out = np.zeros(len(arr), dtype=bool)
+    for _ in range(CERT_BATCHES):
+        x = rng.integers(0, CERT_BOUND + 1, size=(arr.shape[1], CERT_BATCH_SIZE))
+        scores = arr @ x.astype(float)
+        top = scores.max(axis=0)
+        unique = (scores == top).sum(axis=0) == 1
+        out[scores.argmax(axis=0)[unique]] = True
+        if out.all():
+            break
+    return out
+
+
+def separate_remaining(rows, alive: np.ndarray, settled: np.ndarray) -> int:
+    """Stage 3: one pass of separation LPs, in order, over the rows alive
+    and not settled; each is tested against the other rows still alive and
+    cleared from `alive` (in place) when redundant.  Returns the LP count.
+    """
+    arr = np.asarray(rows, dtype=float)
+    idx = np.arange(len(arr))
+    solved = 0
+    for i in np.flatnonzero(alive & ~settled):
         others = arr[alive & (idx != i)]
-        if others.shape[0] and is_redundant_lp(arr[i], others).redundant:
-            alive[i] = False
-    return [rows[i] for i in range(len(rows)) if alive[i]]
+        if others.shape[0]:
+            solved += 1
+            alive[i] = not is_redundant_lp(arr[i], others).redundant
+    return solved
+
+
+def reduce_to_minimal(a_set) -> list[tuple[float, ...]]:
+    """The members redundant against no other member, sorted.
+
+    Equal members count once.  Half-integral sets go through the pair
+    prefilter, the direction certificates and then separation LPs on what
+    is left; other sets through the LPs alone.  One LP pass suffices:
+    removing a redundant vector leaves conv(set) - R+^n unchanged, and a
+    vector that is not redundant against a set is not redundant against any
+    subset of it, so every survivor is non-redundant against the final set.
+    The maximum of <a, x> over the set is preserved for every x >= 0.
+    """
+    rows = sorted({tuple(float(v) for v in row) for row in a_set})
+    if not rows or len({len(r) for r in rows}) != 1:
+        raise DomainError("expected a set of equal-length vectors")
+    arr = np.asarray(rows, dtype=float)
+    alive = np.ones(len(rows), dtype=bool)
+    settled = np.zeros(len(rows), dtype=bool)
+    if arr.shape[1] <= MASK_WIDTH and np.isin(arr, HALF_INTEGRAL).all():
+        alive = ~pair_dominated(arr)
+        settled[alive] = direction_certified(arr[alive])
+    separate_remaining(arr, alive, settled)
+    return [rows[i] for i in np.flatnonzero(alive)]

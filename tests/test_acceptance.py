@@ -26,9 +26,9 @@ from clustercap import models as models_mod
 from clustercap.cli import cli
 from clustercap.instances import GenParams, generate
 from clustercap.models import build_model, predict_sizes
-from clustercap.redundancy import lp_problem_for
 
 from conftest import DATA, random_instance
+from redundancy_oracles import lp_problem_for
 
 EXPECTED_ROW_COUNTS = {1: 1, 2: 2, 3: 5, 4: 23, 5: 590}
 REFERENCE_NONZEROS = {1: 1, 2: 4, 3: 22, 4: 245, 5: 13740}

@@ -195,6 +195,28 @@ class TestExport:
         assert lp.size_stats(back) == lp.size_stats(p)
         assert {v.name for v in back.variables} == {v.name for v in p.variables}
 
+    def test_row_without_entries_roundtrips_without_entries(self):
+        build = lp.LpBuilder("emptyrow")
+        x = build.add_var("x")
+        build.add_constraint("nothing", [], lp.LE, 5.0)
+        build.add_constraint("zero", [(x, 0.0)], lp.GE, -1.0)
+        p = build.problem()
+        text = lp.export_lp_text(p)
+        back = lp.parse_lp_text(text)
+        assert lp.size_stats(back) == lp.size_stats(p) == lp.SizeStats(2, 1, 1)
+        assert back.matrix.indptr.tolist() == [0, 0, 1]
+        assert back.objective == p.objective == ()
+        assert lp.export_lp_text(back) == text
+
+    def test_problem_without_variables_roundtrips(self):
+        build = lp.LpBuilder("novars")
+        build.add_constraint("r", [], lp.LE, 5.0)
+        text = lp.export_lp_text(build.problem())
+        back = lp.parse_lp_text(text)
+        assert lp.size_stats(back) == lp.SizeStats(1, 0, 0)
+        assert back.row_names == ("r",) and back.rhs.tolist() == [5.0]
+        assert lp.export_lp_text(back) == text
+
     def test_unsafe_names_rejected(self):
         build = lp.LpBuilder("unsafe")
         build.add_var("my var")
@@ -262,6 +284,23 @@ def test_stored_rows_match_added_pairs():
         ]
         assert got == want
         assert lp.size_stats(p) == lp.SizeStats(len(want), n_vars, sum(len(w[1]) for w in want))
+
+
+def test_single_rows_and_blocks_keep_their_order():
+    build = lp.LpBuilder("mixed")
+    for j in range(3):
+        build.add_var(f"v{j}")
+    assert build.add_constraint("a", [(0, 1.0)], lp.LE, 1.0) == 0
+    assert build.add_rows(["b", "c"], [2, 1], [1, 2, 0], [2.0, 3.0, 4.0], lp.GE, 2.0) == range(1, 3)
+    assert build.add_constraint("d", [(2, 5.0), (1, 6.0)], lp.EQ, 3.0) == 3
+    first = build.problem()
+    for p in (first, build.problem()):
+        assert p.row_names == ("a", "b", "c", "d")
+        assert p.senses == (lp.LE, lp.GE, lp.GE, lp.EQ)
+        assert p.rhs.tolist() == [1.0, 2.0, 2.0, 3.0]
+        assert p.matrix.indptr.tolist() == [0, 1, 3, 4, 6]
+        assert p.matrix.indices.tolist() == [0, 1, 2, 0, 2, 1]
+        assert p.matrix.data.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
 
 def test_dense_path_maps_status_like_solve():

@@ -3,10 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustercap import is_redundant_hull, is_redundant_lp, reduce_to_minimal
+from clustercap import (
+    build_parallel_graph,
+    cuts_to_matrix,
+    double_graph,
+    enumerate_minimal_cuts,
+    is_redundant_hull,
+    is_redundant_lp,
+    lp,
+    reduce_to_minimal,
+)
 from clustercap.errors import DomainError
-from clustercap.redundancy import lp_problem_for
-from clustercap import lp
+from clustercap.redundancy import direction_certified, pair_dominated
+from redundancy_oracles import lp_problem_for, one_pass_lp_reduction
 
 # three known minimal cuts for three chambers over columns (A, B, C, AB, AC, BC)
 CUT_1 = (1.0, 1.0, 0.0, 1.0, 0.0, 0.0)
@@ -26,6 +35,41 @@ def vector_sets(min_dim=2, max_dim=8, max_vecs=6):
             halves(d), st.lists(halves(d), min_size=1, max_size=max_vecs, unique=True)
         )
     )
+
+
+@st.composite
+def half_integral_sets(draw, max_dim=7):
+    """Sets with entries in {0, 1/2, 1}, with planted midpoints of two 0/1
+    members and members pushed down entrywise (both redundant)."""
+    d = draw(st.integers(min_value=2, max_value=max_dim))
+    corner = st.lists(st.sampled_from([0.0, 1.0]), min_size=d, max_size=d).map(tuple)
+    half = st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=d, max_size=d).map(tuple)
+    rows = draw(st.lists(st.one_of(corner, half), min_size=1, max_size=8))
+    corners = [r for r in rows if 0.5 not in r]
+    if corners:
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            a, b = draw(st.sampled_from(corners)), draw(st.sampled_from(corners))
+            rows.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        row = draw(st.sampled_from(rows))
+        drops = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=d, max_size=d))
+        rows.append(tuple(max(0.0, v - s) for v, s in zip(row, drops)))
+    return rows
+
+
+def cut_rows(n, side):
+    """Distinct raw cut rows for n chambers, as coefficients or weights."""
+    g = build_parallel_graph(n)
+    coeffs = cuts_to_matrix(g, enumerate_minimal_cuts(double_graph(g))).coeffs
+    return coeffs if side == "coefficients" else 1.0 - coeffs
+
+
+def distinct(rows) -> np.ndarray:
+    return np.array(sorted({tuple(map(float, r)) for r in rows}))
+
+
+def others(arr, i):
+    return np.delete(arr, i, axis=0)
 
 
 class TestKnownCuts:
@@ -181,3 +225,53 @@ class TestReduction:
             others = kept[:i] + kept[i + 1 :]
             if others:
                 assert not is_redundant_lp(row, others).redundant
+
+
+class TestStagedReduction:
+    """The prefilter and the certificates against the slow oracles."""
+
+    @pytest.mark.parametrize("side", ["coefficients", "weights"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_one_pass_lp_reduction_on_cut_rows(self, n, side):
+        rows = cut_rows(n, side)
+        assert reduce_to_minimal(rows) == one_pass_lp_reduction(rows)
+
+    @given(half_integral_sets())
+    @settings(max_examples=40)
+    def test_matches_one_pass_lp_reduction_on_half_integral_sets(self, rows):
+        assert reduce_to_minimal(rows) == one_pass_lp_reduction(rows)
+
+    @given(st.lists(halves(3), min_size=1, max_size=8))
+    @settings(max_examples=40)
+    def test_matches_one_pass_lp_reduction_on_other_sets(self, rows):
+        assert reduce_to_minimal(rows) == one_pass_lp_reduction(rows)
+
+    @given(half_integral_sets())
+    @settings(max_examples=40)
+    def test_prefilter_drops_only_redundant_rows(self, rows):
+        arr = distinct(rows)
+        for i in np.flatnonzero(pair_dominated(arr)):
+            assert is_redundant_hull(arr[i], others(arr, i)).redundant
+
+    @given(half_integral_sets())
+    @settings(max_examples=40)
+    def test_certified_rows_are_not_redundant(self, rows):
+        arr = distinct(rows)
+        for i in np.flatnonzero(direction_certified(arr)):
+            if len(arr) > 1:
+                assert not is_redundant_lp(arr[i], others(arr, i)).redundant
+
+    def test_prefilter_on_four_chamber_cut_rows(self):
+        arr = distinct(cut_rows(4, "coefficients"))
+        dropped = np.flatnonzero(pair_dominated(arr))
+        assert len(arr) - len(dropped) == 23
+        for i in dropped:
+            assert is_redundant_hull(arr[i], others(arr, i)).redundant
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_certificates_settle_every_survivor_up_to_four_chambers(self, n):
+        arr = distinct(cut_rows(n, "coefficients"))
+        survivors = arr[~pair_dominated(arr)]
+        assert direction_certified(survivors).all()
+        for i in range(len(survivors) if len(survivors) > 1 else 0):
+            assert not is_redundant_lp(survivors[i], others(survivors, i)).redundant
