@@ -45,6 +45,8 @@ BENCH_HEADER = (
     "status",
     "speedup_gen_over_alt",
     "nonzeros_gen_over_alt",
+    "iterations",
+    "rounds",
 )
 
 
@@ -61,6 +63,8 @@ class BenchRecord:
     solve_ms: float
     rho: float | None
     status: str
+    iterations: int = 0
+    rounds: int = 0
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -287,6 +291,8 @@ def _bench_instance(path: str, kinds: list[str], reps: int, cache_dir) -> list[B
                         res.solve_ms,
                         res.rho,
                         res.status,
+                        res.iterations,
+                        res.rounds,
                     )
                 )
             except ClusterCapError as exc:
@@ -368,6 +374,8 @@ def render_bench_csv(records: list[BenchRecord], summaries: list[dict]) -> str:
                 "solve_ms": f"{r.solve_ms:.3f}",
                 "rho": "" if r.rho is None else f"{r.rho:.9g}",
                 "status": r.status,
+                "iterations": r.iterations,
+                "rounds": r.rounds,
             }
         )
     for s in summaries:

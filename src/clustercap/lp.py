@@ -1,7 +1,10 @@
 """Sparse linear-programming layer: problem container, solver, text export.
 
-The solver is backed by HiGHS (through scipy) and is held to a fixed numerical
-contract: optimal solutions violate no constraint or bound by more than the
+The solver is HiGHS, through the binding that ships inside scipy
+(`scipy.optimize._highspy`).  A `Handle` keeps one HiGHS model of an LP that
+can take added rows and re-solve from its last basis; `solve` and
+`solve_geq_dense` are one run on all rows.  Every answer is held to a fixed
+numerical contract: optimal solutions violate no constraint or bound by more than the
 feasibility tolerance, and infeasibility is a solver-certified status, never a
 guess from objective values.  Problems can be exported to the common textual
 LP file format for cross-checking with external solvers; the exported text
@@ -11,11 +14,13 @@ re-parses to an equivalent problem.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highspy
 
 from .errors import DomainError, LpSolverError
 
@@ -215,13 +220,33 @@ def size_stats(p: LpProblem) -> SizeStats:
     return SizeStats(rows=p.matrix.shape[0], columns=len(p.variables), nonzeros=p.matrix.nnz)
 
 
-def _assemble(p: LpProblem):
-    """Objective, bounds, and the stored rows with >= rows negated (`sign`
-    -1), so each row reads a_i x <= b_i, or = where the mask `eq` is set."""
+class _Form(NamedTuple):
+    """An LP as HiGHS is handed it: minimize c'x s.t. a x <= rhs (= on rows
+    in `eq`), lower <= x <= upper.  The LP's own objective is `flip` times
+    c'x and its row i is `sign[i]` times row i of `a`; `var_name`/`row_name`
+    turn an index into the name an error reports."""
+
+    name: str
+    c: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    a: sparse.csr_matrix
+    rhs: np.ndarray
+    sign: np.ndarray
+    eq: np.ndarray
+    flip: float
+    var_name: Callable[[int], str]
+    row_name: Callable[[int], str]
+
+
+def _assemble(p: LpProblem) -> _Form:
+    """The stored rows with >= rows negated, and the objective negated for a
+    MAXIMIZE problem."""
     n = len(p.variables)
+    flip = -1.0 if p.sense == MAXIMIZE else 1.0
     c = np.zeros(n)
     for j, v in p.objective:
-        c[j] = v
+        c[j] = flip * v
     lower = np.fromiter((v.lower for v in p.variables), float, n)
     upper = np.fromiter((np.inf if v.upper is None else v.upper for v in p.variables), float, n)
     senses = np.array(p.senses, dtype="U2")
@@ -230,71 +255,162 @@ def _assemble(p: LpProblem):
     signed = sparse.csr_matrix(
         (a.data * np.repeat(sign, np.diff(a.indptr)), a.indices, a.indptr), shape=a.shape
     )
-    return c, lower, upper, signed, sign * p.rhs, sign, senses == EQ
-
-
-_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
-
-
-def _highs(
-    name, c, lower, upper, a, rhs, sign, eq, var_name="x{}".format, row_name=str
-) -> LpSolution:
-    """Minimize c'x s.t. a x <= rhs (= on rows in `eq`), lower <= x <= upper.
-
-    `a` is a dense array or a sparse matrix.  One HiGHS call under the layer's
-    tolerances; an optimal answer is checked against every bound and row and
-    the objective before it is returned, with duals per row times `sign`.
-    `var_name`/`row_name` turn an index into the name an error reports.
-    """
-    if eq.any():
-        split = {"A_ub": a[~eq], "b_ub": rhs[~eq], "A_eq": a[eq], "b_eq": rhs[eq]}
-    else:
-        split = {"A_ub": a, "b_ub": rhs}
-    res = linprog(
-        c,
-        **{k: v for k, v in split.items() if v.shape[0]},
-        bounds=np.column_stack((lower, upper)),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-9,
-            "dual_feasibility_tolerance": 1e-9,
-        },
+    return _Form(
+        p.name, c, lower, upper, signed, sign * p.rhs, sign, senses == EQ, flip,
+        lambda j: p.variables[j].name, p.row_names.__getitem__,
     )
-    if res.status not in _STATUS:
-        raise LpSolverError(f"{name}: solver failure: {res.message}")
-    if res.status != 0:
-        return LpSolution(_STATUS[res.status], None, (), None, int(res.nit))
-    x = np.asarray(res.x, dtype=float)
-    feas = TOL.feasibility
-    bad = np.flatnonzero((x < lower - feas) | (x > upper + feas))
-    if bad.size:
-        raise LpSolverError(f"{name}: bound violated for {var_name(bad[0])}")
-    gap = a @ x - rhs
-    bad = np.flatnonzero(np.where(eq, np.abs(gap), gap) > feas)
-    if bad.size:
-        i = bad[0]
-        raise LpSolverError(f"{name}: row {row_name(i)} violated by {abs(gap[i]):.3e}")
-    obj = float(c @ x)
-    if abs(obj - res.fun) > TOL.comparison * max(1.0, abs(obj)):
-        raise LpSolverError(f"{name}: objective mismatch {obj} vs {res.fun}")
-    duals = np.zeros(len(eq))
-    duals[~eq] = res.ineqlin.marginals
-    duals[eq] = res.eqlin.marginals
-    duals = tuple((sign * duals).tolist())
-    return LpSolution(OPTIMAL, float(res.fun), tuple(x.tolist()), duals, int(res.nit))
 
 
-def solve(p: LpProblem) -> LpSolution:
-    """Solve the problem; deterministic for a fixed problem.
+SIMPLEX, IPM = "simplex", "ipm"  # HiGHS's solver option; IPM ends in crossover
 
-    Optimal solutions are re-verified against the feasibility contract before
-    being returned.  Solver breakdown raises LpSolverError instead of being
+# what linprog(method="highs") set, so answers stay what they were under it
+_OPTIONS = {
+    "output_flag": False,
+    "presolve": "on",
+    "simplex_strategy": 1,  # dual simplex
+    "primal_feasibility_tolerance": 1e-9,
+    "dual_feasibility_tolerance": 1e-9,
+}
+
+_STATUS = {
+    _highspy.HighsModelStatus.kOptimal: OPTIMAL,
+    _highspy.HighsModelStatus.kInfeasible: INFEASIBLE,
+    _highspy.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+
+
+class _Answer(NamedTuple):
+    """One HiGHS run: `status` is OPTIMAL, INFEASIBLE or UNBOUNDED, else the
+    text of HiGHS's own status; at OPTIMAL also the point, the objective and
+    the duals of the rows held, in the order the handle holds them."""
+
+    status: str
+    x: np.ndarray | None
+    fun: float | None
+    row_dual: np.ndarray | None
+    iterations: int
+
+
+def _run(handle: "Handle") -> _Answer:
+    """The one place HiGHS solves: run the handle's model from its last basis."""
+    h = handle.highs
+    h.run()
+    status = h.getModelStatus()
+    info = h.getInfo()
+    nit = info.simplex_iteration_count or info.ipm_iteration_count
+    if status != _highspy.HighsModelStatus.kOptimal:
+        return _Answer(_STATUS.get(status) or h.modelStatusToString(status), None, None, None, nit)
+    sol = h.getSolution()
+    fun = info.objective_function_value
+    return _Answer(OPTIMAL, np.array(sol.col_value), fun, np.array(sol.row_dual), nit)
+
+
+class Handle:
+    """A HiGHS model of one LP that holds some of its rows.
+
+    It starts with `rows` (all rows by default) and takes more through
+    `add_rows`; every `run` starts from the basis the last one ended on.
+    `run` answers for the rows held, and `certify` holds an answer to every
+    bound and row of the LP.  `method` is SIMPLEX or IPM.
+    """
+
+    def __init__(self, form: _Form, rows=None, method: str = SIMPLEX):
+        self.form = form
+        self.highs = _highspy._Highs()
+        for key, value in (*_OPTIONS.items(), ("solver", method)):
+            if self.highs.setOptionValue(key, value) != _highspy.HighsStatus.kOk:
+                raise DomainError(f"HiGHS option {key}={value!r}")
+        m, n = form.a.shape
+        rows = np.arange(m) if rows is None else np.asarray(rows, dtype=np.int64)
+        is_eq = form.eq[rows]
+        # <= rows before = rows, the order HiGHS was always given them in
+        self.rows = np.concatenate((rows[~is_eq], rows[is_eq]))
+        block = form.a[self.rows].tocsc()
+        model = _highspy.HighsLp()
+        model.num_col_, model.num_row_ = n, len(self.rows)
+        model.col_cost_, model.col_lower_, model.col_upper_ = form.c, form.lower, form.upper
+        model.row_lower_, model.row_upper_ = self._row_bounds(self.rows)
+        matrix = model.a_matrix_
+        matrix.format_ = _highspy.MatrixFormat.kColwise
+        matrix.num_col_, matrix.num_row_ = n, len(self.rows)
+        matrix.start_, matrix.index_, matrix.value_ = block.indptr, block.indices, block.data
+        if self.highs.passModel(model) == _highspy.HighsStatus.kError:
+            raise LpSolverError(f"{form.name}: HiGHS refused the model")
+
+    def _row_bounds(self, rows):
+        rhs = self.form.rhs[rows]
+        return np.where(self.form.eq[rows], rhs, -np.inf), rhs
+
+    def add_rows(self, rows):
+        """Add rows of the LP, by index, to the model."""
+        rows = np.asarray(rows, dtype=np.int64)
+        block = self.form.a[rows]
+        lower, upper = self._row_bounds(rows)
+        status = self.highs.addRows(
+            len(rows), lower, upper, block.nnz, block.indptr[:-1], block.indices, block.data
+        )
+        if status == _highspy.HighsStatus.kError:
+            raise LpSolverError(f"{self.form.name}: HiGHS refused {len(rows)} added rows")
+        self.rows = np.concatenate((self.rows, rows))
+
+    def run(self) -> LpSolution:
+        """Solve the rows held.  Solver breakdown raises LpSolverError instead
+        of being mapped onto Infeasible; duals are per row of the LP (0 for a
+        row not held) in the minimization form."""
+        f = self.form
+        ans = _run(self)
+        if ans.status not in (OPTIMAL, INFEASIBLE, UNBOUNDED):
+            raise LpSolverError(f"{f.name}: solver failure: {ans.status}")
+        if ans.status != OPTIMAL:
+            return LpSolution(ans.status, None, (), None, ans.iterations)
+        duals = np.zeros(len(f.rhs))
+        duals[self.rows] = ans.row_dual
+        return LpSolution(
+            OPTIMAL, f.flip * ans.fun, tuple(ans.x.tolist()), tuple((f.sign * duals).tolist()),
+            ans.iterations,
+        )
+
+    def certify(self, sol: LpSolution):
+        """Raise LpSolverError unless the Optimal `sol` keeps every bound and
+        every row of the LP to the feasibility tolerance, and its objective
+        is the objective at its x."""
+        f = self.form
+        x = np.array(sol.x, dtype=float)
+        feas = TOL.feasibility
+        bad = np.flatnonzero(~((x >= f.lower - feas) & (x <= f.upper + feas)))  # NaN fails too
+        if bad.size:
+            raise LpSolverError(f"{f.name}: bound violated for {f.var_name(bad[0])}")
+        gap = f.a @ x - f.rhs
+        bad = np.flatnonzero(~(np.where(f.eq, np.abs(gap), gap) <= feas))
+        if bad.size:
+            i = bad[0]
+            raise LpSolverError(f"{f.name}: row {f.row_name(i)} violated by {abs(gap[i]):.3e}")
+        obj = f.flip * float(f.c @ x)
+        if not abs(obj - sol.objective) <= TOL.comparison * max(1.0, abs(obj)):
+            raise LpSolverError(f"{f.name}: objective mismatch {obj} vs {sol.objective}")
+
+    @classmethod
+    def of(cls, p: LpProblem, rows=None, method: str = SIMPLEX) -> Handle:
+        return cls(_assemble(p), rows, method)
+
+
+def _solve(form: _Form, method: str = SIMPLEX) -> LpSolution:
+    handle = Handle(form, method=method)
+    sol = handle.run()
+    if sol.status == OPTIMAL:
+        handle.certify(sol)
+    return sol
+
+
+def solve(p: LpProblem, method: str = SIMPLEX) -> LpSolution:
+    """Solve the problem; deterministic for a fixed problem and method.
+
+    One HiGHS run on all rows under the layer's tolerances.  An optimal
+    solution is checked against every bound and row and the objective before
+    it is returned.  Solver breakdown raises LpSolverError instead of being
     mapped onto Infeasible.  Duals are per row, for the minimization form.
     """
-    c, *arrays = _assemble(p)
-    flip = -1.0 if p.sense == MAXIMIZE else 1.0
-    sol = _highs(p.name, flip * c, *arrays, lambda j: p.variables[j].name, p.row_names.__getitem__)
-    return sol if sol.objective is None else replace(sol, objective=flip * sol.objective)
+    return _solve(_assemble(p), method)
 
 
 def solve_geq_dense(
@@ -308,16 +424,20 @@ def solve_geq_dense(
     """
     a_rows = np.asarray(a_rows, dtype=float)
     m, n = a_rows.shape
-    return _highs(
+    form = _Form(
         name,
         np.asarray(c, dtype=float),
         np.zeros(n),
         np.full(n, np.inf),
-        -a_rows,
+        sparse.csr_matrix(-a_rows),
         -np.asarray(rhs, dtype=float),
         np.full(m, -1.0),
         np.zeros(m, dtype=bool),
+        1.0,
+        "x{}".format,
+        str,
     )
+    return _solve(form)
 
 
 # --- textual LP format -----------------------------------------------------

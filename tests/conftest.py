@@ -28,6 +28,12 @@ def matrices(cache_dir):
     return {n: build_cut_matrix(n, reduce=True, cache_dir=cache_dir) for n in (1, 2, 3, 4)}
 
 
+@pytest.fixture(scope="session")
+def matrix5(cache_dir):
+    """The reduced five-chamber matrix; a few seconds to build cold."""
+    return build_cut_matrix(5, reduce=True, cache_dir=cache_dir)
+
+
 def example1_instance() -> models.Instance:
     return models.Instance(
         name="example1",

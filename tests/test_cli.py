@@ -168,6 +168,10 @@ class TestBench:
             assert r["status"] == "Optimal"
             assert float(r["solve_ms"]) >= 0
             assert int(r["nonzeros"]) > 0
+            assert int(r["iterations"]) >= 0
+            # the generalized model adds cut rows over rounds, the other runs once
+            assert int(r["rounds"]) >= 1 if r["model"] == "generalized" else r["rounds"] == "1"
+        assert out.read_text().splitlines()[0].endswith(",iterations,rounds")
         for r in summary_rows:
             assert float(r["speedup_gen_over_alt"]) > 0
             assert 0.5 < float(r["nonzeros_gen_over_alt"]) < 50
@@ -186,6 +190,8 @@ class TestBench:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         statuses = {r["instance"]: r["status"] for r in rows if r["record_type"] == "bench"}
         assert any(s.startswith("Error") for s in statuses.values())
+        # an instance that never reached HiGHS ran no rounds
+        assert {r["rounds"] for r in rows if r["status"].startswith("Error")} == {"0"}
         assert any(s == "Optimal" for s in statuses.values())
 
     def test_workers_give_same_records(self, env_cache, tmp_path):

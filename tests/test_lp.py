@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -310,13 +312,55 @@ def test_dense_path_maps_status_like_solve():
     assert sol.status == lp.OPTIMAL and sol.objective == pytest.approx(3.0)
 
 
+def floors_problem():
+    """min x + y s.t. x >= 1, y >= 2, x + y >= 5: optimum 5."""
+    build = lp.LpBuilder("floors")
+    x = build.add_var("x")
+    y = build.add_var("y")
+    build.set_objective([(x, 1.0), (y, 1.0)])
+    build.add_constraint("fx", [(x, 1.0)], lp.GE, 1.0)
+    build.add_constraint("fy", [(y, 1.0)], lp.GE, 2.0)
+    build.add_constraint("both", [(x, 1.0), (y, 1.0)], lp.GE, 5.0)
+    return build.problem()
+
+
+class TestHandle:
+    def test_added_rows_reach_the_full_answer(self):
+        p = floors_problem()
+        handle = lp.Handle.of(p, [0, 1])
+        part = handle.run()
+        assert part.status == lp.OPTIMAL and part.objective == pytest.approx(3.0)
+        assert part.duals[2] == 0.0  # a row not held has no dual
+        handle.add_rows([2])
+        whole = handle.run()
+        handle.certify(whole)
+        assert whole.objective == pytest.approx(lp.solve(p).objective, rel=1e-12)
+        assert sorted(handle.rows.tolist()) == [0, 1, 2]
+
+    def test_certify_checks_rows_not_held(self):
+        handle = lp.Handle.of(floors_problem(), [0, 1])
+        part = handle.run()
+        with pytest.raises(LpSolverError, match="floors: row both violated by 2.000e\\+00"):
+            handle.certify(part)
+
+    def test_certify_refuses_a_point_that_is_not_a_number(self):
+        handle = lp.Handle.of(simple_problem())
+        sol = handle.run()
+        with pytest.raises(LpSolverError, match="bound violated for x"):
+            handle.certify(replace(sol, x=(float("nan"),)))
+
+    def test_ipm_reaches_the_simplex_answer(self):
+        p = mix_problem()
+        simplex, ipm = lp.solve(p, lp.SIMPLEX), lp.solve(p, lp.IPM)
+        assert ipm.status == simplex.status == lp.OPTIMAL
+        assert ipm.objective == pytest.approx(simplex.objective, rel=1e-9)
+
+
 def test_solver_breakdown_raises_on_both_paths(monkeypatch):
-    from scipy.optimize import OptimizeResult
+    def broken(handle):
+        return lp._Answer("Solve error", None, None, None, 0)
 
-    def broken(*args, **kwargs):
-        return OptimizeResult(status=4, message="numerical difficulties", nit=0)
-
-    monkeypatch.setattr(lp, "linprog", broken)
+    monkeypatch.setattr(lp, "_run", broken)
     with pytest.raises(LpSolverError, match="simple: solver failure"):
         lp.solve(simple_problem())
     with pytest.raises(LpSolverError, match="geq: solver failure"):
@@ -355,12 +399,12 @@ class TestDuals:
 
 
 def _optimal_at(x):
-    """A linprog stand-in reporting status 0 at the given point."""
-    from scipy.optimize import OptimizeResult
+    """A HiGHS run stand-in reporting Optimal at the given point."""
 
-    def fake(c, **kwargs):
+    def fake(handle):
         x_arr = np.asarray(x, dtype=float)
-        return OptimizeResult(status=0, x=x_arr, fun=float(np.dot(c, x_arr)), nit=0)
+        fun = float(np.dot(handle.form.c, x_arr))
+        return lp._Answer(lp.OPTIMAL, x_arr, fun, np.zeros(len(handle.rows)), 0)
 
     return fake
 
@@ -369,7 +413,7 @@ class TestContractCheck:
     """A status-0 answer that breaks the problem is refused on both paths."""
 
     def test_broken_row(self, monkeypatch):
-        monkeypatch.setattr(lp, "linprog", _optimal_at([4.0]))
+        monkeypatch.setattr(lp, "_run", _optimal_at([4.0]))
         with pytest.raises(LpSolverError, match="simple: row floor violated"):
             lp.solve(simple_problem())
         with pytest.raises(LpSolverError, match="geq"):
@@ -380,9 +424,9 @@ class TestContractCheck:
         x = build.add_var("x", upper=10.0)
         build.set_objective([(x, 1.0)])
         build.add_constraint("floor", [(x, 1.0)], lp.GE, 5.0)
-        monkeypatch.setattr(lp, "linprog", _optimal_at([11.0]))
+        monkeypatch.setattr(lp, "_run", _optimal_at([11.0]))
         with pytest.raises(LpSolverError, match="capped: bound violated for x"):
             lp.solve(build.problem())
-        monkeypatch.setattr(lp, "linprog", _optimal_at([-1.0]))
+        monkeypatch.setattr(lp, "_run", _optimal_at([-1.0]))
         with pytest.raises(LpSolverError, match="geq"):
             lp.solve_geq_dense([1.0], [[-1.0]], [0.0])

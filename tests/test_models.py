@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustercap import (
     GenParams,
@@ -22,6 +24,7 @@ from clustercap import (
 )
 from clustercap.errors import (
     DomainError,
+    LpSolverError,
     NotQualifiedError,
     StructurallyInfeasibleError,
 )
@@ -414,6 +417,70 @@ class TestGeneralizedModel:
     def test_matrix_chamber_count_must_match(self, matrices):
         with pytest.raises(DomainError, match="chambers"):
             build_generalized(example1_instance(), matrices[4])
+
+
+def rel_gap(a, b):
+    return abs(a - b) / max(1.0, abs(b))
+
+
+class TestRowGeneration:
+    """`solve_capacity` solves the generalized model by row generation; the
+    full LP, solved in one run, is the oracle."""
+
+    @pytest.mark.parametrize("case", sorted(PINNED_INSTANCES))
+    def test_pinned_cases_match_the_full_lp(self, case, matrices):
+        inst = PINNED_INSTANCES[case]()
+        matrix = matrices[inst.chambers]
+        res = solve_capacity(inst, "generalized", matrix=matrix)
+        full = lp.solve(build_generalized(inst, matrix).problem)
+        assert res.status == full.status == lp.OPTIMAL
+        assert rel_gap(res.rho, full.objective) <= 1e-9
+        assert res.rounds >= 1 and res.iterations >= 0
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 5))
+    @settings(max_examples=24)
+    def test_fuzz_matches_the_full_lp_and_the_alternative(self, seed, n, matrices, matrix5):
+        # random_instance locks about a fifth of each pair's chambers and,
+        # with overrides=True, pins a recipe rate on about half the pairs
+        inst = random_instance(np.random.default_rng(seed), n, overrides=True)
+        matrix = matrix5 if n == 5 else matrices[n]
+        gen = solve_capacity(inst, "generalized", matrix=matrix)
+        full = lp.solve(build_generalized(inst, matrix).problem)
+        alt = solve_capacity(inst, "alternative")
+        alt_simplex = lp.solve(build_alternative(inst).problem, lp.SIMPLEX)
+        assert gen.status == full.status == alt.status == alt_simplex.status == lp.OPTIMAL
+        assert rel_gap(gen.rho, full.objective) <= 1e-9
+        assert rel_gap(alt.rho, alt_simplex.objective) <= 1e-9  # IPM vs dual simplex
+        assert rel_gap(gen.rho, alt.rho) <= 1e-9
+
+    def test_answer_is_certified_by_the_full_lp(self, matrices, monkeypatch):
+        """HiGHS answers for the rows it holds.  A run that reports Optimal
+        at an x breaking one cut row the handle did not start with is
+        refused, and the error names that row."""
+        inst = one_tool_instance(3, [("j0", 6.0)], [("j0", [(0, 2.0)])])
+        built = build_generalized(inst, matrices[3])
+        x = np.array(lp.solve(built.problem).x)
+        x[built.rho_col] *= 0.75
+        gap = built.problem.matrix @ x - built.problem.rhs
+        (broken,) = np.flatnonzero(gap > 1e-8)
+        started = []
+
+        def optimal_at_x(handle):
+            started.append(set(handle.rows.tolist()))
+            fun = float(handle.form.c @ x)
+            return lp._Answer(lp.OPTIMAL, x, fun, np.zeros(len(handle.rows)), 0)
+
+        monkeypatch.setattr(lp, "_run", optimal_at_x)
+        name = built.problem.row_names[broken]
+        assert name.startswith("cut_t0_")
+        with pytest.raises(LpSolverError, match=f"row {name} violated"):
+            solve_capacity(inst, "generalized", matrix=matrices[3])
+        assert broken not in started[0]
+
+    def test_single_runs_report_one_round(self, matrices):
+        for kind in ("basic", "serial", "alternative"):
+            res = solve_capacity(example1_instance(), kind, matrix=matrices[3])
+            assert res.rounds == 1 and res.iterations >= 0
 
 
 class TestAlternativeModel:
