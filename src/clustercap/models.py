@@ -497,11 +497,6 @@ def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int]:
     return replace(sol, iterations=iterations), rounds
 
 
-# HiGHS method per model kind: the alternative model solves several times
-# faster under IPM with crossover, the others under dual simplex
-_METHOD = {"alternative": lp.IPM}
-
-
 def solve_capacity(
     inst: Instance,
     kind: str,
@@ -511,7 +506,8 @@ def solve_capacity(
     """Build and solve one model; wall times are recorded for benchmarking.
 
     The generalized model is solved by row generation over its cut rows,
-    the others in one HiGHS run.
+    the others in one HiGHS run: the alternative model by IPM with
+    crossover, the others by dual simplex.
     """
     t0 = time.perf_counter()
     model = build_model(inst, kind, matrix=matrix, cache_dir=cache_dir)
@@ -519,7 +515,10 @@ def solve_capacity(
     if kind == "generalized":
         sol, rounds = _solve_by_cut_rows(model)
     else:
-        sol, rounds = lp.solve(model.problem, _METHOD.get(kind, lp.SIMPLEX)), 1
+        # IPM with crossover is several times faster on the alternative model
+        # only; the generalized model is slower under it
+        method = lp.IPM if kind == "alternative" else lp.SIMPLEX
+        sol, rounds = lp.solve(model.problem, method), 1
     t2 = time.perf_counter()
     assignments, utilization = _extract(model, sol) if sol.status == lp.OPTIMAL else ((), ())
     return CapacityResult(
