@@ -13,6 +13,7 @@ All three must agree; they cross-verify each other and the cut pipeline.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,13 @@ class FlowSolution:
     min_cut_value: float
 
 
-def _check_x(x, g: ParallelGraph) -> np.ndarray:
+def _check_x(x, size: int) -> np.ndarray:
+    """x as a float array of `size` finite, nonnegative recipe times."""
     arr = np.asarray(x, dtype=float)
-    if arr.shape != (len(g.recipes),):
-        raise DomainError(f"allocation vector must have length {len(g.recipes)}")
+    if arr.shape != (size,):
+        raise DomainError(f"allocation vector must have length {size}")
+    if not np.isfinite(arr).all():
+        raise DomainError("allocation times must be finite")
     if np.any(arr < 0):
         raise DomainError("allocation times must be nonnegative")
     return arr
@@ -67,7 +71,7 @@ def solve_parallelization_lp(x, g: ParallelGraph) -> tuple[ParallelizationPlan, 
     Always feasible (zero plan).  Each recipe's incident pairing times may not
     exceed its committed time x_r.
     """
-    arr = _check_x(x, g)
+    arr = _check_x(x, len(g.recipes))
     if not g.edges:
         return ParallelizationPlan(edge_time=()), 0.0
     build = lp.LpBuilder("parallelization", lp.MAXIMIZE)
@@ -88,7 +92,7 @@ def solve_parallelization_lp(x, g: ParallelGraph) -> tuple[ParallelizationPlan, 
 
 
 def check_plan_feasible(plan: ParallelizationPlan, x, g: ParallelGraph, tol: float = 1e-8):
-    arr = _check_x(x, g)
+    arr = _check_x(x, len(g.recipes))
     if len(plan.edge_time) != len(g.edges):
         raise DomainError("plan does not match the graph's edge list")
     if any(v < -tol for v in plan.edge_time):
@@ -108,80 +112,80 @@ def check_plan_feasible(plan: ParallelizationPlan, x, g: ParallelGraph, tol: flo
 def solve_maxflow(x, g: ParallelGraph) -> FlowSolution:
     """Max flow through the doubled graph with capacities x_r/2 at the rim.
 
-    Breadth-first augmenting paths (shortest first).  Interior arcs get the
-    safe finite capacity sum(x); total flow can never exceed sum(x)/2 per
-    side.  The returned cut value is measured on the residual graph and must
-    equal the flow value.
+    Shortest augmenting paths (Edmonds-Karp) on adjacency lists.  Arc 2k is
+    the k-th arc of the graph and arc 2k + 1 its reverse, so `e ^ 1` turns
+    an arc around.  Each node lists its arcs in head-node order, so the
+    breadth-first search meets nodes as a scan along the rows of a
+    node-by-node residual matrix would, whatever the order of `g.edges`.
+    Interior arcs get the safe finite capacity sum(x); total flow can never
+    exceed sum(x)/2 per side.  The returned cut value is measured on the
+    residual graph and must equal the flow value.
     """
-    arr = _check_x(x, g)
+    arr = _check_x(x, len(g.recipes))
     m = len(g.recipes)
     n_nodes = 2 * m + 2
     s, t = 2 * m, 2 * m + 1
-    cap = np.zeros((n_nodes, n_nodes))
+    rim = (arr / 2.0).tolist()
     inf_cap = float(arr.sum())
-    for r in range(m):
-        cap[s, r] = arr[r] / 2.0
-        cap[m + r, t] = arr[r] / 2.0
+    # s -> left r, right r -> t, then per edge (i, j): i -> right j, j -> right i
+    arcs = [(s, r, rim[r]) for r in range(m)] + [(m + r, t, rim[r]) for r in range(m)]
     for i, j in g.edges:
-        cap[i, m + j] = inf_cap
-        cap[j, m + i] = inf_cap
-    residual = cap.copy()
+        arcs += ((i, m + j, inf_cap), (j, m + i, inf_cap))
+    head, residual = [], []
+    adj = [[] for _ in range(n_nodes)]
+    for u, v, c in arcs:
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head += (v, u)
+        residual += (c, 0.0)
+    for out in adj:
+        out.sort(key=head.__getitem__)
     value = 0.0
-    parent = np.full(n_nodes, -1, dtype=int)
     while True:
-        parent[:] = -1
-        parent[s] = s
-        queue = [s]
-        while queue and parent[t] < 0:
-            nxt = []
-            for u in queue:
-                for v in np.nonzero(residual[u] > FLOW_TOL)[0]:
-                    if parent[v] < 0:
-                        parent[v] = u
-                        nxt.append(int(v))
-            queue = nxt
-        if parent[t] < 0:
-            break
-        bottleneck = np.inf
+        via = {s: None}  # node -> the arc the search first reached it by
+        queue = deque([s])
+        while queue and t not in via:
+            u = queue.popleft()
+            for e in adj[u]:
+                if FLOW_TOL < residual[e] and head[e] not in via:
+                    via[head[e]] = e
+                    queue.append(head[e])
+        if t not in via:
+            break  # the last search reached every node the residual graph reaches
+        path = []
         v = t
         while v != s:
-            u = parent[v]
-            bottleneck = min(bottleneck, residual[u, v])
-            v = u
-        v = t
-        while v != s:
-            u = parent[v]
-            residual[u, v] -= bottleneck
-            residual[v, u] += bottleneck
-            v = u
+            path.append(via[v])
+            v = head[via[v] ^ 1]
+        bottleneck = min(residual[e] for e in path)
+        for e in path:
+            residual[e] -= bottleneck
+            residual[e ^ 1] += bottleneck
         value += bottleneck
-    flow = cap - residual
-    # cut from residual reachability
+    flow = [c - residual[2 * k] for k, (_, _, c) in enumerate(arcs)]
+    # the capacity of the arcs leaving the reached nodes, summed as one block
+    # of the node-by-node capacity matrix, so that the sum rounds the same
+    # way whatever the arc order
     reach = np.zeros(n_nodes, dtype=bool)
-    reach[s] = True
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(residual[u] > FLOW_TOL)[0]:
-            if not reach[v]:
-                reach[v] = True
-                stack.append(int(v))
-    cut_value = float(cap[np.ix_(reach, ~reach)].sum())
+    reach[list(via)] = True
+    cap = np.zeros((n_nodes, n_nodes))
+    tails, heads, caps = zip(*arcs)
+    cap[tails, heads] = caps
+    cut_value = cap[np.ix_(reach, ~reach)].sum()
     return FlowSolution(
-        source_arc=tuple(max(float(flow[s, r]), 0.0) for r in range(m)),
-        sink_arc=tuple(max(float(flow[m + r, t]), 0.0) for r in range(m)),
+        source_arc=tuple(max(f, 0.0) for f in flow[:m]),
+        sink_arc=tuple(max(f, 0.0) for f in flow[m : 2 * m]),
         cross_arc=tuple(
-            (max(float(flow[i, m + j]), 0.0), max(float(flow[j, m + i]), 0.0))
-            for i, j in g.edges
+            (max(flow[k], 0.0), max(flow[k + 1], 0.0)) for k in range(2 * m, len(arcs), 2)
         ),
         value=float(value),
-        min_cut_value=cut_value,
+        min_cut_value=float(cut_value),
     )
 
 
 def check_flow_feasible(f: FlowSolution, x, g: ParallelGraph, tol: float = 1e-8):
     """Conservation at every copy and rim capacities x_r/2."""
-    arr = _check_x(x, g)
+    arr = _check_x(x, len(g.recipes))
     m = len(g.recipes)
     out_left = np.zeros(m)
     in_right = np.zeros(m)
@@ -219,9 +223,5 @@ def makespan_via_cuts(x, matrix: CutMatrix) -> float:
 
     Equals sum(x) minus the max-flow value for the same x.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (len(matrix.labels),):
-        raise DomainError(f"allocation vector must have length {len(matrix.labels)}")
-    if np.any(arr < 0):
-        raise DomainError("allocation times must be nonnegative")
+    arr = _check_x(x, len(matrix.labels))
     return float((matrix.coeffs @ arr).max())

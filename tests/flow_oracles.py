@@ -1,0 +1,76 @@
+"""Slow references for the flow layer, used only by the tests."""
+
+import numpy as np
+
+from clustercap.flows import FLOW_TOL, FlowSolution, _check_x
+from clustercap.recipes import ParallelGraph
+
+
+def dense_maxflow(x, g: ParallelGraph) -> FlowSolution:
+    """`solve_maxflow` on a dense residual matrix, scanned with `np.nonzero`
+    at every node visit: breadth-first augmenting paths, then the cut of
+    the nodes the residual graph still reaches from the source."""
+    arr = _check_x(x, len(g.recipes))
+    m = len(g.recipes)
+    n_nodes = 2 * m + 2
+    s, t = 2 * m, 2 * m + 1
+    cap = np.zeros((n_nodes, n_nodes))
+    inf_cap = float(arr.sum())
+    for r in range(m):
+        cap[s, r] = arr[r] / 2.0
+        cap[m + r, t] = arr[r] / 2.0
+    for i, j in g.edges:
+        cap[i, m + j] = inf_cap
+        cap[j, m + i] = inf_cap
+    residual = cap.copy()
+    value = 0.0
+    parent = np.full(n_nodes, -1, dtype=int)
+    while True:
+        parent[:] = -1
+        parent[s] = s
+        queue = [s]
+        while queue and parent[t] < 0:
+            nxt = []
+            for u in queue:
+                for v in np.nonzero(residual[u] > FLOW_TOL)[0]:
+                    if parent[v] < 0:
+                        parent[v] = u
+                        nxt.append(int(v))
+            queue = nxt
+        if parent[t] < 0:
+            break
+        bottleneck = np.inf
+        v = t
+        while v != s:
+            u = parent[v]
+            bottleneck = min(bottleneck, residual[u, v])
+            v = u
+        v = t
+        while v != s:
+            u = parent[v]
+            residual[u, v] -= bottleneck
+            residual[v, u] += bottleneck
+            v = u
+        value += bottleneck
+    flow = cap - residual
+    # cut from residual reachability
+    reach = np.zeros(n_nodes, dtype=bool)
+    reach[s] = True
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for v in np.nonzero(residual[u] > FLOW_TOL)[0]:
+            if not reach[v]:
+                reach[v] = True
+                stack.append(int(v))
+    cut_value = float(cap[np.ix_(reach, ~reach)].sum())
+    return FlowSolution(
+        source_arc=tuple(max(float(flow[s, r]), 0.0) for r in range(m)),
+        sink_arc=tuple(max(float(flow[m + r, t]), 0.0) for r in range(m)),
+        cross_arc=tuple(
+            (max(float(flow[i, m + j]), 0.0), max(float(flow[j, m + i]), 0.0))
+            for i, j in g.edges
+        ),
+        value=float(value),
+        min_cut_value=cut_value,
+    )

@@ -11,7 +11,9 @@ from clustercap import (
     solve_parallelization_lp,
 )
 from clustercap.errors import DomainError
-from clustercap.flows import check_flow_feasible, check_plan_feasible
+from clustercap.flows import FLOW_TOL, check_flow_feasible, check_plan_feasible
+from clustercap.recipes import ParallelGraph
+from flow_oracles import dense_maxflow
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +89,70 @@ class TestMaxflow:
         g1 = build_parallel_graph(1)
         f = solve_maxflow(np.array([5.0]), g1)
         assert f.value == 0.0
+
+
+def assert_same_as_dense(x, g):
+    fast, slow = solve_maxflow(x, g), dense_maxflow(x, g)
+    for field in ("value", "min_cut_value", "source_arc", "sink_arc", "cross_arc"):
+        assert getattr(fast, field) == getattr(slow, field), field
+
+
+class TestDenseReference:
+    """The adjacency-list max flow against the dense-matrix one in
+    `flow_oracles`: every field of the answer equal, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_seeded_draws(self, n):
+        g = build_parallel_graph(n)
+        m = len(g.recipes)
+        rng = np.random.default_rng(500 + n)
+        for _ in range(60):
+            x = rng.uniform(0.0, 10.0, m) * (rng.random(m) < 0.7)
+            assert_same_as_dense(x, g)
+
+    @given(allocations(3))
+    @settings(max_examples=60)
+    def test_hypothesis_draws(self, x):
+        assert_same_as_dense(x, build_parallel_graph(3))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_edges_listed_in_another_order(self, n):
+        """The search order follows the node numbering, not the edge list."""
+        g = build_parallel_graph(n)
+        rng = np.random.default_rng(700 + n)
+        edges = tuple(g.edges[k] for k in rng.permutation(len(g.edges)))
+        shuffled = ParallelGraph(n=n, recipes=g.recipes, edges=edges)
+        m = len(g.recipes)
+        for _ in range(20):
+            x = rng.uniform(0.0, 10.0, m) * (rng.random(m) < 0.7)
+            assert_same_as_dense(x, shuffled)
+
+    def test_zero_allocation(self, g3):
+        assert_same_as_dense(np.zeros(7), g3)
+
+    def test_single_chamber_graph(self):
+        assert_same_as_dense(np.array([5.0]), build_parallel_graph(1))
+
+    def test_rim_capacity_at_the_tolerance_carries_nothing(self):
+        """x_r/2 equal to FLOW_TOL leaves no residual capacity to search."""
+        g = build_parallel_graph(3)
+        x = np.full(7, 2 * FLOW_TOL)
+        assert solve_maxflow(x, g).value == 0.0
+        x[:3] = [4.0, 2 * FLOW_TOL, 3.0]
+        assert_same_as_dense(x, g)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_oracles_reject_non_finite_times(g3, matrices, bad):
+    x = x_vec(g3, A=1, B=2, C=3)
+    x[g3.index_of("AB")] = bad
+    for oracle in (
+        lambda: solve_maxflow(x, g3),
+        lambda: solve_parallelization_lp(x, g3),
+        lambda: makespan_via_cuts(x, matrices[3]),
+    ):
+        with pytest.raises(DomainError, match="finite"):
+            oracle()
 
 
 class TestFlowToPlan:

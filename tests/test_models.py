@@ -483,6 +483,41 @@ class TestRowGeneration:
             assert res.rounds == 1 and res.iterations >= 0
 
 
+def test_row_generation_adds_the_most_violated_rows(matrices, monkeypatch):
+    """Each round adds, per tool, at most ROWS_PER_ROUND cut rows the handle
+    did not hold, each violated by the last answer, most violated first."""
+    inst = random_instance(np.random.default_rng(11), 4, max_tools=3, max_jobs=5)
+    built = build_generalized(inst, matrices[4])
+    a = built.problem.matrix
+    answers, calls = [], []
+    run, add_rows = lp.Handle.run, lp.Handle.add_rows
+
+    def spy_run(handle):
+        answers.append(run(handle))
+        return answers[-1]
+
+    def spy_add_rows(handle, rows):
+        calls.append((set(handle.rows.tolist()), list(rows), answers[-1]))
+        add_rows(handle, rows)
+
+    monkeypatch.setattr(lp.Handle, "run", spy_run)
+    monkeypatch.setattr(lp.Handle, "add_rows", spy_add_rows)
+    res = solve_capacity(inst, "generalized", matrix=matrices[4])
+    assert res.status == lp.OPTIMAL and res.rounds == len(calls) + 1
+    assert calls and max(len(rows) for _, rows, _ in calls) > len(built.util_rows)
+    cut_rows = set().union(*(idx for _, _, idx in built.util_rows))
+    for held, rows, sol in calls:
+        x = np.array(sol.x)
+        rho, x[built.rho_col] = x[built.rho_col], 0.0
+        lhs = a @ x
+        assert held.isdisjoint(rows) and cut_rows.issuperset(rows)
+        for _, _, idx in built.util_rows:
+            mine = [k for k in rows if k in idx]
+            assert len(mine) <= models.ROWS_PER_ROUND
+            assert all(lhs[k] > rho + lp.TOL.feasibility for k in mine)
+            assert [lhs[k] for k in mine] == sorted((lhs[k] for k in mine), reverse=True)
+
+
 class TestAlternativeModel:
     def test_reference_instance_reaches_330(self):
         res = solve_capacity(example1_instance(), "alternative")
