@@ -178,7 +178,7 @@ def solve_maxflow(x, g: ParallelGraph) -> FlowSolution:
         cross_arc=tuple(
             (max(flow[k], 0.0), max(flow[k + 1], 0.0)) for k in range(2 * m, len(arcs), 2)
         ),
-        value=float(value),
+        value=value,
         min_cut_value=float(cut_value),
     )
 
