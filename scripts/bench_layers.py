@@ -1,0 +1,276 @@
+#!/usr/bin/env python3
+"""Time one layer of the pipeline; merge the run into BENCH_<layer>.json.
+
+    python scripts/bench_layers.py oracles --label after --repeats 3
+    python scripts/bench_layers.py reduce --label after --repeats 5
+    python scripts/bench_layers.py solve --label after --repeats 3
+
+Each layer is timed `--repeats` times; the medians go into the JSON file
+(`--out`, by default `BENCH_<layer>.json` at the repository root) under
+`--label`, next to the runs stored under other labels, and the file's `what`
+line is the first line of the layer's docstring.  A layer exits non-zero
+when its own check fails.  `--src` times the package of another checkout
+with the same API under the same script, e.g. a parent commit.  BLAS threads
+are capped at one, as in the benchmark.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # after the thread caps: BLAS reads them when it loads
+
+ROOT = Path(__file__).resolve().parents[1]
+N5_COPY = ROOT / "perfbench" / "data" / "cuts_n5.csv"
+
+
+def timed(fn, *args):
+    t = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t
+
+
+def oracles(repeats):
+    """Time one call of each pairing oracle at three to five chambers; write BENCH_oracles.json.
+
+    Oracles: `solve_maxflow` (augmenting paths), `solve_parallelization_lp`
+    (the pairing LP on HiGHS) and `makespan_via_cuts` (the worst row of the
+    reduced cut matrix).  Allocations are drawn as `clustercap verify` draws
+    them: uniform on [0, 10] with about 30 % of the entries zeroed, from a
+    fixed seed per chamber count, 64 per chamber count (as many as verify-n5
+    draws per pass).  Every call is timed on its own; per-call medians in ms.
+    The matrices are the checked-in reduced ones (`tests/data` for n = 3, 4,
+    `perfbench/data` for n = 5).  Fails if, on any draw, sum(x) minus the
+    flow value differs from the cut-row makespan, or the pairing LP from the
+    flow value, by more than 1e-6.
+    """
+    from clustercap import build_parallel_graph, cuts, flows
+
+    draws, tol = 64, 1e-6
+    results = {}
+    for n in (3, 4, 5):
+        path = N5_COPY if n == 5 else ROOT / "tests" / "data" / f"cuts_n{n}_reference.csv"
+        matrix = cuts.read_matrix_csv(path, reduced=True)
+        g = build_parallel_graph(n)
+        m = len(g.recipes)
+        rng = np.random.default_rng(1000 + n)
+        xs = rng.uniform(0.0, 10.0, (draws, m)) * (rng.random((draws, m)) < 0.7)
+        ms = {"maxflow_ms": [], "pairing_lp_ms": [], "cut_rows_ms": []}
+        max_dev = 0.0
+        for _ in range(repeats):
+            for x in xs:
+                flow, t_flow = timed(flows.solve_maxflow, x, g)
+                (_, paired), t_lp = timed(flows.solve_parallelization_lp, x, g)
+                span, t_cuts = timed(flows.makespan_via_cuts, x, matrix)
+                for key, t in zip(ms, (t_flow, t_lp, t_cuts)):
+                    ms[key].append(t * 1e3)
+                dev = max(abs((x.sum() - flow.value) - span), abs(paired - flow.value))
+                max_dev = max(max_dev, dev)
+        entry = {key: round(statistics.median(v), 4) for key, v in ms.items()}
+        entry.update(draws=draws, max_dev=max_dev)
+        results[f"n={n}"] = entry
+        print(f"n={n}", json.dumps(entry), flush=True)
+        if not max_dev <= tol:
+            sys.exit(f"n={n}: the oracles differ by {max_dev:.2e} (more than {tol:g})")
+    return {"chambers": results}
+
+
+def reduce(repeats):
+    """Time each stage of the cold five-chamber cut reduction; write BENCH_reduce.json.
+
+    Stages: enumerate (minimal covers), collapse (distinct weight rows),
+    prefilter (pair test), certify (direction certificates) and lps
+    (separation LPs on the rest).  Counts: covers, raw rows, rows dropped,
+    certified, LPs run and rows kept.  Stage times are medians in s.  Fails
+    if the kept rows differ from the checked-in five-chamber matrix.
+    """
+    from clustercap import cuts, redundancy
+
+    reference = set(cuts.read_matrix_csv(N5_COPY, reduced=True).coeff_rows())
+    stages = ("enumerate", "collapse", "prefilter", "certify", "lps")
+    runs = []
+    for _ in range(repeats):
+        secs = {}
+        t = time.perf_counter()
+        g = cuts.build_parallel_graph(5)
+        covers = cuts.enumerate_minimal_cuts(cuts.double_graph(g))
+        secs["enumerate"] = time.perf_counter() - t
+        raw, secs["collapse"] = timed(cuts.cuts_to_matrix, g, covers)
+        rows = sorted(set(map(tuple, raw.coeffs.tolist())))
+        arr = np.asarray(rows)
+        dominated, secs["prefilter"] = timed(redundancy.pair_dominated, arr)
+        alive = ~dominated
+        certified, secs["certify"] = timed(redundancy.direction_certified, arr[alive])
+        settled = np.zeros(len(rows), dtype=bool)
+        settled[alive] = certified
+        # separate_remaining clears the rows it finds redundant from `alive`
+        lps, secs["lps"] = timed(redundancy.separate_remaining, arr, alive, settled)
+        counts = {
+            "covers": len(covers),
+            "raw_rows": len(raw.rows),
+            "dropped": int(dominated.sum()),
+            "certified": int(settled.sum()),
+            "lps": lps,
+            "kept": int(alive.sum()),
+        }
+        if {rows[i] for i in np.flatnonzero(alive)} != reference:
+            sys.exit(f"kept rows differ from {N5_COPY.name}: {counts['kept']} vs {len(reference)}")
+        runs.append(secs)
+        print(" ".join(f"{k}={secs[k]:.3f}" for k in stages), counts, flush=True)
+    stage_s = {k: round(statistics.median(r[k] for r in runs), 4) for k in stages}
+    return {
+        "stage_s": stage_s,
+        "reduce_s": round(sum(stage_s[k] for k in stages[2:]), 4),
+        "total_s": round(sum(stage_s.values()), 4),
+        "counts": counts,
+        "matches_reference": True,
+    }
+
+
+def solve(repeats):
+    """Time the HiGHS solves of the cut models on the benchmark's instances; write BENCH_solve.json.
+
+    Instances: the three plan-n5 instances (sizecat 2, n = 5: shapes 1:4,
+    1:1 with 3 locked chambers, 4:1) and the two verify-n5 ones (sizecat 0
+    1:1 and sizecat 1 1:4, 3 locked), all from generator seed 1, as in
+    `perfbench/workloads.py`.  The n = 5 matrix is the checked-in copy.
+
+    Variants, each timed from model build to checked answer:
+
+    * gen_full     the full generalized LP in one dual-simplex run;
+    * gen_rows     the generalized model by row generation (`solve_capacity`);
+    * alt_simplex  the alternative model in one dual-simplex run;
+    * alt_ipm      the alternative model under IPM with crossover.
+
+    For each: build_s, solve_s (everything after the build: HiGHS,
+    separation, contract check), highs_s (inside HiGHS alone), iterations,
+    rounds, rows added by row generation, and rho.  Times are medians in s;
+    counts repeat exactly.  Fails if rho of gen_rows differs from gen_full,
+    or alt_ipm from alt_simplex, by more than 1e-9 relative.
+    """
+    from clustercap import cuts, instances, lp, models
+
+    # name -> (sizecat, shape, locked); density 2, five chambers, seed 1
+    todo = {
+        "plan_1:4": (2, "1:4", 0),
+        "plan_1:1_L3": (2, "1:1", 3),
+        "plan_4:1": (2, "4:1", 0),
+        "verify_s0_1:1_L3": (0, "1:1", 3),
+        "verify_s1_1:4_L3": (1, "1:4", 3),
+    }
+    # `lp._run` is the one place HiGHS solves: sum its time and record the
+    # rows held at each run
+    highs = {"s": 0.0, "rows": []}
+    run_highs = lp._run
+
+    def clocked_run(handle):
+        t = time.perf_counter()
+        try:
+            return run_highs(handle)
+        finally:
+            highs["s"] += time.perf_counter() - t
+            highs["rows"].append(len(handle.rows))
+
+    lp._run = clocked_run
+
+    def single(kind, method):
+        def run(inst, matrix):
+            built, build_s = timed(models.build_model, inst, kind, matrix)
+            sol, solve_s = timed(lp.solve, built.problem, method)
+            return build_s, solve_s, sol.objective, sol.iterations, 1
+
+        return run
+
+    def by_rows(inst, matrix):
+        res = models.solve_capacity(inst, "generalized", matrix=matrix)
+        return res.build_ms / 1e3, res.solve_ms / 1e3, res.rho, res.iterations, res.rounds
+
+    variants = {
+        "gen_full": single("generalized", lp.SIMPLEX),
+        "gen_rows": by_rows,
+        "alt_simplex": single("alternative", lp.SIMPLEX),
+        "alt_ipm": single("alternative", lp.IPM),
+    }
+    matrix = cuts.read_matrix_csv(N5_COPY, reduced=True)
+    results = {}
+    for name, (sizecat, shape, locked) in todo.items():
+        inst = instances.generate(instances.GenParams(sizecat, shape, locked, 2, 5, 1))
+        got = results[name] = {}
+        for variant, run in variants.items():
+            samples = []
+            for _ in range(repeats):
+                highs["s"], highs["rows"] = 0.0, []
+                build_s, solve_s, rho, iterations, rounds = run(inst, matrix)
+                samples.append((build_s, solve_s, highs["s"]))
+            entry = {
+                key: round(statistics.median(s[k] for s in samples), 4)
+                for k, key in enumerate(("build_s", "solve_s", "highs_s"))
+            }
+            added = highs["rows"][-1] - highs["rows"][0]
+            entry.update(iterations=iterations, rounds=rounds, rows_added=added, rho=rho)
+            got[variant] = entry
+            print(name, variant, json.dumps(entry), flush=True)
+        for fast, slow in (("gen_rows", "gen_full"), ("alt_ipm", "alt_simplex")):
+            a, b = got[fast]["rho"], got[slow]["rho"]
+            gap = got[fast]["rho_gap"] = abs(a - b) / max(1.0, abs(b))
+            if not gap <= 1e-9:
+                sys.exit(f"{name}: {fast} rho {a!r} vs {slow} {b!r} (rel gap {gap:.2e})")
+    return {"instances": results}
+
+
+LAYERS = {"oracles": oracles, "reduce": reduce, "solve": solve}
+
+
+def cpu_model() -> str:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return platform.processor()
+    return next((ln.split(":", 1)[1].strip() for ln in lines if ln.startswith("model name")), "")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("layer", choices=LAYERS)
+    parser.add_argument("--label", required=True, help="key of this run in the JSON file")
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--out", help="JSON file to merge into (default BENCH_<layer>.json)")
+    parser.add_argument("--src", default=str(ROOT / "src"), help="package source to time")
+    args = parser.parse_args()
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import scipy
+
+    tree = subprocess.run(
+        ["git", "-C", args.src, "describe", "--always", "--dirty"],
+        capture_output=True,
+        text=True,
+    ).stdout.strip()
+    layer = LAYERS[args.layer]
+    entry = {"tree": tree, "repeats": args.repeats, **layer(args.repeats)}
+    out = Path(args.out or ROOT / f"BENCH_{args.layer}.json")
+    doc = json.loads(out.read_text()) if out.is_file() else {}
+    doc["what"] = layer.__doc__.split("\n")[0]
+    doc.setdefault("host", {}).update(
+        python=platform.python_version(),
+        numpy=np.__version__,
+        scipy=scipy.__version__,
+        cpu=cpu_model(),
+        nproc=os.cpu_count(),
+        blas_threads=os.environ["OPENBLAS_NUM_THREADS"],
+    )
+    doc.setdefault("runs", {})[args.label] = entry
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -14,6 +14,7 @@ import csv
 import io
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -27,6 +28,9 @@ from . import redundancy
 DEFAULT_NODE_BUDGET = 10**7
 
 CACHE_ENV_VAR = "CLUSTERCAP_CACHE"
+
+# rows of the reduced matrix per chamber count, which a cached file must hold
+REDUCED_ROW_COUNTS = {1: 1, 2: 2, 3: 5, 4: 23, 5: 590}
 
 
 @dataclass(frozen=True)
@@ -208,14 +212,17 @@ def build_cut_matrix(
     graph -> doubled graph -> minimal covers -> weight rows -> (reduction).
     Reduced matrices are cached as CSV under the cache directory (overridable
     via the CLUSTERCAP_CACHE environment variable); raw matrices are always
-    recomputed.
+    recomputed.  A cached file that cannot be the reduced matrix for n (it
+    fails to parse, is for another n, or has the wrong row count) is rebuilt
+    with a warning naming it.
     """
     if reduce:
         path = cache_path(n, cache_dir)
         if path.is_file():
-            cached = read_matrix_csv(path, reduced=True)
-            if cached.n == n:
-                return cached
+            try:
+                return _read_cached(path, n)
+            except DomainError as exc:
+                warnings.warn(f"rebuilding the cut cache: {exc}", stacklevel=2)
     g = build_parallel_graph(n)
     raw = cuts_to_matrix(g, enumerate_minimal_cuts(double_graph(g), node_budget))
     if not reduce:
@@ -225,6 +232,21 @@ def build_cut_matrix(
     path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(path, render_matrix_csv(reduced))
     return reduced
+
+
+def _read_cached(path: Path, n: int) -> CutMatrix:
+    """The reduced matrix for n chambers cached at `path`; DomainError, with
+    the path, if the file cannot be it."""
+    try:
+        cached = read_matrix_csv(path, reduced=True)
+    except (ValueError, csv.Error) as exc:  # undecodable bytes, a field past the size limit
+        raise DomainError(f"{path}: {exc}") from exc
+    if cached.n != n:
+        raise DomainError(f"{path}: holds the matrix for {cached.n} chambers, not {n}")
+    want = REDUCED_ROW_COUNTS.get(n, len(cached.rows))
+    if len(cached.rows) != want:
+        raise DomainError(f"{path}: {len(cached.rows)} cut rows, not the {want} of {n} chambers")
+    return cached
 
 
 def default_cache_dir() -> Path:

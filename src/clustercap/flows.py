@@ -74,21 +74,19 @@ def solve_parallelization_lp(x, g: ParallelGraph) -> tuple[ParallelizationPlan, 
     arr = _check_x(x, len(g.recipes))
     if not g.edges:
         return ParallelizationPlan(edge_time=()), 0.0
-    build = lp.LpBuilder("parallelization", lp.MAXIMIZE)
-    for k, (i, j) in enumerate(g.edges):
-        build.add_var(f"pair_{g.labels[i]}_{g.labels[j]}")
-    build.set_objective((k, 1.0) for k in range(len(g.edges)))
-    for r, incident in enumerate(g.incident):
-        if incident:
-            build.add_constraint(
-                f"avail_{g.labels[r]}", [(k, 1.0) for k in incident], lp.LE, arr[r]
-            )
-    sol = lp.solve(build.problem())
+    # recipe x edge incidence; recipes without an edge give no row.  As
+    # min -sum(xi) s.t. -rows @ xi >= -x, HiGHS gets the arrays an LpBuilder
+    # of the maximization with <= rows would hand it.
+    edges = len(g.edges)
+    rows = np.zeros((len(g.recipes), edges))
+    rows[np.array(g.edges).T, np.arange(edges)] = 1.0
+    used = rows.any(axis=1)
+    sol = lp.solve_geq_dense(-np.ones(edges), -rows[used], -arr[used], "parallelization")
     if sol.status != lp.OPTIMAL:
         raise lp.LpSolverError(f"parallelization LP ended {sol.status}")
     plan = ParallelizationPlan(edge_time=sol.x)
     check_plan_feasible(plan, arr, g)
-    return plan, sol.objective
+    return plan, -sol.objective
 
 
 def check_plan_feasible(plan: ParallelizationPlan, x, g: ParallelGraph, tol: float = 1e-8):

@@ -419,8 +419,8 @@ def solve_geq_dense(
     """Fast path for min c'x s.t. a_rows @ x >= rhs, x >= 0 (dense rows).
 
     Same HiGHS call and contract check as solve(), without the per-row
-    problem objects; used where thousands of uniformly shaped LPs are solved
-    in a loop.
+    problem objects; used where many small, uniformly shaped LPs are solved
+    in a loop, above all the pairing LP of `flows.solve_parallelization_lp`.
     """
     a_rows = np.asarray(a_rows, dtype=float)
     m, n = a_rows.shape

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -29,9 +31,13 @@ def matrices(cache_dir):
 
 
 @pytest.fixture(scope="session")
-def matrix5(cache_dir):
-    """The reduced five-chamber matrix; a few seconds to build cold."""
-    return build_cut_matrix(5, reduce=True, cache_dir=cache_dir)
+def cuts5(tmp_path_factory):
+    """The reduced five-chamber matrix from a fresh, timed pipeline run (empty
+    cache), and its build time in seconds; built once per session."""
+    cache = tmp_path_factory.mktemp("n5cache")
+    start = time.perf_counter()
+    matrix = build_cut_matrix(5, reduce=True, cache_dir=cache)
+    return matrix, time.perf_counter() - start
 
 
 def example1_instance() -> models.Instance:

@@ -2,8 +2,30 @@
 
 import numpy as np
 
-from clustercap.flows import FLOW_TOL, FlowSolution, _check_x
+from clustercap import lp
+from clustercap.flows import FLOW_TOL, FlowSolution, ParallelizationPlan, _check_x
 from clustercap.recipes import ParallelGraph
+
+
+def builder_pairing_lp(x, g: ParallelGraph) -> tuple[ParallelizationPlan, float]:
+    """`solve_parallelization_lp` built as a named LP: one pairing-time
+    variable per edge, maximize their sum, and one `<=` availability row per
+    recipe with an incident edge, through `LpBuilder` and `lp.solve`."""
+    arr = _check_x(x, len(g.recipes))
+    if not g.edges:
+        return ParallelizationPlan(edge_time=()), 0.0
+    build = lp.LpBuilder("parallelization", lp.MAXIMIZE)
+    for i, j in g.edges:
+        build.add_var(f"pair_{g.labels[i]}_{g.labels[j]}")
+    build.set_objective((k, 1.0) for k in range(len(g.edges)))
+    for r, incident in enumerate(g.incident):
+        if incident:
+            build.add_constraint(
+                f"avail_{g.labels[r]}", [(k, 1.0) for k in incident], lp.LE, arr[r]
+            )
+    sol = lp.solve(build.problem())
+    assert sol.status == lp.OPTIMAL, sol.status
+    return ParallelizationPlan(edge_time=sol.x), sol.objective
 
 
 def dense_maxflow(x, g: ParallelGraph) -> FlowSolution:

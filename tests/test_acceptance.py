@@ -7,10 +7,8 @@ expensive five-chamber reduction runs once per session and is reused.
 import time
 
 import numpy as np
-import pytest
 
 from clustercap import (
-    build_cut_matrix,
     build_parallel_graph,
     is_redundant_hull,
     is_redundant_lp,
@@ -41,16 +39,6 @@ def report(num, name, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {num} {name}: {status}{suffix}")
     assert ok, f"criterion {num} {name}: {detail}"
-
-
-@pytest.fixture(scope="session")
-def cuts5(tmp_path_factory):
-    """Fresh, timed five-chamber pipeline run (empty cache)."""
-    cache = tmp_path_factory.mktemp("n5cache")
-    start = time.perf_counter()
-    matrix = build_cut_matrix(5, reduce=True, cache_dir=cache)
-    elapsed = time.perf_counter() - start
-    return matrix, elapsed
 
 
 def test_criterion_1_cut_matrix_ground_truth(tmp_path):

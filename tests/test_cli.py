@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from clustercap import read_instance
+from clustercap import read_instance, read_matrix_csv
 from clustercap.cli import cli, run_bench, verify_instance
 from clustercap.errors import DomainError
 
@@ -102,13 +102,27 @@ class TestGenSolve:
         assert cli(["solve", "--model", "basic", str(path)]) == 1
         assert "jobs[0]" in capsys.readouterr().err
 
-    def test_cut_cache_without_rows_exits_1(self, env_cache, tmp_path, capsys):
-        cache = tmp_path / "rowless"
+    @pytest.mark.parametrize(
+        "keep, why",
+        [(1, "no cut rows"), (2, "1 cut rows, not the 5"), (None, "expected 7 cells")],
+        ids=["header-only", "one-row", "mid-row"],
+    )
+    def test_truncated_cut_cache_is_rebuilt(self, env_cache, tmp_path, capsys, keep, why):
+        """A cut cache cut short is rebuilt with a warning, never read as a
+        matrix with fewer rows (which gave rho 0.0 on this instance)."""
+        cache = tmp_path / "truncated"
         cache.mkdir()
-        (cache / "cuts_n3.csv").write_text("A,B,C,AB,AC,BC,ABC\n")
+        reference = Path(f"{DATA}/cuts_n3_reference.csv").read_text()
+        lines = reference.splitlines(keepends=True)
+        cut = "".join(lines[:keep]) if keep else reference[: len(lines[0]) + 5]
+        (cache / "cuts_n3.csv").write_text(cut)
         args = ["solve", "--model", "generalized", f"{DATA}/example1.json", "--cache", str(cache)]
-        assert cli(args) == 1
-        assert "cuts_n3.csv: no cut rows" in capsys.readouterr().err
+        with pytest.warns(UserWarning, match=f"cuts_n3.csv.*{why}"):
+            assert cli(args) == 0
+        assert json.loads(capsys.readouterr().out)["rho"] == pytest.approx(330.0, abs=1e-6)
+        assert sorted(cache.iterdir()) == [cache / "cuts_n3.csv"]
+        rebuilt = read_matrix_csv(cache / "cuts_n3.csv", reduced=True)
+        assert set(rebuilt.rows) == set(read_matrix_csv(f"{DATA}/cuts_n3_reference.csv", reduced=True).rows)
 
     def test_bad_model_is_usage_error(self, env_cache, tmp_path):
         inst = gen_instance(tmp_path)

@@ -208,6 +208,28 @@ def test_cache_roundtrip(tmp_path):
     assert not list(path.parent.glob("*.tmp"))
 
 
+@pytest.mark.parametrize(
+    "content, why",
+    [
+        (b"A,B,C,AB,AC,BC,ABC\n1,1,1,0.5,0.5,0.5,0\n", "1 cut rows, not the 5 of 3 chambers"),
+        (b"A,B,C,AB,AC,BC,ABC\n1,1,", "expected 7 cells"),
+        (b"A,B,AB\n1,0,1\n0,1,1\n", "for 2 chambers, not 3"),
+        (b"A,B,C\xff\n", "decode"),
+        (b"A,B,C,AB,AC,BC,ABC\n" + b"1" * 200_000, "field limit"),
+    ],
+    ids=["one-row", "mid-row", "other-n", "not-utf8", "huge-field"],
+)
+def test_bad_cache_file_is_rebuilt_with_a_warning(tmp_path, content, why):
+    path = cache_path(3, tmp_path)
+    path.write_bytes(content)
+    with pytest.warns(UserWarning, match=f"{re.escape(str(path))}.*{why}"):
+        rebuilt = build_cut_matrix(3, cache_dir=tmp_path)
+    fresh = build_cut_matrix(3, cache_dir=tmp_path / "fresh")
+    assert rebuilt == fresh
+    assert path.read_text() == render_matrix_csv(fresh)
+    assert sorted(tmp_path.iterdir()) == [path, tmp_path / "fresh"]
+
+
 def test_cache_env_var_override(tmp_path, monkeypatch):
     monkeypatch.setenv("CLUSTERCAP_CACHE", str(tmp_path / "envcache"))
     build_cut_matrix(2)

@@ -13,7 +13,7 @@ from clustercap import (
 from clustercap.errors import DomainError
 from clustercap.flows import FLOW_TOL, check_flow_feasible, check_plan_feasible
 from clustercap.recipes import ParallelGraph
-from flow_oracles import dense_maxflow
+from flow_oracles import builder_pairing_lp, dense_maxflow
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,18 @@ class TestParallelizationLp:
     def test_rejects_wrong_length(self, g3):
         with pytest.raises(DomainError, match="length"):
             solve_parallelization_lp(np.zeros(5), g3)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_same_as_the_builder_reference(self, n):
+        """The dense incidence rows hand HiGHS what the named builder LP
+        does: plan and objective equal, bit for bit."""
+        g = build_parallel_graph(n)
+        m = len(g.recipes)
+        rng = np.random.default_rng(800 + n)
+        for _ in range(40):
+            x = rng.uniform(0.0, 10.0, m) * (rng.random(m) < 0.7)
+            assert solve_parallelization_lp(x, g) == builder_pairing_lp(x, g)
 
 
 class TestMaxflow:

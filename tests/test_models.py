@@ -439,11 +439,11 @@ class TestRowGeneration:
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 5))
     @settings(max_examples=24)
-    def test_fuzz_matches_the_full_lp_and_the_alternative(self, seed, n, matrices, matrix5):
+    def test_fuzz_matches_the_full_lp_and_the_alternative(self, seed, n, matrices, cuts5):
         # random_instance locks about a fifth of each pair's chambers and,
         # with overrides=True, pins a recipe rate on about half the pairs
         inst = random_instance(np.random.default_rng(seed), n, overrides=True)
-        matrix = matrix5 if n == 5 else matrices[n]
+        matrix = cuts5[0] if n == 5 else matrices[n]
         gen = solve_capacity(inst, "generalized", matrix=matrix)
         full = lp.solve(build_generalized(inst, matrix).problem)
         alt = solve_capacity(inst, "alternative")
