@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -90,15 +91,27 @@ def reduce(repeats):
     Stages: enumerate (minimal covers), collapse (distinct weight rows),
     prefilter (pair test), certify (direction certificates) and lps
     (separation LPs on the rest).  Counts: covers, raw rows, rows dropped,
-    certified, LPs run and rows kept.  Stage times are medians in s.  Fails
-    if the kept rows differ from the checked-in five-chamber matrix.
+    certified, LPs run and rows kept; `lp_iterations` sums the HiGHS
+    iterations of the LPs.  Stage times are medians in s.  Fails if the kept
+    rows differ from the checked-in five-chamber matrix.
     """
-    from clustercap import cuts, redundancy
+    from clustercap import cuts, lp, redundancy
 
+    # `lp._run` is the one place HiGHS solves: sum the iterations of stage 3
+    iterations = [0]
+    run_highs = lp._run
+
+    def counted_run(handle):
+        answer = run_highs(handle)
+        iterations[0] += answer.iterations
+        return answer
+
+    lp._run = counted_run
     reference = set(cuts.read_matrix_csv(N5_COPY, reduced=True).coeff_rows())
     stages = ("enumerate", "collapse", "prefilter", "certify", "lps")
     runs = []
     for _ in range(repeats):
+        iterations[0] = 0
         secs = {}
         t = time.perf_counter()
         g = cuts.build_parallel_graph(5)
@@ -132,6 +145,7 @@ def reduce(repeats):
         "reduce_s": round(sum(stage_s[k] for k in stages[2:]), 4),
         "total_s": round(sum(stage_s.values()), 4),
         "counts": counts,
+        "lp_iterations": iterations[0],
         "matches_reference": True,
     }
 
@@ -238,6 +252,19 @@ def cpu_model() -> str:
     return next((ln.split(":", 1)[1].strip() for ln in lines if ln.startswith("model name")), "")
 
 
+def tree_label(src) -> str:
+    """The commit holding `src`, by `git describe`, with `-dirty` when a
+    tracked file other than a BENCH_*.json file at the root differs from it:
+    the file an earlier run of this script rewrote does not count."""
+
+    def git(*words):
+        return subprocess.run(["git", "-C", src, *words], capture_output=True, text=True).stdout
+
+    changed = git("diff", "--name-only", "HEAD").splitlines()
+    dirty = any(not re.fullmatch(r"BENCH_[^/]*\.json", path) for path in changed)
+    return git("describe", "--always").strip() + ("-dirty" if dirty else "")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("layer", choices=LAYERS)
@@ -250,13 +277,8 @@ def main():
     sys.path.insert(0, str(Path(args.src).resolve()))
     import scipy
 
-    tree = subprocess.run(
-        ["git", "-C", args.src, "describe", "--always", "--dirty"],
-        capture_output=True,
-        text=True,
-    ).stdout.strip()
     layer = LAYERS[args.layer]
-    entry = {"tree": tree, "repeats": args.repeats, **layer(args.repeats)}
+    entry = {"tree": tree_label(args.src), "repeats": args.repeats, **layer(args.repeats)}
     out = Path(args.out or ROOT / f"BENCH_{args.layer}.json")
     doc = json.loads(out.read_text()) if out.is_file() else {}
     doc["what"] = layer.__doc__.split("\n")[0]

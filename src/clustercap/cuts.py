@@ -213,8 +213,9 @@ def build_cut_matrix(
     Reduced matrices are cached as CSV under the cache directory (overridable
     via the CLUSTERCAP_CACHE environment variable); raw matrices are always
     recomputed.  A cached file that cannot be the reduced matrix for n (it
-    fails to parse, is for another n, or has the wrong row count) is rebuilt
-    with a warning naming it.
+    fails to parse, is for another n, has the wrong row count, or holds rows
+    that repeat, are out of order or are no cut rows) is rebuilt with a
+    warning naming it.
     """
     if reduce:
         path = cache_path(n, cache_dir)
@@ -246,6 +247,19 @@ def _read_cached(path: Path, n: int) -> CutMatrix:
     want = REDUCED_ROW_COUNTS.get(n, len(cached.rows))
     if len(cached.rows) != want:
         raise DomainError(f"{path}: {len(cached.rows)} cut rows, not the {want} of {n} chambers")
+    coeffs = cached.coeff_rows()
+    if len(set(coeffs)) != len(coeffs):
+        raise DomainError(f"{path}: the cut rows are not distinct")
+    if list(coeffs) != sorted(coeffs):
+        raise DomainError(f"{path}: the cut rows are not in matrix order")
+    # the weights of every cut row of n chambers sum to 2^(n-1) - 1
+    sums = np.array(cached.rows).sum(axis=1)
+    bad = np.flatnonzero(sums != 2 ** (n - 1) - 1)
+    if bad.size:
+        k = bad[0]
+        raise DomainError(
+            f"{path}:{k + 2}: weights sum to {sums[k]:g}, not the {2 ** (n - 1) - 1} of a cut row"
+        )
     return cached
 
 

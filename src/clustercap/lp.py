@@ -261,7 +261,17 @@ def _assemble(p: LpProblem) -> _Form:
     )
 
 
-SIMPLEX, IPM = "simplex", "ipm"  # HiGHS's solver option; IPM ends in crossover
+SIMPLEX, IPM, DEVEX = "simplex", "ipm", "devex"
+
+# each method's HiGHS options: dual simplex, IPM ending in crossover, and dual
+# simplex pricing by devex weights in place of steepest edge; on the 204
+# five-chamber separation LPs that one edited model re-solves in turn, devex
+# took 0.47 s and steepest edge 0.65 s
+_METHODS = {
+    SIMPLEX: {"solver": "simplex"},
+    IPM: {"solver": "ipm"},
+    DEVEX: {"solver": "simplex", "simplex_dual_edge_weight_strategy": 1},
+}
 
 # what linprog(method="highs") set, so answers stay what they were under it
 _OPTIONS = {
@@ -311,13 +321,15 @@ class Handle:
     It starts with `rows` (all rows by default) and takes more through
     `add_rows`; every `run` starts from the basis the last one ended on.
     `run` answers for the rows held, and `certify` holds an answer to every
-    bound and row of the LP.  `method` is SIMPLEX or IPM.
+    bound and row of the LP.  `method` is SIMPLEX, IPM or DEVEX.
     """
 
     def __init__(self, form: _Form, rows=None, method: str = SIMPLEX):
         self.form = form
         self.highs = _highspy._Highs()
-        for key, value in (*_OPTIONS.items(), ("solver", method)):
+        if method not in _METHODS:
+            raise DomainError(f"LP method {method!r}")
+        for key, value in {**_OPTIONS, **_METHODS[method]}.items():
             if self.highs.setOptionValue(key, value) != _highspy.HighsStatus.kOk:
                 raise DomainError(f"HiGHS option {key}={value!r}")
         m, n = form.a.shape
@@ -352,6 +364,43 @@ class Handle:
         if status == _highspy.HighsStatus.kError:
             raise LpSolverError(f"{self.form.name}: HiGHS refused {len(rows)} added rows")
         self.rows = np.concatenate((self.rows, rows))
+
+    def _held_at(self, row: int) -> int:
+        """Where HiGHS holds row `row` of the LP."""
+        at = np.flatnonzero(self.rows == row)
+        if not at.size:
+            raise DomainError(f"{self.form.name}: row {self.form.row_name(row)} is not held")
+        return int(at[0])
+
+    def set_rhs(self, row: int, rhs: float):
+        """Give row `row` of the LP the right-hand side `rhs`, in the row's own
+        sense: a >= row with rhs -inf holds at every x.  Changes `form` in
+        place, so that `certify` checks the LP HiGHS holds."""
+        f = self.form
+        if f.eq[row] and not np.isfinite(rhs):
+            raise DomainError(f"{f.name}: equality row {f.row_name(row)} needs a finite rhs")
+        f.rhs[row] = f.sign[row] * rhs
+        (lower,), (upper,) = self._row_bounds([row])
+        status = self.highs.changeRowBounds(self._held_at(row), lower, upper)
+        if status != _highspy.HighsStatus.kOk:
+            raise LpSolverError(f"{f.name}: HiGHS refused the rhs of row {f.row_name(row)}")
+
+    def set_coeffs(self, row: int, values):
+        """Write `values` over the stored entries of row `row` of the LP, in
+        the order they are stored; the row keeps its columns, and only the
+        entries that change go to HiGHS.  Changes `form` in place, as
+        `set_rhs` does."""
+        f = self.form
+        start, end = f.a.indptr[row], f.a.indptr[row + 1]
+        values = f.sign[row] * np.asarray(values, dtype=float)
+        if values.shape != (end - start,):
+            raise DomainError(f"{f.name}: row {f.row_name(row)} stores {end - start} entries")
+        new = np.flatnonzero(values != f.a.data[start:end])
+        f.a.data[start:end] = values
+        at = self._held_at(row)
+        for j, v in zip(f.a.indices[start:end][new].tolist(), values[new].tolist()):
+            if self.highs.changeCoeff(at, j, v) != _highspy.HighsStatus.kOk:
+                raise LpSolverError(f"{f.name}: HiGHS refused an entry of row {f.row_name(row)}")
 
     def run(self) -> LpSolution:
         """Solve the rows held.  Solver breakdown raises LpSolverError instead

@@ -33,7 +33,14 @@ rows, each by a proof rather than a guess:
    from a fixed-seed generator; every score is a multiple of 1/2 below
    2^16, so the float sums are exact and a tie is a real tie.
 3. Separation LPs.  The survivors without a certificate are tested one by
-   one, in lexicographic order, against the rows still alive.
+   one, in lexicographic order, against the rows still alive.  All the LPs
+   run on one HiGHS model, built once over the rows alive after stage 1 and
+   kept warm: a free column s stands in for b'x, each row a_k gives
+   s - a_k'x >= 1, and one equality row s - b'x = 0 stores every entry.
+   Testing b = a_i frees a_i's own row, writes -a_i into the equality row
+   and re-solves from the last basis.  Infeasible drops a_i, whose row stays
+   free; Optimal keeps it, once its x passes the same witness check as
+   `is_redundant_lp`, and restores its row.
 
 Any other input goes through stage 3 alone.
 """
@@ -271,19 +278,59 @@ def direction_certified(rows) -> np.ndarray:
     return out
 
 
+def _separation_model(members: np.ndarray) -> lp.Handle:
+    """Stage 3's HiGHS model: min 1'x over x >= 0 and a free s, row k
+    reading s - members[k]'x >= 1 and the last row s - b'x = 0, which
+    stores every x_j and s so that any b can be written into it."""
+    m, d = members.shape
+    build = lp.LpBuilder("redundancy_separation")
+    for j in range(d):
+        build.add_var(f"x{j}")
+    s = build.add_var("s", lower=-np.inf)
+    build.set_objective((j, 1.0) for j in range(d))
+    cols = np.tile(np.arange(d + 1), m)  # each row stores x_0 .. x_{d-1}, then s
+    vals = np.hstack((-members, np.ones((m, 1)))).ravel()
+    build.add_rows([f"sep{k}" for k in range(m)], np.full(m, d + 1), cols, vals, lp.GE, 1.0)
+    build.add_constraint("b", [(j, 0.0) for j in range(d)] + [(s, 1.0)], lp.EQ, 0.0)
+    return lp.Handle.of(build.problem(), method=lp.DEVEX)
+
+
 def separate_remaining(rows, alive: np.ndarray, settled: np.ndarray) -> int:
     """Stage 3: one pass of separation LPs, in order, over the rows alive
     and not settled; each is tested against the other rows still alive and
     cleared from `alive` (in place) when redundant.  Returns the LP count.
+
+    All the LPs run on one warm model of the rows alive on entry: testing
+    row i frees its own row, writes -rows[i] into the row that fixes s, and
+    re-solves from the last basis.  A row found redundant stays free.
     """
     arr = np.asarray(rows, dtype=float)
-    idx = np.arange(len(arr))
+    members = np.flatnonzero(alive)
+    todo = np.flatnonzero(alive & ~settled)
+    if len(members) < 2 or not todo.size:
+        return 0
+    if np.any(arr[members] < 0):
+        raise DomainError("redundancy tests are defined for nonnegative vectors")
+    handle = _separation_model(arr[members])
+    fix_s = len(members)
     solved = 0
-    for i in np.flatnonzero(alive & ~settled):
-        others = arr[alive & (idx != i)]
-        if others.shape[0]:
-            solved += 1
-            alive[i] = not is_redundant_lp(arr[i], others).redundant
+    for i in todo:
+        others = alive.copy()
+        others[i] = False
+        if not others.any():
+            continue
+        own = np.searchsorted(members, i)
+        handle.set_rhs(own, -np.inf)
+        handle.set_coeffs(fix_s, np.append(-arr[i], 1.0))
+        sol = handle.run()
+        solved += 1
+        if sol.status == lp.INFEASIBLE:
+            alive[i] = False
+            continue
+        if sol.status != lp.OPTIMAL:
+            raise LpSolverError(f"separation LP unexpectedly {sol.status}")
+        _check_direction(arr[i], arr[others], np.asarray(sol.x[:-1]))
+        handle.set_rhs(own, 1.0)
     return solved
 
 

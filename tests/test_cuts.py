@@ -1,5 +1,6 @@
 import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from clustercap import (
     render_matrix_csv,
     write_matrix_csv,
 )
-from clustercap.cuts import cache_path
+from clustercap.cuts import _read_cached, cache_path
 from clustercap.errors import DomainError, EnumerationBudgetError
 
 from conftest import DATA
@@ -228,6 +229,46 @@ def test_bad_cache_file_is_rebuilt_with_a_warning(tmp_path, content, why):
     assert rebuilt == fresh
     assert path.read_text() == render_matrix_csv(fresh)
     assert sorted(tmp_path.iterdir()) == [path, tmp_path / "fresh"]
+
+
+N3_ROWS = (  # the five reduced three-chamber rows, as the cache stores them
+    "0,0,0,1,1,1,1",
+    "0,0,1,0,1,1,1",
+    "0,1,0,1,0,1,1",
+    "0.5,0.5,0.5,0.5,0.5,0.5,1",
+    "1,0,0,1,1,0,1",
+)
+
+
+@pytest.mark.parametrize(
+    "rows, why",
+    [
+        (N3_ROWS[:4] + ("1,0,0,1,1,0,0",), ":6: weights sum to 4, not the 3 of a cut row"),
+        (N3_ROWS[:2] + N3_ROWS[1:4], "not distinct"),
+        ((N3_ROWS[1], N3_ROWS[0]) + N3_ROWS[2:], "not in matrix order"),
+    ],
+    ids=["flipped-entry", "repeated-row", "swapped-rows"],
+)
+def test_cache_file_with_wrong_rows_is_rebuilt_with_a_warning(tmp_path, rows, why):
+    path = cache_path(3, tmp_path)
+    path.write_text("\n".join(("A,B,C,AB,AC,BC,ABC",) + rows) + "\n")
+    with pytest.warns(UserWarning, match=f"{re.escape(str(path))}.*{why}"):
+        rebuilt = build_cut_matrix(3, cache_dir=tmp_path)
+    fresh = build_cut_matrix(3, cache_dir=tmp_path / "fresh")
+    assert rebuilt == fresh
+    assert path.read_bytes() == cache_path(3, tmp_path / "fresh").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "n, path",
+    [
+        (3, f"{DATA}/cuts_n3_reference.csv"),
+        (4, f"{DATA}/cuts_n4_reference.csv"),
+        (5, f"{DATA}/../../perfbench/data/cuts_n5.csv"),
+    ],
+)
+def test_reference_matrices_pass_the_cache_check(n, path):
+    assert _read_cached(Path(path), n) == read_matrix_csv(path, reduced=True)
 
 
 def test_cache_env_var_override(tmp_path, monkeypatch):

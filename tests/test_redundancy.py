@@ -13,8 +13,8 @@ from clustercap import (
     lp,
     reduce_to_minimal,
 )
-from clustercap.errors import DomainError
-from clustercap.redundancy import direction_certified, pair_dominated
+from clustercap.errors import DomainError, LpSolverError
+from clustercap.redundancy import direction_certified, pair_dominated, separate_remaining
 from redundancy_oracles import lp_problem_for, one_pass_lp_reduction
 
 # three known minimal cuts for three chambers over columns (A, B, C, AB, AC, BC)
@@ -275,3 +275,59 @@ class TestStagedReduction:
         assert direction_certified(survivors).all()
         for i in range(len(survivors) if len(survivors) > 1 else 0):
             assert not is_redundant_lp(survivors[i], others(survivors, i)).redundant
+
+
+class TestWarmSeparation:
+    """Stage 3's one warm model against the cold LPs of the slow oracle."""
+
+    @pytest.mark.parametrize("side", ["coefficients", "weights"])
+    def test_matches_one_pass_lp_reduction_on_raw_four_chamber_rows(self, side):
+        arr = distinct(cut_rows(4, side))
+        alive = np.ones(len(arr), dtype=bool)
+        assert separate_remaining(arr, alive, np.zeros(len(arr), dtype=bool)) == 80
+        assert 0 < alive.sum() < 80  # the verdicts mix
+        assert list(map(tuple, arr[alive])) == one_pass_lp_reduction(arr)
+
+    @pytest.mark.parametrize(
+        "status, why",
+        [("Time limit reached", "solver failure: Time limit reached"), (lp.UNBOUNDED, "Unbounded")],
+    )
+    def test_breakdown_mid_pass_raises_and_marks_no_row_redundant(
+        self, monkeypatch, status, why
+    ):
+        arr = distinct(cut_rows(4, "coefficients"))
+        done = np.ones(len(arr), dtype=bool)
+        separate_remaining(arr, done, np.zeros(len(arr), dtype=bool))
+        real, runs = lp._run, []
+
+        def breaks_at_the_41st_run(handle):
+            runs.append(handle)
+            if len(runs) == 41:
+                return lp._Answer(status, None, None, None, 0)
+            return real(handle)
+
+        monkeypatch.setattr(lp, "_run", breaks_at_the_41st_run)
+        alive = np.ones(len(arr), dtype=bool)
+        with pytest.raises(LpSolverError, match=why):
+            separate_remaining(arr, alive, np.zeros(len(arr), dtype=bool))
+        # every row is tested here, so the 41st LP is row 40's
+        assert not done[:40].all()  # rows were dropped before the breakdown
+        assert alive.tolist() == done[:40].tolist() + [True] * (len(arr) - 40)
+
+    @pytest.mark.parametrize(
+        "x, why", [(0.0, "does not separate"), (-1.0, "has negative entries")]
+    )
+    def test_a_direction_that_does_not_separate_raises(self, monkeypatch, x, why):
+        def optimal_at_x(handle):
+            point = np.full(len(handle.form.c), x)
+            return lp._Answer(lp.OPTIMAL, point, 0.0, np.zeros(len(handle.rows)), 0)
+
+        monkeypatch.setattr(lp, "_run", optimal_at_x)
+        alive = np.ones(3, dtype=bool)
+        with pytest.raises(LpSolverError, match=f"separating direction {why}"):
+            separate_remaining([CUT_1, CUT_2, CUT_3], alive, np.zeros(3, dtype=bool))
+        assert alive.all()
+
+    def test_negative_entries_rejected(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            reduce_to_minimal([(1.0, -0.5), (0.0, 1.0)])
