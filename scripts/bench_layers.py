@@ -40,6 +40,29 @@ def timed(fn, *args):
     return out, time.perf_counter() - t
 
 
+def watch_highs() -> dict:
+    """Wrap `lp._run`, the one place HiGHS solves, to sum the time ("s") and
+    iterations of its runs and record the rows held at each ("rows"); the
+    returned dict holds the sums, which the caller resets."""
+    from clustercap import lp
+
+    highs = {"s": 0.0, "iterations": 0, "rows": []}
+    run_highs = lp._run
+
+    def watched_run(handle):
+        t = time.perf_counter()
+        try:
+            answer = run_highs(handle)
+        finally:
+            highs["s"] += time.perf_counter() - t
+            highs["rows"].append(len(handle.rows))
+        highs["iterations"] += answer.iterations
+        return answer
+
+    lp._run = watched_run
+    return highs
+
+
 def oracles(repeats):
     """Time one call of each pairing oracle at three to five chambers; write BENCH_oracles.json.
 
@@ -95,23 +118,14 @@ def reduce(repeats):
     iterations of the LPs.  Stage times are medians in s.  Fails if the kept
     rows differ from the checked-in five-chamber matrix.
     """
-    from clustercap import cuts, lp, redundancy
+    from clustercap import cuts, redundancy
 
-    # `lp._run` is the one place HiGHS solves: sum the iterations of stage 3
-    iterations = [0]
-    run_highs = lp._run
-
-    def counted_run(handle):
-        answer = run_highs(handle)
-        iterations[0] += answer.iterations
-        return answer
-
-    lp._run = counted_run
+    highs = watch_highs()
     reference = set(cuts.read_matrix_csv(N5_COPY, reduced=True).coeff_rows())
     stages = ("enumerate", "collapse", "prefilter", "certify", "lps")
     runs = []
     for _ in range(repeats):
-        iterations[0] = 0
+        highs["iterations"] = 0
         secs = {}
         t = time.perf_counter()
         g = cuts.build_parallel_graph(5)
@@ -145,7 +159,7 @@ def reduce(repeats):
         "reduce_s": round(sum(stage_s[k] for k in stages[2:]), 4),
         "total_s": round(sum(stage_s.values()), 4),
         "counts": counts,
-        "lp_iterations": iterations[0],
+        "lp_iterations": highs["iterations"],
         "matches_reference": True,
     }
 
@@ -181,20 +195,7 @@ def solve(repeats):
         "verify_s0_1:1_L3": (0, "1:1", 3),
         "verify_s1_1:4_L3": (1, "1:4", 3),
     }
-    # `lp._run` is the one place HiGHS solves: sum its time and record the
-    # rows held at each run
-    highs = {"s": 0.0, "rows": []}
-    run_highs = lp._run
-
-    def clocked_run(handle):
-        t = time.perf_counter()
-        try:
-            return run_highs(handle)
-        finally:
-            highs["s"] += time.perf_counter() - t
-            highs["rows"].append(len(handle.rows))
-
-    lp._run = clocked_run
+    highs = watch_highs()
 
     def single(kind, method):
         def run(inst, matrix):

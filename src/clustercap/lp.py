@@ -2,7 +2,8 @@
 
 The solver is HiGHS, through the binding that ships inside scipy
 (`scipy.optimize._highspy`).  A `Handle` keeps one HiGHS model of an LP that
-can take added rows and re-solve from its last basis; `solve` and
+can take added rows, a row's new right-hand side or new values for a row's
+entries, and re-solve from its last basis; `solve` and
 `solve_geq_dense` are one run on all rows.  Every answer is held to a fixed
 numerical contract: optimal solutions violate no constraint or bound by more than the
 feasibility tolerance, and infeasibility is a solver-certified status, never a

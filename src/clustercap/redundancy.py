@@ -38,9 +38,9 @@ rows, each by a proof rather than a guess:
    kept warm: a free column s stands in for b'x, each row a_k gives
    s - a_k'x >= 1, and one equality row s - b'x = 0 stores every entry.
    Testing b = a_i frees a_i's own row, writes -a_i into the equality row
-   and re-solves from the last basis.  Infeasible drops a_i, whose row stays
-   free; Optimal keeps it, once its x passes the same witness check as
-   `is_redundant_lp`, and restores its row.
+   and re-solves from the last basis (dual simplex, devex pricing).
+   Infeasible drops a_i, whose row stays free; Optimal keeps it, once its x
+   passes the same witness check as `is_redundant_lp`, and restores its row.
 
 Any other input goes through stage 3 alone.
 """

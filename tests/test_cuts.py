@@ -231,13 +231,9 @@ def test_bad_cache_file_is_rebuilt_with_a_warning(tmp_path, content, why):
     assert sorted(tmp_path.iterdir()) == [path, tmp_path / "fresh"]
 
 
-N3_ROWS = (  # the five reduced three-chamber rows, as the cache stores them
-    "0,0,0,1,1,1,1",
-    "0,0,1,0,1,1,1",
-    "0,1,0,1,0,1,1",
-    "0.5,0.5,0.5,0.5,0.5,0.5,1",
-    "1,0,0,1,1,0,1",
-)
+# the header and the five reduced three-chamber rows, as the cache stores them
+N3_LINES = tuple(Path(DATA, "cuts_n3_reference.csv").read_text().splitlines())
+N3_HEADER, N3_ROWS = N3_LINES[0], N3_LINES[1:]
 
 
 @pytest.mark.parametrize(
@@ -251,7 +247,7 @@ N3_ROWS = (  # the five reduced three-chamber rows, as the cache stores them
 )
 def test_cache_file_with_wrong_rows_is_rebuilt_with_a_warning(tmp_path, rows, why):
     path = cache_path(3, tmp_path)
-    path.write_text("\n".join(("A,B,C,AB,AC,BC,ABC",) + rows) + "\n")
+    path.write_text("\n".join((N3_HEADER,) + rows) + "\n")
     with pytest.warns(UserWarning, match=f"{re.escape(str(path))}.*{why}"):
         rebuilt = build_cut_matrix(3, cache_dir=tmp_path)
     fresh = build_cut_matrix(3, cache_dir=tmp_path / "fresh")
@@ -259,16 +255,12 @@ def test_cache_file_with_wrong_rows_is_rebuilt_with_a_warning(tmp_path, rows, wh
     assert path.read_bytes() == cache_path(3, tmp_path / "fresh").read_bytes()
 
 
-@pytest.mark.parametrize(
-    "n, path",
-    [
-        (3, f"{DATA}/cuts_n3_reference.csv"),
-        (4, f"{DATA}/cuts_n4_reference.csv"),
-        (5, f"{DATA}/../../perfbench/data/cuts_n5.csv"),
-    ],
-)
-def test_reference_matrices_pass_the_cache_check(n, path):
-    assert _read_cached(Path(path), n) == read_matrix_csv(path, reduced=True)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_reference_matrices_pass_the_cache_check(n):
+    path = Path(DATA) / f"cuts_n{n}_reference.csv"
+    if n == 5:
+        path = Path(DATA).parents[1] / "perfbench" / "data" / "cuts_n5.csv"
+    assert _read_cached(path, n) == read_matrix_csv(path, reduced=True)
 
 
 def test_cache_env_var_override(tmp_path, monkeypatch):

@@ -291,6 +291,7 @@ class TestWarmSeparation:
     @pytest.mark.parametrize(
         "status, why",
         [("Time limit reached", "solver failure: Time limit reached"), (lp.UNBOUNDED, "Unbounded")],
+        ids=["time-limit", "unbounded"],
     )
     def test_breakdown_mid_pass_raises_and_marks_no_row_redundant(
         self, monkeypatch, status, why
@@ -314,9 +315,7 @@ class TestWarmSeparation:
         assert not done[:40].all()  # rows were dropped before the breakdown
         assert alive.tolist() == done[:40].tolist() + [True] * (len(arr) - 40)
 
-    @pytest.mark.parametrize(
-        "x, why", [(0.0, "does not separate"), (-1.0, "has negative entries")]
-    )
+    @pytest.mark.parametrize("x, why", [(0.0, "does not separate"), (-1.0, "has negative entries")])
     def test_a_direction_that_does_not_separate_raises(self, monkeypatch, x, why):
         def optimal_at_x(handle):
             point = np.full(len(handle.form.c), x)
