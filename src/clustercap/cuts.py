@@ -11,6 +11,7 @@ the complementary rows (1 - weight).
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import os
 import tempfile
@@ -29,8 +30,15 @@ DEFAULT_NODE_BUDGET = 10**7
 
 CACHE_ENV_VAR = "CLUSTERCAP_CACHE"
 
-# rows of the reduced matrix per chamber count, which a cached file must hold
-REDUCED_ROW_COUNTS = {1: 1, 2: 2, 3: 5, 4: 23, 5: 590}
+# SHA-256 of render_matrix_csv of the reduced matrix per chamber count (1, 2,
+# 5, 23, 590 rows); n = 6 exceeds DEFAULT_NODE_BUDGET, so there are no others
+REDUCED_SHA256 = {
+    1: "8ebbd9fe688c1e5442da8aaf95b3ebd6d850c60f8ef42a69a3a4b82f4df064e6",
+    2: "fd580b13d0ec4c5a918d4fc42d160b46c4f488370b095f37589b7caebc994449",
+    3: "057c743d2fd9e659f1a070592739ad8d4f8802f4dbbb27fe05c81c17886cc432",
+    4: "f9c366b31d8a76b0ef1f4dda1f3e6127b919e024b53a2a6364993e8c84ac0098",
+    5: "8b66427687158979fe1ec5cbcd484ff04f712c5810372504ae3bf919fe39682b",
+}
 
 
 @dataclass(frozen=True)
@@ -78,13 +86,24 @@ class CutMatrix:
 
     Rows are sorted lexicographically by the complementary (1 - weight)
     entries, which is also the on-disk and CLI ordering.  Entries are exact
-    dyadic rationals stored as floats (0.0, 0.5, 1.0).
+    dyadic rationals stored as floats (0.0, 0.5, 1.0).  reduced=True is
+    checked: DomainError unless the CSV hashes to REDUCED_SHA256[n].
     """
 
     n: int
     labels: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
     reduced: bool
+
+    def __post_init__(self):
+        if not self.reduced:
+            return
+        try:
+            digest = hashlib.sha256(render_matrix_csv(self).encode()).hexdigest()
+        except KeyError:  # an entry other than 0, 1/2 or 1
+            digest = "unrenderable"
+        if digest != REDUCED_SHA256.get(self.n):
+            raise DomainError(f"not the reduced cut matrix of {self.n} chambers: SHA-256 mismatch")
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -104,11 +123,8 @@ class CutMatrix:
 
 
 def double_graph(g: ParallelGraph) -> DoubledGraph:
-    arcs = []
-    for i, j in g.edges:
-        arcs.append((i, j))
-        arcs.append((j, i))
-    return DoubledGraph(graph=g, arcs=tuple(arcs))
+    arcs = tuple(arc for i, j in g.edges for arc in ((i, j), (j, i)))
+    return DoubledGraph(graph=g, arcs=arcs)
 
 
 def enumerate_minimal_cuts(
@@ -212,16 +228,20 @@ def build_cut_matrix(
     graph -> doubled graph -> minimal covers -> weight rows -> (reduction).
     Reduced matrices are cached as CSV under the cache directory (overridable
     via the CLUSTERCAP_CACHE environment variable); raw matrices are always
-    recomputed.  A cached file that cannot be the reduced matrix for n (it
-    fails to parse, is for another n, has the wrong row count, or holds rows
-    that repeat, are out of order or are no cut rows) is rebuilt with a
-    warning naming it.
+    recomputed.  A cached file is used only when it hashes to the pin of n;
+    anything else is rebuilt with a warning naming it.  reduce=True with no
+    pin for n (past 5) raises DomainError at once, before any enumeration.
     """
     if reduce:
+        if n not in REDUCED_SHA256:
+            raise DomainError(f"no reduced cut matrix for {n} chambers, only for 1..5")
         path = cache_path(n, cache_dir)
         if path.is_file():
             try:
-                return _read_cached(path, n)
+                cached = read_matrix_csv(path, reduced=True)
+                if cached.n == n:
+                    return cached
+                raise DomainError(f"{path}: holds the matrix for {cached.n} chambers, not {n}")
             except DomainError as exc:
                 warnings.warn(f"rebuilding the cut cache: {exc}", stacklevel=2)
     g = build_parallel_graph(n)
@@ -229,38 +249,9 @@ def build_cut_matrix(
     if not reduce:
         return raw
     reduced = _reduce(raw)
-    path = cache_path(n, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(path, render_matrix_csv(reduced))
     return reduced
-
-
-def _read_cached(path: Path, n: int) -> CutMatrix:
-    """The reduced matrix for n chambers cached at `path`; DomainError, with
-    the path, if the file cannot be it."""
-    try:
-        cached = read_matrix_csv(path, reduced=True)
-    except (ValueError, csv.Error) as exc:  # undecodable bytes, a field past the size limit
-        raise DomainError(f"{path}: {exc}") from exc
-    if cached.n != n:
-        raise DomainError(f"{path}: holds the matrix for {cached.n} chambers, not {n}")
-    want = REDUCED_ROW_COUNTS.get(n, len(cached.rows))
-    if len(cached.rows) != want:
-        raise DomainError(f"{path}: {len(cached.rows)} cut rows, not the {want} of {n} chambers")
-    coeffs = cached.coeff_rows()
-    if len(set(coeffs)) != len(coeffs):
-        raise DomainError(f"{path}: the cut rows are not distinct")
-    if list(coeffs) != sorted(coeffs):
-        raise DomainError(f"{path}: the cut rows are not in matrix order")
-    # the weights of every cut row of n chambers sum to 2^(n-1) - 1
-    sums = np.array(cached.rows).sum(axis=1)
-    bad = np.flatnonzero(sums != 2 ** (n - 1) - 1)
-    if bad.size:
-        k = bad[0]
-        raise DomainError(
-            f"{path}:{k + 2}: weights sum to {sums[k]:g}, not the {2 ** (n - 1) - 1} of a cut row"
-        )
-    return cached
 
 
 def default_cache_dir() -> Path:
@@ -305,26 +296,35 @@ def write_matrix_csv(matrix: CutMatrix, path: str | os.PathLike):
 
 
 def read_matrix_csv(path: str | os.PathLike, reduced: bool) -> CutMatrix:
-    """Parse a matrix CSV back into weight rows; validates half-integrality."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            labels = tuple(next(reader))
-        except StopIteration:
-            raise DomainError(f"{path}: empty cut matrix file") from None
-        n = max((len(lbl) for lbl in labels), default=0)
-        if not 1 <= n <= MAX_CHAMBERS or labels != build_parallel_graph(n).labels:
-            raise DomainError(f"{path}: header is not the canonical recipe list for {n} chambers")
-        rows = []
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(labels):
-                raise DomainError(f"{path}:{lineno}: expected {len(labels)} cells")
-            row = []
-            for cell in cells:
-                if cell not in ("0", "0.5", "1"):
-                    raise DomainError(f"{path}:{lineno}: bad entry {cell!r}")
-                row.append(1.0 - float(cell))
-            rows.append(tuple(row))
+    """Parse a matrix CSV back into weight rows; validates half-integrality
+    and, with reduced=True, the pin (see CutMatrix).  Errors name the file."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                labels = tuple(next(reader))
+            except StopIteration:
+                raise DomainError(f"{path}: empty cut matrix file") from None
+            n = max((len(lbl) for lbl in labels), default=0)
+            if not 1 <= n <= MAX_CHAMBERS or labels != build_parallel_graph(n).labels:
+                raise DomainError(
+                    f"{path}: header is not the canonical recipe list for {n} chambers"
+                )
+            rows = []
+            for lineno, cells in enumerate(reader, start=2):
+                if len(cells) != len(labels):
+                    raise DomainError(f"{path}:{lineno}: expected {len(labels)} cells")
+                row = []
+                for cell in cells:
+                    if cell not in ("0", "0.5", "1"):
+                        raise DomainError(f"{path}:{lineno}: bad entry {cell!r}")
+                    row.append(1.0 - float(cell))
+                rows.append(tuple(row))
+    except (ValueError, csv.Error) as exc:  # undecodable bytes, a field past the size limit
+        raise DomainError(f"{path}: {exc}") from exc
     if not rows:
         raise DomainError(f"{path}: no cut rows below the header")
-    return CutMatrix(n=n, labels=labels, rows=tuple(rows), reduced=reduced)
+    try:
+        return CutMatrix(n=n, labels=labels, rows=tuple(rows), reduced=reduced)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None

@@ -181,41 +181,6 @@ def solve_maxflow(x, g: ParallelGraph) -> FlowSolution:
     )
 
 
-def check_flow_feasible(f: FlowSolution, x, g: ParallelGraph, tol: float = 1e-8):
-    """Conservation at every copy and rim capacities x_r/2."""
-    arr = _check_x(x, len(g.recipes))
-    m = len(g.recipes)
-    out_left = np.zeros(m)
-    in_right = np.zeros(m)
-    for k, (i, j) in enumerate(g.edges):
-        fwd, back = f.cross_arc[k]
-        if fwd < -tol or back < -tol:
-            raise DomainError("negative arc flow")
-        out_left[i] += fwd
-        in_right[j] += fwd
-        out_left[j] += back
-        in_right[i] += back
-    for r in range(m):
-        if abs(out_left[r] - f.source_arc[r]) > tol:
-            raise DomainError(f"flow conservation violated at left {g.labels[r]}")
-        if abs(in_right[r] - f.sink_arc[r]) > tol:
-            raise DomainError(f"flow conservation violated at right {g.labels[r]}")
-        if f.source_arc[r] > arr[r] / 2.0 + tol or f.sink_arc[r] > arr[r] / 2.0 + tol:
-            raise DomainError(f"rim capacity exceeded at {g.labels[r]}")
-
-
-def flow_to_xi(f: FlowSolution, x, g: ParallelGraph) -> ParallelizationPlan:
-    """Fold a feasible flow into a pairing plan: both directed arcs of an
-    edge contribute to its pairing time.  The plan total equals the flow
-    value, and feasibility carries over."""
-    check_flow_feasible(f, x, g)
-    plan = ParallelizationPlan(
-        edge_time=tuple(fwd + back for fwd, back in f.cross_arc)
-    )
-    check_plan_feasible(plan, x, g)
-    return plan
-
-
 def makespan_via_cuts(x, matrix: CutMatrix) -> float:
     """Worst coefficient row applied to x: max_k sum_r (1 - w_{r,k}) x_r.
 

@@ -39,7 +39,6 @@ class Tolerances:
 
     feasibility: float = 1e-8
     comparison: float = 1e-7
-    pivot: float = 1e-10
 
 
 TOL = Tolerances()

@@ -371,7 +371,8 @@ def _recipe_model(
 def build_generalized(inst: Instance, matrix: CutMatrix) -> BuiltModel:
     """Cut-row model: per-recipe aggregate times bounded by every reduced cut.
 
-    Requires a reduced matrix for the instance's chamber count.
+    Requires the reduced matrix for the instance's chamber count; a matrix
+    with `reduced` set has matched its pinned digest (see `cuts.CutMatrix`).
     """
     if matrix.n != inst.chambers:
         raise DomainError(f"cut matrix is for {matrix.n} chambers, instance has {inst.chambers}")

@@ -3,16 +3,11 @@
 A vector b is redundant with respect to a set A when, for every x >= 0,
 <b, x> <= max_i <a_i, x>; as a row of a max-type bound (the makespan is the
 largest <c, x> over the cut coefficient rows c) it then never changes the
-optimum and can be dropped.  Two equivalent criteria are implemented:
-
-* the separation LP  min 1'x  s.t. (b - a_i)'x >= 1, x >= 0  is infeasible
-  exactly when b is redundant (solved through the shared LP backend);
-* b is covered componentwise by a convex combination of the a_i, decided
-  by a dedicated phase-1 simplex (independent of the LP backend), which also
-  produces the combination weights as a certificate.
-
-The two criteria are duals of each other and must always agree; the second
-serves as the oracle for the first.
+optimum and can be dropped.  It is decided here by the separation LP
+min 1'x  s.t. (b - a_i)'x >= 1, x >= 0, which is infeasible exactly when b
+is redundant (solved through the shared LP backend).  Its dual, b covered
+componentwise by a convex combination of the a_i, is decided by a
+self-contained phase-1 simplex in the tests, as the oracle for this module.
 
 `reduce_to_minimal` keeps exactly the vertices of conv(set) - R+^n, the
 members that are redundant against no other member.  On half-integral sets
@@ -66,16 +61,14 @@ CERT_BOUND = 1024
 
 _BITS = np.left_shift(np.int64(1), np.arange(MASK_WIDTH, dtype=np.int64))
 
-_PIV_TOL = lp.TOL.pivot
-
 
 @dataclass(frozen=True)
 class RedundancyVerdict:
     """Outcome of one redundancy test.
 
-    witness is a separating direction x (not redundant, criterion "lp" or
-    "hull") or a convex-combination weight vector (redundant, criterion
-    "hull"); None when the criterion produces no certificate.
+    witness is a separating direction x when b is not redundant, or a
+    certificate of redundancy from a criterion that produces one (None for
+    the separation LP, criterion "lp").
     """
 
     redundant: bool
@@ -105,15 +98,6 @@ def _check_direction(b: np.ndarray, a: np.ndarray, x: np.ndarray):
         raise LpSolverError("separating direction does not separate")
 
 
-def _check_combination(b: np.ndarray, a: np.ndarray, lam: np.ndarray):
-    if np.any(lam < -WITNESS_SLACK):
-        raise LpSolverError("combination weights have negative entries")
-    if abs(lam.sum() - 1.0) > WITNESS_SLACK:
-        raise LpSolverError("combination weights do not sum to one")
-    if np.any(lam @ a < b - WITNESS_SLACK):
-        raise LpSolverError("combination does not dominate the candidate")
-
-
 def is_redundant_lp(b, a_set) -> RedundancyVerdict:
     """Decide redundancy by (in)feasibility of the separation LP.
 
@@ -132,96 +116,6 @@ def is_redundant_lp(b, a_set) -> RedundancyVerdict:
     x = np.asarray(sol.x)
     _check_direction(b, a, x)
     return RedundancyVerdict(redundant=False, witness=tuple(map(float, x)), criterion="lp")
-
-
-def is_redundant_hull(b, a_set) -> RedundancyVerdict:
-    """Decide redundancy by convex-combination dominance (the oracle path).
-
-    Feasibility of  {lam >= 0, sum lam = 1, lam @ A >= b}  is decided by a
-    self-contained phase-1 simplex with Bland's rule.  Feasible yields the
-    weights; infeasible yields a separating direction recovered from the
-    phase-1 duals.
-    """
-    b, a = _validate_inputs(b, a_set)
-    feasible, lam, direction = _hull_phase1(b, a)
-    if feasible:
-        _check_combination(b, a, lam)
-        return RedundancyVerdict(redundant=True, witness=tuple(map(float, lam)), criterion="hull")
-    gaps = (b - a) @ direction
-    scale = gaps.min()
-    if scale <= 0:
-        raise LpSolverError("phase-1 certificate failed to separate")
-    x = direction / scale
-    _check_direction(b, a, x)
-    return RedundancyVerdict(redundant=False, witness=tuple(map(float, x)), criterion="hull")
-
-
-def _hull_phase1(b: np.ndarray, a: np.ndarray):
-    """Phase-1 simplex for {lam >= 0, sum lam = 1, lam @ A - s = b, s >= 0}.
-
-    Returns (feasible, lam, direction): lam when feasible, otherwise the
-    nonnegative coordinate part of the Farkas dual certificate.
-    """
-    m, d = a.shape
-    rows = d + 1
-    ncols = m + d + rows  # lam, surplus, artificials
-    t = np.zeros((rows, ncols + 1))
-    t[0, :m] = 1.0
-    t[0, ncols] = 1.0
-    t[1:, :m] = a.T
-    for c in range(d):
-        t[1 + c, m + c] = -1.0
-        t[1 + c, ncols] = b[c]
-    for j in range(rows):
-        t[j, m + d + j] = 1.0
-    basis = list(range(m + d, m + d + rows))
-    # phase-1 reduced costs: c=1 on artificials, basis all-artificial
-    z = -t.sum(axis=0)
-    z[m + d : m + d + rows] = 0.0
-    max_iter = 1000 + 50 * ncols
-    for _ in range(max_iter):
-        enter = -1
-        for col in range(m + d):  # artificials never re-enter
-            if z[col] < -_PIV_TOL:
-                enter = col
-                break
-        if enter < 0:
-            break
-        leave, best = -1, np.inf
-        for r in range(rows):
-            coef = t[r, enter]
-            if coef > _PIV_TOL:
-                ratio = t[r, ncols] / coef
-                if ratio < best - _PIV_TOL or (
-                    abs(ratio - best) <= _PIV_TOL and (leave < 0 or basis[r] < basis[leave])
-                ):
-                    leave, best = r, ratio
-        if leave < 0:
-            raise LpSolverError("phase-1 simplex lost boundedness (numerical)")
-        piv = t[leave, enter]
-        t[leave] /= piv
-        for r in range(rows):
-            if r != leave and t[r, enter] != 0.0:
-                t[r] -= t[r, enter] * t[leave]
-        z -= z[enter] * t[leave]
-        basis[leave] = enter
-    else:
-        raise LpSolverError("phase-1 simplex iteration limit reached")
-    infeas = sum(t[r, ncols] for r in range(rows) if basis[r] >= m + d)
-    if infeas <= WITNESS_SLACK:
-        lam = np.zeros(m)
-        for r, col in enumerate(basis):
-            if col < m:
-                lam[col] = max(t[r, ncols], 0.0)
-        total = lam.sum()
-        if total > 0:
-            lam = lam / total
-        return True, lam, None
-    duals = 1.0 - z[m + d : m + d + rows]
-    direction = np.maximum(duals[1:], 0.0)
-    return False, None, direction
-
-
 
 
 def _pack(flags: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ import numpy as np
 
 from clustercap import (
     build_parallel_graph,
-    is_redundant_hull,
     is_redundant_lp,
     lp,
     makespan_via_cuts,
@@ -26,7 +25,7 @@ from clustercap.instances import GenParams, generate
 from clustercap.models import build_model, predict_sizes
 
 from conftest import DATA, random_instance
-from redundancy_oracles import lp_problem_for
+from redundancy_oracles import is_redundant_hull, lp_problem_for
 
 EXPECTED_ROW_COUNTS = {1: 1, 2: 2, 3: 5, 4: 23, 5: 590}
 REFERENCE_NONZEROS = {1: 1, 2: 4, 3: 22, 4: 245, 5: 13740}

@@ -104,7 +104,11 @@ class TestGenSolve:
 
     @pytest.mark.parametrize(
         "keep, why",
-        [(1, "no cut rows"), (2, "1 cut rows, not the 5"), (None, "expected 7 cells")],
+        [
+            (1, "no cut rows"),
+            (2, "not the reduced cut matrix of 3 chambers"),
+            (None, "expected 7 cells"),
+        ],
         ids=["header-only", "one-row", "mid-row"],
     )
     def test_truncated_cut_cache_is_rebuilt(self, env_cache, tmp_path, capsys, keep, why):

@@ -1,5 +1,7 @@
+import hashlib
 import re
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clustercap import (
+    CutMatrix,
     build_cut_matrix,
     build_parallel_graph,
     cuts_to_matrix,
@@ -15,12 +18,13 @@ from clustercap import (
     enumerate_minimal_cuts,
     read_matrix_csv,
     render_matrix_csv,
+    solve_capacity,
     write_matrix_csv,
 )
-from clustercap.cuts import _read_cached, cache_path
+from clustercap.cuts import REDUCED_SHA256, cache_path
 from clustercap.errors import DomainError, EnumerationBudgetError
 
-from conftest import DATA
+from conftest import DATA, example1_instance
 
 
 def brute_force_minimal_covers(dg):
@@ -209,16 +213,21 @@ def test_cache_roundtrip(tmp_path):
     assert not list(path.parent.glob("*.tmp"))
 
 
+# the refusal of a matrix that is not the pinned reduced one
+NOT_PINNED = "not the reduced cut matrix of {} chambers: SHA-256 mismatch"
+
+
 @pytest.mark.parametrize(
     "content, why",
     [
-        (b"A,B,C,AB,AC,BC,ABC\n1,1,1,0.5,0.5,0.5,0\n", "1 cut rows, not the 5 of 3 chambers"),
+        (b"A,B,C,AB,AC,BC,ABC\n1,1,1,0.5,0.5,0.5,0\n", NOT_PINNED.format(3)),
         (b"A,B,C,AB,AC,BC,ABC\n1,1,", "expected 7 cells"),
-        (b"A,B,AB\n1,0,1\n0,1,1\n", "for 2 chambers, not 3"),
+        (b"A,B,AB\n1,0,1\n0,1,1\n", NOT_PINNED.format(2)),
         (b"A,B,C\xff\n", "decode"),
         (b"A,B,C,AB,AC,BC,ABC\n" + b"1" * 200_000, "field limit"),
+        (b"A,B,AB\n0,1,1\n1,0,1\n", "holds the matrix for 2 chambers, not 3"),
     ],
-    ids=["one-row", "mid-row", "other-n", "not-utf8", "huge-field"],
+    ids=["one-row", "mid-row", "other-n", "not-utf8", "huge-field", "other-n-pinned"],
 )
 def test_bad_cache_file_is_rebuilt_with_a_warning(tmp_path, content, why):
     path = cache_path(3, tmp_path)
@@ -239,11 +248,13 @@ N3_HEADER, N3_ROWS = N3_LINES[0], N3_LINES[1:]
 @pytest.mark.parametrize(
     "rows, why",
     [
-        (N3_ROWS[:4] + ("1,0,0,1,1,0,0",), ":6: weights sum to 4, not the 3 of a cut row"),
-        (N3_ROWS[:2] + N3_ROWS[1:4], "not distinct"),
-        ((N3_ROWS[1], N3_ROWS[0]) + N3_ROWS[2:], "not in matrix order"),
+        (N3_ROWS[:4] + ("1,0,0,1,1,0,0",), NOT_PINNED.format(3)),
+        (N3_ROWS[:2] + N3_ROWS[1:4], NOT_PINNED.format(3)),
+        ((N3_ROWS[1], N3_ROWS[0]) + N3_ROWS[2:], NOT_PINNED.format(3)),
+        # half moved from one entry to another: distinct, in order, same sum
+        (N3_ROWS[:3] + ("0.5,0.5,0.5,0.5,0.5,1,0.5",) + N3_ROWS[4:], NOT_PINNED.format(3)),
     ],
-    ids=["flipped-entry", "repeated-row", "swapped-rows"],
+    ids=["flipped-entry", "repeated-row", "swapped-rows", "opposite-edits"],
 )
 def test_cache_file_with_wrong_rows_is_rebuilt_with_a_warning(tmp_path, rows, why):
     path = cache_path(3, tmp_path)
@@ -257,10 +268,45 @@ def test_cache_file_with_wrong_rows_is_rebuilt_with_a_warning(tmp_path, rows, wh
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_reference_matrices_pass_the_cache_check(n):
+    """Each pin is the SHA-256 of the checked-in reference file of its n."""
     path = Path(DATA) / f"cuts_n{n}_reference.csv"
     if n == 5:
         path = Path(DATA).parents[1] / "perfbench" / "data" / "cuts_n5.csv"
-    assert _read_cached(path, n) == read_matrix_csv(path, reduced=True)
+    assert REDUCED_SHA256[n] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert read_matrix_csv(path, reduced=True).n == n
+
+
+def test_no_reduced_matrix_past_the_pins_fails_fast(tmp_path):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="6 chambers, only for 1..5"):
+        build_cut_matrix(6, cache_dir=tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert not list(tmp_path.iterdir())
+
+
+def test_truncated_matrix_is_refused_by_solve(tmp_path):
+    """A reduced matrix cut short used to give rho 0.0 on example1 (330)."""
+    path = tmp_path / "truncated.csv"
+    path.write_text("\n".join(N3_LINES[:2]) + "\n")
+    inst = example1_instance()
+    with pytest.raises(DomainError, match=f"{re.escape(str(path))}: {NOT_PINNED.format(3)}"):
+        solve_capacity(inst, "generalized", matrix=read_matrix_csv(path, reduced=True))
+    raw = read_matrix_csv(path, reduced=False)
+    with pytest.raises(DomainError, match="requires the reduced cut matrix"):
+        solve_capacity(inst, "generalized", matrix=raw)
+
+
+def test_hand_built_reduced_matrix_is_checked(matrices):
+    m = matrices[3]
+    assert CutMatrix(n=3, labels=m.labels, rows=m.rows, reduced=True) == m
+    edited = list(m.rows)
+    edited[0] = tuple(1.0 - v for v in edited[0])
+    for rows in (edited, m.rows[:1], [(0.25,) * 7] + edited[1:]):
+        with pytest.raises(DomainError, match=NOT_PINNED.format(3)):
+            CutMatrix(n=3, labels=m.labels, rows=tuple(rows), reduced=True)
+    with pytest.raises(DomainError, match=NOT_PINNED.format(6)):
+        CutMatrix(n=6, labels=m.labels, rows=m.rows, reduced=True)
+    assert not CutMatrix(n=3, labels=m.labels, rows=tuple(edited), reduced=False).reduced
 
 
 def test_cache_env_var_override(tmp_path, monkeypatch):

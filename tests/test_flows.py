@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 
 from clustercap import (
     build_parallel_graph,
-    flow_to_xi,
     makespan_via_cuts,
     solve_maxflow,
     solve_parallelization_lp,
 )
 from clustercap.errors import DomainError
-from clustercap.flows import FLOW_TOL, check_flow_feasible, check_plan_feasible
+from clustercap.flows import FLOW_TOL, check_plan_feasible
 from clustercap.recipes import ParallelGraph
-from flow_oracles import builder_pairing_lp, dense_maxflow
+from flow_oracles import builder_pairing_lp, check_flow_feasible, dense_maxflow, flow_to_xi
 
 
 @pytest.fixture(scope="module")

@@ -8,14 +8,13 @@ from clustercap import (
     cuts_to_matrix,
     double_graph,
     enumerate_minimal_cuts,
-    is_redundant_hull,
     is_redundant_lp,
     lp,
     reduce_to_minimal,
 )
 from clustercap.errors import DomainError, LpSolverError
 from clustercap.redundancy import direction_certified, pair_dominated, separate_remaining
-from redundancy_oracles import lp_problem_for, one_pass_lp_reduction
+from redundancy_oracles import is_redundant_hull, lp_problem_for, one_pass_lp_reduction
 
 # three known minimal cuts for three chambers over columns (A, B, C, AB, AC, BC)
 CUT_1 = (1.0, 1.0, 0.0, 1.0, 0.0, 0.0)
