@@ -425,10 +425,7 @@ def cli(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except ClusterCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ClusterCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

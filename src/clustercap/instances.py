@@ -263,8 +263,10 @@ def instance_from_dict(d: dict, where: str = "instance") -> Instance:
 def read_instance(path: str | os.PathLike) -> Instance:
     """Load and validate an instance file; errors carry file/field context."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8; nested past the decoder
+        raise InstanceFormatError(f"{path}: {exc}") from exc
     return instance_from_dict(data, where=str(path))

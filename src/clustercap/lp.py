@@ -137,8 +137,8 @@ OPTIMAL, INFEASIBLE, UNBOUNDED = "Optimal", "Infeasible", "Unbounded"
 class LpBuilder:
     """Incremental construction helper; `problem()` freezes the result.
 
-    Rows from `add_constraint` gather in Python lists and become one array
-    block when the next block arrives or the problem is built.
+    Rows enter in array blocks (`add_rows`); `add_constraint` adds a block of
+    one row.
     """
 
     def __init__(self, name: str, sense: str = MINIMIZE):
@@ -146,8 +146,7 @@ class LpBuilder:
         self.sense = sense
         self._vars: list[Variable] = []
         self._obj: list[tuple[int, float]] = []
-        self._names, self._senses, self._rhs, self._blocks = [], [], [], []
-        self._counts, self._cols, self._vals = [], [], []  # rows not yet in a block
+        self._names, self._senses, self._blocks = [], [], []
 
     def add_var(self, name: str, lower: float = 0.0, upper: float | None = None) -> int:
         self._vars.append(Variable(name, lower, upper))
@@ -156,52 +155,36 @@ class LpBuilder:
     def add_constraint(self, name, coeffs, sense, rhs) -> int:
         """One row from (variable index, value) pairs; returns its index."""
         pairs = tuple(coeffs)
-        self._cols += [j for j, _ in pairs]
-        self._vals += [v for _, v in pairs]
-        self._counts.append(len(pairs))
-        self._names.append(name)
-        self._senses.append(sense)
-        self._rhs.append(float(rhs))
-        return len(self._names) - 1
-
-    def _close_rows(self):
-        """Turn the rows gathered by `add_constraint` into one block."""
-        if self._counts:
-            self._blocks.append(
-                (
-                    np.array(self._counts, np.int64),
-                    np.array(self._cols, np.int64),
-                    np.array(self._vals, float),
-                )
-            )
-            self._counts, self._cols, self._vals = [], [], []
+        cols, vals = [j for j, _ in pairs], [v for _, v in pairs]
+        return self.add_rows([name], [len(pairs)], cols, vals, sense, rhs).start
 
     def add_rows(self, names, counts, cols, vals, sense, rhs) -> range:
-        """Rows `names[i]` sharing one sense and right-hand side; row i takes
-        the next `counts[i]` entries of `cols`/`vals`, in order.  Returns the
-        new rows' indices."""
+        """Rows `names[i]` sharing one sense; row i takes the next `counts[i]`
+        entries of `cols`/`vals`, in order, and the right-hand side `rhs`, or
+        `rhs[i]` when `rhs` holds one value per row.  Returns the new rows'
+        indices."""
         counts = np.asarray(counts, np.int64)
         cols = np.asarray(cols, np.int64)
         vals = np.asarray(vals, float)
-        bad = len(counts) != len(names) or min(counts, default=0) < 0
-        if bad or not sum(counts) == len(cols) == len(vals):
+        rhs = np.asarray(rhs, float)
+        m = len(names)
+        bad = counts.shape != (m,) or counts.min(initial=0) < 0
+        if bad or not counts.sum() == len(cols) == len(vals):
             raise DomainError(f"row block {names[:1]}: counts, columns and values disagree")
-        self._close_rows()
+        if rhs.shape not in ((), (m,)):
+            raise DomainError(f"row block {names[:1]}: {rhs.size} right-hand sides for {m} rows")
         start = len(self._names)
         self._names.extend(names)
-        self._senses.extend([sense] * len(names))
-        self._rhs.extend([float(rhs)] * len(names))
-        self._blocks.append((counts, cols, vals))
+        self._senses.extend([sense] * m)
+        self._blocks.append((counts, cols, vals, np.full(m, rhs)))
         return range(start, len(self._names))
 
     def set_objective(self, coeffs):
         self._obj = list(coeffs)
 
     def problem(self) -> LpProblem:
-        self._close_rows()
-        empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
-        counts, cols, vals = (np.concatenate(parts) for parts in zip(empty, *self._blocks))
-        m = len(self._names)
+        empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0))
+        counts, cols, vals, rhs = (np.concatenate(parts) for parts in zip(empty, *self._blocks))
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return LpProblem(
             name=self.name,
@@ -210,8 +193,8 @@ class LpBuilder:
             variables=tuple(self._vars),
             row_names=tuple(self._names),
             senses=tuple(self._senses),
-            rhs=np.array(self._rhs, dtype=float),
-            matrix=sparse.csr_matrix((vals, cols, indptr), shape=(m, len(self._vars))),
+            rhs=rhs,
+            matrix=sparse.csr_matrix((vals, cols, indptr), shape=(len(rhs), len(self._vars))),
         )
 
 

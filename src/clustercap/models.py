@@ -184,7 +184,6 @@ class BuiltModel:
     rho_col: int
     x_cols: dict
     agg_cols: dict
-    pair_cols: dict
     rates: dict
     util_rows: tuple
     stats: lp.SizeStats
@@ -232,71 +231,77 @@ class CapacityResult:
 MODEL_KINDS = ("basic", "serial", "generalized", "alternative")
 
 
-class _Draft:
-    """A model under construction; `finish` freezes it into a BuiltModel."""
-
-    def __init__(self, inst: Instance, kind: str):
-        missing = inst.unqualified_jobs()
-        if missing:
-            raise StructurallyInfeasibleError(
-                f"jobs without any qualification: {', '.join(missing)}"
-            )
-        self.inst = inst
-        self.kind = kind
-        self.build = lp.LpBuilder(f"{kind}[{inst.name}]", lp.MINIMIZE)
-        self.rho = self.build.add_var("rho")
-        self.build.set_objective([(self.rho, 1.0)])
-        self.x_cols, self.rates, self.agg_cols, self.pair_cols = {}, {}, {}, {}
-        self.util_rows = []
-
-    def add_time(self, name: str, job: str, tool: str, recipe: str, rate: float) -> int:
-        col = self.build.add_var(name)
-        self.x_cols[(job, tool, recipe)] = col
-        self.rates[(job, tool, recipe)] = rate
-        return col
-
-    def add_demand_rows(self):
-        """One row per job: the wafers of its time columns meet its demand."""
-        terms = {job.id: [] for job in self.inst.jobs}
-        for key, col in self.x_cols.items():
-            terms[key[0]].append((col, self.rates[key]))
-        for ji, job in enumerate(self.inst.jobs):
-            self.build.add_constraint(f"dem_j{ji}", terms[job.id], lp.EQ, job.demand)
-
-    def add_rho_row(self, tool: str, row_kind: str, name: str, coeffs):
-        """Row `coeffs - rho <= 0`, reported as its own utilization entry."""
-        row = self.build.add_constraint(name, [*coeffs, (self.rho, -1.0)], lp.LE, 0.0)
-        self.util_rows.append((tool, row_kind, range(row, row + 1)))
-
-    def finish(self) -> BuiltModel:
-        problem = self.build.problem()
-        return BuiltModel(
-            self.kind, problem, self.rho, self.x_cols, self.agg_cols, self.pair_cols,
-            self.rates, tuple(self.util_rows), lp.size_stats(problem),
-        )
+def _time_columns(inst: Instance, kind: str, recipes):
+    """A model's LP so far: rho (column 0), one time column per (job, tool,
+    recipe) for each qualified pair, jobs outer and tools inner, and the
+    demand rows.  `recipes(pair)` lists a pair's recipes as (label, column
+    name suffix, rate).  Demand row j holds job j's time columns, each at
+    its rate, and equals the job's demand.  Returns the builder, the time
+    columns by (job, tool, recipe) and their rates."""
+    missing = inst.unqualified_jobs()
+    if missing:
+        raise StructurallyInfeasibleError(f"jobs without any qualification: {', '.join(missing)}")
+    build = lp.LpBuilder(f"{kind}[{inst.name}]", lp.MINIMIZE)
+    build.set_objective([(build.add_var("rho"), 1.0)])
+    x_cols, rates, counts = {}, {}, []
+    for ji, job in enumerate(inst.jobs):
+        first = len(x_cols)
+        for ti, tool in enumerate(inst.tools):
+            pair = inst.pair_rates.get((job.id, tool))
+            for label, suffix, rate in recipes(pair) if pair else ():
+                x_cols[(job.id, tool, label)] = build.add_var(f"x_j{ji}_t{ti}{suffix}")
+                rates[(job.id, tool, label)] = rate
+        counts.append(len(x_cols) - first)
+    names = [f"dem_j{ji}" for ji in range(len(inst.jobs))]
+    demands = [job.demand for job in inst.jobs]
+    build.add_rows(names, counts, range(1, len(x_cols) + 1), list(rates.values()), lp.EQ, demands)
+    return build, x_cols, rates
 
 
-def _time_model(inst: Instance, kind: str, pair_rate, tool_rows=None) -> BuiltModel:
+def _rho_rows(build: lp.LpBuilder, rows) -> list:
+    """One block of rows `columns . values - rho <= 0` from (tool, row kind,
+    name, columns, values); returns each row's utilization entry."""
+    tools, kinds, names, cols, vals = zip(*rows)
+    counts = [len(c) + 1 for c in cols]
+    flat_cols = [j for c in cols for j in (*c, 0)]
+    flat_vals = [v for vs in vals for v in (*vs, -1.0)]
+    idx = build.add_rows(names, counts, flat_cols, flat_vals, lp.LE, 0.0)
+    return [(tool, kind, range(i, i + 1)) for tool, kind, i in zip(tools, kinds, idx)]
+
+
+def _finish(kind, build, x_cols, agg_cols, rates, util_rows) -> BuiltModel:
+    problem = build.problem()
+    return BuiltModel(
+        kind, problem, 0, x_cols, agg_cols, rates, tuple(util_rows), lp.size_stats(problem)
+    )
+
+
+def _time_model(inst: Instance, kind: str, pair_rate, per_chamber=False) -> BuiltModel:
     """Core of `basic` and `serial`.
 
     One time column per qualified (job, tool) pair, running the full
-    qualified recipe at `pair_rate(pair_rates)`; the demand rows; then per
-    tool a load row followed by `tool_rows(draft, ti, tool)`.
+    qualified recipe at `pair_rate(pair_rates)`; the demand rows; then one
+    block holding, per tool, a load row over the tool's time columns and,
+    with `per_chamber`, a row per chamber that a pair of the tool qualifies,
+    each column at its rate over the chamber's.
     """
-    d = _Draft(inst, kind)
-    for ji, job in enumerate(inst.jobs):
-        for ti, tool in enumerate(inst.tools):
-            pair = inst.pair_rates.get((job.id, tool))
-            if pair is not None:
-                label = label_for_mask(pair.mask)
-                d.add_time(f"x_j{ji}_t{ti}", job.id, tool, label, pair_rate(pair))
-    d.add_demand_rows()
+    build, x_cols, rates = _time_columns(
+        inst, kind, lambda pair: [(label_for_mask(pair.mask), "", pair_rate(pair))]
+    )
+    by_tool = {tool: [] for tool in inst.tools}
+    for key in x_cols:
+        by_tool[key[1]].append(key)
+    rows = []
     for ti, tool in enumerate(inst.tools):
-        load = [(col, 1.0) for (_, t, _), col in d.x_cols.items() if t == tool]
-        d.add_rho_row(tool, "total_time", f"load_t{ti}", load)
-        if tool_rows is not None:
-            tool_rows(d, ti, tool)
-    return d.finish()
+        pairs = [(x_cols[k], rates[k], inst.pair_rates[k[:2]].chamber_rates) for k in by_tool[tool]]
+        cols = [col for col, _, _ in pairs]
+        rows.append((tool, "total_time", f"load_t{ti}", cols, [1.0] * len(cols)))
+        for c in range(inst.chambers if per_chamber else 0):
+            terms = [(col, rate / chamber[c]) for col, rate, chamber in pairs if c in chamber]
+            if terms:
+                letter = chamber_letter(c)
+                rows.append((tool, f"chamber_{letter}", f"cham_t{ti}_{letter}", *zip(*terms)))
+    return _finish(kind, build, x_cols, {}, rates, _rho_rows(build, rows))
 
 
 def build_basic(inst: Instance) -> BuiltModel:
@@ -315,57 +320,44 @@ def build_serial(inst: Instance) -> BuiltModel:
     row u_{i,v} = sum_j x_{ji} mu_{ji} / mu_{j,(i,v)} <= rho: the wafers sent
     to the tool occupy every chamber for that chamber's own service time.
     """
-
-    def chamber_rows(d: _Draft, ti: int, tool: str):
-        pairs = [(key, inst.pair_rates[key[:2]].chamber_rates) for key in d.x_cols if key[1] == tool]
-        for c in range(inst.chambers):
-            coeffs = [
-                (d.x_cols[key], d.rates[key] / rates[c]) for key, rates in pairs if c in rates
-            ]
-            if coeffs:
-                letter = chamber_letter(c)
-                d.add_rho_row(tool, f"chamber_{letter}", f"cham_t{ti}_{letter}", coeffs)
-
-    return _time_model(
-        inst, "serial", lambda pair: min(pair.chamber_rates.values()), chamber_rows
-    )
+    return _time_model(inst, "serial", lambda pair: min(pair.chamber_rates.values()), True)
 
 
-def _recipe_model(
-    inst: Instance, kind: str, g: ParallelGraph, tool_rows, tool_cols=None
-) -> BuiltModel:
+def _recipe_model(inst: Instance, kind: str, g: ParallelGraph, tool_rows) -> BuiltModel:
     """Core of `generalized` and `alternative`.
 
     One time column per qualification-set triple (job, tool, recipe), the
-    recipes taken in graph order; per tool one aggregate column per recipe,
-    followed by `tool_cols(draft, ti, tool)`; the demand rows; then per tool
-    one balance row per recipe (aggregate = sum of its time columns),
-    followed by `tool_rows(draft, ti, tool)`.
+    recipes taken in graph order; the demand rows; then per tool one
+    aggregate column per recipe, one block of balance rows (aggregate = sum
+    of its time columns), and `tool_rows(build, ti, tool, agg)`.  Given the
+    tool's first aggregate column, it adds the tool's other columns and rows
+    and returns their utilization entries.
     """
-    d = _Draft(inst, kind)
-    labels = g.labels
+    build, x_cols, rates = _time_columns(
+        inst,
+        kind,
+        lambda pair: [
+            (r.label, "_" + r.label, pair.rate(r.mask))
+            for r in g.recipes
+            if r.mask & ~pair.mask == 0
+        ],
+    )
     members = {}  # (tool, recipe) -> its time columns, in column order
-    for ji, job in enumerate(inst.jobs):
-        for ti, tool in enumerate(inst.tools):
-            pair = inst.pair_rates.get((job.id, tool))
-            for r in g.recipes:
-                if pair is not None and r.mask & ~pair.mask == 0:
-                    rate = pair.rate(r.mask)
-                    col = d.add_time(f"x_j{ji}_t{ti}_{r.label}", job.id, tool, r.label, rate)
-                    members.setdefault((tool, r.label), []).append(col)
+    for (_, tool, label), col in x_cols.items():
+        members.setdefault((tool, label), []).append(col)
+    agg_cols, util_rows = {}, []
     for ti, tool in enumerate(inst.tools):
-        for label in labels:
-            d.agg_cols[(tool, label)] = d.build.add_var(f"agg_t{ti}_{label}")
-        if tool_cols is not None:
-            tool_cols(d, ti, tool)
-    d.add_demand_rows()
-    for ti, tool in enumerate(inst.tools):
-        for label in labels:
-            coeffs = [(d.agg_cols[(tool, label)], 1.0)]
-            coeffs.extend((col, -1.0) for col in members.get((tool, label), ()))
-            d.build.add_constraint(f"bal_t{ti}_{label}", coeffs, lp.EQ, 0.0)
-        tool_rows(d, ti, tool)
-    return d.finish()
+        cols, vals, counts = [], [], []
+        for label in g.labels:
+            agg_cols[(tool, label)] = build.add_var(f"agg_t{ti}_{label}")
+            parts = members.get((tool, label), [])
+            cols += [agg_cols[(tool, label)], *parts]
+            vals += [1.0] + [-1.0] * len(parts)
+            counts.append(1 + len(parts))
+        names = [f"bal_t{ti}_{label}" for label in g.labels]
+        build.add_rows(names, counts, cols, vals, lp.EQ, 0.0)
+        util_rows += tool_rows(build, ti, tool, agg_cols[(tool, g.labels[0])])
+    return _finish(kind, build, x_cols, agg_cols, rates, util_rows)
 
 
 def build_generalized(inst: Instance, matrix: CutMatrix) -> BuiltModel:
@@ -378,20 +370,21 @@ def build_generalized(inst: Instance, matrix: CutMatrix) -> BuiltModel:
         raise DomainError(f"cut matrix is for {matrix.n} chambers, instance has {inst.chambers}")
     if not matrix.reduced:
         raise DomainError("generalized model requires the reduced cut matrix")
+    g = build_parallel_graph(inst.chambers)
     # one row per cut: its nonzero coefficients in label order, then rho,
     # which stands in the block's last column
     block = np.hstack((matrix.coeffs, np.full((len(matrix.rows), 1), -1.0)))
     counts = np.count_nonzero(block, axis=1)
     rows, slots = np.nonzero(block)
     vals = block[rows, slots]
+    offsets = np.array([g.labels.index(label) for label in matrix.labels])
 
-    def cut_rows(d: _Draft, ti: int, tool: str):
-        cols = np.array([*(d.agg_cols[(tool, label)] for label in matrix.labels), d.rho])
+    def cut_rows(build: lp.LpBuilder, ti: int, tool: str, agg: int):
+        cols = np.append(agg + offsets, 0)
         names = [f"cut_t{ti}_k{k}" for k in range(len(counts))]
-        idx = d.build.add_rows(names, counts, cols[slots], vals, lp.LE, 0.0)
-        d.util_rows.append((tool, "cut_max", idx))
+        return [(tool, "cut_max", build.add_rows(names, counts, cols[slots], vals, lp.LE, 0.0))]
 
-    return _recipe_model(inst, "generalized", build_parallel_graph(inst.chambers), cut_rows)
+    return _recipe_model(inst, "generalized", g, cut_rows)
 
 
 def build_alternative(inst: Instance) -> BuiltModel:
@@ -401,25 +394,27 @@ def build_alternative(inst: Instance) -> BuiltModel:
     one makespan row total-time-minus-paired-time <= rho.
     """
     g = build_parallel_graph(inst.chambers)
-    labels = g.labels
+    labels, incident = g.labels, g.incident
+    n_rec, n_edges = len(labels), len(g.edges)
+    # availability row r by column offset from the tool's first aggregate
+    # column: the pairing columns of its edges (after the aggregates), then
+    # its own aggregate
+    par_counts = [len(inc) + 1 for inc in incident]
+    par_cols = np.array(
+        [j for r, inc in enumerate(incident) for j in (*(n_rec + k for k in inc), r)]
+    )
+    par_vals = np.array([v for inc in incident for v in (*(1.0 for _ in inc), -1.0)])
+    mk_vals = [1.0] * n_rec + [-1.0] * n_edges
 
-    def pair_cols(d: _Draft, ti: int, tool: str):
+    def pairing_rows(build: lp.LpBuilder, ti: int, tool: str, agg: int):
         for i, j in g.edges:
-            d.pair_cols[(tool, labels[i], labels[j])] = d.build.add_var(
-                f"pair_t{ti}_{labels[i]}_{labels[j]}"
-            )
+            build.add_var(f"pair_t{ti}_{labels[i]}_{labels[j]}")
+        names = [f"par_t{ti}_{label}" for label in labels]
+        build.add_rows(names, par_counts, agg + par_cols, par_vals, lp.LE, 0.0)
+        mk_cols = range(agg, agg + n_rec + n_edges)  # the aggregates, then the pairings
+        return _rho_rows(build, [(tool, "makespan", f"mk_t{ti}", mk_cols, mk_vals)])
 
-    def pairing_rows(d: _Draft, ti: int, tool: str):
-        pairs = [d.pair_cols[(tool, labels[i], labels[j])] for i, j in g.edges]
-        for r, label in enumerate(labels):
-            coeffs = [(pairs[k], 1.0) for k in g.incident[r]]
-            coeffs.append((d.agg_cols[(tool, label)], -1.0))
-            d.build.add_constraint(f"par_t{ti}_{label}", coeffs, lp.LE, 0.0)
-        coeffs = [(d.agg_cols[(tool, label)], 1.0) for label in labels]
-        coeffs.extend((col, -1.0) for col in pairs)
-        d.add_rho_row(tool, "makespan", f"mk_t{ti}", coeffs)
-
-    return _recipe_model(inst, "alternative", g, pairing_rows, pair_cols)
+    return _recipe_model(inst, "alternative", g, pairing_rows)
 
 
 def build_model(

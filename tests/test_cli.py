@@ -18,6 +18,12 @@ def env_cache(tmp_path, monkeypatch):
     return tmp_path
 
 
+# instance files that are not JSON text: bytes that are not UTF-8, and
+# arrays nested deeper than the decoder's recursion limit
+UNREADABLE = [b"\xff\xfe{", b"[" * 100000]
+UNREADABLE_IDS = ["not-utf8", "too-deep"]
+
+
 def gen_instance(tmp_path, seed=7, **kw):
     path = tmp_path / f"inst{seed}.json"
     args = dict(sizecat=0, shape="1:1", locked=0, density=2, chambers=3, seed=seed)
@@ -101,6 +107,20 @@ class TestGenSolve:
         path.write_text(re.sub(r'"demand": [0-9.]+', bad, text, count=1))
         assert cli(["solve", "--model", "basic", str(path)]) == 1
         assert "jobs[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", UNREADABLE, ids=UNREADABLE_IDS)
+    def test_unreadable_instance_exits_1(self, env_cache, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        for command in (
+            ["solve", "--model", "basic"],
+            ["verify", "--samples", "1"],
+            ["export-lp", "--model", "basic", "--out", str(tmp_path / "bad.lp")],
+        ):
+            assert cli([*command, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert not (tmp_path / "bad.lp").exists()
 
     @pytest.mark.parametrize(
         "keep, why",
@@ -211,6 +231,13 @@ class TestBench:
         # an instance that never reached HiGHS ran no rounds
         assert {r["rounds"] for r in rows if r["status"].startswith("Error")} == {"0"}
         assert any(s == "Optimal" for s in statuses.values())
+
+    @pytest.mark.parametrize("data", UNREADABLE, ids=UNREADABLE_IDS)
+    def test_unreadable_instance_recorded_not_fatal(self, env_cache, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        records, _ = run_bench([str(path)], ["basic"], reps=1)
+        assert len(records) == 1 and records[0].status.startswith(f"Error: {path}: ")
 
     def test_workers_give_same_records(self, env_cache, tmp_path):
         paths = [str(gen_instance(tmp_path, seed=s)) for s in (5, 6)]

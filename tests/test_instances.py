@@ -174,6 +174,13 @@ class TestParsing:
         with pytest.raises(InstanceFormatError, match="line 3"):
             read_instance(path)
 
+    @pytest.mark.parametrize("data", [b"\xff\xfe{", b"[" * 100000], ids=["not-utf8", "too-deep"])
+    def test_unreadable_bytes_name_the_file(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(InstanceFormatError, match="bad.json: "):
+            read_instance(path)
+
     def test_bad_chamber_letter(self):
         d = instance_to_dict(example1_instance())
         d["qualifications"][0]["chamber_rates"] = {"Z": 0.5}

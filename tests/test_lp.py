@@ -305,6 +305,39 @@ def test_single_rows_and_blocks_keep_their_order():
         assert p.matrix.data.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
 
+def test_block_with_one_rhs_per_row():
+    build = lp.LpBuilder("rhs")
+    for j in range(2):
+        build.add_var(f"v{j}")
+    build.add_constraint("a", [(0, 1.0)], lp.LE, 1.0)
+    rows = build.add_rows(["b", "c", "d"], [1, 2, 0], [1, 0, 1], [2.0, 3.0, 4.0], lp.EQ, [5, -6.5, 7])
+    assert rows == range(1, 4)
+    build.add_rows(["e"], [1], [0], [8.0], lp.GE, [9.0])
+    p = build.problem()
+    assert p.row_names == ("a", "b", "c", "d", "e")
+    assert p.senses == (lp.LE, lp.EQ, lp.EQ, lp.EQ, lp.GE)
+    assert p.rhs.tolist() == [1.0, 5.0, -6.5, 7.0, 9.0]
+    assert p.matrix.indptr.tolist() == [0, 1, 2, 4, 4, 5]
+
+
+@pytest.mark.parametrize("rhs", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]])
+def test_block_rhs_of_the_wrong_length_is_refused(rhs):
+    build = lp.LpBuilder("rhs")
+    build.add_var("v0")
+    with pytest.raises(DomainError, match=r"row block \['first'\]: .* right-hand sides for 3 rows"):
+        build.add_rows(["first", "second", "third"], [1, 1, 1], [0, 0, 0], [1.0] * 3, lp.LE, rhs)
+
+
+@pytest.mark.parametrize(
+    "counts, cols", [([1, 1], [0, 0, 0]), ([2, -1, 2], [0, 0, 0]), ([1, 1, 1, 0], [0, 0, 0])]
+)
+def test_block_counts_must_cover_the_entries(counts, cols):
+    build = lp.LpBuilder("counts")
+    build.add_var("v0")
+    with pytest.raises(DomainError, match=r"row block \['first'\]: counts, columns and values"):
+        build.add_rows(["first", "second", "third"], counts, cols, [1.0] * 3, lp.LE, 0.0)
+
+
 def test_dense_path_maps_status_like_solve():
     assert lp.solve_geq_dense([1.0], [[0.0]], [1.0]).status == lp.INFEASIBLE
     assert lp.solve_geq_dense([-1.0], [[1.0]], [0.0]).status == lp.UNBOUNDED

@@ -116,6 +116,26 @@ def test_lp_text_is_pinned(kind, case, matrices):
 
 
 @pytest.mark.parametrize("kind,case", sorted(PINNED_LP))
+def test_highs_reads_the_exported_lp(kind, case, matrices, tmp_path):
+    """HiGHS's own LP file reader, not `parse_lp_text`, reads the export."""
+    inst = PINNED_INSTANCES[case]()
+    built = models.build_model(inst, kind, matrix=matrices[inst.chambers])
+    path = tmp_path / "model.lp"
+    path.write_text(export_lp_text(built.problem))
+    highs = lp._highspy._Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) == lp._highspy.HighsStatus.kOk
+    stats = built.stats
+    assert (highs.getNumCol(), highs.getNumRow(), highs.getNumNz()) == (
+        stats.columns, stats.rows, stats.nonzeros
+    )
+    highs.run()
+    assert highs.getModelStatus() == lp._highspy.HighsModelStatus.kOptimal
+    want = lp.solve(built.problem).objective
+    assert highs.getInfo().objective_function_value == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("kind,case", sorted(PINNED_LP))
 def test_largest_utilization_is_rho(kind, case, matrices):
     inst = PINNED_INSTANCES[case]()
     res = solve_capacity(inst, kind, matrix=matrices[inst.chambers])

@@ -1,11 +1,18 @@
-"""Smoke test of the layer benchmark harness, `scripts/bench_layers.py`."""
+"""Smoke tests of the scripts under `scripts/`."""
 
+import csv
 import json
+import runpy
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_layers.py"
+from clustercap import GenParams, render_matrix_csv
+from clustercap.cli import BENCH_HEADER
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPT = SCRIPTS / "bench_layers.py"
 
 
 def bench_layers(*args):
@@ -57,3 +64,34 @@ def test_a_rewritten_bench_file_does_not_mark_the_tree_dirty(tmp_path):
     assert label() == clean
     (tmp_path / "src" / "code.py").write_text("x = 2\n")
     assert label() == clean + "-dirty"
+
+
+def run_script(name, monkeypatch, tmp_path, *args):
+    """Run `scripts/<name>` in this process, its temporary files under `tmp_path`."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts `src` in front
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+
+
+def test_make_cut_tables_writes_the_reduced_matrices(monkeypatch, tmp_path, matrices):
+    out = tmp_path / "tables"
+    args = ["--max-chambers", "3", "--out-dir", str(out), "--cache", str(tmp_path / "cache")]
+    run_script("make_cut_tables.py", monkeypatch, tmp_path, *args)
+    assert sorted(p.name for p in out.iterdir()) == ["cuts_n1.csv", "cuts_n2.csv", "cuts_n3.csv"]
+    for n in (1, 2, 3):
+        assert (out / f"cuts_n{n}.csv").read_bytes() == render_matrix_csv(matrices[n]).encode()
+
+
+def test_bench_grid_smallest_grid_is_optimal(monkeypatch, tmp_path):
+    out = tmp_path / "grid.csv"
+    args = ["--sizecats", "0", "--shapes", "1:1", "--densities", "1", "--chambers", "3"]
+    args += ["--reps", "1", "--out", str(out), "--cache", str(tmp_path / "cache")]
+    run_script("bench_grid.py", monkeypatch, tmp_path, *args)
+    lines = out.read_text().splitlines()
+    assert tuple(lines[0].split(",")) == BENCH_HEADER
+    bench = [r for r in csv.DictReader(lines) if r["record_type"] == "bench"]
+    assert sorted(r["model"] for r in bench) == ["alternative", "generalized"]
+    assert {r["status"] for r in bench} == {"Optimal"}
+    made = [p.name for p in tmp_path.glob("bench_instances_*/*.json")]
+    assert made == [f"{GenParams(0, '1:1', 0, 1, 3, 1).name}.json"]
