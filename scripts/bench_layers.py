@@ -181,7 +181,10 @@ def solve(repeats):
 
     For each: build_s, solve_s (everything after the build: HiGHS,
     separation, contract check), highs_s (inside HiGHS alone), iterations,
-    rounds, rows added by row generation, and rho.  Times are medians in s;
+    rounds, rows added by row generation, and rho.  build_s is the best of
+    max(10, repeats) back-to-back `models.build_model` calls of the
+    variant's model, with no HiGHS run between them, so that it resolves a
+    change of a few ms; the other times are medians of the repeats, in s;
     counts repeat exactly.  Fails if rho of gen_rows differs from gen_full,
     or alt_ipm from alt_simplex, by more than 1e-9 relative.
     """
@@ -197,38 +200,41 @@ def solve(repeats):
     }
     highs = watch_highs()
 
-    def single(kind, method):
-        def run(inst, matrix):
-            built, build_s = timed(models.build_model, inst, kind, matrix)
+    def single(method):
+        def run(inst, kind, matrix):
+            built = models.build_model(inst, kind, matrix)
             sol, solve_s = timed(lp.solve, built.problem, method)
-            return build_s, solve_s, sol.objective, sol.iterations, 1
+            return solve_s, sol.objective, sol.iterations, 1
 
         return run
 
-    def by_rows(inst, matrix):
-        res = models.solve_capacity(inst, "generalized", matrix=matrix)
-        return res.build_ms / 1e3, res.solve_ms / 1e3, res.rho, res.iterations, res.rounds
+    def by_rows(inst, kind, matrix):
+        res = models.solve_capacity(inst, kind, matrix=matrix)
+        return res.solve_ms / 1e3, res.rho, res.iterations, res.rounds
 
     variants = {
-        "gen_full": single("generalized", lp.SIMPLEX),
-        "gen_rows": by_rows,
-        "alt_simplex": single("alternative", lp.SIMPLEX),
-        "alt_ipm": single("alternative", lp.IPM),
+        "gen_full": ("generalized", single(lp.SIMPLEX)),
+        "gen_rows": ("generalized", by_rows),
+        "alt_simplex": ("alternative", single(lp.SIMPLEX)),
+        "alt_ipm": ("alternative", single(lp.IPM)),
     }
     matrix = cuts.read_matrix_csv(N5_COPY, reduced=True)
     results = {}
     for name, (sizecat, shape, locked) in todo.items():
         inst = instances.generate(instances.GenParams(sizecat, shape, locked, 2, 5, 1))
         got = results[name] = {}
-        for variant, run in variants.items():
+        for variant, (kind, run) in variants.items():
+            builds = range(max(10, repeats))
+            build_s = min(timed(models.build_model, inst, kind, matrix)[1] for _ in builds)
             samples = []
             for _ in range(repeats):
                 highs["s"], highs["rows"] = 0.0, []
-                build_s, solve_s, rho, iterations, rounds = run(inst, matrix)
-                samples.append((build_s, solve_s, highs["s"]))
+                solve_s, rho, iterations, rounds = run(inst, kind, matrix)
+                samples.append((solve_s, highs["s"]))
             entry = {
-                key: round(statistics.median(s[k] for s in samples), 4)
-                for k, key in enumerate(("build_s", "solve_s", "highs_s"))
+                "build_s": round(build_s, 4),
+                "solve_s": round(statistics.median(s for s, _ in samples), 4),
+                "highs_s": round(statistics.median(h for _, h in samples), 4),
             }
             added = highs["rows"][-1] - highs["rows"][0]
             entry.update(iterations=iterations, rounds=rounds, rows_added=added, rho=rho)

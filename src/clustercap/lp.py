@@ -1,6 +1,7 @@
 """Sparse linear-programming layer: problem container, solver, text export.
 
-The solver is HiGHS, through the binding that ships inside scipy
+An `LpProblem` holds its columns and rows as arrays; `LpBuilder` takes both
+in blocks.  The solver is HiGHS, through the binding that ships inside scipy
 (`scipy.optimize._highspy`).  A `Handle` keeps one HiGHS model of an LP that
 can take added rows, a row's new right-hand side or new values for a row's
 entries, and re-solve from its last basis; `solve` and
@@ -44,28 +45,25 @@ class Tolerances:
 TOL = Tolerances()
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    lower: float = 0.0
-    upper: float | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class LpProblem:
     """Immutable sparse LP in general form.
 
-    Row i is named `row_names[i]` and reads `matrix[i] x  senses[i]  rhs[i]`;
-    `matrix` is CSR with each row's entries in the order they were given, and
-    nothing modifies it in place.  The objective is (variable index, value)
-    pairs.  Indices must be in range and unique within a row and within the
-    objective, and all names must be unique.
+    Column j is named `col_names[j]` and reads `lower[j] <= x_j <= upper[j]`,
+    -inf and inf meaning no bound; both arrays are made read-only.  Row i is
+    named `row_names[i]` and reads `matrix[i] x  senses[i]  rhs[i]`; `matrix`
+    is CSR with each row's entries in the order they were given, and nothing
+    modifies it in place.  The objective is (variable index, value) pairs.
+    Indices must be in range and unique within a row and within the
+    objective, all names unique, and every bound interval must hold a number.
     """
 
     name: str
     sense: str
     objective: tuple[tuple[int, float], ...]
-    variables: tuple[Variable, ...]
+    col_names: tuple[str, ...]
+    lower: np.ndarray
+    upper: np.ndarray
     row_names: tuple[str, ...]
     senses: tuple[str, ...]
     rhs: np.ndarray
@@ -74,25 +72,27 @@ class LpProblem:
     def __post_init__(self):
         if self.sense not in (MINIMIZE, MAXIMIZE):
             raise DomainError(f"objective sense {self.sense!r}")
-        nvar = len(self.variables)
-        names = set()
-        for v in self.variables:
-            if v.name in names:
-                raise DomainError(f"duplicate variable name {v.name!r}")
-            names.add(v.name)
-            if v.upper is not None and v.upper < v.lower:
-                raise DomainError(f"variable {v.name!r} has empty bound interval")
+        nvar = len(self.col_names)
+        lo, hi = self.lower, self.upper
+        if not lo.shape == hi.shape == (nvar,):
+            raise DomainError(f"columns need {nvar} lower and upper bounds")
+        lo.flags.writeable = hi.flags.writeable = False
+        bad = np.flatnonzero(~((lo <= hi) & (lo < np.inf) & (hi > -np.inf)))  # NaN fails too
+        if bad.size:
+            raise DomainError(f"variable {self.col_names[bad[0]]!r} has empty bound interval")
         m, a, row_names = len(self.row_names), self.matrix, self.row_names
         if not len(self.senses) == len(self.rhs) == m or getattr(a, "format", None) != "csr":
             raise DomainError(f"rows need {m} senses, right-hand sides and CSR matrix rows")
         if a.shape != (m, nvar):
             raise DomainError(f"constraint matrix is {a.shape}, expected {(m, nvar)}")
-        if len(set(row_names)) != m or not names.isdisjoint(row_names):
-            seen = set(names)
-            for rname in row_names:
-                if rname in seen:
-                    raise DomainError(f"duplicate constraint name {rname!r}")
-                seen.add(rname)
+        names = self.col_names + row_names
+        if len(set(names)) != len(names):
+            seen = set()
+            for k, name in enumerate(names):
+                if name in seen:
+                    kind = "variable" if k < nvar else "constraint"
+                    raise DomainError(f"duplicate {kind} name {name!r}")
+                seen.add(name)
         bad = set(self.senses).difference(_SENSES)
         if bad:
             raise DomainError(f"constraint sense {bad.pop()!r}")
@@ -137,20 +137,29 @@ OPTIMAL, INFEASIBLE, UNBOUNDED = "Optimal", "Infeasible", "Unbounded"
 class LpBuilder:
     """Incremental construction helper; `problem()` freezes the result.
 
-    Rows enter in array blocks (`add_rows`); `add_constraint` adds a block of
-    one row.
+    Columns and rows enter in array blocks (`add_cols`, `add_rows`);
+    `add_var` adds a block of one column and `add_constraint` one of one row.
     """
 
     def __init__(self, name: str, sense: str = MINIMIZE):
         self.name = name
         self.sense = sense
-        self._vars: list[Variable] = []
         self._obj: list[tuple[int, float]] = []
+        self._col_names, self._col_blocks = [], []
         self._names, self._senses, self._blocks = [], [], []
 
     def add_var(self, name: str, lower: float = 0.0, upper: float | None = None) -> int:
-        self._vars.append(Variable(name, lower, upper))
-        return len(self._vars) - 1
+        return self.add_cols([name], lower, np.inf if upper is None else upper).start
+
+    def add_cols(self, names, lower=0.0, upper=np.inf) -> range:
+        """Columns `names[j]`, each bound one value or one per column; returns their indices."""
+        n, start = len(names), len(self._col_names)
+        bounds = np.asarray(lower, float), np.asarray(upper, float)
+        if any(b.shape not in ((), (n,)) for b in bounds):
+            raise DomainError(f"column block {names[:1]}: bounds for {n} columns expected")
+        self._col_names.extend(names)
+        self._col_blocks.append([np.full(n, b) for b in bounds])
+        return range(start, start + n)
 
     def add_constraint(self, name, coeffs, sense, rhs) -> int:
         """One row from (variable index, value) pairs; returns its index."""
@@ -183,6 +192,7 @@ class LpBuilder:
         self._obj = list(coeffs)
 
     def problem(self) -> LpProblem:
+        lower, upper = (np.concatenate(parts) for parts in zip(([], []), *self._col_blocks))
         empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0))
         counts, cols, vals, rhs = (np.concatenate(parts) for parts in zip(empty, *self._blocks))
         indptr = np.concatenate(([0], np.cumsum(counts)))
@@ -190,17 +200,19 @@ class LpBuilder:
             name=self.name,
             sense=self.sense,
             objective=tuple(self._obj),
-            variables=tuple(self._vars),
+            col_names=tuple(self._col_names),
+            lower=lower,
+            upper=upper,
             row_names=tuple(self._names),
             senses=tuple(self._senses),
             rhs=rhs,
-            matrix=sparse.csr_matrix((vals, cols, indptr), shape=(len(rhs), len(self._vars))),
+            matrix=sparse.csr_matrix((vals, cols, indptr), shape=(len(rhs), len(lower))),
         )
 
 
 def size_stats(p: LpProblem) -> SizeStats:
     """Row/column/nonzero counts of the constraint matrix."""
-    return SizeStats(rows=p.matrix.shape[0], columns=len(p.variables), nonzeros=p.matrix.nnz)
+    return SizeStats(rows=p.matrix.shape[0], columns=len(p.col_names), nonzeros=p.matrix.nnz)
 
 
 class _Form(NamedTuple):
@@ -225,13 +237,10 @@ class _Form(NamedTuple):
 def _assemble(p: LpProblem) -> _Form:
     """The stored rows with >= rows negated, and the objective negated for a
     MAXIMIZE problem."""
-    n = len(p.variables)
     flip = -1.0 if p.sense == MAXIMIZE else 1.0
-    c = np.zeros(n)
+    c = np.zeros(len(p.col_names))
     for j, v in p.objective:
         c[j] = flip * v
-    lower = np.fromiter((v.lower for v in p.variables), float, n)
-    upper = np.fromiter((np.inf if v.upper is None else v.upper for v in p.variables), float, n)
     senses = np.array(p.senses, dtype="U2")
     sign = np.where(senses == GE, -1.0, 1.0)
     a = p.matrix
@@ -239,8 +248,8 @@ def _assemble(p: LpProblem) -> _Form:
         (a.data * np.repeat(sign, np.diff(a.indptr)), a.indices, a.indptr), shape=a.shape
     )
     return _Form(
-        p.name, c, lower, upper, signed, sign * p.rhs, sign, senses == EQ, flip,
-        lambda j: p.variables[j].name, p.row_names.__getitem__,
+        p.name, c, p.lower, p.upper, signed, sign * p.rhs, sign, senses == EQ, flip,
+        p.col_names.__getitem__, p.row_names.__getitem__,
     )
 
 
@@ -474,7 +483,8 @@ def solve_geq_dense(
 
 # --- textual LP format -----------------------------------------------------
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
+_NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
+_NAME_RE = re.compile(rf"^{_NAME}$")
 
 
 def _fmt(value: float) -> str:
@@ -501,35 +511,33 @@ def export_lp_text(p: LpProblem) -> str:
     objective or row without entries reads `0`, so an explicit zero entry and
     no entry stay apart.
     """
-    names = [v.name for v in p.variables]
-    for kind, group in (("variable", names), ("constraint", p.row_names)):
+    for kind, group in (("variable", p.col_names), ("constraint", p.row_names)):
         for name in group:
             if not _NAME_RE.match(name):
                 raise DomainError(f"{kind} name {name!r} is not LP-format safe")
     lines = [f"\\ {p.name}"]
     lines.append("Minimize" if p.sense == MINIMIZE else "Maximize")
-    obj = _emit_terms(sorted(p.objective), names)
+    obj = _emit_terms(sorted(p.objective), p.col_names)
     lines.append(f" obj: {obj}".rstrip())
     lines.append("Subject To")
     a = p.matrix
     cols, vals, bounds = a.indices.tolist(), a.data.tolist(), a.indptr.tolist()
     for i, (rname, sense, rhs) in enumerate(zip(p.row_names, p.senses, p.rhs.tolist())):
         lo, hi = bounds[i], bounds[i + 1]
-        lhs = _emit_terms(sorted(zip(cols[lo:hi], vals[lo:hi])), names)
+        lhs = _emit_terms(sorted(zip(cols[lo:hi], vals[lo:hi])), p.col_names)
         lines.append(f" {rname}: {lhs} {sense} {_fmt(rhs)}")
     lines.append("Bounds")
-    for v in p.variables:
-        if v.upper is None and v.lower == float("-inf"):
-            lines.append(f" {v.name} free")
-        elif v.upper is None:
-            lines.append(f" {v.name} >= {_fmt(v.lower)}")
+    for name, lo, hi in zip(p.col_names, p.lower.tolist(), p.upper.tolist()):
+        if hi < np.inf:
+            lines.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
         else:
-            lines.append(f" {_fmt(v.lower)} <= {v.name} <= {_fmt(v.upper)}")
+            lines.append(f" {name} free" if lo == -np.inf else f" {name} >= {_fmt(lo)}")
     lines.append("End")
     return "\n".join(lines) + "\n"
 
 
-_TERM_RE = re.compile(r"([+-]?)\s*(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)?\s*([A-Za-z_][A-Za-z0-9_.]*)")
+_BOUND = r"([+-]?(?:inf|[\d.eE+-]+))"  # export writes an infinite bound as inf
+_TERM_RE = re.compile(rf"([+-]?)\s*(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)?\s*({_NAME})")
 
 
 def _parse_terms(text: str) -> list[tuple[str, float]]:
@@ -564,7 +572,7 @@ def parse_lp_text(text: str) -> LpProblem:
     sense = MINIMIZE
     obj_terms: list[tuple[str, float]] = []
     rows: list[tuple[str, list[tuple[str, float]], str, float]] = []
-    bounds: dict[str, tuple[float, float | None]] = {}  # variables in order of appearance
+    bounds: dict[str, tuple[float, float]] = {}  # variables in order of appearance
     for ln in lines:
         stripped = ln.strip()
         low = stripped.lower()
@@ -578,7 +586,7 @@ def parse_lp_text(text: str) -> LpProblem:
         if section in ("minimize", "maximize"):
             body = stripped.split(":", 1)[1] if ":" in stripped else stripped
             for var, coef in _parse_terms(body):
-                bounds.setdefault(var, (0.0, None))
+                bounds.setdefault(var, (0.0, np.inf))
                 obj_terms.append((var, coef))
         elif section == "subject to":
             if ":" not in stripped:
@@ -589,37 +597,32 @@ def parse_lp_text(text: str) -> LpProblem:
                 raise DomainError(f"constraint line without sense/rhs: {stripped!r}")
             terms = _parse_terms(body[: m.start()])
             for var, _ in terms:
-                bounds.setdefault(var, (0.0, None))
+                bounds.setdefault(var, (0.0, np.inf))
             rows.append((rname.strip(), terms, m.group(1), float(m.group(2))))
         elif section == "bounds":
-            if low.endswith(" free"):
-                var = stripped[: -len(" free")].strip()
-                bounds[var] = (float("-inf"), None)
-                continue
-            m = re.match(
-                r"^([+-]?[\d.eE+-]+)\s*<=\s*([A-Za-z_][A-Za-z0-9_.]*)\s*<=\s*([+-]?[\d.eE+-]+)$",
-                stripped,
-            )
-            if m:
-                var = m.group(2)
-                bounds[var] = (float(m.group(1)), float(m.group(3)))
-                continue
-            m = re.match(r"^([A-Za-z_][A-Za-z0-9_.]*)\s*(<=|>=)\s*([+-]?[\d.eE+-]+)$", stripped)
-            if m:
-                var = m.group(1)
-                if m.group(2) == ">=":
-                    bounds[var] = (float(m.group(3)), bounds.get(var, (0.0, None))[1])
+            both = re.match(rf"^{_BOUND}\s*<=\s*({_NAME})\s*<=\s*{_BOUND}$", stripped)
+            one = re.match(rf"^({_NAME})\s*(<=|>=)\s*{_BOUND}$", stripped)
+            try:
+                if low.endswith(" free"):
+                    bounds[stripped[: -len(" free")].strip()] = (-np.inf, np.inf)
+                elif both:
+                    bounds[both.group(2)] = (float(both.group(1)), float(both.group(3)))
+                elif one:
+                    var, value = one.group(1), float(one.group(3))
+                    lo, hi = bounds.get(var, (0.0, np.inf))
+                    bounds[var] = (value, hi) if one.group(2) == ">=" else (lo, value)
                 else:
-                    bounds[var] = (bounds.get(var, (0.0, None))[0], float(m.group(3)))
-                continue
-            raise DomainError(f"cannot parse bounds line: {stripped!r}")
+                    raise ValueError
+            except ValueError:  # no such line, or a number float() cannot read
+                raise DomainError(f"cannot parse bounds line: {stripped!r}") from None
         elif section == "end":
             raise DomainError(f"content after End: {stripped!r}")
         else:
             raise DomainError(f"content before a section header: {stripped!r}")
 
     build = LpBuilder(name, sense)
-    index = {var: build.add_var(var, *bound) for var, bound in bounds.items()}
+    lower, upper = np.reshape(list(bounds.values()), (-1, 2)).T
+    index = dict(zip(bounds, build.add_cols(list(bounds), lower, upper)))
 
     def merged(terms) -> list[tuple[int, float]]:
         out: dict[int, float] = {}

@@ -243,19 +243,20 @@ def _time_columns(inst: Instance, kind: str, recipes):
         raise StructurallyInfeasibleError(f"jobs without any qualification: {', '.join(missing)}")
     build = lp.LpBuilder(f"{kind}[{inst.name}]", lp.MINIMIZE)
     build.set_objective([(build.add_var("rho"), 1.0)])
-    x_cols, rates, counts = {}, {}, []
+    rates, names, counts = {}, [], []
     for ji, job in enumerate(inst.jobs):
-        first = len(x_cols)
+        first = len(names)
         for ti, tool in enumerate(inst.tools):
             pair = inst.pair_rates.get((job.id, tool))
             for label, suffix, rate in recipes(pair) if pair else ():
-                x_cols[(job.id, tool, label)] = build.add_var(f"x_j{ji}_t{ti}{suffix}")
                 rates[(job.id, tool, label)] = rate
-        counts.append(len(x_cols) - first)
+                names.append(f"x_j{ji}_t{ti}{suffix}")
+        counts.append(len(names) - first)
+    cols = build.add_cols(names)
     names = [f"dem_j{ji}" for ji in range(len(inst.jobs))]
     demands = [job.demand for job in inst.jobs]
-    build.add_rows(names, counts, range(1, len(x_cols) + 1), list(rates.values()), lp.EQ, demands)
-    return build, x_cols, rates
+    build.add_rows(names, counts, cols, list(rates.values()), lp.EQ, demands)
+    return build, dict(zip(rates, cols)), rates
 
 
 def _rho_rows(build: lp.LpBuilder, rows) -> list:
@@ -347,16 +348,14 @@ def _recipe_model(inst: Instance, kind: str, g: ParallelGraph, tool_rows) -> Bui
         members.setdefault((tool, label), []).append(col)
     agg_cols, util_rows = {}, []
     for ti, tool in enumerate(inst.tools):
-        cols, vals, counts = [], [], []
-        for label in g.labels:
-            agg_cols[(tool, label)] = build.add_var(f"agg_t{ti}_{label}")
-            parts = members.get((tool, label), [])
-            cols += [agg_cols[(tool, label)], *parts]
-            vals += [1.0] + [-1.0] * len(parts)
-            counts.append(1 + len(parts))
+        aggs = build.add_cols([f"agg_t{ti}_{label}" for label in g.labels])
+        agg_cols.update(((tool, label), agg) for label, agg in zip(g.labels, aggs))
+        parts = [members.get((tool, label), []) for label in g.labels]
+        cols = [j for agg, part in zip(aggs, parts) for j in (agg, *part)]
+        vals = [v for part in parts for v in (1.0, *(-1.0 for _ in part))]
         names = [f"bal_t{ti}_{label}" for label in g.labels]
-        build.add_rows(names, counts, cols, vals, lp.EQ, 0.0)
-        util_rows += tool_rows(build, ti, tool, agg_cols[(tool, g.labels[0])])
+        build.add_rows(names, [1 + len(part) for part in parts], cols, vals, lp.EQ, 0.0)
+        util_rows += tool_rows(build, ti, tool, aggs.start)
     return _finish(kind, build, x_cols, agg_cols, rates, util_rows)
 
 
@@ -407,8 +406,7 @@ def build_alternative(inst: Instance) -> BuiltModel:
     mk_vals = [1.0] * n_rec + [-1.0] * n_edges
 
     def pairing_rows(build: lp.LpBuilder, ti: int, tool: str, agg: int):
-        for i, j in g.edges:
-            build.add_var(f"pair_t{ti}_{labels[i]}_{labels[j]}")
+        build.add_cols([f"pair_t{ti}_{labels[i]}_{labels[j]}" for i, j in g.edges])
         names = [f"par_t{ti}_{label}" for label in labels]
         build.add_rows(names, par_counts, agg + par_cols, par_vals, lp.LE, 0.0)
         mk_cols = range(agg, agg + n_rec + n_edges)  # the aggregates, then the pairings

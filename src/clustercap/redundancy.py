@@ -178,8 +178,7 @@ def _separation_model(members: np.ndarray) -> lp.Handle:
     stores every x_j and s so that any b can be written into it."""
     m, d = members.shape
     build = lp.LpBuilder("redundancy_separation")
-    for j in range(d):
-        build.add_var(f"x{j}")
+    build.add_cols([f"x{j}" for j in range(d)])
     s = build.add_var("s", lower=-np.inf)
     build.set_objective((j, 1.0) for j in range(d))
     cols = np.tile(np.arange(d + 1), m)  # each row stores x_0 .. x_{d-1}, then s

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -141,6 +142,25 @@ class TestValidation:
         with pytest.raises(DomainError, match="sense"):
             build.problem()
 
+    def test_constraint_named_like_a_column(self):
+        build = lp.LpBuilder("dup")
+        x = build.add_var("x")
+        build.add_constraint("x", [(x, 1.0)], lp.LE, 1.0)
+        with pytest.raises(DomainError, match="duplicate constraint name 'x'"):
+            build.problem()
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(2.0, 1.0), (np.nan, np.inf), (0.0, np.nan), (np.inf, np.inf), (-np.inf, -np.inf)],
+    )
+    def test_bounds_that_hold_no_number_name_the_column(self, lower, upper):
+        # unchecked, all but the first reach HiGHS, which refuses the model naming no column
+        build = lp.LpBuilder("bounds")
+        build.add_var("fine")
+        build.add_var("x", lower, upper)
+        with pytest.raises(DomainError, match="variable 'x' has empty bound interval"):
+            build.problem()
+
 
 class TestSizeStats:
     def test_counts_entries(self):
@@ -195,7 +215,7 @@ class TestExport:
         p = simple_problem()
         back = roundtrip(p)
         assert lp.size_stats(back) == lp.size_stats(p)
-        assert {v.name for v in back.variables} == {v.name for v in p.variables}
+        assert set(back.col_names) == set(p.col_names)
 
     def test_row_without_entries_roundtrips_without_entries(self):
         build = lp.LpBuilder("emptyrow")
@@ -224,6 +244,38 @@ class TestExport:
         build.add_var("my var")
         with pytest.raises(DomainError, match="not LP-format safe"):
             lp.export_lp_text(build.problem())
+
+    def test_infinite_bounds_roundtrip_as_no_bound(self):
+        build = lp.LpBuilder("infinite")
+        x = build.add_var("x", upper=np.inf)
+        y = build.add_var("y", lower=-np.inf, upper=np.inf)
+        z = build.add_var("z", lower=-np.inf, upper=5.0)
+        build.set_objective([(x, 1.0), (y, 1.0), (z, -1.0)])
+        build.add_constraint("floor", [(x, 1.0), (y, 1.0)], lp.GE, 2.0)
+        p = build.problem()
+        text = lp.export_lp_text(p)
+        assert "\n x >= 0\n y free\n -inf <= z <= 5\nEnd\n" in text
+        back = lp.parse_lp_text(text)
+        assert back.col_names == p.col_names
+        assert back.lower.tolist() == [0.0, -np.inf, -np.inf]
+        assert back.upper.tolist() == [np.inf, np.inf, 5.0]
+        assert lp.export_lp_text(back) == text
+        assert lp.solve(back).objective == lp.solve(p).objective == -3.0
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (" x >= 1e999", "variable 'x' has empty bound interval"),
+            (" x >= 1e-", "cannot parse bounds line: 'x >= 1e-'"),
+            (" 1..5 <= x <= 2", "cannot parse bounds line: '1..5 <= x <= 2'"),
+            (" x => 1", "cannot parse bounds line: 'x => 1'"),
+        ],
+    )
+    def test_bad_bounds_lines_are_refused(self, line, message):
+        text = lp.export_lp_text(simple_problem())
+        assert "\n x >= 0\n" in text
+        with pytest.raises(DomainError, match=re.escape(message)):
+            lp.parse_lp_text(text.replace("\n x >= 0\n", f"\n{line}\n"))
 
     def test_infeasible_survives_roundtrip(self):
         build = lp.LpBuilder("infeasible")
@@ -336,6 +388,29 @@ def test_block_counts_must_cover_the_entries(counts, cols):
     build.add_var("v0")
     with pytest.raises(DomainError, match=r"row block \['first'\]: counts, columns and values"):
         build.add_rows(["first", "second", "third"], counts, cols, [1.0] * 3, lp.LE, 0.0)
+
+
+def test_column_blocks_and_single_columns_keep_their_order():
+    build = lp.LpBuilder("cols")
+    assert build.add_var("a", upper=1.0) == 0
+    assert build.add_cols(["b", "c", "d"], [0.0, -1.0, -np.inf], [2.0, np.inf, 3.0]) == range(1, 4)
+    assert build.add_var("e", lower=-2.0) == 4
+    assert build.add_cols(["f", "g"], lower=1.0) == range(5, 7)
+    assert build.add_cols([]) == range(7, 7)
+    p = build.problem()
+    assert p.col_names == ("a", "b", "c", "d", "e", "f", "g")
+    assert p.lower.tolist() == [0.0, 0.0, -1.0, -np.inf, -2.0, 1.0, 1.0]
+    assert p.upper.tolist() == [1.0, 2.0, np.inf, 3.0, np.inf, np.inf, np.inf]
+    assert lp.size_stats(p) == lp.SizeStats(rows=0, columns=7, nonzeros=0)
+    with pytest.raises(ValueError, match="read-only"):
+        p.upper[0] = 5.0
+
+
+@pytest.mark.parametrize("bounds", [{"lower": [0.0, 1.0]}, {"upper": [1.0] * 4}, {"lower": [[0.0] * 3]}])
+def test_column_bounds_of_the_wrong_length_are_refused(bounds):
+    build = lp.LpBuilder("cols")
+    with pytest.raises(DomainError, match=r"column block \['first'\]: bounds for 3 columns"):
+        build.add_cols(["first", "second", "third"], **bounds)
 
 
 def test_dense_path_maps_status_like_solve():
