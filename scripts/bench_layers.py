@@ -4,6 +4,7 @@
     python scripts/bench_layers.py oracles --label after --repeats 3
     python scripts/bench_layers.py reduce --label after --repeats 5
     python scripts/bench_layers.py solve --label after --repeats 3
+    python scripts/bench_layers.py startup --label after --repeats 15
 
 Each layer is timed `--repeats` times; the medians go into the JSON file
 (`--out`, by default `BENCH_<layer>.json` at the repository root) under
@@ -19,9 +20,11 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -183,10 +186,12 @@ def solve(repeats):
     separation, contract check), highs_s (inside HiGHS alone), iterations,
     rounds, rows added by row generation, and rho.  build_s is the best of
     max(10, repeats) back-to-back `models.build_model` calls of the
-    variant's model, with no HiGHS run between them, so that it resolves a
-    change of a few ms; the other times are medians of the repeats, in s;
-    counts repeat exactly.  Fails if rho of gen_rows differs from gen_full,
-    or alt_ipm from alt_simplex, by more than 1e-9 relative.
+    variant's model, timed once per instance and model kind, for all of
+    them before the first HiGHS run, so that it resolves a change of a few
+    ms and both variants of a kind report the same reading; the other
+    times are medians of the repeats, in s; counts repeat exactly.  Fails
+    if rho of gen_rows differs from gen_full, or alt_ipm from alt_simplex,
+    by more than 1e-9 relative.
     """
     from clustercap import cuts, instances, lp, models
 
@@ -219,20 +224,27 @@ def solve(repeats):
         "alt_ipm": ("alternative", single(lp.IPM)),
     }
     matrix = cuts.read_matrix_csv(N5_COPY, reduced=True)
+    insts = {
+        name: instances.generate(instances.GenParams(sizecat, shape, locked, 2, 5, 1))
+        for name, (sizecat, shape, locked) in todo.items()
+    }
+    builds = range(max(10, repeats))
+    build_s = {
+        (name, kind): min(timed(models.build_model, inst, kind, matrix)[1] for _ in builds)
+        for name, inst in insts.items()
+        for kind in ("generalized", "alternative")
+    }
     results = {}
-    for name, (sizecat, shape, locked) in todo.items():
-        inst = instances.generate(instances.GenParams(sizecat, shape, locked, 2, 5, 1))
+    for name, inst in insts.items():
         got = results[name] = {}
         for variant, (kind, run) in variants.items():
-            builds = range(max(10, repeats))
-            build_s = min(timed(models.build_model, inst, kind, matrix)[1] for _ in builds)
             samples = []
             for _ in range(repeats):
                 highs["s"], highs["rows"] = 0.0, []
                 solve_s, rho, iterations, rounds = run(inst, kind, matrix)
                 samples.append((solve_s, highs["s"]))
             entry = {
-                "build_s": round(build_s, 4),
+                "build_s": round(build_s[name, kind], 4),
                 "solve_s": round(statistics.median(s for s, _ in samples), 4),
                 "highs_s": round(statistics.median(h for _, h in samples), 4),
             }
@@ -248,7 +260,56 @@ def solve(repeats):
     return {"instances": results}
 
 
-LAYERS = {"oracles": oracles, "reduce": reduce, "solve": solve}
+def startup(repeats):
+    """Time fresh interpreters that import clustercap or solve the shipped instance; write BENCH_startup.json.
+
+    Commands, each run in a new interpreter with PYTHONPATH set to `--src`:
+
+    * import  `python -c "import clustercap"`;
+    * solve   `python -m clustercap.cli solve --model generalized
+              tests/data/example1.json`, its n = 3 cut matrix in a warm
+              cache of its own.
+
+    For each: wall_s, the median wall time of `--repeats` runs, in s;
+    max_rss_mb, the peak resident memory of the largest run
+    (`getrusage(RUSAGE_CHILDREN)`, read after the command's runs; the import
+    runs go first, as they are the smaller); scipy_optimize, whether
+    `scipy.optimize` was imported, from one more run under
+    `python -X importtime`, which also warms the cache.  Fails if a run
+    fails.
+    """
+    import clustercap  # from `--src`, as the other layers import it
+
+    env = {**os.environ, "PYTHONPATH": str(Path(clustercap.__file__).parents[1])}
+    commands = {
+        "import": ["-c", "import clustercap"],
+        "solve": ["-m", "clustercap.cli", "solve", "--model", "generalized"],
+    }
+    results = {}
+    with tempfile.TemporaryDirectory() as cache:
+        commands["solve"] += [str(ROOT / "tests" / "data" / "example1.json"), "--cache", cache]
+        for name, words in commands.items():
+            traced = subprocess.run(
+                [sys.executable, "-X", "importtime", *words],
+                env=env, cwd=ROOT, capture_output=True, text=True, check=True,
+            )
+            times = []
+            for _ in range(repeats):
+                t = time.perf_counter()
+                subprocess.run([sys.executable, *words], env=env, cwd=ROOT, check=True,
+                               stdout=subprocess.DEVNULL)
+                times.append(time.perf_counter() - t)
+            rss_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+            entry = results[name] = {
+                "wall_s": round(statistics.median(times), 4),
+                "max_rss_mb": round(rss_kb / 1024, 1),
+                "scipy_optimize": bool(re.search(r"\|\s*scipy\.optimize$", traced.stderr, re.M)),
+            }
+            print(name, json.dumps(entry), flush=True)
+    return {"commands": results}
+
+
+LAYERS = {"oracles": oracles, "reduce": reduce, "solve": solve, "startup": startup}
 
 
 def cpu_model() -> str:

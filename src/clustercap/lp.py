@@ -2,29 +2,61 @@
 
 An `LpProblem` holds its columns and rows as arrays; `LpBuilder` takes both
 in blocks.  The solver is HiGHS, through the binding that ships inside scipy
-(`scipy.optimize._highspy`).  A `Handle` keeps one HiGHS model of an LP that
-can take added rows, a row's new right-hand side or new values for a row's
-entries, and re-solve from its last basis; `solve` and
-`solve_geq_dense` are one run on all rows.  Every answer is held to a fixed
-numerical contract: optimal solutions violate no constraint or bound by more than the
-feasibility tolerance, and infeasibility is a solver-certified status, never a
-guess from objective values.  Problems can be exported to the common textual
-LP file format for cross-checking with external solvers; the exported text
+(`scipy.optimize._highspy._core`).  It is loaded from its file, without
+importing `scipy.optimize`, which would add about half a second to every
+start-up.  A `Handle` keeps one HiGHS model of an LP that can take added
+rows, a row's new right-hand side or new values for a row's entries, and
+re-solve from its last basis; `solve` and `solve_geq_dense` are one run on
+all rows.  Every answer is held to a fixed numerical contract: optimal
+solutions violate no constraint or bound by more than the feasibility
+tolerance, and infeasibility is a solver-certified status, never a guess
+from objective values.  Problems can be exported to the common textual LP
+file format for cross-checking with external solvers; the exported text
 re-parses to an equivalent problem.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 import re
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize._highspy import _core as _highspy
 
 from .errors import DomainError, LpSolverError
+
+
+def _load_highs():
+    """HiGHS's compiled binding `scipy.optimize._highspy._core`, loaded from
+    its file in the scipy package without running `scipy/optimize/__init__.py`.
+    It is registered under its real name, so a later `import scipy.optimize`
+    reuses it and pybind11 never registers its types twice.  Where the file
+    is not (scipy before 1.15 kept the binding elsewhere), the plain import
+    loads it, at the cost of the whole of `scipy.optimize`."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
+_highspy = _load_highs()
 
 MINIMIZE = "min"
 MAXIMIZE = "max"
@@ -56,6 +88,8 @@ class LpProblem:
     modifies it in place.  The objective is (variable index, value) pairs.
     Indices must be in range and unique within a row and within the
     objective, all names unique, and every bound interval must hold a number.
+    A right-hand side is a number, or inf on a <= row and -inf on a >= row,
+    where the row then holds at every x.
     """
 
     name: str
@@ -96,6 +130,10 @@ class LpProblem:
         bad = set(self.senses).difference(_SENSES)
         if bad:
             raise DomainError(f"constraint sense {bad.pop()!r}")
+        for i in np.flatnonzero(~np.isfinite(self.rhs)).tolist():  # NaN, or inf as "no bound"
+            s, r = self.senses[i], self.rhs[i]
+            if (s, r) not in ((LE, np.inf), (GE, -np.inf)):
+                raise DomainError(f"constraint {row_names[i]!r} has right-hand side {s} {r}")
         rows = np.repeat(np.arange(m), np.diff(a.indptr))  # the row of each entry
         bad = np.flatnonzero((a.indices < 0) | (a.indices >= nvar))
         if bad.size:
@@ -537,6 +575,7 @@ def export_lp_text(p: LpProblem) -> str:
 
 
 _BOUND = r"([+-]?(?:inf|[\d.eE+-]+))"  # export writes an infinite bound as inf
+_RHS = r"([+-]?(?:inf|\d+(?:\.\d*)?(?:[eE][+-]?\d+)?))"  # an infinite rhs too
 _TERM_RE = re.compile(rf"([+-]?)\s*(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)?\s*({_NAME})")
 
 
@@ -592,7 +631,7 @@ def parse_lp_text(text: str) -> LpProblem:
             if ":" not in stripped:
                 raise DomainError(f"constraint line without name: {stripped!r}")
             rname, body = stripped.split(":", 1)
-            m = re.search(r"(<=|>=|=)\s*([+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*$", body)
+            m = re.search(rf"(<=|>=|=)\s*{_RHS}\s*$", body)
             if not m:
                 raise DomainError(f"constraint line without sense/rhs: {stripped!r}")
             terms = _parse_terms(body[: m.start()])

@@ -1,5 +1,10 @@
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +166,28 @@ class TestValidation:
         with pytest.raises(DomainError, match="variable 'x' has empty bound interval"):
             build.problem()
 
+    @pytest.mark.parametrize(
+        "sense, rhs",
+        [
+            (lp.LE, np.nan),
+            (lp.GE, np.nan),
+            (lp.EQ, np.nan),
+            (lp.EQ, np.inf),
+            (lp.EQ, -np.inf),
+            (lp.LE, -np.inf),
+            (lp.GE, np.inf),
+        ],
+    )
+    def test_right_hand_sides_that_bound_nothing_name_the_row(self, sense, rhs):
+        # unchecked, these reach HiGHS, which refuses the model naming no row
+        build = lp.LpBuilder("rhs")
+        x = build.add_var("x", upper=5.0)
+        build.add_constraint("fine", [(x, 1.0)], lp.LE, 4.0)
+        build.add_constraint("cap", [(x, 1.0)], sense, rhs)
+        message = f"constraint 'cap' has right-hand side {sense} {rhs}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            build.problem()
+
 
 class TestSizeStats:
     def test_counts_entries(self):
@@ -261,6 +288,20 @@ class TestExport:
         assert back.upper.tolist() == [np.inf, np.inf, 5.0]
         assert lp.export_lp_text(back) == text
         assert lp.solve(back).objective == lp.solve(p).objective == -3.0
+
+    def test_infinite_rhs_roundtrips_as_no_bound(self):
+        build = lp.LpBuilder("open", lp.MAXIMIZE)
+        x = build.add_var("x", upper=5.0)
+        build.set_objective([(x, 1.0)])
+        build.add_constraint("cap", [(x, 1.0)], lp.LE, np.inf)
+        build.add_constraint("floor", [(x, 1.0)], lp.GE, -np.inf)
+        p = build.problem()
+        text = lp.export_lp_text(p)
+        assert "\n cap: 1 x <= inf\n floor: 1 x >= -inf\n" in text
+        back = lp.parse_lp_text(text)
+        assert back.rhs.tolist() == [np.inf, -np.inf]
+        assert lp.export_lp_text(back) == text
+        assert lp.solve(back).objective == lp.solve(p).objective == 5.0
 
     @pytest.mark.parametrize(
         "line, message",
@@ -581,3 +622,92 @@ class TestContractCheck:
         monkeypatch.setattr(lp, "_run", _optimal_at([-1.0]))
         with pytest.raises(LpSolverError, match="geq"):
             lp.solve_geq_dense([1.0], [[-1.0]], [0.0])
+
+
+SRC = str(Path(lp.__file__).resolve().parents[1])
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def run_fresh(code: str) -> str:
+    """Run `code` in a new interpreter that imports clustercap from this source
+    tree; this process may already hold `scipy.optimize`."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestBindingLoad:
+    """`lp` loads HiGHS's binding from its file, without `scipy.optimize`."""
+
+    def test_the_whole_package_runs_without_scipy_optimize(self):
+        out = run_fresh(
+            f"""
+            import sys
+            import numpy as np
+            import clustercap
+            from clustercap import build_parallel_graph, flows, models
+
+            inst = clustercap.read_instance({str(DATA / "example1.json")!r})
+            matrix = clustercap.read_matrix_csv({str(DATA / "cuts_n3_reference.csv")!r}, True)
+            g = build_parallel_graph(3)
+            for kind in models.MODEL_KINDS:
+                print(kind, models.solve_capacity(inst, kind, matrix=matrix).rho)
+            x = np.linspace(1.0, 2.0, len(g.recipes))
+            flow = flows.solve_maxflow(x, g).value
+            paired = flows.solve_parallelization_lp(x, g)[1]
+            span = flows.makespan_via_cuts(x, matrix)
+            assert abs(paired - flow) < 1e-6 and abs(x.sum() - flow - span) < 1e-6
+            assert "scipy.optimize" not in sys.modules, "loaded by clustercap"
+            assert sys.modules["scipy.optimize._highspy._core"] is clustercap.lp._highspy
+
+            import scipy.optimize
+            from scipy.optimize._highspy import _core
+            assert _core is sys.modules["scipy.optimize._highspy._core"]
+            assert _core is clustercap.lp._highspy
+            res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-3.0],
+                                         method="highs")
+            assert res.status == 0 and abs(res.fun - 3.0) < 1e-9, res
+            print("ok")
+            """
+        )
+        assert out.splitlines()[-1] == "ok"
+        rho = dict(line.split() for line in out.splitlines()[:-1])
+        assert set(rho) == {"basic", "serial", "generalized", "alternative"}
+        assert float(rho["generalized"]) == pytest.approx(330.0, abs=1e-6)
+        assert float(rho["alternative"]) == pytest.approx(330.0, abs=1e-6)
+
+    def test_a_loaded_scipy_optimize_lends_its_binding(self):
+        run_fresh(
+            """
+            import scipy.optimize
+            from scipy.optimize._highspy import _core
+            from clustercap import lp
+            assert lp._highspy is _core
+            """
+        )
+
+    def test_the_plain_import_stands_in_when_the_file_is_elsewhere(self, tmp_path):
+        # scipy's own directory stays second on its path, so only the
+        # lookup by file misses
+        run_fresh(
+            f"""
+            import sys
+            import scipy
+            scipy.__path__.insert(0, {str(tmp_path)!r})
+            from clustercap import lp
+            assert "scipy.optimize" in sys.modules
+            assert lp._highspy is sys.modules["scipy.optimize._highspy._core"]
+            build = lp.LpBuilder("fallback")
+            x = build.add_var("x")
+            build.set_objective([(x, 1.0)])
+            build.add_constraint("floor", [(x, 1.0)], lp.GE, 5.0)
+            assert lp.solve(build.problem()).objective == 5.0
+            """
+        )

@@ -37,6 +37,17 @@ def test_bench_layers_adds_an_oracles_run_to_the_stored_ones(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_bench_layers_startup_times_fresh_interpreters(tmp_path):
+    out = tmp_path / "BENCH_startup.json"
+    done = bench_layers("startup", "--label", "now", "--repeats", "1", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    commands = json.loads(out.read_text())["runs"]["now"]["commands"]
+    assert set(commands) == {"import", "solve"}
+    for entry in commands.values():
+        assert entry["wall_s"] > 0 and entry["max_rss_mb"] > 0
+        assert entry["scipy_optimize"] is False
+
+
 def test_a_rewritten_bench_file_does_not_mark_the_tree_dirty(tmp_path):
     def git(*words):
         subprocess.run(["git", "-C", str(tmp_path), *words], check=True, capture_output=True)
