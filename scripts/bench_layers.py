@@ -114,18 +114,19 @@ def oracles(repeats):
 def reduce(repeats):
     """Time each stage of the cold five-chamber cut reduction; write BENCH_reduce.json.
 
-    Stages: enumerate (minimal covers), collapse (distinct weight rows),
-    prefilter (pair test), certify (direction certificates) and lps
-    (separation LPs on the rest).  Counts: covers, raw rows, rows dropped,
-    certified, LPs run and rows kept; `lp_iterations` sums the HiGHS
-    iterations of the LPs.  Stage times are medians in s.  Fails if the kept
+    Stages, in the order `reduce_to_minimal` runs them: enumerate (minimal
+    covers), collapse (distinct weight rows), certify (direction
+    certificates on every raw row), prefilter (pair test on the rows left
+    uncertified) and lps (separation LPs on the rest).  Counts: covers, raw
+    rows, rows dropped, certified, LPs run and rows kept; `lp_iterations`
+    sums the HiGHS iterations of the LPs.  Stage times are medians in s.  Fails if the kept
     rows differ from the checked-in five-chamber matrix.
     """
     from clustercap import cuts, redundancy
 
     highs = watch_highs()
     reference = set(cuts.read_matrix_csv(N5_COPY, reduced=True).coeff_rows())
-    stages = ("enumerate", "collapse", "prefilter", "certify", "lps")
+    stages = ("enumerate", "collapse", "certify", "prefilter", "lps")
     runs = []
     for _ in range(repeats):
         highs["iterations"] = 0
@@ -137,18 +138,16 @@ def reduce(repeats):
         raw, secs["collapse"] = timed(cuts.cuts_to_matrix, g, covers)
         rows = sorted(set(map(tuple, raw.coeffs.tolist())))
         arr = np.asarray(rows)
-        dominated, secs["prefilter"] = timed(redundancy.pair_dominated, arr)
+        certified, secs["certify"] = timed(redundancy.direction_certified, arr)
+        dominated, secs["prefilter"] = timed(redundancy.pair_dominated, arr, ~certified)
         alive = ~dominated
-        certified, secs["certify"] = timed(redundancy.direction_certified, arr[alive])
-        settled = np.zeros(len(rows), dtype=bool)
-        settled[alive] = certified
         # separate_remaining clears the rows it finds redundant from `alive`
-        lps, secs["lps"] = timed(redundancy.separate_remaining, arr, alive, settled)
+        lps, secs["lps"] = timed(redundancy.separate_remaining, arr, alive, certified)
         counts = {
             "covers": len(covers),
             "raw_rows": len(raw.rows),
             "dropped": int(dominated.sum()),
-            "certified": int(settled.sum()),
+            "certified": int(certified.sum()),
             "lps": lps,
             "kept": int(alive.sum()),
         }

@@ -14,23 +14,31 @@ members that are redundant against no other member.  On half-integral sets
 (entries in {0, 1/2, 1}, at most MASK_WIDTH columns) three stages decide the
 rows, each by a proof rather than a guess:
 
-1. Pair prefilter.  Row b is dropped when two other rows a_i, a_j (i = j
-   allowed) give a_i + a_j >= 2b entrywise: b lies below their midpoint, so
-   it is redundant.  Rows are int64 bit masks (entry below 1, zero, half).
-   A candidate a_i must be 1 wherever b is 1, and on the half entries of b
-   no pair may put a 0 against an entry below 1.  All such rows go at once:
-   each lies in conv(others) - R+^n, so neither the polyhedron nor its
-   vertex set changes.
-2. Direction certificates.  A survivor that is the strict unique argmax of
-   <a, x> over the survivors, for some x >= 0, is a vertex: the face that x
-   exposes has a vertex, every vertex survived stage 1, and only b attains
-   the maximum.  The directions are integer vectors in [0, CERT_BOUND]^n
-   from a fixed-seed generator; every score is a multiple of 1/2 below
-   2^16, so the float sums are exact and a tie is a real tie.
-3. Separation LPs.  The survivors without a certificate are tested one by
-   one, in lexicographic order, against the rows still alive.  All the LPs
-   run on one HiGHS model, built once over the rows alive after stage 1 and
-   kept warm: a free column s stands in for b'x, each row a_k gives
+1. Direction certificates, on every row.  A row that is the strict unique
+   argmax of <a, x> over the whole set, for some x >= 0, is a vertex: the
+   face that x exposes has a vertex, every vertex is a row, and only this
+   row attains the maximum.  The directions are integer vectors in
+   [0, CERT_BOUND]^n from a fixed-seed generator, scored CERT_CHUNK at a
+   time as a (directions x rows) float32 block, which keeps the block
+   small.  Every score is a multiple of 1/2 and at most
+   CERT_BOUND * MASK_WIDTH < 2^16, so every partial sum is a whole number
+   of halves below 2^17, which float32 (a 24-bit significand) holds
+   exactly in any summation order: a tie is a real tie.
+2. Pair prefilter, on the rows left uncertified.  Row b is dropped when
+   two other rows a_i, a_j (i = j allowed), taken from the whole set, give
+   a_i + a_j >= 2b entrywise: b lies below their midpoint, so it is
+   redundant.  A certified row never passes this test: on its certifying
+   direction it would score at most the mean of the scores of a_i and a_j,
+   so it would not be the unique argmax.  Skipping it changes no verdict.
+   Rows are int64 bit masks (entry below 1, zero, half).  A candidate a_i
+   must be 1 wherever b is 1, and on the half entries of b no pair may put
+   a 0 against an entry below 1.  All such rows go at once: each lies in
+   conv(others) - R+^n, so neither the polyhedron nor its vertex set
+   changes.
+3. Separation LPs.  The rows neither dropped nor certified are tested one
+   by one, in lexicographic order, against the rows still alive.  All the
+   LPs run on one HiGHS model, built once over the rows alive after stage
+   2 and kept warm: a free column s stands in for b'x, each row a_k gives
    s - a_k'x >= 1, and one equality row s - b'x = 0 stores every entry.
    Testing b = a_i frees a_i's own row, writes -a_i into the equality row
    and re-solves from the last basis (dual simplex, devex pricing).
@@ -58,6 +66,7 @@ CERT_SEED = 1605
 CERT_BATCHES = 20
 CERT_BATCH_SIZE = 1000
 CERT_BOUND = 1024
+CERT_CHUNK = 200  # directions scored at once
 
 _BITS = np.left_shift(np.int64(1), np.arange(MASK_WIDTH, dtype=np.int64))
 
@@ -135,16 +144,33 @@ def _some_pair_fits(zero: np.ndarray, below: np.ndarray) -> bool:
     return False
 
 
-def pair_dominated(rows) -> np.ndarray:
-    """Stage 1: mask of the rows b with a_i + a_j >= 2b entrywise for two
+def _is_half_integral(arr: np.ndarray) -> bool:
+    return arr.ndim == 2 and arr.shape[1] <= MASK_WIDTH and bool(np.isin(arr, HALF_INTEGRAL).all())
+
+
+def _half_integral_rows(rows) -> np.ndarray:
+    arr = np.asarray(rows, dtype=float)
+    if not _is_half_integral(arr):
+        raise DomainError(
+            "the pair test and the direction certificates take a set of rows with "
+            f"entries in {{0, 1/2, 1}}, at most {MASK_WIDTH} wide"
+        )
+    return arr
+
+
+def pair_dominated(rows, todo=None) -> np.ndarray:
+    """Stage 2: mask of the rows b with a_i + a_j >= 2b entrywise for two
     other rows (i = j allowed).  Each such row is redundant.
 
-    `rows` must be distinct and half-integral, at most MASK_WIDTH wide.
+    Only the rows in the mask `todo` (by default every row) are tested, each
+    against all the other rows.  `rows` must be distinct and half-integral,
+    at most MASK_WIDTH wide.
     """
-    arr = np.asarray(rows, dtype=float)
+    arr = _half_integral_rows(rows)
     below, zero, half = (_pack(f) for f in (arr < 1.0, arr == 0.0, arr == 0.5))
     out = np.zeros(len(arr), dtype=bool)
-    for k in range(len(arr)):
+    todo = np.ones(len(arr), dtype=bool) if todo is None else np.asarray(todo, dtype=bool)
+    for k in np.flatnonzero(todo):
         cand = (below & ~below[k]) == 0  # 1 wherever b is 1
         cand[k] = False
         out[k] = _some_pair_fits(zero[cand] & half[k], below[cand] & half[k])
@@ -152,23 +178,27 @@ def pair_dominated(rows) -> np.ndarray:
 
 
 def direction_certified(rows) -> np.ndarray:
-    """Stage 2: mask of the rows that are the strict unique argmax of <a, x>
+    """Stage 1: mask of the rows that are the strict unique argmax of <a, x>
     over `rows` for a sampled integer direction x in [0, CERT_BOUND]^n.
 
-    Each such row is a vertex when `rows` holds every vertex of the set.
-    `rows` must be half-integral, at most MASK_WIDTH wide.
+    Each such row is a vertex of conv(rows) - R+^n.  `rows` must be
+    half-integral, at most MASK_WIDTH wide.
     """
-    arr = np.asarray(rows, dtype=float)
+    members = _half_integral_rows(rows).astype(np.float32).T
     rng = np.random.default_rng(CERT_SEED)
-    out = np.zeros(len(arr), dtype=bool)
+    out = np.zeros(members.shape[1], dtype=bool)
     for _ in range(CERT_BATCHES):
-        x = rng.integers(0, CERT_BOUND + 1, size=(arr.shape[1], CERT_BATCH_SIZE))
-        scores = arr @ x.astype(float)
-        top = scores.max(axis=0)
-        unique = (scores == top).sum(axis=0) == 1
-        out[scores.argmax(axis=0)[unique]] = True
         if out.all():
             break
+        x = rng.integers(0, CERT_BOUND + 1, size=(members.shape[0], CERT_BATCH_SIZE))
+        x = x.T.astype(np.float32)
+        for c in range(0, CERT_BATCH_SIZE, CERT_CHUNK):
+            scores = x[c : c + CERT_CHUNK] @ members  # one row per direction
+            best = scores.argmax(axis=1)
+            each = np.arange(len(best))
+            top = scores[each, best]
+            scores[each, best] = -np.inf  # the runner-up is the new row max
+            out[best[scores.max(axis=1) < top]] = True
     return out
 
 
@@ -230,12 +260,13 @@ def separate_remaining(rows, alive: np.ndarray, settled: np.ndarray) -> int:
 def reduce_to_minimal(a_set) -> list[tuple[float, ...]]:
     """The members redundant against no other member, sorted.
 
-    Equal members count once.  Half-integral sets go through the pair
-    prefilter, the direction certificates and then separation LPs on what
-    is left; other sets through the LPs alone.  One LP pass suffices:
-    removing a redundant vector leaves conv(set) - R+^n unchanged, and a
-    vector that is not redundant against a set is not redundant against any
-    subset of it, so every survivor is non-redundant against the final set.
+    Equal members count once.  Half-integral sets go through the direction
+    certificates, the pair prefilter on the rows left uncertified and then
+    separation LPs on what is left; other sets through the LPs alone.  One
+    LP pass suffices: removing a redundant vector leaves conv(set) - R+^n
+    unchanged, and a vector that is not redundant against a set is not
+    redundant against any subset of it, so every survivor is non-redundant
+    against the final set.
     The maximum of <a, x> over the set is preserved for every x >= 0.
     """
     rows = sorted({tuple(float(v) for v in row) for row in a_set})
@@ -244,8 +275,8 @@ def reduce_to_minimal(a_set) -> list[tuple[float, ...]]:
     arr = np.asarray(rows, dtype=float)
     alive = np.ones(len(rows), dtype=bool)
     settled = np.zeros(len(rows), dtype=bool)
-    if arr.shape[1] <= MASK_WIDTH and np.isin(arr, HALF_INTEGRAL).all():
-        alive = ~pair_dominated(arr)
-        settled[alive] = direction_certified(arr[alive])
+    if _is_half_integral(arr):
+        settled = direction_certified(arr)
+        alive = ~pair_dominated(arr, ~settled)
     separate_remaining(arr, alive, settled)
     return [rows[i] for i in np.flatnonzero(alive)]

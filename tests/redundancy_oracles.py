@@ -5,6 +5,10 @@ import numpy as np
 from clustercap import is_redundant_lp, lp
 from clustercap.errors import LpSolverError
 from clustercap.redundancy import (
+    CERT_BATCH_SIZE,
+    CERT_BATCHES,
+    CERT_BOUND,
+    CERT_SEED,
     WITNESS_SLACK,
     RedundancyVerdict,
     _check_direction,
@@ -42,6 +46,24 @@ def one_pass_lp_reduction(a_set) -> list[tuple[float, ...]]:
         if others.shape[0] and is_redundant_lp(arr[i], others).redundant:
             alive[i] = False
     return [rows[i] for i in range(len(rows)) if alive[i]]
+
+
+def direction_certified_f64(rows) -> np.ndarray:
+    """The direction certificates on the same directions as
+    `redundancy.direction_certified`, scored as one (rows x directions)
+    float64 block per draw, with uniqueness by counting the rows at the max."""
+    arr = np.asarray(rows, dtype=float)
+    rng = np.random.default_rng(CERT_SEED)
+    out = np.zeros(len(arr), dtype=bool)
+    for _ in range(CERT_BATCHES):
+        x = rng.integers(0, CERT_BOUND + 1, size=(arr.shape[1], CERT_BATCH_SIZE))
+        scores = arr @ x.astype(float)
+        top = scores.max(axis=0)
+        unique = (scores == top).sum(axis=0) == 1
+        out[scores.argmax(axis=0)[unique]] = True
+        if out.all():
+            break
+    return out
 
 
 def _check_combination(b: np.ndarray, a: np.ndarray, lam: np.ndarray):

@@ -1,3 +1,6 @@
+import functools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +16,19 @@ from clustercap import (
     reduce_to_minimal,
 )
 from clustercap.errors import DomainError, LpSolverError
-from clustercap.redundancy import direction_certified, pair_dominated, separate_remaining
-from redundancy_oracles import is_redundant_hull, lp_problem_for, one_pass_lp_reduction
+from clustercap.redundancy import (
+    CERT_BOUND,
+    MASK_WIDTH,
+    direction_certified,
+    pair_dominated,
+    separate_remaining,
+)
+from redundancy_oracles import (
+    direction_certified_f64,
+    is_redundant_hull,
+    lp_problem_for,
+    one_pass_lp_reduction,
+)
 
 # three known minimal cuts for three chambers over columns (A, B, C, AB, AC, BC)
 CUT_1 = (1.0, 1.0, 0.0, 1.0, 0.0, 0.0)
@@ -69,6 +83,23 @@ def distinct(rows) -> np.ndarray:
 
 def others(arr, i):
     return np.delete(arr, i, axis=0)
+
+
+@functools.cache
+def raw_cut_rows(n) -> np.ndarray:
+    """The distinct raw coefficient rows for n chambers, read-only."""
+    arr = distinct(cut_rows(n, "coefficients"))
+    arr.flags.writeable = False
+    return arr
+
+
+def check_reorder(arr):
+    """Certifying every row first and pair-testing only the rest drops the
+    same rows as pair-testing every row."""
+    certified = direction_certified(arr)
+    dominated = pair_dominated(arr)
+    assert not (certified & dominated).any()
+    assert (pair_dominated(arr, ~certified) == dominated).all()
 
 
 class TestKnownCuts:
@@ -259,6 +290,41 @@ class TestStagedReduction:
         for i in np.flatnonzero(direction_certified(arr)):
             if len(arr) > 1:
                 assert not is_redundant_lp(arr[i], others(arr, i)).redundant
+
+    def test_float32_scores_are_exact(self):
+        # a score counted in halves: at most 2 * CERT_BOUND per column, within
+        # float32's 24-bit significand, so every partial sum is exact
+        assert 2 * CERT_BOUND * MASK_WIDTH < 2**24
+
+    @given(half_integral_sets())
+    @settings(max_examples=40)
+    def test_certificates_match_the_float64_oracle_on_half_integral_sets(self, rows):
+        assert direction_certified(rows).tolist() == direction_certified_f64(rows).tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_certificates_match_the_float64_oracle_on_raw_cut_rows(self, n):
+        arr = raw_cut_rows(n)
+        assert direction_certified(arr).tolist() == direction_certified_f64(arr).tolist()
+
+    @given(half_integral_sets())
+    @settings(max_examples=40)
+    def test_certified_rows_need_no_pair_test_on_half_integral_sets(self, rows):
+        check_reorder(distinct(rows))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_certified_rows_need_no_pair_test_on_raw_cut_rows(self, n):
+        check_reorder(raw_cut_rows(n))
+
+    @pytest.mark.parametrize("stage", [pair_dominated, direction_certified])
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0.3], [0.9]], [[1.5, 0.0], [0.0, 1.0]], np.zeros((2, MASK_WIDTH + 1)), [0.5, 1.0]],
+        ids=["fractions", "above-one", "too-wide", "one-row"],
+    )
+    def test_off_domain_rows_are_refused(self, stage, rows):
+        rule = f"entries in {{0, 1/2, 1}}, at most {MASK_WIDTH} wide"
+        with pytest.raises(DomainError, match=re.escape(rule)):
+            stage(rows)
 
     def test_prefilter_on_four_chamber_cut_rows(self):
         arr = distinct(cut_rows(4, "coefficients"))
