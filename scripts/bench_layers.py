@@ -117,16 +117,18 @@ def reduce(repeats):
     Stages, in the order `reduce_to_minimal` runs them: enumerate (minimal
     covers), collapse (distinct weight rows), certify (direction
     certificates on every raw row), prefilter (pair test on the rows left
-    uncertified) and lps (separation LPs on the rest).  Counts: covers, raw
-    rows, rows dropped, certified, LPs run and rows kept; `lp_iterations`
-    sums the HiGHS iterations of the LPs.  Stage times are medians in s.  Fails if the kept
+    uncertified), perceptron (perceptron certificates on the rows left
+    alive and uncertified) and lps (separation LPs on the rest).  Counts:
+    covers, raw rows, rows dropped, certified (by directions), perceptron
+    (rows it certifies), LPs run and rows kept; `lp_iterations` sums the
+    HiGHS iterations of the LPs.  Stage times are medians in s.  Fails if the kept
     rows differ from the checked-in five-chamber matrix.
     """
     from clustercap import cuts, redundancy
 
     highs = watch_highs()
     reference = set(cuts.read_matrix_csv(N5_COPY, reduced=True).coeff_rows())
-    stages = ("enumerate", "collapse", "certify", "prefilter", "lps")
+    stages = ("enumerate", "collapse", "certify", "prefilter", "perceptron", "lps")
     runs = []
     for _ in range(repeats):
         highs["iterations"] = 0
@@ -141,13 +143,19 @@ def reduce(repeats):
         certified, secs["certify"] = timed(redundancy.direction_certified, arr)
         dominated, secs["prefilter"] = timed(redundancy.pair_dominated, arr, ~certified)
         alive = ~dominated
+        perceptron, secs["perceptron"] = timed(
+            redundancy.perceptron_certified, arr, alive, ~certified
+        )
         # separate_remaining clears the rows it finds redundant from `alive`
-        lps, secs["lps"] = timed(redundancy.separate_remaining, arr, alive, certified)
+        lps, secs["lps"] = timed(
+            redundancy.separate_remaining, arr, alive, certified | perceptron
+        )
         counts = {
             "covers": len(covers),
             "raw_rows": len(raw.rows),
             "dropped": int(dominated.sum()),
             "certified": int(certified.sum()),
+            "perceptron": int(perceptron.sum()),
             "lps": lps,
             "kept": int(alive.sum()),
         }

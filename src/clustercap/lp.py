@@ -291,17 +291,10 @@ def _assemble(p: LpProblem) -> _Form:
     )
 
 
-SIMPLEX, IPM, DEVEX = "simplex", "ipm", "devex"
+SIMPLEX, IPM = "simplex", "ipm"
 
-# each method's HiGHS options: dual simplex, IPM ending in crossover, and dual
-# simplex pricing by devex weights in place of steepest edge; on the 204
-# five-chamber separation LPs that one edited model re-solves in turn, devex
-# took 0.47 s and steepest edge 0.65 s
-_METHODS = {
-    SIMPLEX: {"solver": "simplex"},
-    IPM: {"solver": "ipm"},
-    DEVEX: {"solver": "simplex", "simplex_dual_edge_weight_strategy": 1},
-}
+# each method's HiGHS options: dual simplex, and IPM ending in crossover
+_METHODS = {SIMPLEX: {"solver": "simplex"}, IPM: {"solver": "ipm"}}
 
 # what linprog(method="highs") set, so answers stay what they were under it
 _OPTIONS = {
@@ -351,7 +344,7 @@ class Handle:
     It starts with `rows` (all rows by default) and takes more through
     `add_rows`; every `run` starts from the basis the last one ended on.
     `run` answers for the rows held, and `certify` holds an answer to every
-    bound and row of the LP.  `method` is SIMPLEX, IPM or DEVEX.
+    bound and row of the LP.  `method` is SIMPLEX or IPM.
     """
 
     def __init__(self, form: _Form, rows=None, method: str = SIMPLEX):
@@ -394,43 +387,6 @@ class Handle:
         if status == _highspy.HighsStatus.kError:
             raise LpSolverError(f"{self.form.name}: HiGHS refused {len(rows)} added rows")
         self.rows = np.concatenate((self.rows, rows))
-
-    def _held_at(self, row: int) -> int:
-        """Where HiGHS holds row `row` of the LP."""
-        at = np.flatnonzero(self.rows == row)
-        if not at.size:
-            raise DomainError(f"{self.form.name}: row {self.form.row_name(row)} is not held")
-        return int(at[0])
-
-    def set_rhs(self, row: int, rhs: float):
-        """Give row `row` of the LP the right-hand side `rhs`, in the row's own
-        sense: a >= row with rhs -inf holds at every x.  Changes `form` in
-        place, so that `certify` checks the LP HiGHS holds."""
-        f = self.form
-        if f.eq[row] and not np.isfinite(rhs):
-            raise DomainError(f"{f.name}: equality row {f.row_name(row)} needs a finite rhs")
-        f.rhs[row] = f.sign[row] * rhs
-        (lower,), (upper,) = self._row_bounds([row])
-        status = self.highs.changeRowBounds(self._held_at(row), lower, upper)
-        if status != _highspy.HighsStatus.kOk:
-            raise LpSolverError(f"{f.name}: HiGHS refused the rhs of row {f.row_name(row)}")
-
-    def set_coeffs(self, row: int, values):
-        """Write `values` over the stored entries of row `row` of the LP, in
-        the order they are stored; the row keeps its columns, and only the
-        entries that change go to HiGHS.  Changes `form` in place, as
-        `set_rhs` does."""
-        f = self.form
-        start, end = f.a.indptr[row], f.a.indptr[row + 1]
-        values = f.sign[row] * np.asarray(values, dtype=float)
-        if values.shape != (end - start,):
-            raise DomainError(f"{f.name}: row {f.row_name(row)} stores {end - start} entries")
-        new = np.flatnonzero(values != f.a.data[start:end])
-        f.a.data[start:end] = values
-        at = self._held_at(row)
-        for j, v in zip(f.a.indices[start:end][new].tolist(), values[new].tolist()):
-            if self.highs.changeCoeff(at, j, v) != _highspy.HighsStatus.kOk:
-                raise LpSolverError(f"{f.name}: HiGHS refused an entry of row {f.row_name(row)}")
 
     def run(self) -> LpSolution:
         """Solve the rows held.  Solver breakdown raises LpSolverError instead

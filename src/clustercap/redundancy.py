@@ -11,7 +11,7 @@ self-contained phase-1 simplex in the tests, as the oracle for this module.
 
 `reduce_to_minimal` keeps exactly the vertices of conv(set) - R+^n, the
 members that are redundant against no other member.  On half-integral sets
-(entries in {0, 1/2, 1}, at most MASK_WIDTH columns) three stages decide the
+(entries in {0, 1/2, 1}, at most MASK_WIDTH columns) four stages decide the
 rows, each by a proof rather than a guess:
 
 1. Direction certificates, on every row.  A row that is the strict unique
@@ -35,17 +35,24 @@ rows, each by a proof rather than a guess:
    a 0 against an entry below 1.  All such rows go at once: each lies in
    conv(others) - R+^n, so neither the polyhedron nor its vertex set
    changes.
-3. Separation LPs.  The rows neither dropped nor certified are tested one
-   by one, in lexicographic order, against the rows still alive.  All the
-   LPs run on one HiGHS model, built once over the rows alive after stage
-   2 and kept warm: a free column s stands in for b'x, each row a_k gives
-   s - a_k'x >= 1, and one equality row s - b'x = 0 stores every entry.
-   Testing b = a_i frees a_i's own row, writes -a_i into the equality row
-   and re-solves from the last basis (dual simplex, devex pricing).
-   Infeasible drops a_i, whose row stays free; Optimal keeps it, once its x
-   passes the same witness check as `is_redundant_lp`, and restores its row.
+3. Perceptron certificates, on the rows alive and still uncertified.  For
+   each such row b an integer direction d >= 0 starts at 2b; while some
+   other alive row scores at least <b, d>, the best such a_j moves it to
+   max(0, d + 2b - 2a_j).  Once b is the strict unique argmax of <a, d> over
+   the alive rows it is a vertex of conv(alive) - R+^n, by the argument of
+   stage 1, and that polyhedron is conv(set) - R+^n because every dropped
+   row is redundant.  A row not certified within PERCEPTRON_STEPS scorings
+   goes on to stage 4.  Each step scores every pending row at once, as one
+   (pending x alive) float32 product.  An update adds at most 2 to an
+   entry, so d stays in [0, 2 + 2 * PERCEPTRON_STEPS]^n; every score is
+   then a multiple of 1/2 and at most (2 + 2 * PERCEPTRON_STEPS) *
+   MASK_WIDTH, so its partial sums are whole numbers of halves below 2^24,
+   exact in float32 as in stage 1.
+4. Separation LPs.  The rows neither dropped nor certified are tested one
+   by one by `is_redundant_lp`, in lexicographic order, against the rows
+   still alive, and dropped when redundant.
 
-Any other input goes through stage 3 alone.
+Any other input goes through stage 4 alone.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ CERT_BATCHES = 20
 CERT_BATCH_SIZE = 1000
 CERT_BOUND = 1024
 CERT_CHUNK = 200  # directions scored at once
+PERCEPTRON_STEPS = 64  # scorings per row before stage 4 takes it
 
 _BITS = np.left_shift(np.int64(1), np.arange(MASK_WIDTH, dtype=np.int64))
 
@@ -164,9 +172,11 @@ def pair_dominated(rows, todo=None) -> np.ndarray:
 
     Only the rows in the mask `todo` (by default every row) are tested, each
     against all the other rows.  `rows` must be distinct and half-integral,
-    at most MASK_WIDTH wide.
+    at most MASK_WIDTH wide: a row with a copy would pair with it.
     """
     arr = _half_integral_rows(rows)
+    if len(np.unique(arr, axis=0)) != len(arr):
+        raise DomainError("the pair test takes distinct rows")
     below, zero, half = (_pack(f) for f in (arr < 1.0, arr == 0.0, arr == 0.5))
     out = np.zeros(len(arr), dtype=bool)
     todo = np.ones(len(arr), dtype=bool) if todo is None else np.asarray(todo, dtype=bool)
@@ -202,58 +212,54 @@ def direction_certified(rows) -> np.ndarray:
     return out
 
 
-def _separation_model(members: np.ndarray) -> lp.Handle:
-    """Stage 3's HiGHS model: min 1'x over x >= 0 and a free s, row k
-    reading s - members[k]'x >= 1 and the last row s - b'x = 0, which
-    stores every x_j and s so that any b can be written into it."""
-    m, d = members.shape
-    build = lp.LpBuilder("redundancy_separation")
-    build.add_cols([f"x{j}" for j in range(d)])
-    s = build.add_var("s", lower=-np.inf)
-    build.set_objective((j, 1.0) for j in range(d))
-    cols = np.tile(np.arange(d + 1), m)  # each row stores x_0 .. x_{d-1}, then s
-    vals = np.hstack((-members, np.ones((m, 1)))).ravel()
-    build.add_rows([f"sep{k}" for k in range(m)], np.full(m, d + 1), cols, vals, lp.GE, 1.0)
-    build.add_constraint("b", [(j, 0.0) for j in range(d)] + [(s, 1.0)], lp.EQ, 0.0)
-    return lp.Handle.of(build.problem(), method=lp.DEVEX)
+def perceptron_certified(rows, alive, todo) -> np.ndarray:
+    """Stage 3: mask of the rows in `todo` and `alive` that are the strict
+    unique argmax of <a, d> over the rows in `alive`, for an integer
+    direction d >= 0 found in at most PERCEPTRON_STEPS scorings.
+
+    Each such row is a vertex of conv(alive rows) - R+^n.  `rows` must be
+    half-integral, at most MASK_WIDTH wide.
+    """
+    arr = _half_integral_rows(rows)
+    alive = np.asarray(alive, dtype=bool)
+    members = np.flatnonzero(alive)
+    pending = np.flatnonzero(alive & np.asarray(todo, dtype=bool))
+    a = arr[members].astype(np.float32)
+    b = arr[pending].astype(np.float32)
+    own = np.searchsorted(members, pending)  # each pending row's column
+    d = 2 * b
+    out = np.zeros(len(arr), dtype=bool)
+    left = np.arange(len(pending))  # the pending rows not yet certified
+    for _ in range(PERCEPTRON_STEPS):
+        if not left.size:
+            break
+        scores = d[left] @ a.T  # one row per pending row
+        each = np.arange(len(left))
+        top = scores[each, own[left]]
+        scores[each, own[left]] = -np.inf
+        best = scores.argmax(axis=1)
+        won = scores[each, best] < top
+        out[pending[left[won]]] = True
+        left, best = left[~won], best[~won]
+        d[left] = np.maximum(d[left] + 2 * b[left] - 2 * a[best], 0)
+    return out
 
 
 def separate_remaining(rows, alive: np.ndarray, settled: np.ndarray) -> int:
-    """Stage 3: one pass of separation LPs, in order, over the rows alive
-    and not settled; each is tested against the other rows still alive and
-    cleared from `alive` (in place) when redundant.  Returns the LP count.
-
-    All the LPs run on one warm model of the rows alive on entry: testing
-    row i frees its own row, writes -rows[i] into the row that fixes s, and
-    re-solves from the last basis.  A row found redundant stays free.
+    """Stage 4: one pass of separation LPs, in order, over the rows alive
+    and not settled; each is tested by `is_redundant_lp` against the other
+    rows still alive and cleared from `alive` (in place) when redundant.
+    Returns the LP count.
     """
     arr = np.asarray(rows, dtype=float)
-    members = np.flatnonzero(alive)
-    todo = np.flatnonzero(alive & ~settled)
-    if len(members) < 2 or not todo.size:
-        return 0
-    if np.any(arr[members] < 0):
-        raise DomainError("redundancy tests are defined for nonnegative vectors")
-    handle = _separation_model(arr[members])
-    fix_s = len(members)
     solved = 0
-    for i in todo:
+    for i in np.flatnonzero(alive & ~settled):
         others = alive.copy()
         others[i] = False
         if not others.any():
             continue
-        own = np.searchsorted(members, i)
-        handle.set_rhs(own, -np.inf)
-        handle.set_coeffs(fix_s, np.append(-arr[i], 1.0))
-        sol = handle.run()
         solved += 1
-        if sol.status == lp.INFEASIBLE:
-            alive[i] = False
-            continue
-        if sol.status != lp.OPTIMAL:
-            raise LpSolverError(f"separation LP unexpectedly {sol.status}")
-        _check_direction(arr[i], arr[others], np.asarray(sol.x[:-1]))
-        handle.set_rhs(own, 1.0)
+        alive[i] = not is_redundant_lp(arr[i], arr[others]).redundant
     return solved
 
 
@@ -261,8 +267,9 @@ def reduce_to_minimal(a_set) -> list[tuple[float, ...]]:
     """The members redundant against no other member, sorted.
 
     Equal members count once.  Half-integral sets go through the direction
-    certificates, the pair prefilter on the rows left uncertified and then
-    separation LPs on what is left; other sets through the LPs alone.  One
+    certificates, the pair prefilter on the rows left uncertified, the
+    perceptron on the rows left alive and uncertified, and then separation
+    LPs on what is left; other sets through the LPs alone.  One
     LP pass suffices: removing a redundant vector leaves conv(set) - R+^n
     unchanged, and a vector that is not redundant against a set is not
     redundant against any subset of it, so every survivor is non-redundant
@@ -278,5 +285,6 @@ def reduce_to_minimal(a_set) -> list[tuple[float, ...]]:
     if _is_half_integral(arr):
         settled = direction_certified(arr)
         alive = ~pair_dominated(arr, ~settled)
+        settled |= perceptron_certified(arr, alive, ~settled)
     separate_remaining(arr, alive, settled)
     return [rows[i] for i in np.flatnonzero(alive)]

@@ -9,6 +9,7 @@ from clustercap.redundancy import (
     CERT_BATCHES,
     CERT_BOUND,
     CERT_SEED,
+    PERCEPTRON_STEPS,
     WITNESS_SLACK,
     RedundancyVerdict,
     _check_direction,
@@ -63,6 +64,26 @@ def direction_certified_f64(rows) -> np.ndarray:
         out[scores.argmax(axis=0)[unique]] = True
         if out.all():
             break
+    return out
+
+
+def perceptron_certified_int(rows, alive, todo) -> np.ndarray:
+    """The perceptron of `redundancy.perceptron_certified`, one row at a
+    time in int64 on the doubled rows, scoring each row against the other
+    alive rows in index order (the first best row moves d)."""
+    twice = (2 * np.asarray(rows, dtype=float)).astype(np.int64)
+    alive = np.asarray(alive, dtype=bool)
+    out = np.zeros(len(twice), dtype=bool)
+    for i in np.flatnonzero(alive & np.asarray(todo, dtype=bool)):
+        rivals = np.flatnonzero(alive)
+        rivals = rivals[rivals != i]
+        d = twice[i].copy()
+        for _ in range(PERCEPTRON_STEPS):
+            scores = twice[rivals] @ d
+            if not rivals.size or scores.max() < twice[i] @ d:
+                out[i] = True
+                break
+            d = np.maximum(d + twice[i] - twice[rivals[scores.argmax()]], 0)
     return out
 
 

@@ -498,50 +498,11 @@ class TestHandle:
         with pytest.raises(LpSolverError, match="bound violated for x"):
             handle.certify(replace(sol, x=(float("nan"),)))
 
-    def test_edited_rows_answer_as_a_fresh_solve(self):
-        p = floors_problem()
-        handle = lp.Handle.of(p)
-        assert handle.run().objective == pytest.approx(5.0)
-        handle.set_rhs(2, -np.inf)  # "both" now holds at every x
-        free = handle.run()
-        handle.certify(free)
-        assert free.objective == pytest.approx(3.0)
-        handle.set_coeffs(2, [2.0, 1.0])
-        handle.set_rhs(2, 7.0)
-        edited = handle.run()
-        handle.certify(edited)
-        build = lp.LpBuilder("floors")
-        x, y = build.add_var("x"), build.add_var("y")
-        build.set_objective([(x, 1.0), (y, 1.0)])
-        build.add_constraint("fx", [(x, 1.0)], lp.GE, 1.0)
-        build.add_constraint("fy", [(y, 1.0)], lp.GE, 2.0)
-        build.add_constraint("both", [(x, 2.0), (y, 1.0)], lp.GE, 7.0)
-        assert edited.objective == pytest.approx(lp.solve(build.problem()).objective, rel=1e-12)
-        with pytest.raises(LpSolverError, match="row both violated by 3.000e\\+00"):
-            handle.certify(free)  # (1, 2) kept the row before the edit, not after
-        assert p.rhs.tolist() == [1.0, 2.0, 5.0]  # the problem itself is untouched
-        assert p.matrix.data.tolist() == [1.0, 1.0, 1.0, 1.0]
-
-    def test_edits_refuse_what_the_model_cannot_hold(self):
-        handle = lp.Handle.of(floors_problem(), [0, 1])
-        with pytest.raises(DomainError, match="row both is not held"):
-            handle.set_rhs(2, 4.0)
-        with pytest.raises(DomainError, match="row fx stores 1 entries"):
-            handle.set_coeffs(0, [1.0, 1.0])
-        with pytest.raises(DomainError, match="equality row r3 needs a finite rhs"):
-            lp.Handle.of(mix_problem()).set_rhs(2, np.inf)
-
     def test_ipm_reaches_the_simplex_answer(self):
         p = mix_problem()
         simplex, ipm = lp.solve(p, lp.SIMPLEX), lp.solve(p, lp.IPM)
         assert ipm.status == simplex.status == lp.OPTIMAL
         assert ipm.objective == pytest.approx(simplex.objective, rel=1e-9)
-
-    def test_devex_reaches_the_simplex_answer(self):
-        p = mix_problem()
-        simplex, devex = lp.solve(p, lp.SIMPLEX), lp.solve(p, lp.DEVEX)
-        assert devex.status == simplex.status == lp.OPTIMAL
-        assert devex.objective == pytest.approx(simplex.objective, rel=1e-9)
 
     def test_unknown_method_is_refused(self):
         with pytest.raises(DomainError, match="LP method 'primal'"):

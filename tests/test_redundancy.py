@@ -15,12 +15,15 @@ from clustercap import (
     lp,
     reduce_to_minimal,
 )
+from clustercap import redundancy
 from clustercap.errors import DomainError, LpSolverError
 from clustercap.redundancy import (
     CERT_BOUND,
     MASK_WIDTH,
+    PERCEPTRON_STEPS,
     direction_certified,
     pair_dominated,
+    perceptron_certified,
     separate_remaining,
 )
 from redundancy_oracles import (
@@ -28,6 +31,7 @@ from redundancy_oracles import (
     is_redundant_hull,
     lp_problem_for,
     one_pass_lp_reduction,
+    perceptron_certified_int,
 )
 
 # three known minimal cuts for three chambers over columns (A, B, C, AB, AC, BC)
@@ -91,6 +95,38 @@ def raw_cut_rows(n) -> np.ndarray:
     arr = distinct(cut_rows(n, "coefficients"))
     arr.flags.writeable = False
     return arr
+
+
+# stage 1 off, so the perceptron settles what it can; both off, so the LPs settle all
+CERTIFICATES_OFF = [("CERT_BATCHES",), ("CERT_BATCHES", "PERCEPTRON_STEPS")]
+
+
+def perceptron_on_every_row(rows):
+    every = np.ones(len(rows), dtype=bool)
+    return perceptron_certified(rows, every, every)
+
+
+def perceptron_states(arr):
+    """(alive, todo) masks to run the perceptron on: every row against every
+    row, the rows the directions leave uncertified against every row, and
+    the state `reduce_to_minimal` hands it after the pair test."""
+    every = np.ones(len(arr), dtype=bool)
+    pending = ~direction_certified(arr)
+    return [(every, every), (every, pending), (~pair_dominated(arr, pending), pending)]
+
+
+@functools.cache
+def raw_perceptron_states(n):
+    return perceptron_states(raw_cut_rows(n))
+
+
+def check_perceptron_vertices(arr, alive, todo):
+    """Every row the perceptron certifies is redundant against no other
+    alive row, by the hull oracle."""
+    members = arr[alive]
+    for i in np.flatnonzero(perceptron_certified(arr, alive, todo)[alive]):
+        if len(members) > 1:
+            assert not is_redundant_hull(members[i], others(members, i)).redundant
 
 
 def check_reorder(arr):
@@ -296,6 +332,70 @@ class TestStagedReduction:
         # float32's 24-bit significand, so every partial sum is exact
         assert 2 * CERT_BOUND * MASK_WIDTH < 2**24
 
+    def test_float32_perceptron_scores_are_exact(self):
+        # the perceptron's directions stay in [0, 2 + 2 * PERCEPTRON_STEPS]
+        assert 2 * (2 + 2 * PERCEPTRON_STEPS) * MASK_WIDTH < 2**24
+
+    @given(half_integral_sets())
+    @settings(max_examples=40)
+    def test_perceptron_certifies_only_vertices_on_half_integral_sets(self, rows):
+        arr = distinct(rows)
+        for alive, todo in perceptron_states(arr):
+            check_perceptron_vertices(arr, alive, todo)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_perceptron_certifies_only_vertices_on_raw_cut_rows(self, n):
+        # every raw row at n = 3, 4; at n = 5 the 204 rows the pair test and
+        # the directions leave, all of which it certifies
+        arr = raw_cut_rows(n)
+        alive, todo = raw_perceptron_states(n)[0 if n < 5 else 2]
+        certified = perceptron_certified(arr, alive, todo)
+        assert certified.sum() == {3: 5, 4: 23, 5: 204}[n]
+        check_perceptron_vertices(arr, alive, todo)
+
+    @given(half_integral_sets())
+    @settings(max_examples=40)
+    def test_perceptron_matches_the_integer_oracle_on_half_integral_sets(self, rows):
+        arr = distinct(rows)
+        for alive, todo in perceptron_states(arr):
+            got = perceptron_certified(arr, alive, todo)
+            assert got.tolist() == perceptron_certified_int(arr, alive, todo).tolist()
+
+    def test_perceptron_matches_the_integer_oracle_on_five_chamber_cut_rows(self):
+        arr = raw_cut_rows(5)
+        alive, todo = raw_perceptron_states(5)[2]
+        got = perceptron_certified(arr, alive, todo)
+        assert got.tolist() == perceptron_certified_int(arr, alive, todo).tolist()
+
+    def test_a_midpoint_is_never_certified(self):
+        # it ties with both ends on d = 2b, and scores below one of them later
+        arr = np.array([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)])
+        every = np.ones(3, dtype=bool)
+        assert perceptron_certified(arr, every, every).tolist() == [True, False, True]
+        # the ends are settled, not pending, and still count against it
+        assert not perceptron_certified(arr, every, [False, True, False]).any()
+
+    @pytest.mark.parametrize("off", CERTIFICATES_OFF, ids=["no-directions", "no-certificates"])
+    @given(rows=half_integral_sets())
+    @settings(max_examples=20)
+    def test_the_lps_settle_what_the_certificates_leave(self, off, rows):
+        with pytest.MonkeyPatch.context() as patch:
+            for name in off:
+                patch.setattr(redundancy, name, 0)
+            assert reduce_to_minimal(rows) == one_pass_lp_reduction(rows)
+
+    @pytest.mark.parametrize("off", CERTIFICATES_OFF, ids=["no-directions", "no-certificates"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_the_lps_settle_what_the_certificates_leave_on_cut_rows(self, monkeypatch, off, n):
+        for name in off:
+            monkeypatch.setattr(redundancy, name, 0)
+        rows = raw_cut_rows(n)
+        assert reduce_to_minimal(rows) == one_pass_lp_reduction(rows)
+
+    def test_pair_test_refuses_duplicate_rows(self):
+        with pytest.raises(DomainError, match="distinct rows"):
+            pair_dominated([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
     @given(half_integral_sets())
     @settings(max_examples=40)
     def test_certificates_match_the_float64_oracle_on_half_integral_sets(self, rows):
@@ -315,7 +415,7 @@ class TestStagedReduction:
     def test_certified_rows_need_no_pair_test_on_raw_cut_rows(self, n):
         check_reorder(raw_cut_rows(n))
 
-    @pytest.mark.parametrize("stage", [pair_dominated, direction_certified])
+    @pytest.mark.parametrize("stage", [pair_dominated, direction_certified, perceptron_on_every_row])
     @pytest.mark.parametrize(
         "rows",
         [[[0.3], [0.9]], [[1.5, 0.0], [0.0, 1.0]], np.zeros((2, MASK_WIDTH + 1)), [0.5, 1.0]],
@@ -343,7 +443,7 @@ class TestStagedReduction:
 
 
 class TestWarmSeparation:
-    """Stage 3's one warm model against the cold LPs of the slow oracle."""
+    """Stage 4's pass of separation LPs against the slow oracle's."""
 
     @pytest.mark.parametrize("side", ["coefficients", "weights"])
     def test_matches_one_pass_lp_reduction_on_raw_four_chamber_rows(self, side):
@@ -380,7 +480,13 @@ class TestWarmSeparation:
         assert not done[:40].all()  # rows were dropped before the breakdown
         assert alive.tolist() == done[:40].tolist() + [True] * (len(arr) - 40)
 
-    @pytest.mark.parametrize("x, why", [(0.0, "does not separate"), (-1.0, "has negative entries")])
+    @pytest.mark.parametrize(
+        "x, why",
+        [
+            pytest.param(0.0, "row 0 violated", id="0.0-does not separate"),
+            pytest.param(-1.0, "bound violated for x0", id="-1.0-has negative entries"),
+        ],
+    )
     def test_a_direction_that_does_not_separate_raises(self, monkeypatch, x, why):
         def optimal_at_x(handle):
             point = np.full(len(handle.form.c), x)
@@ -388,7 +494,7 @@ class TestWarmSeparation:
 
         monkeypatch.setattr(lp, "_run", optimal_at_x)
         alive = np.ones(3, dtype=bool)
-        with pytest.raises(LpSolverError, match=f"separating direction {why}"):
+        with pytest.raises(LpSolverError, match=f"redundancy_separation: {why}"):
             separate_remaining([CUT_1, CUT_2, CUT_3], alive, np.zeros(3, dtype=bool))
         assert alive.all()
 
