@@ -120,13 +120,15 @@ def raw_perceptron_states(n):
     return perceptron_states(raw_cut_rows(n))
 
 
-def check_perceptron_vertices(arr, alive, todo):
+def check_perceptron_vertices(arr, alive, todo) -> int:
     """Every row the perceptron certifies is redundant against no other
-    alive row, by the hull oracle."""
+    alive row, by the hull oracle; returns how many it certifies."""
     members = arr[alive]
-    for i in np.flatnonzero(perceptron_certified(arr, alive, todo)[alive]):
+    certified = np.flatnonzero(perceptron_certified(arr, alive, todo)[alive])
+    for i in certified:
         if len(members) > 1:
             assert not is_redundant_hull(members[i], others(members, i)).redundant
+    return len(certified)
 
 
 def check_reorder(arr):
@@ -347,11 +349,8 @@ class TestStagedReduction:
     def test_perceptron_certifies_only_vertices_on_raw_cut_rows(self, n):
         # every raw row at n = 3, 4; at n = 5 the 204 rows the pair test and
         # the directions leave, all of which it certifies
-        arr = raw_cut_rows(n)
         alive, todo = raw_perceptron_states(n)[0 if n < 5 else 2]
-        certified = perceptron_certified(arr, alive, todo)
-        assert certified.sum() == {3: 5, 4: 23, 5: 204}[n]
-        check_perceptron_vertices(arr, alive, todo)
+        assert check_perceptron_vertices(raw_cut_rows(n), alive, todo) == {3: 5, 4: 23, 5: 204}[n]
 
     @given(half_integral_sets())
     @settings(max_examples=40)
@@ -368,7 +367,7 @@ class TestStagedReduction:
         assert got.tolist() == perceptron_certified_int(arr, alive, todo).tolist()
 
     def test_a_midpoint_is_never_certified(self):
-        # it ties with both ends on d = 2b, and scores below one of them later
+        # it ties with both ends on d = 2b, and every later d puts one end above it
         arr = np.array([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)])
         every = np.ones(3, dtype=bool)
         assert perceptron_certified(arr, every, every).tolist() == [True, False, True]
@@ -415,7 +414,9 @@ class TestStagedReduction:
     def test_certified_rows_need_no_pair_test_on_raw_cut_rows(self, n):
         check_reorder(raw_cut_rows(n))
 
-    @pytest.mark.parametrize("stage", [pair_dominated, direction_certified, perceptron_on_every_row])
+    @pytest.mark.parametrize(
+        "stage", [pair_dominated, direction_certified, perceptron_on_every_row]
+    )
     @pytest.mark.parametrize(
         "rows",
         [[[0.3], [0.9]], [[1.5, 0.0], [0.0, 1.0]], np.zeros((2, MASK_WIDTH + 1)), [0.5, 1.0]],
