@@ -115,20 +115,19 @@ def reduce(repeats):
     """Time each stage of the cold five-chamber cut reduction; write BENCH_reduce.json.
 
     Stages, in the order `reduce_to_minimal` runs them: enumerate (minimal
-    covers), collapse (distinct weight rows), certify (direction
+    covers), collapse (distinct weight rows), perceptron (perceptron
     certificates on every raw row), prefilter (pair test on the rows left
-    uncertified), perceptron (perceptron certificates on the rows left
-    alive and uncertified) and lps (separation LPs on the rest).  Counts:
-    covers, raw rows, rows dropped, certified (by directions), perceptron
-    (rows it certifies), LPs run and rows kept; `lp_iterations` sums the
-    HiGHS iterations of the LPs.  Stage times are medians in s.  Fails if the kept
-    rows differ from the checked-in five-chamber matrix.
+    uncertified) and lps (separation LPs on the rest).  Counts: covers, raw
+    rows, certified (by the perceptron), rows dropped, LPs run and rows
+    kept; `lp_iterations` sums the HiGHS iterations of the LPs.  Stage
+    times are medians in s.  Fails if the kept rows differ from the
+    checked-in five-chamber matrix.
     """
     from clustercap import cuts, redundancy
 
     highs = watch_highs()
     reference = set(cuts.read_matrix_csv(N5_COPY, reduced=True).coeff_rows())
-    stages = ("enumerate", "collapse", "certify", "prefilter", "perceptron", "lps")
+    stages = ("enumerate", "collapse", "perceptron", "prefilter", "lps")
     runs = []
     for _ in range(repeats):
         highs["iterations"] = 0
@@ -140,22 +139,16 @@ def reduce(repeats):
         raw, secs["collapse"] = timed(cuts.cuts_to_matrix, g, covers)
         rows = sorted(set(map(tuple, raw.coeffs.tolist())))
         arr = np.asarray(rows)
-        certified, secs["certify"] = timed(redundancy.direction_certified, arr)
+        certified, secs["perceptron"] = timed(redundancy.perceptron_certified, arr)
         dominated, secs["prefilter"] = timed(redundancy.pair_dominated, arr, ~certified)
         alive = ~dominated
-        perceptron, secs["perceptron"] = timed(
-            redundancy.perceptron_certified, arr, alive, ~certified
-        )
         # separate_remaining clears the rows it finds redundant from `alive`
-        lps, secs["lps"] = timed(
-            redundancy.separate_remaining, arr, alive, certified | perceptron
-        )
+        lps, secs["lps"] = timed(redundancy.separate_remaining, arr, alive, certified)
         counts = {
             "covers": len(covers),
             "raw_rows": len(raw.rows),
-            "dropped": int(dominated.sum()),
             "certified": int(certified.sum()),
-            "perceptron": int(perceptron.sum()),
+            "dropped": int(dominated.sum()),
             "lps": lps,
             "kept": int(alive.sum()),
         }

@@ -11,19 +11,23 @@ self-contained phase-1 simplex in the tests, as the oracle for this module.
 
 `reduce_to_minimal` keeps exactly the vertices of conv(set) - R+^n, the
 members that are redundant against no other member.  On half-integral sets
-(entries in {0, 1/2, 1}, at most MASK_WIDTH columns) four stages decide the
+(entries in {0, 1/2, 1}, at most MASK_WIDTH columns) three stages decide the
 rows, each by a proof rather than a guess:
 
-1. Direction certificates, on every row.  A row that is the strict unique
-   argmax of <a, x> over the whole set, for some x >= 0, is a vertex: the
-   face that x exposes has a vertex, every vertex is a row, and only this
-   row attains the maximum.  The directions are integer vectors in
-   [0, CERT_BOUND]^n from a fixed-seed generator, scored CERT_CHUNK at a
-   time as a (directions x rows) float32 block, which keeps the block
-   small.  Every score is a multiple of 1/2 and at most
-   CERT_BOUND * MASK_WIDTH < 2^16, so every partial sum is a whole number
-   of halves below 2^17, which float32 (a 24-bit significand) holds
-   exactly in any summation order: a tie is a real tie.
+1. Perceptron certificates, on every row.  For each row b an integer
+   direction d >= 0 starts at 2b; while some other row scores at least
+   <b, d>, the best such a_j (the first, on a tie) moves it to
+   max(0, d + 2b - 2a_j).  A row that becomes the strict unique argmax of
+   <a, d> over the whole set is a vertex: the face that d exposes has a
+   vertex, every vertex is a row, and only this row attains the maximum.
+   A row not certified within PERCEPTRON_STEPS scorings goes on to stage 2.
+   Each step scores up to BLOCK rows at once against every row, as one
+   (block x rows) float32 product into a buffer that every step reuses.  An update adds at most 2 to an entry,
+   so d stays in [0, 2 + 2 * PERCEPTRON_STEPS]^n; every score is then a
+   multiple of 1/2 and at most (2 + 2 * PERCEPTRON_STEPS) * MASK_WIDTH, so
+   its partial sums are whole numbers of halves below 2^24, which float32
+   (a 24-bit significand) holds exactly in any summation order: a tie is a
+   real tie.
 2. Pair prefilter, on the rows left uncertified.  Row b is dropped when
    two other rows a_i, a_j (i = j allowed), taken from the whole set, give
    a_i + a_j >= 2b entrywise: b lies below their midpoint, so it is
@@ -35,24 +39,11 @@ rows, each by a proof rather than a guess:
    a 0 against an entry below 1.  All such rows go at once: each lies in
    conv(others) - R+^n, so neither the polyhedron nor its vertex set
    changes.
-3. Perceptron certificates, on the rows alive and still uncertified.  For
-   each such row b an integer direction d >= 0 starts at 2b; while some
-   other alive row scores at least <b, d>, the best such a_j moves it to
-   max(0, d + 2b - 2a_j).  Once b is the strict unique argmax of <a, d> over
-   the alive rows it is a vertex of conv(alive) - R+^n, by the argument of
-   stage 1, and that polyhedron is conv(set) - R+^n because every dropped
-   row is redundant.  A row not certified within PERCEPTRON_STEPS scorings
-   goes on to stage 4.  Each step scores every pending row at once, as one
-   (pending x alive) float32 product.  An update adds at most 2 to an
-   entry, so d stays in [0, 2 + 2 * PERCEPTRON_STEPS]^n; every score is
-   then a multiple of 1/2 and at most (2 + 2 * PERCEPTRON_STEPS) *
-   MASK_WIDTH, so its partial sums are whole numbers of halves below 2^24,
-   exact in float32 as in stage 1.
-4. Separation LPs.  The rows neither dropped nor certified are tested one
+3. Separation LPs.  The rows neither dropped nor certified are tested one
    by one by `is_redundant_lp`, in lexicographic order, against the rows
    still alive, and dropped when redundant.
 
-Any other input goes through stage 4 alone.
+Any other input goes through stage 3 alone.
 """
 
 from __future__ import annotations
@@ -64,17 +55,10 @@ import numpy as np
 from . import lp
 from .errors import DomainError, LpSolverError
 
-WITNESS_SLACK = 1e-7
-
 HALF_INTEGRAL = (0.0, 0.5, 1.0)
 MASK_WIDTH = 63  # columns an int64 bit mask holds
-PAIR_BLOCK = 256  # candidate rows per side of one block of pair tests
-CERT_SEED = 1605
-CERT_BATCHES = 20
-CERT_BATCH_SIZE = 1000
-CERT_BOUND = 1024
-CERT_CHUNK = 200  # directions scored at once
-PERCEPTRON_STEPS = 64  # scorings per row before stage 4 takes it
+BLOCK = 256  # rows per side of one block of pair tests or perceptron scorings
+PERCEPTRON_STEPS = 24  # scorings per row before the later stages take it
 
 _BITS = np.left_shift(np.int64(1), np.arange(MASK_WIDTH, dtype=np.int64))
 
@@ -107,14 +91,6 @@ def _validate_inputs(b, a_set) -> tuple[np.ndarray, np.ndarray]:
     return b, a
 
 
-def _check_direction(b: np.ndarray, a: np.ndarray, x: np.ndarray):
-    if np.any(x < -WITNESS_SLACK):
-        raise LpSolverError("separating direction has negative entries")
-    gaps = (b - a) @ x
-    if np.any(gaps < 1.0 - WITNESS_SLACK):
-        raise LpSolverError("separating direction does not separate")
-
-
 def is_redundant_lp(b, a_set) -> RedundancyVerdict:
     """Decide redundancy by (in)feasibility of the separation LP.
 
@@ -130,9 +106,7 @@ def is_redundant_lp(b, a_set) -> RedundancyVerdict:
         return RedundancyVerdict(redundant=True, witness=None, criterion="lp")
     if sol.status != lp.OPTIMAL:
         raise LpSolverError(f"separation LP unexpectedly {sol.status}")
-    x = np.asarray(sol.x)
-    _check_direction(b, a, x)
-    return RedundancyVerdict(redundant=False, witness=tuple(map(float, x)), criterion="lp")
+    return RedundancyVerdict(redundant=False, witness=tuple(map(float, sol.x)), criterion="lp")
 
 
 def _pack(flags: np.ndarray) -> np.ndarray:
@@ -142,11 +116,11 @@ def _pack(flags: np.ndarray) -> np.ndarray:
 
 def _some_pair_fits(zero: np.ndarray, below: np.ndarray) -> bool:
     """Whether zero[i] & below[j] == zero[j] & below[i] == 0 for some i, j
-    (i = j allowed), testing at most PAIR_BLOCK rows against PAIR_BLOCK."""
-    for p in range(0, len(zero), PAIR_BLOCK):
-        zp, bp = zero[p : p + PAIR_BLOCK, None], below[p : p + PAIR_BLOCK, None]
-        for q in range(p, len(zero), PAIR_BLOCK):
-            zq, bq = zero[q : q + PAIR_BLOCK], below[q : q + PAIR_BLOCK]
+    (i = j allowed), testing at most BLOCK rows against BLOCK."""
+    for p in range(0, len(zero), BLOCK):
+        zp, bp = zero[p : p + BLOCK, None], below[p : p + BLOCK, None]
+        for q in range(p, len(zero), BLOCK):
+            zq, bq = zero[q : q + BLOCK], below[q : q + BLOCK]
             if not ((zp & bq) | (zq & bp)).all():
                 return True
     return False
@@ -160,7 +134,7 @@ def _half_integral_rows(rows) -> np.ndarray:
     arr = np.asarray(rows, dtype=float)
     if not _is_half_integral(arr):
         raise DomainError(
-            "the pair test and the direction certificates take a set of rows with "
+            "the pair test and the perceptron take a set of rows with "
             f"entries in {{0, 1/2, 1}}, at most {MASK_WIDTH} wide"
         )
     return arr
@@ -187,66 +161,38 @@ def pair_dominated(rows, todo=None) -> np.ndarray:
     return out
 
 
-def direction_certified(rows) -> np.ndarray:
-    """Stage 1: mask of the rows that are the strict unique argmax of <a, x>
-    over `rows` for a sampled integer direction x in [0, CERT_BOUND]^n.
+def perceptron_certified(rows) -> np.ndarray:
+    """Stage 1: mask of the rows that are the strict unique argmax of <a, d>
+    over `rows`, for an integer direction d >= 0 found in at most
+    PERCEPTRON_STEPS scorings.
 
     Each such row is a vertex of conv(rows) - R+^n.  `rows` must be
     half-integral, at most MASK_WIDTH wide.
     """
-    members = _half_integral_rows(rows).astype(np.float32).T
-    rng = np.random.default_rng(CERT_SEED)
-    out = np.zeros(members.shape[1], dtype=bool)
-    for _ in range(CERT_BATCHES):
-        if out.all():
-            break
-        x = rng.integers(0, CERT_BOUND + 1, size=(members.shape[0], CERT_BATCH_SIZE))
-        x = x.T.astype(np.float32)
-        for c in range(0, CERT_BATCH_SIZE, CERT_CHUNK):
-            scores = x[c : c + CERT_CHUNK] @ members  # one row per direction
+    a = _half_integral_rows(rows).astype(np.float32)
+    out = np.zeros(len(a), dtype=bool)
+    block = np.empty((BLOCK, len(a)), dtype=np.float32)  # every step's scores
+    for p in range(0, len(a), BLOCK):
+        b = a[p : p + BLOCK]
+        d = 2 * b
+        left = np.arange(len(b))  # the rows of the block not yet certified
+        for _ in range(PERCEPTRON_STEPS):
+            if not left.size:
+                break
+            scores = np.matmul(d[left], a.T, out=block[: len(left)])
+            each, own = np.arange(len(left)), p + left
+            top = scores[each, own]
+            scores[each, own] = -np.inf
             best = scores.argmax(axis=1)
-            each = np.arange(len(best))
-            top = scores[each, best]
-            scores[each, best] = -np.inf  # the runner-up is the new row max
-            out[best[scores.max(axis=1) < top]] = True
-    return out
-
-
-def perceptron_certified(rows, alive, todo) -> np.ndarray:
-    """Stage 3: mask of the rows in `todo` and `alive` that are the strict
-    unique argmax of <a, d> over the rows in `alive`, for an integer
-    direction d >= 0 found in at most PERCEPTRON_STEPS scorings.
-
-    Each such row is a vertex of conv(alive rows) - R+^n.  `rows` must be
-    half-integral, at most MASK_WIDTH wide.
-    """
-    arr = _half_integral_rows(rows)
-    alive = np.asarray(alive, dtype=bool)
-    members = np.flatnonzero(alive)
-    pending = np.flatnonzero(alive & np.asarray(todo, dtype=bool))
-    a = arr[members].astype(np.float32)
-    b = arr[pending].astype(np.float32)
-    own = np.searchsorted(members, pending)  # each pending row's column
-    d = 2 * b
-    out = np.zeros(len(arr), dtype=bool)
-    left = np.arange(len(pending))  # the pending rows not yet certified
-    for _ in range(PERCEPTRON_STEPS):
-        if not left.size:
-            break
-        scores = d[left] @ a.T  # one row per pending row
-        each = np.arange(len(left))
-        top = scores[each, own[left]]
-        scores[each, own[left]] = -np.inf
-        best = scores.argmax(axis=1)
-        won = scores[each, best] < top
-        out[pending[left[won]]] = True
-        left, best = left[~won], best[~won]
-        d[left] = np.maximum(d[left] + 2 * b[left] - 2 * a[best], 0)
+            won = scores[each, best] < top
+            out[own[won]] = True
+            left, best = left[~won], best[~won]
+            d[left] = np.maximum(d[left] + 2 * b[left] - 2 * a[best], 0)
     return out
 
 
 def separate_remaining(rows, alive: np.ndarray, settled: np.ndarray) -> int:
-    """Stage 4: one pass of separation LPs, in order, over the rows alive
+    """Stage 3: one pass of separation LPs, in order, over the rows alive
     and not settled; each is tested by `is_redundant_lp` against the other
     rows still alive and cleared from `alive` (in place) when redundant.
     Returns the LP count.
@@ -266,10 +212,9 @@ def separate_remaining(rows, alive: np.ndarray, settled: np.ndarray) -> int:
 def reduce_to_minimal(a_set) -> list[tuple[float, ...]]:
     """The members redundant against no other member, sorted.
 
-    Equal members count once.  Half-integral sets go through the direction
-    certificates, the pair prefilter on the rows left uncertified, the
-    perceptron on the rows left alive and uncertified, and then separation
-    LPs on what is left; other sets through the LPs alone.  One
+    Equal members count once.  Half-integral sets go through the perceptron
+    certificates, the pair prefilter on the rows left uncertified, and then
+    separation LPs on what is left; other sets through the LPs alone.  One
     LP pass suffices: removing a redundant vector leaves conv(set) - R+^n
     unchanged, and a vector that is not redundant against a set is not
     redundant against any subset of it, so every survivor is non-redundant
@@ -283,8 +228,7 @@ def reduce_to_minimal(a_set) -> list[tuple[float, ...]]:
     alive = np.ones(len(rows), dtype=bool)
     settled = np.zeros(len(rows), dtype=bool)
     if _is_half_integral(arr):
-        settled = direction_certified(arr)
+        settled = perceptron_certified(arr)
         alive = ~pair_dominated(arr, ~settled)
-        settled |= perceptron_certified(arr, alive, ~settled)
     separate_remaining(arr, alive, settled)
     return [rows[i] for i in np.flatnonzero(alive)]

@@ -4,19 +4,10 @@ import numpy as np
 
 from clustercap import is_redundant_lp, lp
 from clustercap.errors import LpSolverError
-from clustercap.redundancy import (
-    CERT_BATCH_SIZE,
-    CERT_BATCHES,
-    CERT_BOUND,
-    CERT_SEED,
-    PERCEPTRON_STEPS,
-    WITNESS_SLACK,
-    RedundancyVerdict,
-    _check_direction,
-    _validate_inputs,
-)
+from clustercap.redundancy import PERCEPTRON_STEPS, RedundancyVerdict, _validate_inputs
 
 PIVOT_TOL = 1e-10  # the phase-1 simplex's pivot and ratio-test tolerance
+WITNESS_SLACK = 1e-7  # how far a witness may miss, in the hull oracle's checks
 
 
 def lp_problem_for(b, a_set) -> lp.LpProblem:
@@ -49,42 +40,32 @@ def one_pass_lp_reduction(a_set) -> list[tuple[float, ...]]:
     return [rows[i] for i in range(len(rows)) if alive[i]]
 
 
-def direction_certified_f64(rows) -> np.ndarray:
-    """The direction certificates on the same directions as
-    `redundancy.direction_certified`, scored as one (rows x directions)
-    float64 block per draw, with uniqueness by counting the rows at the max."""
-    arr = np.asarray(rows, dtype=float)
-    rng = np.random.default_rng(CERT_SEED)
-    out = np.zeros(len(arr), dtype=bool)
-    for _ in range(CERT_BATCHES):
-        x = rng.integers(0, CERT_BOUND + 1, size=(arr.shape[1], CERT_BATCH_SIZE))
-        scores = arr @ x.astype(float)
-        top = scores.max(axis=0)
-        unique = (scores == top).sum(axis=0) == 1
-        out[scores.argmax(axis=0)[unique]] = True
-        if out.all():
-            break
-    return out
-
-
-def perceptron_certified_int(rows, alive, todo) -> np.ndarray:
-    """The perceptron of `redundancy.perceptron_certified`, one row at a
-    time in int64 on the doubled rows, scoring each row against the other
-    alive rows in index order (the first best row moves d)."""
+def perceptron_certified_int(rows, todo=None) -> np.ndarray:
+    """The perceptron of `redundancy.perceptron_certified` on the rows in the
+    mask `todo` (by default every row), one row at a time in int64 on the
+    doubled rows, scoring each row against every other row in index order
+    (the first best row moves d)."""
     twice = (2 * np.asarray(rows, dtype=float)).astype(np.int64)
-    alive = np.asarray(alive, dtype=bool)
+    todo = np.ones(len(twice), dtype=bool) if todo is None else np.asarray(todo, dtype=bool)
     out = np.zeros(len(twice), dtype=bool)
-    for i in np.flatnonzero(alive & np.asarray(todo, dtype=bool)):
-        rivals = np.flatnonzero(alive)
-        rivals = rivals[rivals != i]
+    for i in np.flatnonzero(todo):
+        rivals = np.delete(twice, i, axis=0)
         d = twice[i].copy()
         for _ in range(PERCEPTRON_STEPS):
-            scores = twice[rivals] @ d
-            if not rivals.size or scores.max() < twice[i] @ d:
+            scores = rivals @ d
+            if not len(rivals) or scores.max() < twice[i] @ d:
                 out[i] = True
                 break
-            d = np.maximum(d + twice[i] - twice[rivals[scores.argmax()]], 0)
+            d = np.maximum(d + twice[i] - rivals[scores.argmax()], 0)
     return out
+
+
+def _check_direction(b: np.ndarray, a: np.ndarray, x: np.ndarray):
+    if np.any(x < -WITNESS_SLACK):
+        raise LpSolverError("separating direction has negative entries")
+    gaps = (b - a) @ x
+    if np.any(gaps < 1.0 - WITNESS_SLACK):
+        raise LpSolverError("separating direction does not separate")
 
 
 def _check_combination(b: np.ndarray, a: np.ndarray, lam: np.ndarray):

@@ -1,5 +1,6 @@
 import functools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from clustercap import (
     build_parallel_graph,
     cuts_to_matrix,
+    read_matrix_csv,
     double_graph,
     enumerate_minimal_cuts,
     is_redundant_lp,
@@ -18,16 +20,13 @@ from clustercap import (
 from clustercap import redundancy
 from clustercap.errors import DomainError, LpSolverError
 from clustercap.redundancy import (
-    CERT_BOUND,
     MASK_WIDTH,
     PERCEPTRON_STEPS,
-    direction_certified,
     pair_dominated,
     perceptron_certified,
     separate_remaining,
 )
 from redundancy_oracles import (
-    direction_certified_f64,
     is_redundant_hull,
     lp_problem_for,
     one_pass_lp_reduction,
@@ -38,6 +37,8 @@ from redundancy_oracles import (
 CUT_1 = (1.0, 1.0, 0.0, 1.0, 0.0, 0.0)
 CUT_2 = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 CUT_3 = (1.0, 1.0, 0.5, 0.5, 0.0, 0.0)  # the average of the two above
+
+N5_PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "cuts_n5.csv"
 
 
 def halves(dim):
@@ -97,44 +98,27 @@ def raw_cut_rows(n) -> np.ndarray:
     return arr
 
 
-# stage 1 off, so the perceptron settles what it can; both off, so the LPs settle all
-CERTIFICATES_OFF = [("CERT_BATCHES",), ("CERT_BATCHES", "PERCEPTRON_STEPS")]
-
-
-def perceptron_on_every_row(rows):
-    every = np.ones(len(rows), dtype=bool)
-    return perceptron_certified(rows, every, every)
-
-
-def perceptron_states(arr):
-    """(alive, todo) masks to run the perceptron on: every row against every
-    row, the rows the directions leave uncertified against every row, and
-    the state `reduce_to_minimal` hands it after the pair test."""
-    every = np.ones(len(arr), dtype=bool)
-    pending = ~direction_certified(arr)
-    return [(every, every), (every, pending), (~pair_dominated(arr, pending), pending)]
-
-
 @functools.cache
-def raw_perceptron_states(n):
-    return perceptron_states(raw_cut_rows(n))
+def pinned_five_chamber_rows() -> set:
+    """The rows of the pinned reduced five-chamber matrix (its digest is
+    checked on read)."""
+    return set(read_matrix_csv(N5_PINNED, reduced=True).coeff_rows())
 
 
-def check_perceptron_vertices(arr, alive, todo) -> int:
+def check_perceptron_vertices(arr) -> int:
     """Every row the perceptron certifies is redundant against no other
-    alive row, by the hull oracle; returns how many it certifies."""
-    members = arr[alive]
-    certified = np.flatnonzero(perceptron_certified(arr, alive, todo)[alive])
+    row, by the hull oracle; returns how many it certifies."""
+    certified = np.flatnonzero(perceptron_certified(arr))
     for i in certified:
-        if len(members) > 1:
-            assert not is_redundant_hull(members[i], others(members, i)).redundant
+        if len(arr) > 1:
+            assert not is_redundant_hull(arr[i], others(arr, i)).redundant
     return len(certified)
 
 
 def check_reorder(arr):
     """Certifying every row first and pair-testing only the rest drops the
     same rows as pair-testing every row."""
-    certified = direction_certified(arr)
+    certified = perceptron_certified(arr)
     dominated = pair_dominated(arr)
     assert not (certified & dominated).any()
     assert (pair_dominated(arr, ~certified) == dominated).all()
@@ -325,85 +309,68 @@ class TestStagedReduction:
     @settings(max_examples=40)
     def test_certified_rows_are_not_redundant(self, rows):
         arr = distinct(rows)
-        for i in np.flatnonzero(direction_certified(arr)):
+        for i in np.flatnonzero(perceptron_certified(arr)):
             if len(arr) > 1:
                 assert not is_redundant_lp(arr[i], others(arr, i)).redundant
 
-    def test_float32_scores_are_exact(self):
-        # a score counted in halves: at most 2 * CERT_BOUND per column, within
-        # float32's 24-bit significand, so every partial sum is exact
-        assert 2 * CERT_BOUND * MASK_WIDTH < 2**24
-
     def test_float32_perceptron_scores_are_exact(self):
-        # the perceptron's directions stay in [0, 2 + 2 * PERCEPTRON_STEPS]
+        # a score counted in halves: the perceptron's directions stay in
+        # [0, 2 + 2 * PERCEPTRON_STEPS], so every partial sum is exact within
+        # float32's 24-bit significand
         assert 2 * (2 + 2 * PERCEPTRON_STEPS) * MASK_WIDTH < 2**24
 
     @given(half_integral_sets())
     @settings(max_examples=40)
     def test_perceptron_certifies_only_vertices_on_half_integral_sets(self, rows):
-        arr = distinct(rows)
-        for alive, todo in perceptron_states(arr):
-            check_perceptron_vertices(arr, alive, todo)
+        check_perceptron_vertices(distinct(rows))
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4])
     def test_perceptron_certifies_only_vertices_on_raw_cut_rows(self, n):
-        # every raw row at n = 3, 4; at n = 5 the 204 rows the pair test and
-        # the directions leave, all of which it certifies
-        alive, todo = raw_perceptron_states(n)[0 if n < 5 else 2]
-        assert check_perceptron_vertices(raw_cut_rows(n), alive, todo) == {3: 5, 4: 23, 5: 204}[n]
+        assert check_perceptron_vertices(raw_cut_rows(n)) == {3: 5, 4: 23}[n]
+
+    def test_perceptron_certifies_the_pinned_five_chamber_rows(self):
+        arr = raw_cut_rows(5)
+        certified = arr[perceptron_certified(arr)]
+        assert set(map(tuple, certified.tolist())) == pinned_five_chamber_rows()
 
     @given(half_integral_sets())
     @settings(max_examples=40)
     def test_perceptron_matches_the_integer_oracle_on_half_integral_sets(self, rows):
         arr = distinct(rows)
-        for alive, todo in perceptron_states(arr):
-            got = perceptron_certified(arr, alive, todo)
-            assert got.tolist() == perceptron_certified_int(arr, alive, todo).tolist()
+        assert perceptron_certified(arr).tolist() == perceptron_certified_int(arr).tolist()
 
     def test_perceptron_matches_the_integer_oracle_on_five_chamber_cut_rows(self):
+        # the oracle takes about 7 s on every row: here the 590 vertices, which
+        # stop early, and every 16th row
         arr = raw_cut_rows(5)
-        alive, todo = raw_perceptron_states(5)[2]
-        got = perceptron_certified(arr, alive, todo)
-        assert got.tolist() == perceptron_certified_int(arr, alive, todo).tolist()
+        pinned = pinned_five_chamber_rows()
+        todo = np.array([row in pinned for row in map(tuple, arr.tolist())])
+        todo[::16] = True
+        got = perceptron_certified(arr)[todo]
+        assert got.tolist() == perceptron_certified_int(arr, todo)[todo].tolist()
 
     def test_a_midpoint_is_never_certified(self):
         # it ties with both ends on d = 2b, and every later d puts one end above it
         arr = np.array([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)])
-        every = np.ones(3, dtype=bool)
-        assert perceptron_certified(arr, every, every).tolist() == [True, False, True]
-        # the ends are settled, not pending, and still count against it
-        assert not perceptron_certified(arr, every, [False, True, False]).any()
+        assert perceptron_certified(arr).tolist() == [True, False, True]
 
-    @pytest.mark.parametrize("off", CERTIFICATES_OFF, ids=["no-directions", "no-certificates"])
     @given(rows=half_integral_sets())
     @settings(max_examples=20)
-    def test_the_lps_settle_what_the_certificates_leave(self, off, rows):
+    def test_the_lps_settle_what_the_certificates_leave(self, rows):
+        # no perceptron steps, so the pair test and the LPs settle every row
         with pytest.MonkeyPatch.context() as patch:
-            for name in off:
-                patch.setattr(redundancy, name, 0)
+            patch.setattr(redundancy, "PERCEPTRON_STEPS", 0)
             assert reduce_to_minimal(rows) == one_pass_lp_reduction(rows)
 
-    @pytest.mark.parametrize("off", CERTIFICATES_OFF, ids=["no-directions", "no-certificates"])
     @pytest.mark.parametrize("n", [3, 4])
-    def test_the_lps_settle_what_the_certificates_leave_on_cut_rows(self, monkeypatch, off, n):
-        for name in off:
-            monkeypatch.setattr(redundancy, name, 0)
+    def test_the_lps_settle_what_the_certificates_leave_on_cut_rows(self, monkeypatch, n):
+        monkeypatch.setattr(redundancy, "PERCEPTRON_STEPS", 0)
         rows = raw_cut_rows(n)
         assert reduce_to_minimal(rows) == one_pass_lp_reduction(rows)
 
     def test_pair_test_refuses_duplicate_rows(self):
         with pytest.raises(DomainError, match="distinct rows"):
             pair_dominated([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-    @given(half_integral_sets())
-    @settings(max_examples=40)
-    def test_certificates_match_the_float64_oracle_on_half_integral_sets(self, rows):
-        assert direction_certified(rows).tolist() == direction_certified_f64(rows).tolist()
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_certificates_match_the_float64_oracle_on_raw_cut_rows(self, n):
-        arr = raw_cut_rows(n)
-        assert direction_certified(arr).tolist() == direction_certified_f64(arr).tolist()
 
     @given(half_integral_sets())
     @settings(max_examples=40)
@@ -414,9 +381,7 @@ class TestStagedReduction:
     def test_certified_rows_need_no_pair_test_on_raw_cut_rows(self, n):
         check_reorder(raw_cut_rows(n))
 
-    @pytest.mark.parametrize(
-        "stage", [pair_dominated, direction_certified, perceptron_on_every_row]
-    )
+    @pytest.mark.parametrize("stage", [pair_dominated, perceptron_certified])
     @pytest.mark.parametrize(
         "rows",
         [[[0.3], [0.9]], [[1.5, 0.0], [0.0, 1.0]], np.zeros((2, MASK_WIDTH + 1)), [0.5, 1.0]],
@@ -437,14 +402,15 @@ class TestStagedReduction:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_certificates_settle_every_survivor_up_to_four_chambers(self, n):
         arr = distinct(cut_rows(n, "coefficients"))
-        survivors = arr[~pair_dominated(arr)]
-        assert direction_certified(survivors).all()
+        alive = ~pair_dominated(arr)
+        assert (perceptron_certified(arr) == alive).all()
+        survivors = arr[alive]
         for i in range(len(survivors) if len(survivors) > 1 else 0):
             assert not is_redundant_lp(survivors[i], others(survivors, i)).redundant
 
 
-class TestWarmSeparation:
-    """Stage 4's pass of separation LPs against the slow oracle's."""
+class TestSeparationPass:
+    """Stage 3's pass of separation LPs against the slow oracle's."""
 
     @pytest.mark.parametrize("side", ["coefficients", "weights"])
     def test_matches_one_pass_lp_reduction_on_raw_four_chamber_rows(self, side):

@@ -37,6 +37,23 @@ def test_bench_layers_adds_an_oracles_run_to_the_stored_ones(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_bench_layers_reduce_runs_the_three_stages(tmp_path):
+    out = tmp_path / "BENCH_reduce.json"
+    done = bench_layers("reduce", "--label", "now", "--repeats", "1", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    run = json.loads(out.read_text())["runs"]["now"]
+    assert set(run["stage_s"]) == {"enumerate", "collapse", "perceptron", "prefilter", "lps"}
+    assert run["counts"] == {
+        "covers": 7579,
+        "raw_rows": 2645,
+        "certified": 590,
+        "dropped": 2055,
+        "lps": 0,
+        "kept": 590,
+    }
+    assert run["matches_reference"] is True
+
+
 def test_bench_layers_startup_times_fresh_interpreters(tmp_path):
     out = tmp_path / "BENCH_startup.json"
     done = bench_layers("startup", "--label", "now", "--repeats", "1", "--out", str(out))
