@@ -6,12 +6,12 @@ in blocks.  The solver is HiGHS, through the binding that ships inside scipy
 importing `scipy.optimize`, which would add about half a second to every
 start-up.  A `Handle` keeps one HiGHS model of an LP that can take added
 rows and re-solve from its last basis; `solve` and `solve_geq_dense` are
-one run on all rows.  Every answer is held to a fixed numerical contract: optimal
-solutions violate no constraint or bound by more than the feasibility
-tolerance, and infeasibility is a solver-certified status, never a guess
-from objective values.  Problems can be exported to the common textual LP
-file format for cross-checking with external solvers; the exported text
-re-parses to an equivalent problem.
+one run on all rows.  Every answer is held to a fixed numerical contract:
+optimal solutions violate no constraint or bound by more than the
+feasibility tolerance, and infeasibility is a solver-certified status,
+never a guess from objective values.  Problems can be exported to the
+common textual LP file format for cross-checking with external solvers;
+the exported text re-parses to an equivalent problem.
 """
 
 from __future__ import annotations

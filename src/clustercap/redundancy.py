@@ -22,12 +22,12 @@ rows, each by a proof rather than a guess:
    vertex, every vertex is a row, and only this row attains the maximum.
    A row not certified within PERCEPTRON_STEPS scorings goes on to stage 2.
    Each step scores up to BLOCK rows at once against every row, as one
-   (block x rows) float32 product into a buffer that every step reuses.  An update adds at most 2 to an entry,
-   so d stays in [0, 2 + 2 * PERCEPTRON_STEPS]^n; every score is then a
-   multiple of 1/2 and at most (2 + 2 * PERCEPTRON_STEPS) * MASK_WIDTH, so
-   its partial sums are whole numbers of halves below 2^24, which float32
-   (a 24-bit significand) holds exactly in any summation order: a tie is a
-   real tie.
+   (block x rows) float32 product into a buffer that every step reuses.
+   An update adds at most 2 to an entry, so d stays in
+   [0, 2 + 2 * PERCEPTRON_STEPS]^n; every score is then a multiple of 1/2
+   and at most (2 + 2 * PERCEPTRON_STEPS) * MASK_WIDTH, so its partial sums
+   are whole numbers of halves below 2^24, which float32 (a 24-bit
+   significand) holds exactly in any summation order: a tie is a real tie.
 2. Pair prefilter, on the rows left uncertified.  Row b is dropped when
    two other rows a_i, a_j (i = j allowed), taken from the whole set, give
    a_i + a_j >= 2b entrywise: b lies below their midpoint, so it is
