@@ -324,9 +324,9 @@ class TestStagedReduction:
     def test_perceptron_certifies_only_vertices_on_half_integral_sets(self, rows):
         check_perceptron_vertices(distinct(rows))
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_perceptron_certifies_only_vertices_on_raw_cut_rows(self, n):
-        assert check_perceptron_vertices(raw_cut_rows(n)) == {3: 5, 4: 23}[n]
+        assert check_perceptron_vertices(raw_cut_rows(n)) == {1: 1, 2: 2, 3: 5, 4: 23}[n]
 
     def test_perceptron_certifies_the_pinned_five_chamber_rows(self):
         arr = raw_cut_rows(5)
@@ -339,13 +339,16 @@ class TestStagedReduction:
         arr = distinct(rows)
         assert perceptron_certified(arr).tolist() == perceptron_certified_int(arr).tolist()
 
-    def test_perceptron_matches_the_integer_oracle_on_five_chamber_cut_rows(self):
-        # the oracle takes about 7 s on every row: here the 590 vertices, which
-        # stop early, and every 16th row
-        arr = raw_cut_rows(5)
-        pinned = pinned_five_chamber_rows()
-        todo = np.array([row in pinned for row in map(tuple, arr.tolist())])
-        todo[::16] = True
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_perceptron_matches_the_integer_oracle_on_raw_cut_rows(self, n):
+        arr = raw_cut_rows(n)
+        todo = np.ones(len(arr), dtype=bool)
+        if n == 5:
+            # the oracle takes about 7 s on every row: here the 590 vertices,
+            # which stop early, and every 16th row
+            pinned = pinned_five_chamber_rows()
+            todo = np.array([row in pinned for row in map(tuple, arr.tolist())])
+            todo[::16] = True
         got = perceptron_certified(arr)[todo]
         assert got.tolist() == perceptron_certified_int(arr, todo)[todo].tolist()
 
@@ -354,17 +357,25 @@ class TestStagedReduction:
         arr = np.array([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)])
         assert perceptron_certified(arr).tolist() == [True, False, True]
 
+    # no perceptron steps, so the pair test and the LPs settle every row; or
+    # one step, so the LPs test the rows left beside rows already certified
+    # (at n = 3, 4 it certifies 4 and 12 rows and leaves 1 and 11 to the LPs)
+    CERTIFICATE_CAPS = pytest.mark.parametrize(
+        "steps", [0, 1], ids=["no-certificates", "one-step"]
+    )
+
+    @CERTIFICATE_CAPS
     @given(rows=half_integral_sets())
     @settings(max_examples=20)
-    def test_the_lps_settle_what_the_certificates_leave(self, rows):
-        # no perceptron steps, so the pair test and the LPs settle every row
+    def test_the_lps_settle_what_the_certificates_leave(self, steps, rows):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(redundancy, "PERCEPTRON_STEPS", 0)
+            patch.setattr(redundancy, "PERCEPTRON_STEPS", steps)
             assert reduce_to_minimal(rows) == one_pass_lp_reduction(rows)
 
+    @CERTIFICATE_CAPS
     @pytest.mark.parametrize("n", [3, 4])
-    def test_the_lps_settle_what_the_certificates_leave_on_cut_rows(self, monkeypatch, n):
-        monkeypatch.setattr(redundancy, "PERCEPTRON_STEPS", 0)
+    def test_the_lps_settle_what_the_certificates_leave_on_cut_rows(self, monkeypatch, n, steps):
+        monkeypatch.setattr(redundancy, "PERCEPTRON_STEPS", steps)
         rows = raw_cut_rows(n)
         assert reduce_to_minimal(rows) == one_pass_lp_reduction(rows)
 
@@ -384,8 +395,16 @@ class TestStagedReduction:
     @pytest.mark.parametrize("stage", [pair_dominated, perceptron_certified])
     @pytest.mark.parametrize(
         "rows",
-        [[[0.3], [0.9]], [[1.5, 0.0], [0.0, 1.0]], np.zeros((2, MASK_WIDTH + 1)), [0.5, 1.0]],
-        ids=["fractions", "above-one", "too-wide", "one-row"],
+        [
+            [[0.3], [0.9]],
+            [[1.5, 0.0], [0.0, 1.0]],
+            [[-0.5, 1.0], [1.0, 0.0]],
+            [[np.nan, 1.0], [1.0, 0.0]],
+            np.zeros((2, MASK_WIDTH + 1)),
+            [0.5, 1.0],
+            np.zeros((2, 2, 2)),
+        ],
+        ids=["fractions", "above-one", "negative-half", "nan", "too-wide", "one-row", "not-a-matrix"],
     )
     def test_off_domain_rows_are_refused(self, stage, rows):
         rule = f"entries in {{0, 1/2, 1}}, at most {MASK_WIDTH} wide"
