@@ -114,11 +114,12 @@ def oracles(repeats):
 def reduce(repeats):
     """Time each stage of the cold five-chamber cut reduction; write BENCH_reduce.json.
 
-    Stages, in the order `reduce_to_minimal` runs them: enumerate (minimal
-    covers), collapse (distinct weight rows), perceptron (perceptron
-    certificates on every raw row), prefilter (pair test on the rows left
-    uncertified) and lps (separation LPs on the rest).  Counts: covers, raw
-    rows, certified (by the perceptron), rows dropped, LPs run and rows
+    Stages, in the order `build_cut_matrix` runs them: enumerate (the cover
+    bit masks), collapse (distinct count rows from the masks), perceptron
+    (certificates and midpoint exits on every raw row), prefilter (pair test
+    on the rows left neither certified nor dropped) and lps (separation LPs
+    on the rest).  Counts: covers, raw rows, certified (by the perceptron),
+    rows dropped by the perceptron and by the pair test, LPs run and rows
     kept; `lp_iterations` sums the HiGHS iterations of the LPs.  Stage
     times are medians in s.  Fails if the kept rows differ from the
     checked-in five-chamber matrix.
@@ -134,25 +135,25 @@ def reduce(repeats):
         secs = {}
         t = time.perf_counter()
         g = cuts.build_parallel_graph(5)
-        covers = cuts.enumerate_minimal_cuts(cuts.double_graph(g))
+        masks = cuts._cover_masks(cuts.double_graph(g), cuts.DEFAULT_NODE_BUDGET)
         secs["enumerate"] = time.perf_counter() - t
-        raw, secs["collapse"] = timed(cuts.cuts_to_matrix, g, covers)
-        rows = sorted(set(map(tuple, raw.coeffs.tolist())))
-        arr = np.asarray(rows)
-        certified, secs["perceptron"] = timed(redundancy.perceptron_certified, arr)
-        dominated, secs["prefilter"] = timed(redundancy.pair_dominated, arr, ~certified)
-        alive = ~dominated
+        counts, secs["collapse"] = timed(cuts._collapse, masks, len(g.recipes))
+        arr = 1.0 - counts / 2  # distinct, in the sorted order of reduce_to_minimal
+        (certified, dropped), secs["perceptron"] = timed(redundancy.perceptron_certified, arr)
+        paired, secs["prefilter"] = timed(redundancy.pair_dominated, arr, ~certified & ~dropped)
+        alive = ~dropped & ~paired
         # separate_remaining clears the rows it finds redundant from `alive`
         lps, secs["lps"] = timed(redundancy.separate_remaining, arr, alive, certified)
         counts = {
-            "covers": len(covers),
-            "raw_rows": len(raw.rows),
+            "covers": len(masks),
+            "raw_rows": len(arr),
             "certified": int(certified.sum()),
-            "dropped": int(dominated.sum()),
+            "perceptron_dropped": int(dropped.sum()),
+            "pair_dropped": int(paired.sum()),
             "lps": lps,
             "kept": int(alive.sum()),
         }
-        if {rows[i] for i in np.flatnonzero(alive)} != reference:
+        if set(map(tuple, arr[alive].tolist())) != reference:
             sys.exit(f"kept rows differ from {N5_COPY.name}: {counts['kept']} vs {len(reference)}")
         runs.append(secs)
         print(" ".join(f"{k}={secs[k]:.3f}" for k in stages), counts, flush=True)

@@ -6,6 +6,16 @@ a vertex cover of the arcs; minimal cuts are complements of maximal
 independent sets.  Each cut collapses to a per-recipe weight vector with
 entries in {0, 1/2, 1} (half per selected copy); the capacity models consume
 the complementary rows (1 - weight).
+
+`build_cut_matrix` runs on arrays end to end.  The covers come out of the
+enumeration as bit sets, 2m bits for m recipes, which an int64 holds up to
+m = 31 (5 chambers).  `_collapse` counts the selected copies per recipe with
+shifts, keys each count row as a base-3 number (3^31 fits an int64) and
+deduplicates the keys with np.unique, which gives the rows in matrix order.
+The distinct coefficient rows then go to `redundancy.reduce_to_minimal`,
+whose perceptron stage certifies the vertices and drops the rows below a
+midpoint of two others as it goes (see that module).  `BasicCut` objects are
+made only by `enumerate_minimal_cuts`, for callers that want the covers.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from .recipes import MAX_CHAMBERS, ParallelGraph, build_parallel_graph
 from . import redundancy
 
 DEFAULT_NODE_BUDGET = 10**7
+MASK_RECIPES = 31  # recipes an int64 cover mask holds (two copies each): 5 chambers
 
 CACHE_ENV_VAR = "CLUSTERCAP_CACHE"
 
@@ -127,10 +138,9 @@ def double_graph(g: ParallelGraph) -> DoubledGraph:
     return DoubledGraph(graph=g, arcs=arcs)
 
 
-def enumerate_minimal_cuts(
-    dg: DoubledGraph, node_budget: int = DEFAULT_NODE_BUDGET
-) -> list[BasicCut]:
-    """All minimal vertex covers of the doubled graph.
+def _cover_masks(dg: DoubledGraph, node_budget: int) -> list[int]:
+    """The minimal vertex covers as bit sets: bit i is the left copy of
+    recipe i, bit m + i its right copy.
 
     Complements of maximal independent sets, enumerated as maximal cliques of
     the complement graph (Bron-Kerbosch with pivoting, bitmask sets).
@@ -155,7 +165,7 @@ def enumerate_minimal_cuts(
         if nodes > node_budget:
             raise EnumerationBudgetError(nodes, node_budget)
         if p == 0 and x == 0:
-            out.append(r)
+            out.append(full & ~r)
             return
         pux = p | x
         pivot, best = -1, -1
@@ -177,44 +187,70 @@ def enumerate_minimal_cuts(
             mask &= mask - 1
 
     expand(0, full, 0)
-    covers = []
-    for ind in out:
-        cov = full & ~ind
-        covers.append(
-            BasicCut(
-                left=tuple(cov >> i & 1 for i in range(m)),
-                right=tuple(cov >> (m + i) & 1 for i in range(m)),
-            )
+    return out
+
+
+def enumerate_minimal_cuts(
+    dg: DoubledGraph, node_budget: int = DEFAULT_NODE_BUDGET
+) -> list[BasicCut]:
+    """All minimal vertex covers of the doubled graph, sorted by (left, right).
+
+    The covers of `_cover_masks`, on Python ints, so any chamber count works
+    (within the budget).
+    """
+    m = dg.size
+    covers = [
+        BasicCut(
+            left=tuple(cov >> i & 1 for i in range(m)),
+            right=tuple(cov >> (m + i) & 1 for i in range(m)),
         )
+        for cov in _cover_masks(dg, node_budget)
+    ]
     covers.sort(key=lambda c: (c.left, c.right))
     return covers
+
+
+def _check_mask_room(m: int):
+    """Refuse more recipes than an int64 cover mask holds, two bits each."""
+    if m > MASK_RECIPES:
+        raise DomainError(
+            f"{m} recipes do not fit an int64 cover mask, at most {MASK_RECIPES}: "
+            "cut matrices only for 1..5 chambers"
+        )
+
+
+def _collapse(masks, m: int) -> np.ndarray:
+    """The distinct per-recipe copy counts (0, 1 or 2) of the covers, one
+    int64 row each, in matrix order: the rows 1 - counts / 2 come out
+    lexicographically ascending.
+
+    Each row is keyed by its counts read as a base-3 number, most significant
+    recipe first, so ascending keys are lexicographically ascending counts;
+    np.unique sorts the keys and the rows are read back in reverse.
+    """
+    _check_mask_room(m)
+    masks = np.asarray(masks, dtype=np.int64)
+    shifts = np.arange(m, dtype=np.int64)
+    counts = (masks[:, None] >> shifts & 1) + (masks[:, None] >> (shifts + m) & 1)
+    _, first = np.unique(counts @ 3 ** shifts[::-1], return_index=True)
+    return counts[first[::-1]]
+
+
+def _raw_matrix(g: ParallelGraph, counts: np.ndarray) -> CutMatrix:
+    rows = tuple(map(tuple, (counts / 2).tolist()))
+    return CutMatrix(n=g.n, labels=g.labels, rows=rows, reduced=False)
 
 
 def cuts_to_matrix(g: ParallelGraph, cuts: list[BasicCut]) -> CutMatrix:
     """Collapse covers to their weight vectors and deduplicate.
 
     Mirror-symmetric covers (and any other covers sharing a weight profile)
-    fold into a single row here.
+    fold into a single row here, by the collapse `build_cut_matrix` runs.
     """
-    distinct = {cut.weights() for cut in cuts}
-    rows = sorted(distinct, key=lambda w: tuple(1 - v for v in w))
-    return CutMatrix(
-        n=g.n,
-        labels=g.labels,
-        rows=tuple(rows),
-        reduced=False,
-    )
-
-
-def _reduce(matrix: CutMatrix) -> CutMatrix:
-    """Keep the coefficient rows that can be the worst one for some x >= 0.
-
-    The makespan is the largest coefficient row applied to x, so a row is
-    dropped when a convex combination of the others covers it; the kept
-    rows come back sorted by coefficients, the matrix row order."""
-    kept = redundancy.reduce_to_minimal(matrix.coeffs)
-    rows = tuple(tuple(1.0 - v for v in c) for c in kept)
-    return CutMatrix(n=matrix.n, labels=matrix.labels, rows=rows, reduced=True)
+    m = len(g.recipes)
+    _check_mask_room(m)
+    bits = np.array([c.left + c.right for c in cuts], dtype=np.int64).reshape(-1, 2 * m)
+    return _raw_matrix(g, _collapse(bits @ (1 << np.arange(2 * m, dtype=np.int64)), m))
 
 
 def build_cut_matrix(
@@ -229,8 +265,14 @@ def build_cut_matrix(
     Reduced matrices are cached as CSV under the cache directory (overridable
     via the CLUSTERCAP_CACHE environment variable); raw matrices are always
     recomputed.  A cached file is used only when it hashes to the pin of n;
-    anything else is rebuilt with a warning naming it.  reduce=True with no
-    pin for n (past 5) raises DomainError at once, before any enumeration.
+    anything else is rebuilt with a warning naming it.  Past 5 chambers it
+    raises DomainError at once, before any enumeration: reduce=True has no
+    pin there, and reduce=False no room in the int64 cover masks.
+
+    The reduction keeps the coefficient rows (1 - weight) that can be the
+    worst one for some x >= 0: the makespan is the largest coefficient row
+    applied to x, so a row is dropped when a convex combination of the others
+    covers it.  The kept rows stay in matrix order.
     """
     if reduce:
         if n not in REDUCED_SHA256:
@@ -245,10 +287,13 @@ def build_cut_matrix(
             except DomainError as exc:
                 warnings.warn(f"rebuilding the cut cache: {exc}", stacklevel=2)
     g = build_parallel_graph(n)
-    raw = cuts_to_matrix(g, enumerate_minimal_cuts(double_graph(g), node_budget))
+    _check_mask_room(len(g.recipes))
+    counts = _collapse(_cover_masks(double_graph(g), node_budget), len(g.recipes))
     if not reduce:
-        return raw
-    reduced = _reduce(raw)
+        return _raw_matrix(g, counts)
+    kept = redundancy.reduce_to_minimal(1.0 - counts / 2)
+    rows = tuple(tuple(1.0 - v for v in c) for c in kept)
+    reduced = CutMatrix(n=n, labels=g.labels, rows=rows, reduced=True)
     path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(path, render_matrix_csv(reduced))
     return reduced

@@ -14,13 +14,20 @@ members that are redundant against no other member.  On half-integral sets
 (entries in {0, 1/2, 1}, at most MASK_WIDTH columns) three stages decide the
 rows, each by a proof rather than a guess:
 
-1. Perceptron certificates, on every row.  For each row b an integer
-   direction d >= 0 starts at 2b; while some other row scores at least
-   <b, d>, the best such a_j (the first, on a tie) moves it to
+1. Perceptron certificates and midpoint exits, on every row.  For each row
+   b an integer direction d >= 0 starts at 2b; while some other row scores
+   at least <b, d>, the best such a_j (the first, on a tie) moves it to
    max(0, d + 2b - 2a_j).  A row that becomes the strict unique argmax of
    <a, d> over the whole set is a vertex: the face that d exposes has a
    vertex, every vertex is a row, and only this row attains the maximum.
-   A row not certified within PERCEPTRON_STEPS scorings goes on to stage 2.
+   At each step that leaves b uncertified, b is also tested against the
+   midpoints of its best competitor a_j and every best competitor a_i it
+   has met so far (a_j itself included): if a_i + a_j >= 2b entrywise, b
+   is redundant by the argument of stage 2, so it is dropped and no longer
+   scored.  A certified row is never below such a midpoint, and every row
+   is still scored against the whole set, so the certified rows are those
+   of the perceptron alone.  A row neither certified nor dropped within
+   PERCEPTRON_STEPS scorings goes on to stage 2.
    Each step scores up to BLOCK rows at once against every row, as one
    (block x rows) float32 product into a buffer that every step reuses.
    An update adds at most 2 to an entry, so d stays in
@@ -28,20 +35,24 @@ rows, each by a proof rather than a guess:
    and at most (2 + 2 * PERCEPTRON_STEPS) * MASK_WIDTH, so its partial sums
    are whole numbers of halves below 2^24, which float32 (a 24-bit
    significand) holds exactly in any summation order: a tie is a real tie.
-2. Pair prefilter, on the rows left uncertified.  Row b is dropped when
-   two other rows a_i, a_j (i = j allowed), taken from the whole set, give
-   a_i + a_j >= 2b entrywise: b lies below their midpoint, so it is
-   redundant.  A certified row never passes this test: on its certifying
-   direction it would score at most the mean of the scores of a_i and a_j,
-   so it would not be the unique argmax.  Skipping it changes no verdict.
-   Rows are int64 bit masks (entry below 1, zero, half).  A candidate a_i
-   must be 1 wherever b is 1, and on the half entries of b no pair may put
-   a 0 against an entry below 1.  All such rows go at once: each lies in
-   conv(others) - R+^n, so neither the polyhedron nor its vertex set
-   changes.
+   The midpoint sums a_i + a_j lie in {0, 1/2, 1, 3/2, 2}, also exact.
+2. Pair prefilter, on the rows left neither certified nor dropped.  Row b
+   is dropped when two other rows a_i, a_j (i = j allowed), taken from the
+   whole set, give a_i + a_j >= 2b entrywise: b lies below their midpoint,
+   so it is redundant.  A certified row never passes this test: on its
+   certifying direction it would score at most the mean of the scores of
+   a_i and a_j, so it would not be the unique argmax.  Skipping it changes
+   no verdict.  Rows are int64 bit masks (entry below 1, zero, half).  A
+   candidate a_i must be 1 wherever b is 1, and on the half entries of b no
+   pair may put a 0 against an entry below 1.  All rows dropped in stages 1
+   and 2 go at once: each lies in conv(others) - R+^n, so neither the
+   polyhedron nor its vertex set changes.
 3. Separation LPs.  The rows neither dropped nor certified are tested one
    by one by `is_redundant_lp`, in lexicographic order, against the rows
    still alive, and dropped when redundant.
+
+Both array stages refuse a set with a repeated row: a copy of b would be
+b's pair, or its midpoint competitor, and both copies would go.
 
 Any other input goes through stage 3 alone.
 """
@@ -130,13 +141,21 @@ def _is_half_integral(arr: np.ndarray) -> bool:
     return arr.ndim == 2 and arr.shape[1] <= MASK_WIDTH and bool(np.isin(arr, HALF_INTEGRAL).all())
 
 
-def _half_integral_rows(rows) -> np.ndarray:
+def _half_integral_rows(rows, stage: str) -> np.ndarray:
+    """The rows as a float array, refused unless they are distinct and
+    half-integral, at most MASK_WIDTH wide: a row with a copy would be its
+    copy's pair, or its midpoint competitor."""
     arr = np.asarray(rows, dtype=float)
     if not _is_half_integral(arr):
         raise DomainError(
             "the pair test and the perceptron take a set of rows with "
             f"entries in {{0, 1/2, 1}}, at most {MASK_WIDTH} wide"
         )
+    zero, half = _pack(arr == 0.0), _pack(arr == 0.5)  # together they name the row
+    order = np.lexsort((half, zero))
+    zero, half = zero[order], half[order]
+    if ((zero[1:] == zero[:-1]) & (half[1:] == half[:-1])).any():
+        raise DomainError(f"{stage} takes distinct rows")
     return arr
 
 
@@ -146,14 +165,12 @@ def pair_dominated(rows, todo=None) -> np.ndarray:
 
     Only the rows in the mask `todo` (by default every row) are tested, each
     against all the other rows.  `rows` must be distinct and half-integral,
-    at most MASK_WIDTH wide: a row with a copy would pair with it.
+    at most MASK_WIDTH wide.
     """
-    arr = _half_integral_rows(rows)
-    if len(np.unique(arr, axis=0)) != len(arr):
-        raise DomainError("the pair test takes distinct rows")
-    below, zero, half = (_pack(f) for f in (arr < 1.0, arr == 0.0, arr == 0.5))
+    arr = _half_integral_rows(rows, "the pair test")
     out = np.zeros(len(arr), dtype=bool)
     todo = np.ones(len(arr), dtype=bool) if todo is None else np.asarray(todo, dtype=bool)
+    below, zero, half = (_pack(f) for f in (arr < 1.0, arr == 0.0, arr == 0.5))
     for k in np.flatnonzero(todo):
         cand = (below & ~below[k]) == 0  # 1 wherever b is 1
         cand[k] = False
@@ -161,22 +178,25 @@ def pair_dominated(rows, todo=None) -> np.ndarray:
     return out
 
 
-def perceptron_certified(rows) -> np.ndarray:
-    """Stage 1: mask of the rows that are the strict unique argmax of <a, d>
-    over `rows`, for an integer direction d >= 0 found in at most
-    PERCEPTRON_STEPS scorings.
+def perceptron_certified(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1: the masks (certified, dropped).  Certified rows are the
+    strict unique argmax of <a, d> over `rows`, for an integer direction
+    d >= 0 found in at most PERCEPTRON_STEPS scorings: each is a vertex of
+    conv(rows) - R+^n.  Dropped rows lie below the midpoint of two rows
+    they met as best competitors: each is redundant.
 
-    Each such row is a vertex of conv(rows) - R+^n.  `rows` must be
-    half-integral, at most MASK_WIDTH wide.
+    `rows` must be distinct and half-integral, at most MASK_WIDTH wide.
     """
-    a = _half_integral_rows(rows).astype(np.float32)
-    out = np.zeros(len(a), dtype=bool)
+    a = _half_integral_rows(rows, "the perceptron").astype(np.float32)
+    certified = np.zeros(len(a), dtype=bool)
+    dropped = np.zeros(len(a), dtype=bool)
     block = np.empty((BLOCK, len(a)), dtype=np.float32)  # every step's scores
+    met = np.empty((BLOCK, PERCEPTRON_STEPS), dtype=np.intp)  # best competitor per step
     for p in range(0, len(a), BLOCK):
         b = a[p : p + BLOCK]
         d = 2 * b
-        left = np.arange(len(b))  # the rows of the block not yet certified
-        for _ in range(PERCEPTRON_STEPS):
+        left = np.arange(len(b))  # the rows of the block neither certified nor dropped
+        for step in range(PERCEPTRON_STEPS):
             if not left.size:
                 break
             scores = np.matmul(d[left], a.T, out=block[: len(left)])
@@ -185,10 +205,15 @@ def perceptron_certified(rows) -> np.ndarray:
             scores[each, own] = -np.inf
             best = scores.argmax(axis=1)
             won = scores[each, best] < top
-            out[own[won]] = True
+            certified[own[won]] = True
             left, best = left[~won], best[~won]
+            met[left, step] = best
+            mids = a[met[left, : step + 1]] + a[best][:, None]
+            below = (mids >= 2 * b[left][:, None]).all(axis=2).any(axis=1)
+            dropped[p + left[below]] = True
+            left, best = left[~below], best[~below]
             d[left] = np.maximum(d[left] + 2 * b[left] - 2 * a[best], 0)
-    return out
+    return certified, dropped
 
 
 def separate_remaining(rows, alive: np.ndarray, settled: np.ndarray) -> int:
@@ -228,7 +253,7 @@ def reduce_to_minimal(a_set) -> list[tuple[float, ...]]:
     alive = np.ones(len(rows), dtype=bool)
     settled = np.zeros(len(rows), dtype=bool)
     if _is_half_integral(arr):
-        settled = perceptron_certified(arr)
-        alive = ~pair_dominated(arr, ~settled)
+        settled, dropped = perceptron_certified(arr)
+        alive = ~dropped & ~pair_dominated(arr, ~settled & ~dropped)
     separate_remaining(arr, alive, settled)
     return [rows[i] for i in np.flatnonzero(alive)]

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import re
 import threading
@@ -21,7 +22,7 @@ from clustercap import (
     solve_capacity,
     write_matrix_csv,
 )
-from clustercap.cuts import REDUCED_SHA256, cache_path
+from clustercap.cuts import MASK_RECIPES, REDUCED_SHA256, DoubledGraph, _collapse, cache_path
 from clustercap.errors import DomainError, EnumerationBudgetError
 
 from conftest import DATA, example1_instance
@@ -114,6 +115,59 @@ def test_budget_guard_raises():
     dg = double_graph(build_parallel_graph(4))
     with pytest.raises(EnumerationBudgetError, match="budget"):
         enumerate_minimal_cuts(dg, node_budget=10)
+
+
+COVER_COUNTS = {1: 1, 2: 4, 3: 18, 4: 166, 5: 7579}
+
+
+@functools.cache
+def minimal_cuts(n) -> tuple:
+    return tuple(enumerate_minimal_cuts(double_graph(build_parallel_graph(n))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_covers_come_sorted_by_left_then_right(n):
+    covers = [(c.left, c.right) for c in minimal_cuts(n)]
+    assert len(covers) == COVER_COUNTS[n]
+    assert covers == sorted(set(covers))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_collapse_matches_the_weight_sets(n):
+    """The mask collapse against the plain one: distinct weight tuples,
+    sorted by their coefficients (1 - weight)."""
+    g = build_parallel_graph(n)
+    covers = list(minimal_cuts(n))
+    slow = sorted({c.weights() for c in covers}, key=lambda w: tuple(1 - v for v in w))
+    m = len(g.recipes)
+    masks = [
+        sum(v << i for i, v in enumerate(c.left)) | sum(v << (m + i) for i, v in enumerate(c.right))
+        for c in covers
+    ]
+    assert [tuple(r) for r in (_collapse(masks, m) / 2).tolist()] == slow
+    assert cuts_to_matrix(g, covers).rows == tuple(slow)
+    assert build_cut_matrix(n, reduce=False).rows == tuple(slow)
+
+
+def test_more_recipes_than_a_cover_mask_holds_are_refused():
+    with pytest.raises(DomainError, match=f"32 recipes .* at most {MASK_RECIPES}"):
+        _collapse([], MASK_RECIPES + 1)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="63 recipes .* only for 1..5 chambers"):
+        build_cut_matrix(6, reduce=False)
+    assert time.perf_counter() - start < 1.0  # before the 10^7-node recursion
+
+
+def test_enumeration_takes_any_number_of_recipes():
+    # two arcs among the 63 recipes of six chambers, so the right copy of
+    # recipe 62 is bit 125: a cover picks an end of each arc
+    dg = DoubledGraph(graph=build_parallel_graph(6), arcs=((0, 62), (62, 0)))
+
+    def picked(copy):
+        return tuple(i for i, v in enumerate(copy) if v)
+
+    covers = {(picked(c.left), picked(c.right)) for c in enumerate_minimal_cuts(dg)}
+    assert covers == {((0, 62), ()), ((0,), (0,)), ((62,), (62,)), ((), (0, 62))}
 
 
 def test_two_chambers_raw_rows():

@@ -108,17 +108,28 @@ def pinned_five_chamber_rows() -> set:
 def check_perceptron_vertices(arr) -> int:
     """Every row the perceptron certifies is redundant against no other
     row, by the hull oracle; returns how many it certifies."""
-    certified = np.flatnonzero(perceptron_certified(arr))
+    certified = np.flatnonzero(perceptron_certified(arr)[0])
     for i in certified:
         if len(arr) > 1:
             assert not is_redundant_hull(arr[i], others(arr, i)).redundant
     return len(certified)
 
 
+def check_perceptron_drops(arr) -> int:
+    """Every row the perceptron drops is redundant by the hull oracle and
+    passes the pair test; returns how many it drops."""
+    certified, dropped = perceptron_certified(arr)
+    assert not (certified & dropped).any()
+    assert not (dropped & ~pair_dominated(arr)).any()
+    for i in np.flatnonzero(dropped):
+        assert is_redundant_hull(arr[i], others(arr, i)).redundant
+    return int(dropped.sum())
+
+
 def check_reorder(arr):
     """Certifying every row first and pair-testing only the rest drops the
     same rows as pair-testing every row."""
-    certified = perceptron_certified(arr)
+    certified = perceptron_certified(arr)[0]
     dominated = pair_dominated(arr)
     assert not (certified & dominated).any()
     assert (pair_dominated(arr, ~certified) == dominated).all()
@@ -309,7 +320,7 @@ class TestStagedReduction:
     @settings(max_examples=40)
     def test_certified_rows_are_not_redundant(self, rows):
         arr = distinct(rows)
-        for i in np.flatnonzero(perceptron_certified(arr)):
+        for i in np.flatnonzero(perceptron_certified(arr)[0]):
             if len(arr) > 1:
                 assert not is_redundant_lp(arr[i], others(arr, i)).redundant
 
@@ -330,14 +341,31 @@ class TestStagedReduction:
 
     def test_perceptron_certifies_the_pinned_five_chamber_rows(self):
         arr = raw_cut_rows(5)
-        certified = arr[perceptron_certified(arr)]
+        certified = arr[perceptron_certified(arr)[0]]
         assert set(map(tuple, certified.tolist())) == pinned_five_chamber_rows()
+
+    @given(half_integral_sets())
+    @settings(max_examples=40)
+    def test_perceptron_drops_only_redundant_rows_on_half_integral_sets(self, rows):
+        check_perceptron_drops(distinct(rows))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_perceptron_drops_only_redundant_rows_on_raw_cut_rows(self, n):
+        assert check_perceptron_drops(raw_cut_rows(n)) == {1: 0, 2: 1, 3: 6, 4: 57}[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_perceptron_drops_what_the_pair_test_drops_on_raw_cut_rows(self, n):
+        # so nothing is left for the pair test and the LPs
+        arr = raw_cut_rows(n)
+        certified, dropped = perceptron_certified(arr)
+        assert (dropped == pair_dominated(arr, ~certified)).all()
+        assert (certified | dropped).all()
 
     @given(half_integral_sets())
     @settings(max_examples=40)
     def test_perceptron_matches_the_integer_oracle_on_half_integral_sets(self, rows):
         arr = distinct(rows)
-        assert perceptron_certified(arr).tolist() == perceptron_certified_int(arr).tolist()
+        assert perceptron_certified(arr)[0].tolist() == perceptron_certified_int(arr).tolist()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_perceptron_matches_the_integer_oracle_on_raw_cut_rows(self, n):
@@ -349,13 +377,28 @@ class TestStagedReduction:
             pinned = pinned_five_chamber_rows()
             todo = np.array([row in pinned for row in map(tuple, arr.tolist())])
             todo[::16] = True
-        got = perceptron_certified(arr)[todo]
+        got = perceptron_certified(arr)[0][todo]
         assert got.tolist() == perceptron_certified_int(arr, todo)[todo].tolist()
 
     def test_a_midpoint_is_never_certified(self):
-        # it ties with both ends on d = 2b, and every later d puts one end above it
+        # it ties with both ends on d = 2b, and every later d puts one end
+        # above it; at the second step it has met both ends and is dropped
         arr = np.array([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)])
-        assert perceptron_certified(arr).tolist() == [True, False, True]
+        certified, dropped = perceptron_certified(arr)
+        assert certified.tolist() == [True, False, True]
+        assert dropped.tolist() == [False, True, False]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(redundancy, "PERCEPTRON_STEPS", 1)
+            assert perceptron_certified(arr)[1].tolist() == [False, False, False]
+
+    def test_a_dominated_row_is_its_best_competitors_midpoint(self):
+        # i = j: (1, 1) >= (1, 1/2) is the first competitor the lower row meets
+        arr = np.array([(1.0, 0.5), (1.0, 1.0), (0.0, 0.0)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(redundancy, "PERCEPTRON_STEPS", 1)
+            certified, dropped = perceptron_certified(arr)
+        assert certified.tolist() == [False, True, False]
+        assert dropped.tolist() == [True, False, True]
 
     # no perceptron steps, so the pair test and the LPs settle every row; or
     # one step, so the LPs test the rows left beside rows already certified
@@ -382,6 +425,12 @@ class TestStagedReduction:
     def test_pair_test_refuses_duplicate_rows(self):
         with pytest.raises(DomainError, match="distinct rows"):
             pair_dominated([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    def test_perceptron_refuses_duplicate_rows(self):
+        # each copy would meet the other as its best competitor, lie at their
+        # midpoint and be dropped, and the vertex with it
+        with pytest.raises(DomainError, match="the perceptron takes distinct rows"):
+            perceptron_certified([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
 
     @given(half_integral_sets())
     @settings(max_examples=40)
@@ -422,7 +471,7 @@ class TestStagedReduction:
     def test_certificates_settle_every_survivor_up_to_four_chambers(self, n):
         arr = distinct(cut_rows(n, "coefficients"))
         alive = ~pair_dominated(arr)
-        assert (perceptron_certified(arr) == alive).all()
+        assert (perceptron_certified(arr)[0] == alive).all()
         survivors = arr[alive]
         for i in range(len(survivors) if len(survivors) > 1 else 0):
             assert not is_redundant_lp(survivors[i], others(survivors, i)).redundant

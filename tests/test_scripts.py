@@ -47,7 +47,8 @@ def test_bench_layers_reduce_runs_the_three_stages(tmp_path):
         "covers": 7579,
         "raw_rows": 2645,
         "certified": 590,
-        "dropped": 2055,
+        "perceptron_dropped": 2055,
+        "pair_dropped": 0,
         "lps": 0,
         "kept": 590,
     }
