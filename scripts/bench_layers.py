@@ -115,12 +115,11 @@ def reduce(repeats):
     """Time each stage of the cold five-chamber cut reduction; write BENCH_reduce.json.
 
     Stages, in the order `build_cut_matrix` runs them: enumerate (the cover
-    bit masks), collapse (distinct count rows from the masks), perceptron
-    (certificates and midpoint exits on every raw row), prefilter (pair test
-    on the rows left neither certified nor dropped) and lps (separation LPs
-    on the rest).  Counts: covers, raw rows, certified (by the perceptron),
-    rows dropped by the perceptron and by the pair test, LPs run and rows
-    kept; `lp_iterations` sums the HiGHS iterations of the LPs.  Stage
+    bit masks), collapse (the copy counts of the masks and their distinct
+    rows), perceptron (certificates and midpoint exits on every raw row) and
+    lps (separation LPs on the rows left neither certified nor dropped).
+    Counts: covers, raw rows, certified and dropped (by the perceptron), LPs
+    run and rows kept; `lp_iterations` sums the HiGHS iterations of the LPs.  Stage
     times are medians in s.  Fails if the kept rows differ from the
     checked-in five-chamber matrix.
     """
@@ -128,7 +127,7 @@ def reduce(repeats):
 
     highs = watch_highs()
     reference = set(cuts.read_matrix_csv(N5_COPY, reduced=True).coeff_rows())
-    stages = ("enumerate", "collapse", "perceptron", "prefilter", "lps")
+    stages = ("enumerate", "collapse", "perceptron", "lps")
     runs = []
     for _ in range(repeats):
         highs["iterations"] = 0
@@ -137,19 +136,19 @@ def reduce(repeats):
         g = cuts.build_parallel_graph(5)
         masks = cuts._cover_masks(cuts.double_graph(g), cuts.DEFAULT_NODE_BUDGET)
         secs["enumerate"] = time.perf_counter() - t
-        counts, secs["collapse"] = timed(cuts._collapse, masks, len(g.recipes))
+        t = time.perf_counter()
+        counts = cuts._collapse(cuts._mask_counts(masks, len(g.recipes)))
+        secs["collapse"] = time.perf_counter() - t
         arr = 1.0 - counts / 2  # distinct, in the sorted order of reduce_to_minimal
         (certified, dropped), secs["perceptron"] = timed(redundancy.perceptron_certified, arr)
-        paired, secs["prefilter"] = timed(redundancy.pair_dominated, arr, ~certified & ~dropped)
-        alive = ~dropped & ~paired
+        alive = ~dropped
         # separate_remaining clears the rows it finds redundant from `alive`
         lps, secs["lps"] = timed(redundancy.separate_remaining, arr, alive, certified)
         counts = {
             "covers": len(masks),
             "raw_rows": len(arr),
             "certified": int(certified.sum()),
-            "perceptron_dropped": int(dropped.sum()),
-            "pair_dropped": int(paired.sum()),
+            "dropped": int(dropped.sum()),
             "lps": lps,
             "kept": int(alive.sum()),
         }

@@ -9,9 +9,10 @@ the complementary rows (1 - weight).
 
 `build_cut_matrix` runs on arrays end to end.  The covers come out of the
 enumeration as bit sets, 2m bits for m recipes, which an int64 holds up to
-m = 31 (5 chambers).  `_collapse` counts the selected copies per recipe with
-shifts, keys each count row as a base-3 number (3^31 fits an int64) and
-deduplicates the keys with np.unique, which gives the rows in matrix order.
+m = 31 (5 chambers); the selected copies per recipe are counted from them
+with shifts.  `_collapse` keys each count row as a base-3 number (3^31 fits
+an int64; wider rows take one key per 39 recipes) and deduplicates the keys
+with a stable sort, which gives the rows in matrix order.
 The distinct coefficient rows then go to `redundancy.reduce_to_minimal`,
 whose perceptron stage certifies the vertices and drops the rows below a
 midpoint of two others as it goes (see that module).  `BasicCut` objects are
@@ -38,6 +39,7 @@ from . import redundancy
 
 DEFAULT_NODE_BUDGET = 10**7
 MASK_RECIPES = 31  # recipes an int64 cover mask holds (two copies each): 5 chambers
+KEY_RECIPES = 39  # recipes one int64 base-3 key holds: 3^39 < 2^63
 
 CACHE_ENV_VAR = "CLUSTERCAP_CACHE"
 
@@ -219,20 +221,31 @@ def _check_mask_room(m: int):
         )
 
 
-def _collapse(masks, m: int) -> np.ndarray:
-    """The distinct per-recipe copy counts (0, 1 or 2) of the covers, one
-    int64 row each, in matrix order: the rows 1 - counts / 2 come out
-    lexicographically ascending.
-
-    Each row is keyed by its counts read as a base-3 number, most significant
-    recipe first, so ascending keys are lexicographically ascending counts;
-    np.unique sorts the keys and the rows are read back in reverse.
-    """
+def _mask_counts(masks, m: int) -> np.ndarray:
+    """The selected copies per recipe (0, 1 or 2) of each cover mask of m
+    recipes, one int64 row each: bit i plus bit m + i."""
     _check_mask_room(m)
-    masks = np.asarray(masks, dtype=np.int64)
+    masks = np.asarray(masks, dtype=np.int64)[:, None]
     shifts = np.arange(m, dtype=np.int64)
-    counts = (masks[:, None] >> shifts & 1) + (masks[:, None] >> (shifts + m) & 1)
-    _, first = np.unique(counts @ 3 ** shifts[::-1], return_index=True)
+    return (masks >> shifts & 1) + (masks >> (shifts + m) & 1)
+
+
+def _collapse(counts) -> np.ndarray:
+    """The distinct rows of per-recipe copy counts (0, 1 or 2), in matrix
+    order: the rows 1 - counts / 2 come out lexicographically ascending.
+
+    Each run of KEY_RECIPES recipes is keyed as a base-3 number, most
+    significant recipe first, so ascending keys (lexsorted, the first run
+    primary) are lexicographically ascending counts; the rows are read back
+    in reverse, one per distinct key.  Up to 5 chambers (31 recipes) one key
+    holds a whole row.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    rows, m = counts.shape
+    runs = np.pad(counts, ((0, 0), (0, -m % KEY_RECIPES))).reshape(rows, -1, KEY_RECIPES)
+    keys = runs @ 3 ** np.arange(KEY_RECIPES - 1, -1, -1, dtype=np.int64)
+    order = np.lexsort(keys.T[::-1])
+    first = order[np.diff(keys[order], axis=0, prepend=-1).any(axis=1)]
     return counts[first[::-1]]
 
 
@@ -246,11 +259,11 @@ def cuts_to_matrix(g: ParallelGraph, cuts: list[BasicCut]) -> CutMatrix:
 
     Mirror-symmetric covers (and any other covers sharing a weight profile)
     fold into a single row here, by the collapse `build_cut_matrix` runs.
+    Any number of recipes works.
     """
     m = len(g.recipes)
-    _check_mask_room(m)
-    bits = np.array([c.left + c.right for c in cuts], dtype=np.int64).reshape(-1, 2 * m)
-    return _raw_matrix(g, _collapse(bits @ (1 << np.arange(2 * m, dtype=np.int64)), m))
+    copies = np.array([np.add(c.left, c.right) for c in cuts], dtype=np.int64)
+    return _raw_matrix(g, _collapse(copies.reshape(len(cuts), m)))
 
 
 def build_cut_matrix(
@@ -288,7 +301,8 @@ def build_cut_matrix(
                 warnings.warn(f"rebuilding the cut cache: {exc}", stacklevel=2)
     g = build_parallel_graph(n)
     _check_mask_room(len(g.recipes))
-    counts = _collapse(_cover_masks(double_graph(g), node_budget), len(g.recipes))
+    masks = _cover_masks(double_graph(g), node_budget)
+    counts = _collapse(_mask_counts(masks, len(g.recipes)))
     if not reduce:
         return _raw_matrix(g, counts)
     kept = redundancy.reduce_to_minimal(1.0 - counts / 2)

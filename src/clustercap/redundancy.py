@@ -11,7 +11,7 @@ self-contained phase-1 simplex in the tests, as the oracle for this module.
 
 `reduce_to_minimal` keeps exactly the vertices of conv(set) - R+^n, the
 members that are redundant against no other member.  On half-integral sets
-(entries in {0, 1/2, 1}, at most MASK_WIDTH columns) three stages decide the
+(entries in {0, 1/2, 1}, at most MASK_WIDTH columns) two stages decide the
 rows, each by a proof rather than a guess:
 
 1. Perceptron certificates and midpoint exits, on every row.  For each row
@@ -23,11 +23,15 @@ rows, each by a proof rather than a guess:
    At each step that leaves b uncertified, b is also tested against the
    midpoints of its best competitor a_j and every best competitor a_i it
    has met so far (a_j itself included): if a_i + a_j >= 2b entrywise, b
-   is redundant by the argument of stage 2, so it is dropped and no longer
-   scored.  A certified row is never below such a midpoint, and every row
-   is still scored against the whole set, so the certified rows are those
-   of the perceptron alone.  A row neither certified nor dropped within
-   PERCEPTRON_STEPS scorings goes on to stage 2.
+   lies below the midpoint of two other rows, so it is redundant; it is
+   dropped and no longer scored.  A certified row is never below such a
+   midpoint: on its certifying direction it would score at most the mean
+   of the scores of a_i and a_j, so it would not be the unique argmax.  So
+   the midpoint exits change no certificate, and every row is still scored
+   against the whole set.  All dropped rows go at once: each lies in
+   conv(others) - R+^n, so neither the polyhedron nor its vertex set
+   changes.  A row neither certified nor dropped within PERCEPTRON_STEPS
+   scorings goes on to stage 2.
    Each step scores up to BLOCK rows at once against every row, as one
    (block x rows) float32 product into a buffer that every step reuses.
    An update adds at most 2 to an entry, so d stays in
@@ -36,25 +40,15 @@ rows, each by a proof rather than a guess:
    are whole numbers of halves below 2^24, which float32 (a 24-bit
    significand) holds exactly in any summation order: a tie is a real tie.
    The midpoint sums a_i + a_j lie in {0, 1/2, 1, 3/2, 2}, also exact.
-2. Pair prefilter, on the rows left neither certified nor dropped.  Row b
-   is dropped when two other rows a_i, a_j (i = j allowed), taken from the
-   whole set, give a_i + a_j >= 2b entrywise: b lies below their midpoint,
-   so it is redundant.  A certified row never passes this test: on its
-   certifying direction it would score at most the mean of the scores of
-   a_i and a_j, so it would not be the unique argmax.  Skipping it changes
-   no verdict.  Rows are int64 bit masks (entry below 1, zero, half).  A
-   candidate a_i must be 1 wherever b is 1, and on the half entries of b no
-   pair may put a 0 against an entry below 1.  All rows dropped in stages 1
-   and 2 go at once: each lies in conv(others) - R+^n, so neither the
-   polyhedron nor its vertex set changes.
-3. Separation LPs.  The rows neither dropped nor certified are tested one
+2. Separation LPs.  The rows neither dropped nor certified are tested one
    by one by `is_redundant_lp`, in lexicographic order, against the rows
-   still alive, and dropped when redundant.
+   still alive, and dropped when redundant.  On the cut rows of 1..5
+   chambers stage 1 settles every row, so no LP runs.
 
-Both array stages refuse a set with a repeated row: a copy of b would be
-b's pair, or its midpoint competitor, and both copies would go.
+The perceptron refuses a set with a repeated row: a copy of b would be
+b's own midpoint competitor, and both copies would go.
 
-Any other input goes through stage 3 alone.
+Any other input goes through stage 2 alone.
 """
 
 from __future__ import annotations
@@ -68,8 +62,8 @@ from .errors import DomainError, LpSolverError
 
 HALF_INTEGRAL = (0.0, 0.5, 1.0)
 MASK_WIDTH = 63  # columns an int64 bit mask holds
-BLOCK = 256  # rows per side of one block of pair tests or perceptron scorings
-PERCEPTRON_STEPS = 24  # scorings per row before the later stages take it
+BLOCK = 256  # rows per block of perceptron scorings
+PERCEPTRON_STEPS = 24  # scorings per row before the separation LPs take it
 
 _BITS = np.left_shift(np.int64(1), np.arange(MASK_WIDTH, dtype=np.int64))
 
@@ -125,18 +119,6 @@ def _pack(flags: np.ndarray) -> np.ndarray:
     return flags.astype(np.int64) @ _BITS[: flags.shape[1]]
 
 
-def _some_pair_fits(zero: np.ndarray, below: np.ndarray) -> bool:
-    """Whether zero[i] & below[j] == zero[j] & below[i] == 0 for some i, j
-    (i = j allowed), testing at most BLOCK rows against BLOCK."""
-    for p in range(0, len(zero), BLOCK):
-        zp, bp = zero[p : p + BLOCK, None], below[p : p + BLOCK, None]
-        for q in range(p, len(zero), BLOCK):
-            zq, bq = zero[q : q + BLOCK], below[q : q + BLOCK]
-            if not ((zp & bq) | (zq & bp)).all():
-                return True
-    return False
-
-
 def _is_half_integral(arr: np.ndarray) -> bool:
     return arr.ndim == 2 and arr.shape[1] <= MASK_WIDTH and bool(np.isin(arr, HALF_INTEGRAL).all())
 
@@ -144,12 +126,11 @@ def _is_half_integral(arr: np.ndarray) -> bool:
 def _half_integral_rows(rows, stage: str) -> np.ndarray:
     """The rows as a float array, refused unless they are distinct and
     half-integral, at most MASK_WIDTH wide: a row with a copy would be its
-    copy's pair, or its midpoint competitor."""
+    copy's midpoint competitor.  `stage` names the caller in the errors."""
     arr = np.asarray(rows, dtype=float)
     if not _is_half_integral(arr):
         raise DomainError(
-            "the pair test and the perceptron take a set of rows with "
-            f"entries in {{0, 1/2, 1}}, at most {MASK_WIDTH} wide"
+            f"{stage} takes a set of rows with entries in {{0, 1/2, 1}}, at most {MASK_WIDTH} wide"
         )
     zero, half = _pack(arr == 0.0), _pack(arr == 0.5)  # together they name the row
     order = np.lexsort((half, zero))
@@ -157,25 +138,6 @@ def _half_integral_rows(rows, stage: str) -> np.ndarray:
     if ((zero[1:] == zero[:-1]) & (half[1:] == half[:-1])).any():
         raise DomainError(f"{stage} takes distinct rows")
     return arr
-
-
-def pair_dominated(rows, todo=None) -> np.ndarray:
-    """Stage 2: mask of the rows b with a_i + a_j >= 2b entrywise for two
-    other rows (i = j allowed).  Each such row is redundant.
-
-    Only the rows in the mask `todo` (by default every row) are tested, each
-    against all the other rows.  `rows` must be distinct and half-integral,
-    at most MASK_WIDTH wide.
-    """
-    arr = _half_integral_rows(rows, "the pair test")
-    out = np.zeros(len(arr), dtype=bool)
-    todo = np.ones(len(arr), dtype=bool) if todo is None else np.asarray(todo, dtype=bool)
-    below, zero, half = (_pack(f) for f in (arr < 1.0, arr == 0.0, arr == 0.5))
-    for k in np.flatnonzero(todo):
-        cand = (below & ~below[k]) == 0  # 1 wherever b is 1
-        cand[k] = False
-        out[k] = _some_pair_fits(zero[cand] & half[k], below[cand] & half[k])
-    return out
 
 
 def perceptron_certified(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +179,7 @@ def perceptron_certified(rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def separate_remaining(rows, alive: np.ndarray, settled: np.ndarray) -> int:
-    """Stage 3: one pass of separation LPs, in order, over the rows alive
+    """Stage 2: one pass of separation LPs, in order, over the rows alive
     and not settled; each is tested by `is_redundant_lp` against the other
     rows still alive and cleared from `alive` (in place) when redundant.
     Returns the LP count.
@@ -237,9 +199,10 @@ def separate_remaining(rows, alive: np.ndarray, settled: np.ndarray) -> int:
 def reduce_to_minimal(a_set) -> list[tuple[float, ...]]:
     """The members redundant against no other member, sorted.
 
-    Equal members count once.  Half-integral sets go through the perceptron
-    certificates, the pair prefilter on the rows left uncertified, and then
-    separation LPs on what is left; other sets through the LPs alone.  One
+    Equal members count once.  Half-integral sets go through the perceptron,
+    which certifies vertices and drops rows below a midpoint of two others,
+    and then separation LPs on the rows it leaves; other sets through the
+    LPs alone.  One
     LP pass suffices: removing a redundant vector leaves conv(set) - R+^n
     unchanged, and a vector that is not redundant against a set is not
     redundant against any subset of it, so every survivor is non-redundant
@@ -254,6 +217,6 @@ def reduce_to_minimal(a_set) -> list[tuple[float, ...]]:
     settled = np.zeros(len(rows), dtype=bool)
     if _is_half_integral(arr):
         settled, dropped = perceptron_certified(arr)
-        alive = ~dropped & ~pair_dominated(arr, ~settled & ~dropped)
+        alive = ~dropped
     separate_remaining(arr, alive, settled)
     return [rows[i] for i in np.flatnonzero(alive)]

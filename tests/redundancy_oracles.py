@@ -4,7 +4,14 @@ import numpy as np
 
 from clustercap import is_redundant_lp, lp
 from clustercap.errors import LpSolverError
-from clustercap.redundancy import PERCEPTRON_STEPS, RedundancyVerdict, _validate_inputs
+from clustercap.redundancy import (
+    BLOCK,
+    PERCEPTRON_STEPS,
+    RedundancyVerdict,
+    _half_integral_rows,
+    _pack,
+    _validate_inputs,
+)
 
 PIVOT_TOL = 1e-10  # the phase-1 simplex's pivot and ratio-test tolerance
 WITNESS_SLACK = 1e-7  # how far a witness may miss, in the hull oracle's checks
@@ -38,6 +45,41 @@ def one_pass_lp_reduction(a_set) -> list[tuple[float, ...]]:
         if others.shape[0] and is_redundant_lp(arr[i], others).redundant:
             alive[i] = False
     return [rows[i] for i in range(len(rows)) if alive[i]]
+
+
+def _some_pair_fits(zero: np.ndarray, below: np.ndarray) -> bool:
+    """Whether zero[i] & below[j] == zero[j] & below[i] == 0 for some i, j
+    (i = j allowed), testing at most BLOCK rows against BLOCK."""
+    for p in range(0, len(zero), BLOCK):
+        zp, bp = zero[p : p + BLOCK, None], below[p : p + BLOCK, None]
+        for q in range(p, len(zero), BLOCK):
+            zq, bq = zero[q : q + BLOCK], below[q : q + BLOCK]
+            if not ((zp & bq) | (zq & bp)).all():
+                return True
+    return False
+
+
+def pair_dominated(rows, todo=None) -> np.ndarray:
+    """The pair test: mask of the rows b with a_i + a_j >= 2b entrywise for
+    two other rows (i = j allowed).  Each such row lies below their
+    midpoint, so it is redundant; the perceptron's midpoint exits drop a
+    subset of these rows.
+
+    Only the rows in the mask `todo` (by default every row) are tested, each
+    against all the other rows.  Rows are int64 bit masks (entry below 1,
+    zero, half): a candidate a_i must be 1 wherever b is 1, and on the half
+    entries of b no pair may put a 0 against an entry below 1.  `rows` must
+    be distinct and half-integral, at most MASK_WIDTH wide.
+    """
+    arr = _half_integral_rows(rows, "the pair test")
+    out = np.zeros(len(arr), dtype=bool)
+    todo = np.ones(len(arr), dtype=bool) if todo is None else np.asarray(todo, dtype=bool)
+    below, zero, half = (_pack(f) for f in (arr < 1.0, arr == 0.0, arr == 0.5))
+    for k in np.flatnonzero(todo):
+        cand = (below & ~below[k]) == 0  # 1 wherever b is 1
+        cand[k] = False
+        out[k] = _some_pair_fits(zero[cand] & half[k], below[cand] & half[k])
+    return out
 
 
 def perceptron_certified_int(rows, todo=None) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustercap import (
@@ -22,7 +22,15 @@ from clustercap import (
     solve_capacity,
     write_matrix_csv,
 )
-from clustercap.cuts import MASK_RECIPES, REDUCED_SHA256, DoubledGraph, _collapse, cache_path
+from clustercap.cuts import (
+    KEY_RECIPES,
+    MASK_RECIPES,
+    REDUCED_SHA256,
+    DoubledGraph,
+    _collapse,
+    _mask_counts,
+    cache_path,
+)
 from clustercap.errors import DomainError, EnumerationBudgetError
 
 from conftest import DATA, example1_instance
@@ -144,14 +152,14 @@ def test_collapse_matches_the_weight_sets(n):
         sum(v << i for i, v in enumerate(c.left)) | sum(v << (m + i) for i, v in enumerate(c.right))
         for c in covers
     ]
-    assert [tuple(r) for r in (_collapse(masks, m) / 2).tolist()] == slow
+    assert [tuple(r) for r in (_collapse(_mask_counts(masks, m)) / 2).tolist()] == slow
     assert cuts_to_matrix(g, covers).rows == tuple(slow)
     assert build_cut_matrix(n, reduce=False).rows == tuple(slow)
 
 
 def test_more_recipes_than_a_cover_mask_holds_are_refused():
     with pytest.raises(DomainError, match=f"32 recipes .* at most {MASK_RECIPES}"):
-        _collapse([], MASK_RECIPES + 1)
+        _mask_counts([], MASK_RECIPES + 1)
     start = time.perf_counter()
     with pytest.raises(DomainError, match="63 recipes .* only for 1..5 chambers"):
         build_cut_matrix(6, reduce=False)
@@ -168,6 +176,29 @@ def test_enumeration_takes_any_number_of_recipes():
 
     covers = {(picked(c.left), picked(c.right)) for c in enumerate_minimal_cuts(dg)}
     assert covers == {((0, 62), ()), ((0,), (0,)), ((62,), (62,)), ((), (0, 62))}
+    # the two one-sided covers fold into one row; recipes 0 and 62 have
+    # their own base-3 keys
+    rows = cuts_to_matrix(dg.graph, enumerate_minimal_cuts(dg)).rows
+    assert [tuple(np.flatnonzero(r)) for r in rows] == [(0,), (0, 62), (62,)]
+    assert [max(r) for r in rows] == [1.0, 0.5, 1.0]
+
+
+@given(
+    st.integers(min_value=1, max_value=3 * KEY_RECIPES).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(min_value=0, max_value=2), min_size=m, max_size=m),
+            min_size=1,
+            max_size=12,
+        )
+    )
+)
+@settings(max_examples=40)
+def test_collapse_sorts_and_deduplicates_any_width(counts):
+    # rows that share a first base-3 key and differ past it, and repeats
+    counts += [a[:KEY_RECIPES] + b[KEY_RECIPES:] for a, b in zip(counts, counts[1:])]
+    counts += counts[:2]
+    slow = sorted({tuple(r) for r in counts}, reverse=True)
+    assert [tuple(r) for r in _collapse(counts).tolist()] == slow
 
 
 def test_two_chambers_raw_rows():

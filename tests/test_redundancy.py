@@ -22,7 +22,6 @@ from clustercap.errors import DomainError, LpSolverError
 from clustercap.redundancy import (
     MASK_WIDTH,
     PERCEPTRON_STEPS,
-    pair_dominated,
     perceptron_certified,
     separate_remaining,
 )
@@ -30,6 +29,7 @@ from redundancy_oracles import (
     is_redundant_hull,
     lp_problem_for,
     one_pass_lp_reduction,
+    pair_dominated,
     perceptron_certified_int,
 )
 
@@ -127,12 +127,10 @@ def check_perceptron_drops(arr) -> int:
 
 
 def check_reorder(arr):
-    """Certifying every row first and pair-testing only the rest drops the
-    same rows as pair-testing every row."""
-    certified = perceptron_certified(arr)[0]
-    dominated = pair_dominated(arr)
-    assert not (certified & dominated).any()
-    assert (pair_dominated(arr, ~certified) == dominated).all()
+    """No certified row passes the pair test: a row below the midpoint of
+    two others is never certified, so the midpoint exits change no
+    certificate."""
+    assert not (perceptron_certified(arr)[0] & pair_dominated(arr)).any()
 
 
 class TestKnownCuts:
@@ -291,7 +289,8 @@ class TestReduction:
 
 
 class TestStagedReduction:
-    """The prefilter and the certificates against the slow oracles."""
+    """The perceptron's certificates and midpoint exits, and the LPs after
+    them, against the slow oracles."""
 
     @pytest.mark.parametrize("side", ["coefficients", "weights"])
     @pytest.mark.parametrize("n", [3, 4])
@@ -311,7 +310,7 @@ class TestStagedReduction:
 
     @given(half_integral_sets())
     @settings(max_examples=40)
-    def test_prefilter_drops_only_redundant_rows(self, rows):
+    def test_pair_test_drops_only_redundant_rows(self, rows):
         arr = distinct(rows)
         for i in np.flatnonzero(pair_dominated(arr)):
             assert is_redundant_hull(arr[i], others(arr, i)).redundant
@@ -355,7 +354,7 @@ class TestStagedReduction:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_perceptron_drops_what_the_pair_test_drops_on_raw_cut_rows(self, n):
-        # so nothing is left for the pair test and the LPs
+        # so nothing is left for the LPs
         arr = raw_cut_rows(n)
         certified, dropped = perceptron_certified(arr)
         assert (dropped == pair_dominated(arr, ~certified)).all()
@@ -400,7 +399,7 @@ class TestStagedReduction:
         assert certified.tolist() == [False, True, False]
         assert dropped.tolist() == [True, False, True]
 
-    # no perceptron steps, so the pair test and the LPs settle every row; or
+    # no perceptron steps, so the LPs settle every row; or
     # one step, so the LPs test the rows left beside rows already certified
     # (at n = 3, 4 it certifies 4 and 12 rows and leaves 1 and 11 to the LPs)
     CERTIFICATE_CAPS = pytest.mark.parametrize(
@@ -460,7 +459,7 @@ class TestStagedReduction:
         with pytest.raises(DomainError, match=re.escape(rule)):
             stage(rows)
 
-    def test_prefilter_on_four_chamber_cut_rows(self):
+    def test_pair_test_on_four_chamber_cut_rows(self):
         arr = distinct(cut_rows(4, "coefficients"))
         dropped = np.flatnonzero(pair_dominated(arr))
         assert len(arr) - len(dropped) == 23

@@ -37,18 +37,17 @@ def test_bench_layers_adds_an_oracles_run_to_the_stored_ones(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_bench_layers_reduce_runs_the_three_stages(tmp_path):
+def test_bench_layers_reduce_runs_the_stages(tmp_path):
     out = tmp_path / "BENCH_reduce.json"
     done = bench_layers("reduce", "--label", "now", "--repeats", "1", "--out", str(out))
     assert done.returncode == 0, done.stderr
     run = json.loads(out.read_text())["runs"]["now"]
-    assert set(run["stage_s"]) == {"enumerate", "collapse", "perceptron", "prefilter", "lps"}
+    assert set(run["stage_s"]) == {"enumerate", "collapse", "perceptron", "lps"}
     assert run["counts"] == {
         "covers": 7579,
         "raw_rows": 2645,
         "certified": 590,
-        "perceptron_dropped": 2055,
-        "pair_dropped": 0,
+        "dropped": 2055,
         "lps": 0,
         "kept": 590,
     }
