@@ -152,8 +152,7 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
     )
     inst = instances.generate(params)
-    text = json.dumps(instances.instance_to_dict(inst), indent=2, sort_keys=True) + "\n"
-    _write_text(args.out, text)
+    _write_text(args.out, instances.render_instance(inst))
     return 0
 
 

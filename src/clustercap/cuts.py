@@ -270,7 +270,6 @@ def build_cut_matrix(
     n: int,
     reduce: bool = True,
     cache_dir: str | os.PathLike | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> CutMatrix:
     """End-to-end pipeline with a per-n disk cache for reduced matrices.
 
@@ -301,7 +300,7 @@ def build_cut_matrix(
                 warnings.warn(f"rebuilding the cut cache: {exc}", stacklevel=2)
     g = build_parallel_graph(n)
     _check_mask_room(len(g.recipes))
-    masks = _cover_masks(double_graph(g), node_budget)
+    masks = _cover_masks(double_graph(g), DEFAULT_NODE_BUDGET)
     counts = _collapse(_mask_counts(masks, len(g.recipes)))
     if not reduce:
         return _raw_matrix(g, counts)

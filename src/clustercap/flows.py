@@ -74,19 +74,26 @@ def solve_parallelization_lp(x, g: ParallelGraph) -> tuple[ParallelizationPlan, 
     arr = _check_x(x, len(g.recipes))
     if not g.edges:
         return ParallelizationPlan(edge_time=()), 0.0
-    # recipe x edge incidence; recipes without an edge give no row.  As
-    # min -sum(xi) s.t. -rows @ xi >= -x, HiGHS gets the arrays an LpBuilder
-    # of the maximization with <= rows would hand it.
-    edges = len(g.edges)
-    rows = np.zeros((len(g.recipes), edges))
-    rows[np.array(g.edges).T, np.arange(edges)] = 1.0
-    used = rows.any(axis=1)
-    sol = lp.solve_geq_dense(-np.ones(edges), -rows[used], -arr[used], "parallelization")
+    build = lp.LpBuilder("parallelization", lp.MAXIMIZE)
+    pairs = build.add_cols([f"pair_{g.labels[i]}_{g.labels[j]}" for i, j in g.edges])
+    build.set_objective([(k, 1.0) for k in pairs])
+    # one availability row per recipe with an incident edge
+    used = [r for r, incident in enumerate(g.incident) if incident]
+    cols = [k for r in used for k in g.incident[r]]
+    build.add_rows(
+        [f"avail_{g.labels[r]}" for r in used],
+        [len(g.incident[r]) for r in used],
+        cols,
+        np.ones(len(cols)),
+        lp.LE,
+        arr[used],
+    )
+    sol = lp.solve(build.problem())
     if sol.status != lp.OPTIMAL:
         raise lp.LpSolverError(f"parallelization LP ended {sol.status}")
     plan = ParallelizationPlan(edge_time=sol.x)
     check_plan_feasible(plan, arr, g)
-    return plan, -sol.objective
+    return plan, sol.objective
 
 
 def check_plan_feasible(plan: ParallelizationPlan, x, g: ParallelGraph, tol: float = 1e-8):

@@ -184,9 +184,13 @@ def instance_to_dict(inst: Instance) -> dict:
     return d
 
 
+def render_instance(inst: Instance) -> str:
+    """The instance as the JSON text `write_instance` and `clustercap gen` write."""
+    return json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n"
+
+
 def write_instance(inst: Instance, path: str | os.PathLike):
-    text = json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text)
+    Path(path).write_text(render_instance(inst))
 
 
 def _number(value, what: str, where: str) -> float:

@@ -4,14 +4,15 @@ An `LpProblem` holds its columns and rows as arrays; `LpBuilder` takes both
 in blocks.  The solver is HiGHS, through the binding that ships inside scipy
 (`scipy.optimize._highspy._core`).  It is loaded from its file, without
 importing `scipy.optimize`, which would add about half a second to every
-start-up.  A `Handle` keeps one HiGHS model of an LP that can take added
-rows and re-solve from its last basis; `solve` and `solve_geq_dense` are
-one run on all rows.  Every answer is held to a fixed numerical contract:
-optimal solutions violate no constraint or bound by more than the
-feasibility tolerance, and infeasibility is a solver-certified status,
-never a guess from objective values.  Problems can be exported to the
-common textual LP file format for cross-checking with external solvers;
-the exported text re-parses to an equivalent problem.
+start-up.  Every LP reaches HiGHS as an `LpProblem` through a `Handle`,
+one HiGHS model of it that can take added rows and re-solve from its last
+basis; `solve` is one run of a handle on all rows.  Every answer is held to
+a fixed numerical contract: optimal solutions violate no constraint or
+bound by more than the feasibility tolerance, and infeasibility is a
+solver-certified status, never a guess from objective values.  Problems
+can be exported to the common textual LP file format for cross-checking
+with external solvers; the exported text re-parses to an equivalent
+problem.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import importlib.util
 import os
 import re
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -252,44 +252,6 @@ def size_stats(p: LpProblem) -> SizeStats:
     return SizeStats(rows=p.matrix.shape[0], columns=len(p.col_names), nonzeros=p.matrix.nnz)
 
 
-class _Form(NamedTuple):
-    """An LP as HiGHS is handed it: minimize c'x s.t. a x <= rhs (= on rows
-    in `eq`), lower <= x <= upper.  The LP's own objective is `flip` times
-    c'x and its row i is `sign[i]` times row i of `a`; `var_name`/`row_name`
-    turn an index into the name an error reports."""
-
-    name: str
-    c: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    a: sparse.csr_matrix
-    rhs: np.ndarray
-    sign: np.ndarray
-    eq: np.ndarray
-    flip: float
-    var_name: Callable[[int], str]
-    row_name: Callable[[int], str]
-
-
-def _assemble(p: LpProblem) -> _Form:
-    """The stored rows with >= rows negated, and the objective negated for a
-    MAXIMIZE problem."""
-    flip = -1.0 if p.sense == MAXIMIZE else 1.0
-    c = np.zeros(len(p.col_names))
-    for j, v in p.objective:
-        c[j] = flip * v
-    senses = np.array(p.senses, dtype="U2")
-    sign = np.where(senses == GE, -1.0, 1.0)
-    a = p.matrix
-    signed = sparse.csr_matrix(
-        (a.data * np.repeat(sign, np.diff(a.indptr)), a.indices, a.indptr), shape=a.shape
-    )
-    return _Form(
-        p.name, c, p.lower, p.upper, signed, sign * p.rhs, sign, senses == EQ, flip,
-        p.col_names.__getitem__, p.row_names.__getitem__,
-    )
-
-
 SIMPLEX, IPM = "simplex", "ipm"
 
 # each method's HiGHS options: dual simplex, and IPM ending in crossover
@@ -344,96 +306,102 @@ class Handle:
     `add_rows`; every `run` starts from the basis the last one ended on.
     `run` answers for the rows held, and `certify` holds an answer to every
     bound and row of the LP.  `method` is SIMPLEX or IPM.
+
+    HiGHS is handed: minimize c'x subject to a x <= rhs (= on the rows in
+    `eq`) and the problem's bounds on x.  Row i of `a` is `sign[i]` (-1 on a
+    >= row, else 1) times the problem's row i, and the problem's objective
+    is `flip` times c'x.
     """
 
-    def __init__(self, form: _Form, rows=None, method: str = SIMPLEX):
-        self.form = form
+    def __init__(self, problem: LpProblem, rows=None, method: str = SIMPLEX):
+        p = self.problem = problem
         self.highs = _highspy._Highs()
         if method not in _METHODS:
             raise DomainError(f"LP method {method!r}")
         for key, value in {**_OPTIONS, **_METHODS[method]}.items():
             if self.highs.setOptionValue(key, value) != _highspy.HighsStatus.kOk:
                 raise DomainError(f"HiGHS option {key}={value!r}")
-        m, n = form.a.shape
+        self.flip = -1.0 if p.sense == MAXIMIZE else 1.0
+        self.c = np.zeros(len(p.col_names))
+        for j, v in p.objective:
+            self.c[j] = self.flip * v
+        senses = np.array(p.senses, dtype="U2")
+        self.sign = np.where(senses == GE, -1.0, 1.0)
+        self.eq = senses == EQ
+        a = p.matrix
+        data = a.data * np.repeat(self.sign, np.diff(a.indptr))
+        self.a = sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
+        self.rhs = self.sign * p.rhs
+        m, n = a.shape
         rows = np.arange(m) if rows is None else np.asarray(rows, dtype=np.int64)
-        is_eq = form.eq[rows]
+        is_eq = self.eq[rows]
         # <= rows before = rows, the order HiGHS was always given them in
         self.rows = np.concatenate((rows[~is_eq], rows[is_eq]))
-        block = form.a[self.rows].tocsc()
+        # rows go in as CSR, as `add_rows` adds them; `a` itself when every
+        # row is held in stored order, which spares a copy on each small LP
+        every = len(self.rows) == m and bool((self.rows == np.arange(m)).all())
+        block = self.a if every else self.a[self.rows]
         model = _highspy.HighsLp()
         model.num_col_, model.num_row_ = n, len(self.rows)
-        model.col_cost_, model.col_lower_, model.col_upper_ = form.c, form.lower, form.upper
+        model.col_cost_, model.col_lower_, model.col_upper_ = self.c, p.lower, p.upper
         model.row_lower_, model.row_upper_ = self._row_bounds(self.rows)
         matrix = model.a_matrix_
-        matrix.format_ = _highspy.MatrixFormat.kColwise
+        matrix.format_ = _highspy.MatrixFormat.kRowwise
         matrix.num_col_, matrix.num_row_ = n, len(self.rows)
         matrix.start_, matrix.index_, matrix.value_ = block.indptr, block.indices, block.data
         if self.highs.passModel(model) == _highspy.HighsStatus.kError:
-            raise LpSolverError(f"{form.name}: HiGHS refused the model")
+            raise LpSolverError(f"{p.name}: HiGHS refused the model")
 
     def _row_bounds(self, rows):
-        rhs = self.form.rhs[rows]
-        return np.where(self.form.eq[rows], rhs, -np.inf), rhs
+        rhs = self.rhs[rows]
+        return np.where(self.eq[rows], rhs, -np.inf), rhs
 
     def add_rows(self, rows):
         """Add rows of the LP, by index, to the model."""
         rows = np.asarray(rows, dtype=np.int64)
-        block = self.form.a[rows]
+        block = self.a[rows]
         lower, upper = self._row_bounds(rows)
         status = self.highs.addRows(
             len(rows), lower, upper, block.nnz, block.indptr[:-1], block.indices, block.data
         )
         if status == _highspy.HighsStatus.kError:
-            raise LpSolverError(f"{self.form.name}: HiGHS refused {len(rows)} added rows")
+            raise LpSolverError(f"{self.problem.name}: HiGHS refused {len(rows)} added rows")
         self.rows = np.concatenate((self.rows, rows))
 
     def run(self) -> LpSolution:
         """Solve the rows held.  Solver breakdown raises LpSolverError instead
         of being mapped onto Infeasible; duals are per row of the LP (0 for a
         row not held) in the minimization form."""
-        f = self.form
         ans = _run(self)
         if ans.status not in (OPTIMAL, INFEASIBLE, UNBOUNDED):
-            raise LpSolverError(f"{f.name}: solver failure: {ans.status}")
+            raise LpSolverError(f"{self.problem.name}: solver failure: {ans.status}")
         if ans.status != OPTIMAL:
             return LpSolution(ans.status, None, (), None, ans.iterations)
-        duals = np.zeros(len(f.rhs))
+        duals = np.zeros(len(self.rhs))
         duals[self.rows] = ans.row_dual
         return LpSolution(
-            OPTIMAL, f.flip * ans.fun, tuple(ans.x.tolist()), tuple((f.sign * duals).tolist()),
-            ans.iterations,
+            OPTIMAL, self.flip * ans.fun, tuple(ans.x.tolist()),
+            tuple((self.sign * duals).tolist()), ans.iterations,
         )
 
     def certify(self, sol: LpSolution):
         """Raise LpSolverError unless the Optimal `sol` keeps every bound and
         every row of the LP to the feasibility tolerance, and its objective
         is the objective at its x."""
-        f = self.form
+        p = self.problem
         x = np.array(sol.x, dtype=float)
         feas = TOL.feasibility
-        bad = np.flatnonzero(~((x >= f.lower - feas) & (x <= f.upper + feas)))  # NaN fails too
+        bad = np.flatnonzero(~((x >= p.lower - feas) & (x <= p.upper + feas)))  # NaN fails too
         if bad.size:
-            raise LpSolverError(f"{f.name}: bound violated for {f.var_name(bad[0])}")
-        gap = f.a @ x - f.rhs
-        bad = np.flatnonzero(~(np.where(f.eq, np.abs(gap), gap) <= feas))
+            raise LpSolverError(f"{p.name}: bound violated for {p.col_names[bad[0]]}")
+        gap = self.a @ x - self.rhs
+        bad = np.flatnonzero(~(np.where(self.eq, np.abs(gap), gap) <= feas))
         if bad.size:
             i = bad[0]
-            raise LpSolverError(f"{f.name}: row {f.row_name(i)} violated by {abs(gap[i]):.3e}")
-        obj = f.flip * float(f.c @ x)
+            raise LpSolverError(f"{p.name}: row {p.row_names[i]} violated by {abs(gap[i]):.3e}")
+        obj = self.flip * float(self.c @ x)
         if not abs(obj - sol.objective) <= TOL.comparison * max(1.0, abs(obj)):
-            raise LpSolverError(f"{f.name}: objective mismatch {obj} vs {sol.objective}")
-
-    @classmethod
-    def of(cls, p: LpProblem, rows=None, method: str = SIMPLEX) -> Handle:
-        return cls(_assemble(p), rows, method)
-
-
-def _solve(form: _Form, method: str = SIMPLEX) -> LpSolution:
-    handle = Handle(form, method=method)
-    sol = handle.run()
-    if sol.status == OPTIMAL:
-        handle.certify(sol)
-    return sol
+            raise LpSolverError(f"{p.name}: objective mismatch {obj} vs {sol.objective}")
 
 
 def solve(p: LpProblem, method: str = SIMPLEX) -> LpSolution:
@@ -444,34 +412,11 @@ def solve(p: LpProblem, method: str = SIMPLEX) -> LpSolution:
     it is returned.  Solver breakdown raises LpSolverError instead of being
     mapped onto Infeasible.  Duals are per row, for the minimization form.
     """
-    return _solve(_assemble(p), method)
-
-
-def solve_geq_dense(
-    c: np.ndarray, a_rows: np.ndarray, rhs: np.ndarray, name: str = "geq"
-) -> LpSolution:
-    """Fast path for min c'x s.t. a_rows @ x >= rhs, x >= 0 (dense rows).
-
-    Same HiGHS call and contract check as solve(), without the per-row
-    problem objects; used where many small, uniformly shaped LPs are solved
-    in a loop, above all the pairing LP of `flows.solve_parallelization_lp`.
-    """
-    a_rows = np.asarray(a_rows, dtype=float)
-    m, n = a_rows.shape
-    form = _Form(
-        name,
-        np.asarray(c, dtype=float),
-        np.zeros(n),
-        np.full(n, np.inf),
-        sparse.csr_matrix(-a_rows),
-        -np.asarray(rhs, dtype=float),
-        np.full(m, -1.0),
-        np.zeros(m, dtype=bool),
-        1.0,
-        "x{}".format,
-        str,
-    )
-    return _solve(form)
+    handle = Handle(p, method=method)
+    sol = handle.run()
+    if sol.status == OPTIMAL:
+        handle.certify(sol)
+    return sol
 
 
 # --- textual LP format -----------------------------------------------------

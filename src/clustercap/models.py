@@ -476,7 +476,7 @@ def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int]:
     for r in ranges:
         held[r.start : r.stop] = False
     held[[r.start + int(np.argmax(halves[r.start : r.stop])) for r in ranges]] = True
-    handle = lp.Handle.of(model.problem, np.flatnonzero(held))
+    handle = lp.Handle(model.problem, np.flatnonzero(held))
     iterations = rounds = 0
     while True:
         sol = handle.run()

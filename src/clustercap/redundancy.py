@@ -104,9 +104,15 @@ def is_redundant_lp(b, a_set) -> RedundancyVerdict:
     onto "infeasible".
     """
     b, a = _validate_inputs(b, a_set)
-    sol = lp.solve_geq_dense(
-        np.ones(b.shape[0]), b[None, :] - a, np.ones(a.shape[0]), name="redundancy_separation"
+    build = lp.LpBuilder("redundancy_separation", lp.MINIMIZE)
+    x = build.add_cols([f"x{j}" for j in range(b.shape[0])])
+    build.set_objective([(j, 1.0) for j in x])
+    diff = b - a  # row i holds b - a_i; its nonzeros go in row by row
+    kept = diff != 0.0
+    build.add_rows(
+        [str(i) for i in range(len(a))], kept.sum(axis=1), np.nonzero(kept)[1], diff[kept], lp.GE, 1.0
     )
+    sol = lp.solve(build.problem())
     if sol.status == lp.INFEASIBLE:
         return RedundancyVerdict(redundant=True, witness=None, criterion="lp")
     if sol.status != lp.OPTIMAL:
@@ -209,14 +215,17 @@ def reduce_to_minimal(a_set) -> list[tuple[float, ...]]:
     against the final set.
     The maximum of <a, x> over the set is preserved for every x >= 0.
     """
-    rows = sorted({tuple(float(v) for v in row) for row in a_set})
-    if not rows or len({len(r) for r in rows}) != 1:
+    try:
+        arr = np.asarray(list(a_set), dtype=float)
+    except ValueError:  # rows of different lengths
+        arr = None
+    if arr is None or arr.ndim != 2 or not len(arr):
         raise DomainError("expected a set of equal-length vectors")
-    arr = np.asarray(rows, dtype=float)
-    alive = np.ones(len(rows), dtype=bool)
-    settled = np.zeros(len(rows), dtype=bool)
+    arr = np.unique(arr, axis=0)  # sorted, each member once
+    alive = np.ones(len(arr), dtype=bool)
+    settled = np.zeros(len(arr), dtype=bool)
     if _is_half_integral(arr):
         settled, dropped = perceptron_certified(arr)
         alive = ~dropped
     separate_remaining(arr, alive, settled)
-    return [rows[i] for i in np.flatnonzero(alive)]
+    return list(map(tuple, arr[alive].tolist()))

@@ -454,13 +454,6 @@ def test_column_bounds_of_the_wrong_length_are_refused(bounds):
         build.add_cols(["first", "second", "third"], **bounds)
 
 
-def test_dense_path_maps_status_like_solve():
-    assert lp.solve_geq_dense([1.0], [[0.0]], [1.0]).status == lp.INFEASIBLE
-    assert lp.solve_geq_dense([-1.0], [[1.0]], [0.0]).status == lp.UNBOUNDED
-    sol = lp.solve_geq_dense([1.0, 2.0], [[1.0, 1.0]], [3.0])
-    assert sol.status == lp.OPTIMAL and sol.objective == pytest.approx(3.0)
-
-
 def floors_problem():
     """min x + y s.t. x >= 1, y >= 2, x + y >= 5: optimum 5."""
     build = lp.LpBuilder("floors")
@@ -476,7 +469,7 @@ def floors_problem():
 class TestHandle:
     def test_added_rows_reach_the_full_answer(self):
         p = floors_problem()
-        handle = lp.Handle.of(p, [0, 1])
+        handle = lp.Handle(p, [0, 1])
         part = handle.run()
         assert part.status == lp.OPTIMAL and part.objective == pytest.approx(3.0)
         assert part.duals[2] == 0.0  # a row not held has no dual
@@ -487,13 +480,13 @@ class TestHandle:
         assert sorted(handle.rows.tolist()) == [0, 1, 2]
 
     def test_certify_checks_rows_not_held(self):
-        handle = lp.Handle.of(floors_problem(), [0, 1])
+        handle = lp.Handle(floors_problem(), [0, 1])
         part = handle.run()
         with pytest.raises(LpSolverError, match="floors: row both violated by 2.000e\\+00"):
             handle.certify(part)
 
     def test_certify_refuses_a_point_that_is_not_a_number(self):
-        handle = lp.Handle.of(simple_problem())
+        handle = lp.Handle(simple_problem())
         sol = handle.run()
         with pytest.raises(LpSolverError, match="bound violated for x"):
             handle.certify(replace(sol, x=(float("nan"),)))
@@ -509,15 +502,13 @@ class TestHandle:
             lp.solve(mix_problem(), "primal")
 
 
-def test_solver_breakdown_raises_on_both_paths(monkeypatch):
+def test_solver_breakdown_raises(monkeypatch):
     def broken(handle):
         return lp._Answer("Solve error", None, None, None, 0)
 
     monkeypatch.setattr(lp, "_run", broken)
     with pytest.raises(LpSolverError, match="simple: solver failure"):
         lp.solve(simple_problem())
-    with pytest.raises(LpSolverError, match="geq: solver failure"):
-        lp.solve_geq_dense([1.0], [[1.0]], [1.0])
 
 
 class TestDuals:
@@ -546,8 +537,14 @@ class TestDuals:
         sol = lp.solve(build.problem())
         assert sol == lp.LpSolution(lp.OPTIMAL, -4.0, (2.0, 3.0), (), 0)
 
-    def test_dense_path(self):
-        sol = lp.solve_geq_dense([1.0, 2.0], [[1.0, 1.0], [1.0, 0.0]], [3.0, 1.0])
+    def test_geq_rows_only(self):
+        """>= rows reach HiGHS negated; their duals come back signed for the
+        rows as written."""
+        build = lp.LpBuilder("geq")
+        x = build.add_cols(["x0", "x1"])
+        build.set_objective([(x[0], 1.0), (x[1], 2.0)])
+        build.add_rows(["both", "floor"], [2, 1], [0, 1, 0], [1.0, 1.0, 1.0], lp.GE, [3.0, 1.0])
+        sol = lp.solve(build.problem())
         assert sol == lp.LpSolution(lp.OPTIMAL, 3.0, (3.0, 0.0), (1.0, 0.0), 0)
 
 
@@ -556,21 +553,19 @@ def _optimal_at(x):
 
     def fake(handle):
         x_arr = np.asarray(x, dtype=float)
-        fun = float(np.dot(handle.form.c, x_arr))
+        fun = float(np.dot(handle.c, x_arr))
         return lp._Answer(lp.OPTIMAL, x_arr, fun, np.zeros(len(handle.rows)), 0)
 
     return fake
 
 
 class TestContractCheck:
-    """A status-0 answer that breaks the problem is refused on both paths."""
+    """A status-0 answer that breaks the problem is refused."""
 
     def test_broken_row(self, monkeypatch):
         monkeypatch.setattr(lp, "_run", _optimal_at([4.0]))
         with pytest.raises(LpSolverError, match="simple: row floor violated"):
             lp.solve(simple_problem())
-        with pytest.raises(LpSolverError, match="geq"):
-            lp.solve_geq_dense([1.0], [[1.0]], [5.0])
 
     def test_broken_bound(self, monkeypatch):
         build = lp.LpBuilder("capped")
@@ -580,9 +575,6 @@ class TestContractCheck:
         monkeypatch.setattr(lp, "_run", _optimal_at([11.0]))
         with pytest.raises(LpSolverError, match="capped: bound violated for x"):
             lp.solve(build.problem())
-        monkeypatch.setattr(lp, "_run", _optimal_at([-1.0]))
-        with pytest.raises(LpSolverError, match="geq"):
-            lp.solve_geq_dense([1.0], [[-1.0]], [0.0])
 
 
 SRC = str(Path(lp.__file__).resolve().parents[1])

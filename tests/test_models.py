@@ -487,7 +487,7 @@ class TestRowGeneration:
 
         def optimal_at_x(handle):
             started.append(set(handle.rows.tolist()))
-            fun = float(handle.form.c @ x)
+            fun = float(handle.c @ x)
             return lp._Answer(lp.OPTIMAL, x, fun, np.zeros(len(handle.rows)), 0)
 
         monkeypatch.setattr(lp, "_run", optimal_at_x)

@@ -250,6 +250,21 @@ class TestReduction:
         once = reduce_to_minimal(rows)
         assert reduce_to_minimal(once) == once
 
+    @pytest.mark.parametrize(
+        "a_set",
+        [[], [(1.0, 0.0), (1.0,)], [(0.5,), (1.0, 0.0, 1.0)]],
+        ids=["empty", "ragged", "ragged-short-first"],
+    )
+    def test_empty_or_ragged_sets_are_refused(self, a_set):
+        with pytest.raises(DomainError, match="expected a set of equal-length vectors"):
+            reduce_to_minimal(a_set)
+
+    def test_a_generator_of_rows_is_taken_and_repeats_count_once(self):
+        rows = [(0.5, 0.5, 1.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.0, 1.0)]
+        kept = reduce_to_minimal(row for row in rows)
+        assert kept == [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0)]
+        assert all(type(v) is float for row in kept for v in row)
+
     @given(
         st.integers(min_value=2, max_value=4),
         st.data(),
@@ -523,7 +538,7 @@ class TestSeparationPass:
     )
     def test_a_direction_that_does_not_separate_raises(self, monkeypatch, x, why):
         def optimal_at_x(handle):
-            point = np.full(len(handle.form.c), x)
+            point = np.full(len(handle.c), x)
             return lp._Answer(lp.OPTIMAL, point, 0.0, np.zeros(len(handle.rows)), 0)
 
         monkeypatch.setattr(lp, "_run", optimal_at_x)
