@@ -5,14 +5,14 @@ in blocks.  The solver is HiGHS, through the binding that ships inside scipy
 (`scipy.optimize._highspy._core`).  It is loaded from its file, without
 importing `scipy.optimize`, which would add about half a second to every
 start-up.  Every LP reaches HiGHS as an `LpProblem` through a `Handle`,
-one HiGHS model of it that can take added rows and re-solve from its last
-basis; `solve` is one run of a handle on all rows.  Every answer is held to
-a fixed numerical contract: optimal solutions violate no constraint or
-bound by more than the feasibility tolerance, and infeasibility is a
-solver-certified status, never a guess from objective values.  Problems
-can be exported to the common textual LP file format for cross-checking
-with external solvers; the exported text re-parses to an equivalent
-problem.
+one HiGHS model of it as it is stated, which can take added rows and
+re-solve from its last basis; `solve` is one run of a handle on all rows.
+Every answer is held to a fixed numerical contract: optimal solutions
+violate no constraint or bound by more than the feasibility tolerance, and
+infeasibility is a solver-certified status, never a guess from objective
+values.  Problems can be exported to the common textual LP file format for
+cross-checking with external solvers; the exported text re-parses to an
+equivalent problem.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class LpProblem:
         bad = np.flatnonzero(~((lo <= hi) & (lo < np.inf) & (hi > -np.inf)))  # NaN fails too
         if bad.size:
             raise DomainError(f"variable {self.col_names[bad[0]]!r} has empty bound interval")
-        m, a, row_names = len(self.row_names), self.matrix, self.row_names
-        if not len(self.senses) == len(self.rhs) == m or getattr(a, "format", None) != "csr":
+        m, a, row_names, rhs = len(self.row_names), self.matrix, self.row_names, self.rhs
+        if not len(self.senses) == len(rhs) == m or getattr(a, "format", None) != "csr":
             raise DomainError(f"rows need {m} senses, right-hand sides and CSR matrix rows")
         if a.shape != (m, nvar):
             raise DomainError(f"constraint matrix is {a.shape}, expected {(m, nvar)}")
@@ -129,8 +129,8 @@ class LpProblem:
         bad = set(self.senses).difference(_SENSES)
         if bad:
             raise DomainError(f"constraint sense {bad.pop()!r}")
-        for i in np.flatnonzero(~np.isfinite(self.rhs)).tolist():  # NaN, or inf as "no bound"
-            s, r = self.senses[i], self.rhs[i]
+        for i in np.flatnonzero(~np.isfinite(rhs)).tolist():  # NaN, or inf as "no bound"
+            s, r = self.senses[i], rhs[i]
             if (s, r) not in ((LE, np.inf), (GE, -np.inf)):
                 raise DomainError(f"constraint {row_names[i]!r} has right-hand side {s} {r}")
         rows = np.repeat(np.arange(m), np.diff(a.indptr))  # the row of each entry
@@ -266,6 +266,8 @@ _OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
 }
 
+_SENSE = {MINIMIZE: _highspy.ObjSense.kMinimize, MAXIMIZE: _highspy.ObjSense.kMaximize}
+
 _STATUS = {
     _highspy.HighsModelStatus.kOptimal: OPTIMAL,
     _highspy.HighsModelStatus.kInfeasible: INFEASIBLE,
@@ -275,8 +277,9 @@ _STATUS = {
 
 class _Answer(NamedTuple):
     """One HiGHS run: `status` is OPTIMAL, INFEASIBLE or UNBOUNDED, else the
-    text of HiGHS's own status; at OPTIMAL also the point, the objective and
-    the duals of the rows held, in the order the handle holds them."""
+    text of HiGHS's own status; at OPTIMAL also the point, the objective in
+    the problem's own sense and the duals of the rows held, in the order the
+    handle holds them."""
 
     status: str
     x: np.ndarray | None
@@ -307,10 +310,9 @@ class Handle:
     `run` answers for the rows held, and `certify` holds an answer to every
     bound and row of the LP.  `method` is SIMPLEX or IPM.
 
-    HiGHS is handed: minimize c'x subject to a x <= rhs (= on the rows in
-    `eq`) and the problem's bounds on x.  Row i of `a` is `sign[i]` (-1 on a
-    >= row, else 1) times the problem's row i, and the problem's objective
-    is `flip` times c'x.
+    HiGHS is handed the LP as it is stated: its objective sense and `cost`,
+    its column bounds, its matrix, and row i as `row_lower[i] <= matrix[i] x
+    <= row_upper[i]`, the bound its sense does not set being infinite.
     """
 
     def __init__(self, problem: LpProblem, rows=None, method: str = SIMPLEX):
@@ -321,30 +323,28 @@ class Handle:
         for key, value in {**_OPTIONS, **_METHODS[method]}.items():
             if self.highs.setOptionValue(key, value) != _highspy.HighsStatus.kOk:
                 raise DomainError(f"HiGHS option {key}={value!r}")
-        self.flip = -1.0 if p.sense == MAXIMIZE else 1.0
-        self.c = np.zeros(len(p.col_names))
+        self.cost = np.zeros(len(p.col_names))
         for j, v in p.objective:
-            self.c[j] = self.flip * v
+            self.cost[j] = v
         senses = np.array(p.senses, dtype="U2")
-        self.sign = np.where(senses == GE, -1.0, 1.0)
-        self.eq = senses == EQ
+        self.row_lower = np.where(senses == LE, -np.inf, p.rhs)
+        self.row_upper = np.where(senses == GE, np.inf, p.rhs)
         a = p.matrix
-        data = a.data * np.repeat(self.sign, np.diff(a.indptr))
-        self.a = sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
-        self.rhs = self.sign * p.rhs
         m, n = a.shape
         rows = np.arange(m) if rows is None else np.asarray(rows, dtype=np.int64)
-        is_eq = self.eq[rows]
-        # <= rows before = rows, the order HiGHS was always given them in
+        is_eq = senses[rows] == EQ
+        # = rows after the others: answers depend on it (in stored order, a
+        # one-tool generalized model ends on a slightly negative aggregate time)
         self.rows = np.concatenate((rows[~is_eq], rows[is_eq]))
-        # rows go in as CSR, as `add_rows` adds them; `a` itself when every
-        # row is held in stored order, which spares a copy on each small LP
-        every = len(self.rows) == m and bool((self.rows == np.arange(m)).all())
-        block = self.a if every else self.a[self.rows]
+        # rows go in as CSR, as `add_rows` adds them; the matrix itself when
+        # every row is held in stored order, which spares a copy
+        block = a if np.array_equal(self.rows, np.arange(m)) else a[self.rows]
         model = _highspy.HighsLp()
+        model.sense_ = _SENSE[p.sense]
         model.num_col_, model.num_row_ = n, len(self.rows)
-        model.col_cost_, model.col_lower_, model.col_upper_ = self.c, p.lower, p.upper
-        model.row_lower_, model.row_upper_ = self._row_bounds(self.rows)
+        model.col_cost_, model.col_lower_, model.col_upper_ = self.cost, p.lower, p.upper
+        model.row_lower_ = self.row_lower[self.rows]
+        model.row_upper_ = self.row_upper[self.rows]
         matrix = model.a_matrix_
         matrix.format_ = _highspy.MatrixFormat.kRowwise
         matrix.num_col_, matrix.num_row_ = n, len(self.rows)
@@ -352,17 +352,13 @@ class Handle:
         if self.highs.passModel(model) == _highspy.HighsStatus.kError:
             raise LpSolverError(f"{p.name}: HiGHS refused the model")
 
-    def _row_bounds(self, rows):
-        rhs = self.rhs[rows]
-        return np.where(self.eq[rows], rhs, -np.inf), rhs
-
     def add_rows(self, rows):
         """Add rows of the LP, by index, to the model."""
         rows = np.asarray(rows, dtype=np.int64)
-        block = self.a[rows]
-        lower, upper = self._row_bounds(rows)
+        block = self.problem.matrix[rows]
         status = self.highs.addRows(
-            len(rows), lower, upper, block.nnz, block.indptr[:-1], block.indices, block.data
+            len(rows), self.row_lower[rows], self.row_upper[rows],
+            block.nnz, block.indptr[:-1], block.indices, block.data,
         )
         if status == _highspy.HighsStatus.kError:
             raise LpSolverError(f"{self.problem.name}: HiGHS refused {len(rows)} added rows")
@@ -377,11 +373,11 @@ class Handle:
             raise LpSolverError(f"{self.problem.name}: solver failure: {ans.status}")
         if ans.status != OPTIMAL:
             return LpSolution(ans.status, None, (), None, ans.iterations)
-        duals = np.zeros(len(self.rhs))
-        duals[self.rows] = ans.row_dual
+        duals = np.zeros(len(self.row_lower))
+        # negated, the duals HiGHS gives for a maximization are the minimization form's
+        duals[self.rows] = ans.row_dual if self.problem.sense == MINIMIZE else -ans.row_dual
         return LpSolution(
-            OPTIMAL, self.flip * ans.fun, tuple(ans.x.tolist()),
-            tuple((self.sign * duals).tolist()), ans.iterations,
+            OPTIMAL, ans.fun, tuple(ans.x.tolist()), tuple(duals.tolist()), ans.iterations
         )
 
     def certify(self, sol: LpSolution):
@@ -394,12 +390,13 @@ class Handle:
         bad = np.flatnonzero(~((x >= p.lower - feas) & (x <= p.upper + feas)))  # NaN fails too
         if bad.size:
             raise LpSolverError(f"{p.name}: bound violated for {p.col_names[bad[0]]}")
-        gap = self.a @ x - self.rhs
-        bad = np.flatnonzero(~(np.where(self.eq, np.abs(gap), gap) <= feas))
+        ax = p.matrix @ x
+        violation = np.maximum(self.row_lower - ax, ax - self.row_upper)
+        bad = np.flatnonzero(~(violation <= feas))
         if bad.size:
             i = bad[0]
-            raise LpSolverError(f"{p.name}: row {p.row_names[i]} violated by {abs(gap[i]):.3e}")
-        obj = self.flip * float(self.c @ x)
+            raise LpSolverError(f"{p.name}: row {p.row_names[i]} violated by {violation[i]:.3e}")
+        obj = float(self.cost @ x)
         if not abs(obj - sol.objective) <= TOL.comparison * max(1.0, abs(obj)):
             raise LpSolverError(f"{p.name}: objective mismatch {obj} vs {sol.objective}")
 

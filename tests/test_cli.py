@@ -239,6 +239,28 @@ class TestBench:
         records, _ = run_bench([str(path)], ["basic"], reps=1)
         assert len(records) == 1 and records[0].status.startswith(f"Error: {path}: ")
 
+    def test_instance_without_cut_matrix_recorded_not_fatal(self, env_cache, tmp_path):
+        """A 6-chamber instance is valid but has no cut matrix: its
+        generalized records are errors, and everything else still runs."""
+        good = gen_instance(tmp_path, seed=4)
+        six = {**json.loads(good.read_text()), "chambers": 6, "name": "six"}
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps(six))
+        out = tmp_path / "report.csv"
+        rc = cli(["bench", str(good), str(path), "--reps", "2", "--out", str(out)])
+        assert rc == 0
+        rows = csv.DictReader(out.read_text().splitlines())
+        bench = [r for r in rows if r["record_type"] == "bench"]
+        got = [(r["instance"], r["model"], r["status"]) for r in bench]
+        name = read_instance(good).name
+        why = "Error: no reduced cut matrix for 6 chambers, only for 1..5"
+        assert got == [
+            *[(name, "generalized", "Optimal")] * 2,
+            *[(name, "alternative", "Optimal")] * 2,
+            *[("six", "generalized", why)] * 2,
+            *[("six", "alternative", "Optimal")] * 2,
+        ]
+
     def test_workers_give_same_records(self, env_cache, tmp_path):
         paths = [str(gen_instance(tmp_path, seed=s)) for s in (5, 6)]
         seq_records, seq_sum = run_bench(paths, ["alternative"], reps=1, workers=1)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from clustercap import lp
 from clustercap.errors import DomainError, LpSolverError
@@ -491,6 +492,29 @@ class TestHandle:
         with pytest.raises(LpSolverError, match="bound violated for x"):
             handle.certify(replace(sol, x=(float("nan"),)))
 
+    def test_highs_holds_the_lp_as_stated(self):
+        """HiGHS gets the problem's own sense, costs and matrix values, each
+        row bounded on the side its sense sets, and the = rows last."""
+        build = lp.LpBuilder("stated", lp.MAXIMIZE)
+        x = build.add_cols(["x", "y", "z"])
+        build.set_objective([(x[0], 2.0), (x[2], -3.0)])
+        build.add_constraint("ge", [(x[0], 1.0), (x[1], -2.0)], lp.GE, 1.5)
+        build.add_constraint("eq", [(x[1], 4.0), (x[2], 1.0)], lp.EQ, 6.0)
+        build.add_constraint("le", [(x[0], 5.0), (x[2], -6.0)], lp.LE, 7.0)
+        build.add_constraint("free", [(x[1], 8.0)], lp.LE, np.inf)
+        handle = lp.Handle(build.problem())
+        held = handle.highs.getLp()
+        assert held.sense_ == lp._highspy.ObjSense.kMaximize
+        assert list(held.col_cost_) == [2.0, 0.0, -3.0]
+        assert handle.rows.tolist() == [0, 2, 3, 1]
+        assert list(held.row_lower_) == [1.5, -np.inf, -np.inf, 6.0]
+        assert list(held.row_upper_) == [np.inf, 7.0, np.inf, 6.0]
+        a = held.a_matrix_  # HiGHS keeps it column-wise, whatever it was handed
+        assert a.format_ == lp._highspy.MatrixFormat.kColwise
+        shape = (held.num_row_, held.num_col_)
+        got = sparse.csc_matrix((a.value_, a.index_, a.start_), shape=shape)
+        assert got.toarray().tolist() == [[1, -2, 0], [5, 0, -6], [0, 8, 0], [0, 4, 1]]
+
     def test_ipm_reaches_the_simplex_answer(self):
         p = mix_problem()
         simplex, ipm = lp.solve(p, lp.SIMPLEX), lp.solve(p, lp.IPM)
@@ -538,8 +562,7 @@ class TestDuals:
         assert sol == lp.LpSolution(lp.OPTIMAL, -4.0, (2.0, 3.0), (), 0)
 
     def test_geq_rows_only(self):
-        """>= rows reach HiGHS negated; their duals come back signed for the
-        rows as written."""
+        """The duals of >= rows come back signed for the rows as written."""
         build = lp.LpBuilder("geq")
         x = build.add_cols(["x0", "x1"])
         build.set_objective([(x[0], 1.0), (x[1], 2.0)])
@@ -553,7 +576,7 @@ def _optimal_at(x):
 
     def fake(handle):
         x_arr = np.asarray(x, dtype=float)
-        fun = float(np.dot(handle.c, x_arr))
+        fun = sum(v * x_arr[j] for j, v in handle.problem.objective)
         return lp._Answer(lp.OPTIMAL, x_arr, fun, np.zeros(len(handle.rows)), 0)
 
     return fake

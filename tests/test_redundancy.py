@@ -538,7 +538,7 @@ class TestSeparationPass:
     )
     def test_a_direction_that_does_not_separate_raises(self, monkeypatch, x, why):
         def optimal_at_x(handle):
-            point = np.full(len(handle.c), x)
+            point = np.full(len(handle.problem.col_names), x)
             return lp._Answer(lp.OPTIMAL, point, 0.0, np.zeros(len(handle.rows)), 0)
 
         monkeypatch.setattr(lp, "_run", optimal_at_x)
