@@ -273,8 +273,9 @@ def startup(repeats):
     For each: wall_s, the median wall time of `--repeats` runs, in s;
     max_rss_mb, the peak resident memory of the largest run
     (`getrusage(RUSAGE_CHILDREN)`, read after the command's runs; the import
-    runs go first, as they are the smaller); scipy_optimize, whether
-    `scipy.optimize` was imported, from one more run under
+    runs go first, as they are the smaller); scipy_optimize and
+    scipy_sparse, whether any module of `scipy.optimize` or of
+    `scipy.sparse` was imported, from one more run under
     `python -X importtime`, which also warms the cache.  Fails if a run
     fails.
     """
@@ -300,10 +301,14 @@ def startup(repeats):
                                stdout=subprocess.DEVNULL)
                 times.append(time.perf_counter() - t)
             rss_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+            # a subpackage, or any module in it (`from scipy import sparse`
+            # leaves no line of `scipy.sparse` itself)
+            imported = set(re.findall(r"\|\s*(scipy\.\w+)", traced.stderr))
             entry = results[name] = {
                 "wall_s": round(statistics.median(times), 4),
                 "max_rss_mb": round(rss_kb / 1024, 1),
-                "scipy_optimize": bool(re.search(r"\|\s*scipy\.optimize$", traced.stderr, re.M)),
+                "scipy_optimize": "scipy.optimize" in imported,
+                "scipy_sparse": "scipy.sparse" in imported,
             }
             print(name, json.dumps(entry), flush=True)
     return {"commands": results}

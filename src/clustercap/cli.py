@@ -225,7 +225,8 @@ def verify_instance(
         )
         return checks
     checks.append(("models solve to optimality", True, "both Optimal"))
-    gap = abs(res_gen.rho - res_alt.rho) / max(1.0, abs(res_gen.rho))
+    scale = max(abs(res_gen.rho), abs(res_alt.rho))
+    gap = abs(res_gen.rho - res_alt.rho) / scale if scale else 0.0
     checks.append(
         (
             "generalized and alternative agree",
@@ -238,8 +239,8 @@ def verify_instance(
         produced[a.job] = produced.get(a.job, 0.0) + a.wafers
     worst = 0.0
     for job in inst.jobs:
-        got = produced.get(job.id, 0.0)
-        worst = max(worst, abs(got - job.demand) / max(1.0, job.demand))
+        off = abs(produced.get(job.id, 0.0) - job.demand)
+        worst = max(worst, off / job.demand if job.demand else off)
     checks.append(
         ("demands are met", worst <= VERIFY_TOL, f"max relative deviation {worst:.2e}")
     )

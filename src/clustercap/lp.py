@@ -1,7 +1,8 @@
 """Sparse linear-programming layer: problem container, solver, text export.
 
-An `LpProblem` holds its columns and rows as arrays; `LpBuilder` takes both
-in blocks.  The solver is HiGHS, through the binding that ships inside scipy
+An `LpProblem` holds its columns and rows as arrays, its rows in a `Csr`, the
+three compressed-sparse-row arrays `LpBuilder` makes from the blocks it takes.
+The solver is HiGHS, through the binding that ships inside scipy
 (`scipy.optimize._highspy._core`).  It is loaded from its file, without
 importing `scipy.optimize`, which would add about half a second to every
 start-up.  Every LP reaches HiGHS as an `LpProblem` through a `Handle`,
@@ -27,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy
-from scipy import sparse
 
 from .errors import DomainError, LpSolverError
 
@@ -76,15 +76,68 @@ class Tolerances:
 TOL = Tolerances()
 
 
+# entries in one block of whole rows of `Csr @ x`; this bounds its temporaries
+_PRODUCT_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """Compressed sparse rows: row i holds the columns
+    `indices[indptr[i]:indptr[i + 1]]` with the values `data[...]` in the same
+    positions, in the order they were given; `shape` is (rows, columns).  It
+    offers `nnz`, the product `matrix @ x` and a block of rows by index,
+    `matrix[rows]`."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def __matmul__(self, x) -> np.ndarray:
+        """Each row's products summed one at a time in stored order, as
+        scipy.sparse sums them, so the two agree bit for bit; the rows go in
+        blocks of whole rows of at most _PRODUCT_BLOCK entries (or one row)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.shape[1:]:
+            raise DomainError(f"matrix {self.shape} times vector {x.shape}")
+        m, ptr = self.shape[0], self.indptr
+        out = np.zeros(m)
+        start = 0
+        while start < m:
+            stop = int(np.searchsorted(ptr, ptr[start] + _PRODUCT_BLOCK, "right")) - 1
+            stop = max(stop, start + 1)
+            lo, hi = ptr[start], ptr[stop]
+            rows = np.repeat(np.arange(stop - start), np.diff(ptr[start : stop + 1]))
+            terms = self.data[lo:hi] * x[self.indices[lo:hi]]
+            out[start:stop] = np.bincount(rows, terms, stop - start)
+            start = stop
+        return out
+
+    def __getitem__(self, rows) -> Csr:
+        """The rows of index `rows`, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        return Csr(indptr, self.indices[take], self.data[take], (len(rows), self.shape[1]))
+
+
 @dataclass(frozen=True, eq=False)
 class LpProblem:
     """Immutable sparse LP in general form.
 
     Column j is named `col_names[j]` and reads `lower[j] <= x_j <= upper[j]`,
-    -inf and inf meaning no bound; both arrays are made read-only.  Row i is
-    named `row_names[i]` and reads `matrix[i] x  senses[i]  rhs[i]`; `matrix`
-    is CSR with each row's entries in the order they were given, and nothing
-    modifies it in place.  The objective is (variable index, value) pairs.
+    -inf and inf meaning no bound.  Row i is named `row_names[i]` and reads
+    `matrix[i] x  senses[i]  rhs[i]`; `matrix` is a `Csr` with each row's
+    entries in the order they were given.  The bounds, `rhs` and the
+    matrix's arrays are made read-only, so a handle's copy of the row bounds
+    and the matrix it certifies against cannot drift apart.  The objective
+    is (variable index, value) pairs.
     Indices must be in range and unique within a row and within the
     objective, all names unique, and every bound interval must hold a number.
     A right-hand side is a number, or inf on a <= row and -inf on a >= row,
@@ -100,7 +153,7 @@ class LpProblem:
     row_names: tuple[str, ...]
     senses: tuple[str, ...]
     rhs: np.ndarray
-    matrix: sparse.csr_matrix
+    matrix: Csr
 
     def __post_init__(self):
         if self.sense not in (MINIMIZE, MAXIMIZE):
@@ -109,13 +162,14 @@ class LpProblem:
         lo, hi = self.lower, self.upper
         if not lo.shape == hi.shape == (nvar,):
             raise DomainError(f"columns need {nvar} lower and upper bounds")
-        lo.flags.writeable = hi.flags.writeable = False
         bad = np.flatnonzero(~((lo <= hi) & (lo < np.inf) & (hi > -np.inf)))  # NaN fails too
         if bad.size:
             raise DomainError(f"variable {self.col_names[bad[0]]!r} has empty bound interval")
         m, a, row_names, rhs = len(self.row_names), self.matrix, self.row_names, self.rhs
-        if not len(self.senses) == len(rhs) == m or getattr(a, "format", None) != "csr":
+        if not len(self.senses) == len(rhs) == m or not isinstance(a, Csr):
             raise DomainError(f"rows need {m} senses, right-hand sides and CSR matrix rows")
+        for array in (lo, hi, rhs, a.indptr, a.indices, a.data):
+            array.flags.writeable = False
         if a.shape != (m, nvar):
             raise DomainError(f"constraint matrix is {a.shape}, expected {(m, nvar)}")
         names = self.col_names + row_names
@@ -138,10 +192,11 @@ class LpProblem:
         if bad.size:
             i, j = rows[bad[0]], a.indices[bad[0]]
             raise DomainError(f"constraint {row_names[i]!r}: index {j} out of range")
-        ordered = a.sorted_indices().indices  # a repeat now sits next to its twin
-        dup = np.flatnonzero((ordered[1:] == ordered[:-1]) & (rows[1:] == rows[:-1]))
+        key = rows * nvar + a.indices  # (row, column) of each entry, as one number
+        key.sort(kind="stable")  # a merge sort, which the rising runs of columns speed up
+        dup = np.flatnonzero(key[1:] == key[:-1])
         if dup.size:
-            i, j = rows[dup[0]], ordered[dup[0]]
+            i, j = divmod(int(key[dup[0]]), nvar)
             raise DomainError(f"constraint {row_names[i]!r}: duplicate index {j}")
         seen = set()
         for j, _ in self.objective:
@@ -243,7 +298,7 @@ class LpBuilder:
             row_names=tuple(self._names),
             senses=tuple(self._senses),
             rhs=rhs,
-            matrix=sparse.csr_matrix((vals, cols, indptr), shape=(len(rhs), len(lower))),
+            matrix=Csr(indptr, cols, vals, (len(rhs), len(lower))),
         )
 
 
@@ -336,9 +391,7 @@ class Handle:
         # = rows after the others: answers depend on it (in stored order, a
         # one-tool generalized model ends on a slightly negative aggregate time)
         self.rows = np.concatenate((rows[~is_eq], rows[is_eq]))
-        # rows go in as CSR, as `add_rows` adds them; the matrix itself when
-        # every row is held in stored order, which spares a copy
-        block = a if np.array_equal(self.rows, np.arange(m)) else a[self.rows]
+        block = a[self.rows]  # rows go in as CSR, as `add_rows` adds them
         model = _highspy.HighsLp()
         model.sense_ = _SENSE[p.sense]
         model.num_col_, model.num_row_ = n, len(self.rows)

@@ -1,12 +1,15 @@
 import csv
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from clustercap import read_instance, read_matrix_csv
-from clustercap.cli import cli, run_bench, verify_instance
+from clustercap.cli import VERIFY_TOL, cli, run_bench, verify_instance
+from clustercap.instances import GenParams, generate
+from clustercap.models import solve_capacity
 from clustercap.errors import DomainError
 
 from conftest import DATA
@@ -165,6 +168,27 @@ class TestVerify:
     def test_verify_reference_instance(self, env_cache, capsys):
         rc = cli(["verify", f"{DATA}/example1.json", "--samples", "20"])
         assert rc == 0
+
+    def test_agreement_is_relative_to_rho(self, env_cache):
+        """Rates x2^20 and demands x2^-20 put rho near 8e-11, where a gap
+        divided by max(1, |rho|) passes any two answers: the check passes
+        exactly when the two solved rhos agree within VERIFY_TOL relative."""
+        inst = generate(GenParams(1, "1:4", 3, 2, 4, 1))
+        rate, demand = 2.0**20, 2.0**-20
+        inst = replace(
+            inst,
+            jobs=tuple(replace(j, demand=j.demand * demand) for j in inst.jobs),
+            qualifications=tuple(
+                replace(q, chamber_rates=tuple((c, r * rate) for c, r in q.chamber_rates))
+                for q in inst.qualifications
+            ),
+            rate_overrides=tuple(replace(o, rate=o.rate * rate) for o in inst.rate_overrides),
+        )
+        gen = solve_capacity(inst, "generalized").rho
+        alt = solve_capacity(inst, "alternative").rho
+        agree = abs(gen - alt) <= VERIFY_TOL * max(abs(gen), abs(alt))
+        checks = {name: ok for name, ok, _ in verify_instance(inst, samples=5)}
+        assert checks["generalized and alternative agree"] == agree
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_is_an_error(self, env_cache, capsys, samples):

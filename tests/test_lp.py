@@ -5,6 +5,7 @@ import sys
 import textwrap
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -125,6 +126,13 @@ class TestValidation:
         build.add_constraint("row", [(x, 1.0), (x, 2.0)], lp.LE, 1.0)
         with pytest.raises(DomainError, match="duplicate index"):
             build.problem()
+        # the repeat apart from its twin, in a row whose columns do not rise
+        build = lp.LpBuilder("dup")
+        x, y, z = build.add_cols(["x", "y", "z"])
+        build.add_constraint("sorted", [(x, 1.0), (y, 1.0)], lp.LE, 1.0)
+        build.add_constraint("row", [(z, 1.0), (y, 2.0), (x, 3.0), (y, 4.0)], lp.LE, 1.0)
+        with pytest.raises(DomainError, match="constraint 'row': duplicate index 1"):
+            build.problem()
 
     def test_duplicate_index_in_objective(self):
         # solving kept the last coefficient while the LP text summed them
@@ -229,7 +237,7 @@ class TestExport:
         build.add_constraint("row", [(x, 0.1234567890123456789)], lp.GE, np.pi)
         back = roundtrip(build.problem())
         assert back.objective[0][1] == coef
-        assert back.matrix[0, 0] == 0.1234567890123456789
+        assert back.matrix.data.tolist() == [0.1234567890123456789]
         assert back.rhs[0] == float(np.pi)
 
     def test_roundtrip_preserves_solution(self):
@@ -448,11 +456,89 @@ def test_column_blocks_and_single_columns_keep_their_order():
         p.upper[0] = 5.0
 
 
+def test_problem_arrays_are_read_only():
+    """What a handle copies (the right-hand sides) and what `certify` reads
+    (the matrix) cannot drift apart: a write to any array of the problem
+    raises."""
+    p = mix_problem()
+    a = p.matrix
+    for array in (p.lower, p.upper, p.rhs, a.indptr, a.indices, a.data):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7
+
+
 @pytest.mark.parametrize("bounds", [{"lower": [0.0, 1.0]}, {"upper": [1.0] * 4}, {"lower": [[0.0] * 3]}])
 def test_column_bounds_of_the_wrong_length_are_refused(bounds):
     build = lp.LpBuilder("cols")
     with pytest.raises(DomainError, match=r"column block \['first'\]: bounds for 3 columns"):
         build.add_cols(["first", "second", "third"], **bounds)
+
+
+def scipy_rows(a: lp.Csr) -> sparse.csr_matrix:
+    return sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+
+
+def assert_like_scipy(a: lp.Csr, xs, row_blocks):
+    """`a @ x` is scipy's product byte for byte, and `a[rows]` scipy's rows."""
+    oracle = scipy_rows(a)
+    for x in xs:
+        assert (a @ x).tobytes() == (oracle @ x).tobytes()
+    for rows in row_blocks:
+        got, want = a[rows], oracle[rows]
+        assert got.shape == want.shape and got.nnz == want.nnz
+        for mine, theirs in ((got.indptr, want.indptr), (got.indices, want.indices)):
+            assert mine.tolist() == theirs.tolist()
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+class TestCsr:
+    """`Csr` against scipy.sparse, the oracle it replaces."""
+
+    @pytest.mark.parametrize("params", [(0, "1:1", 3), (1, "1:4", 3)], ids=["s0", "s1"])
+    @pytest.mark.parametrize("kind", ["basic", "serial", "generalized", "alternative"])
+    def test_the_model_lps_of_the_verify_instances(self, params, kind, cuts5):
+        from clustercap import instances, models
+
+        inst = instances.generate(instances.GenParams(*params, 2, 5, 1))
+        problem = models.build_model(inst, kind, cuts5[0]).problem
+        a = problem.matrix
+        m, n = a.shape
+        if kind == "generalized":
+            assert a.nnz > lp._PRODUCT_BLOCK  # the product runs over several blocks
+        rng = np.random.default_rng(m)
+        solved = np.array(lp.solve(problem).x)
+        sparse_x = rng.normal(size=n) * (rng.random(n) < 0.3)
+        xs = [solved, rng.uniform(0.0, 10.0, n), rng.normal(size=n) * 1e6, sparse_x]
+        blocks = [np.arange(m), rng.permutation(m)[: m // 2], rng.integers(0, m, 40), []]
+        assert_like_scipy(a, xs, blocks)
+        with pytest.raises(DomainError, match="times vector"):
+            a @ np.zeros(n + 1)
+
+    @given(
+        st.integers(min_value=0, max_value=5),
+        st.lists(st.lists(st.integers(0, 4), unique=True, max_size=5), max_size=8),
+        st.data(),
+    )
+    def test_random_rows(self, cols, rows, data):
+        """Rows empty or not, columns in any order, and rho, the last column,
+        last in each row that holds it; the product also in blocks of one,
+        two and three entries."""
+        values = st.floats(-1e6, 1e6, allow_subnormal=False)
+        build = lp.LpBuilder("rows")
+        build.add_cols([f"v{j}" for j in range(cols + 1)])
+        rho = cols
+        for i, row in enumerate(rows):
+            pairs = [(j, data.draw(values)) for j in row if j < cols]
+            if data.draw(st.booleans()):
+                pairs.append((rho, -1.0))
+            build.add_constraint(f"r{i}", pairs, lp.LE, 0.0)
+        a = build.problem().matrix
+        x = np.array(data.draw(st.lists(values, min_size=cols + 1, max_size=cols + 1)))
+        picks = st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=10 if rows else 0)
+        blocks = [np.arange(len(rows)), data.draw(picks)]
+        for block in (1, 2, 3, lp._PRODUCT_BLOCK):
+            with mock.patch.object(lp, "_PRODUCT_BLOCK", block):
+                assert_like_scipy(a, [x], blocks)
 
 
 def floors_problem():
@@ -640,6 +726,10 @@ class TestBindingLoad:
             paired = flows.solve_parallelization_lp(x, g)[1]
             span = flows.makespan_via_cuts(x, matrix)
             assert abs(paired - flow) < 1e-6 and abs(x.sum() - flow - span) < 1e-6
+            problem = models.build_model(inst, "generalized", matrix).problem
+            text = clustercap.lp.export_lp_text(problem)
+            assert clustercap.lp.export_lp_text(clustercap.lp.parse_lp_text(text)) == text
+            assert "scipy.sparse" not in sys.modules, "loaded by clustercap"
             assert "scipy.optimize" not in sys.modules, "loaded by clustercap"
             assert sys.modules["scipy.optimize._highspy._core"] is clustercap.lp._highspy
 

@@ -63,6 +63,7 @@ def test_bench_layers_startup_times_fresh_interpreters(tmp_path):
     for entry in commands.values():
         assert entry["wall_s"] > 0 and entry["max_rss_mb"] > 0
         assert entry["scipy_optimize"] is False
+        assert entry["scipy_sparse"] is False
 
 
 def test_a_rewritten_bench_file_does_not_mark_the_tree_dirty(tmp_path):
