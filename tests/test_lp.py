@@ -474,13 +474,9 @@ def test_column_bounds_of_the_wrong_length_are_refused(bounds):
         build.add_cols(["first", "second", "third"], **bounds)
 
 
-def scipy_rows(a: lp.Csr) -> sparse.csr_matrix:
-    return sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
-
-
 def assert_like_scipy(a: lp.Csr, xs, row_blocks):
     """`a @ x` is scipy's product byte for byte, and `a[rows]` scipy's rows."""
-    oracle = scipy_rows(a)
+    oracle = sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
     for x in xs:
         assert (a @ x).tobytes() == (oracle @ x).tobytes()
     for rows in row_blocks:
