@@ -45,11 +45,12 @@ def timed(fn, *args):
 
 def watch_highs() -> dict:
     """Wrap `lp._run`, the one place HiGHS solves, to sum the time ("s") and
-    iterations of its runs and record the rows held at each ("rows"); the
-    returned dict holds the sums, which the caller resets."""
+    iterations of its runs and record the rows and nonzeros HiGHS held at
+    each ("rows", "nonzeros"); the returned dict holds the sums, which the
+    caller resets."""
     from clustercap import lp
 
-    highs = {"s": 0.0, "iterations": 0, "rows": []}
+    highs = {"s": 0.0, "iterations": 0, "rows": [], "nonzeros": []}
     run_highs = lp._run
 
     def watched_run(handle):
@@ -58,7 +59,8 @@ def watch_highs() -> dict:
             answer = run_highs(handle)
         finally:
             highs["s"] += time.perf_counter() - t
-            highs["rows"].append(len(handle.rows))
+            highs["rows"].append(handle.highs.getNumRow())
+            highs["nonzeros"].append(handle.highs.getNumNz())
         highs["iterations"] += answer.iterations
         return answer
 
@@ -184,14 +186,18 @@ def solve(repeats):
 
     For each: build_s, solve_s (everything after the build: HiGHS,
     separation, contract check), highs_s (inside HiGHS alone), iterations,
-    rounds, rows added by row generation, and rho.  build_s is the best of
-    max(10, repeats) back-to-back `models.build_model` calls of the
-    variant's model, timed once per instance and model kind, for all of
-    them before the first HiGHS run, so that it resolves a change of a few
-    ms and both variants of a kind report the same reading; the other
-    times are medians of the repeats, in s; counts repeat exactly.  Fails
-    if rho of gen_rows differs from gen_full, or alt_ipm from alt_simplex,
-    by more than 1e-9 relative.
+    rounds, rows added by row generation, nonzeros (all HiGHS was handed:
+    the model it started with plus the rows added), and rho; gen_rows also
+    has extract_s, the rest of `solve_capacity` (result extraction).  Per
+    instance, build_s holds the best of max(10, repeats) back-to-back
+    `models.build_model` calls of each of the four model kinds, timed for
+    all of them before the first HiGHS run, so that it resolves a change of
+    a few ms.  It is the build_s of gen_full and of both alternative
+    variants.  gen_rows reports the least build time `solve_capacity`
+    itself records over its repeats, for that is the build it runs.  The
+    other times are medians of the repeats, in s; counts repeat exactly.
+    Fails if rho of gen_rows differs from gen_full, or alt_ipm from
+    alt_simplex, by more than 1e-9 relative.
     """
     from clustercap import cuts, instances, lp, models
 
@@ -209,13 +215,15 @@ def solve(repeats):
         def run(inst, kind, matrix):
             built = models.build_model(inst, kind, matrix)
             sol, solve_s = timed(lp.solve, built.problem, method)
-            return solve_s, sol.objective, sol.iterations, 1
+            return {"solve_s": solve_s}, sol.objective, sol.iterations, 1
 
         return run
 
     def by_rows(inst, kind, matrix):
-        res = models.solve_capacity(inst, kind, matrix=matrix)
-        return res.solve_ms / 1e3, res.rho, res.iterations, res.rounds
+        res, wall = timed(models.solve_capacity, inst, kind, matrix)
+        build, solve = res.build_ms / 1e3, res.solve_ms / 1e3
+        times = {"build_s": build, "solve_s": solve, "extract_s": wall - build - solve}
+        return times, res.rho, res.iterations, res.rounds
 
     variants = {
         "gen_full": ("generalized", single(lp.SIMPLEX)),
@@ -230,26 +238,29 @@ def solve(repeats):
     }
     builds = range(max(10, repeats))
     build_s = {
-        (name, kind): min(timed(models.build_model, inst, kind, matrix)[1] for _ in builds)
+        name: {
+            kind: round(min(timed(models.build_model, inst, kind, matrix)[1] for _ in builds), 4)
+            for kind in models.MODEL_KINDS
+        }
         for name, inst in insts.items()
-        for kind in ("generalized", "alternative")
     }
     results = {}
     for name, inst in insts.items():
-        got = results[name] = {}
+        got = results[name] = {"build_s": build_s[name]}
+        print(name, "build_s", json.dumps(build_s[name]), flush=True)
         for variant, (kind, run) in variants.items():
             samples = []
             for _ in range(repeats):
-                highs["s"], highs["rows"] = 0.0, []
-                solve_s, rho, iterations, rounds = run(inst, kind, matrix)
-                samples.append((solve_s, highs["s"]))
-            entry = {
-                "build_s": round(build_s[name, kind], 4),
-                "solve_s": round(statistics.median(s for s, _ in samples), 4),
-                "highs_s": round(statistics.median(h for _, h in samples), 4),
-            }
+                highs["s"], highs["rows"], highs["nonzeros"] = 0.0, [], []
+                times, rho, iterations, rounds = run(inst, kind, matrix)
+                samples.append({**times, "highs_s": highs["s"]})
+            entry = {"build_s": build_s[name][kind]}
+            for key in samples[0]:
+                pick = min if key == "build_s" else statistics.median
+                entry[key] = round(pick(s[key] for s in samples), 4)
             added = highs["rows"][-1] - highs["rows"][0]
-            entry.update(iterations=iterations, rounds=rounds, rows_added=added, rho=rho)
+            entry.update(iterations=iterations, rounds=rounds, rows_added=added)
+            entry.update(nonzeros=highs["nonzeros"][-1], rho=rho)
             got[variant] = entry
             print(name, variant, json.dumps(entry), flush=True)
         for fast, slow in (("gen_rows", "gen_full"), ("alt_ipm", "alt_simplex")):

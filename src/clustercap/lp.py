@@ -361,10 +361,11 @@ def _run(handle: "Handle") -> _Answer:
 class Handle:
     """A HiGHS model of one LP that holds some of its rows.
 
-    It starts with `rows` (all rows by default) and takes more through
-    `add_rows`; every `run` starts from the basis the last one ended on.
-    `run` answers for the rows held, and `certify` holds an answer to every
-    bound and row of the LP.  `method` is SIMPLEX or IPM.
+    It holds the LP's rows `rows` (all rows by default), in the order of the
+    attribute `rows`, and takes rows from outside the LP through `add_rows`;
+    every `run` starts from the basis the last one ended on.  `run` answers
+    for the rows held, and `certify` holds an answer to every bound and row
+    of the LP.  `method` is SIMPLEX or IPM.
 
     HiGHS is handed the LP as it is stated: its objective sense and `cost`,
     its column bounds, its matrix, and row i as `row_lower[i] <= matrix[i] x
@@ -406,17 +407,19 @@ class Handle:
         if self.highs.passModel(model) == _highspy.HighsStatus.kError:
             raise LpSolverError(f"{p.name}: HiGHS refused the model")
 
-    def add_rows(self, rows):
-        """Add rows of the LP, by index, to the model."""
-        rows = np.asarray(rows, dtype=np.int64)
-        block = self.problem.matrix[rows]
+    def add_rows(self, block: Csr, lower, upper):
+        """Add rows to the model that are not rows of the LP: row i reads
+        `lower[i] <= block[i] x <= upper[i]`.  `run` gives them no dual and
+        `certify` does not check them; the caller holds an answer to them."""
+        m, n = block.shape
+        if n != len(self.problem.col_names):
+            raise DomainError(f"{self.problem.name}: added rows over {n} columns")
+        lower, upper = (np.asarray(b, dtype=float) for b in (lower, upper))
         status = self.highs.addRows(
-            len(rows), self.row_lower[rows], self.row_upper[rows],
-            block.nnz, block.indptr[:-1], block.indices, block.data,
+            m, lower, upper, block.nnz, block.indptr[:-1], block.indices, block.data
         )
         if status == _highspy.HighsStatus.kError:
-            raise LpSolverError(f"{self.problem.name}: HiGHS refused {len(rows)} added rows")
-        self.rows = np.concatenate((self.rows, rows))
+            raise LpSolverError(f"{self.problem.name}: HiGHS refused {m} added rows")
 
     def run(self) -> LpSolution:
         """Solve the rows held.  Solver breakdown raises LpSolverError instead
@@ -428,8 +431,9 @@ class Handle:
         if ans.status != OPTIMAL:
             return LpSolution(ans.status, None, (), None, ans.iterations)
         duals = np.zeros(len(self.row_lower))
+        mine = ans.row_dual[: len(self.rows)]  # the added rows come after the LP's
         # negated, the duals HiGHS gives for a maximization are the minimization form's
-        duals[self.rows] = ans.row_dual if self.problem.sense == MINIMIZE else -ans.row_dual
+        duals[self.rows] = mine if self.problem.sense == MINIMIZE else -mine
         return LpSolution(
             OPTIMAL, ans.fun, tuple(ans.x.tolist()), tuple(duals.tolist()), ans.iterations
         )

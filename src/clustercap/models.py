@@ -8,7 +8,10 @@ Four model builders share one instance format:
                slowest chamber sets the tool rate, and each chamber gets its
                own utilization row.
 * generalized  per-recipe time variables with one makespan row per reduced
-               cut of the doubled recipe graph.
+               cut of the doubled recipe graph.  Every tool's cut rows come
+               from one cut template, the reduced matrix over the recipe
+               slots; `solve_capacity` builds only one of them per tool and
+               the others on demand, during row generation.
 * alternative  per-recipe time variables plus explicit pairing-time variables
                on the parallelization-graph edges.
 
@@ -27,7 +30,9 @@ import numpy as np
 
 from . import lp
 from .cuts import CutMatrix, build_cut_matrix
-from .errors import DomainError, NotQualifiedError, StructurallyInfeasibleError
+from .errors import (
+    DomainError, LpSolverError, NotQualifiedError, StructurallyInfeasibleError,
+)
 from .recipes import (
     MAX_CHAMBERS, RECIPE_MASKS, ParallelGraph, build_parallel_graph, chamber_letter,
     label_for_mask, predict_graph_counts,
@@ -68,14 +73,6 @@ class PairRates:
     mask: int
     chamber_rates: dict[int, float]
     overrides: dict[int, float]
-
-    def rate(self, recipe: int) -> float:
-        """The pinned rate of a recipe mask within `mask`, else the sum of its
-        chamber rates (each chamber processes wafers independently)."""
-        pinned = self.overrides.get(recipe)
-        if pinned is not None:
-            return pinned
-        return sum(r for c, r in self.chamber_rates.items() if recipe >> c & 1)
 
 
 def _is_a(value, kind) -> bool:
@@ -166,7 +163,31 @@ def derive_recipe_rate(inst: Instance, job: str, tool: str, recipe: str) -> floa
     mask = RECIPE_MASKS.get(recipe)
     if mask is None or mask & ~pair.mask:
         raise NotQualifiedError(f"({job}, {tool}, {recipe!r}) is outside the qualification set")
-    return pair.rate(mask)
+    return _rate_table(inst)[list(inst.pair_rates).index((job, tool)), mask].item()
+
+
+def _rate_table(inst: Instance) -> np.ndarray:
+    """Each qualified pair's recipe rates, one row per pair in `pair_rates`
+    order, indexed by recipe mask.  A recipe's pinned rate wins; by default
+    it is the sum of its chambers' rates (each chamber processes wafers
+    independently), added in ascending chamber order.  The sums come from
+    the pairs' chamber rates against the masks' chamber membership, summed
+    one chamber at a time: an absent chamber adds 0.0, which changes no
+    sum.  Entries of masks outside a pair's chambers are not rates."""
+    n, pairs = inst.chambers, inst.pair_rates
+    rates = np.fromiter(
+        (pair.chamber_rates.get(c, 0.0) for pair in pairs.values() for c in range(n)),
+        float,
+        len(pairs) * n,
+    ).reshape(len(pairs), n)
+    member = np.arange(1 << n)[:, None] >> np.arange(n) & 1  # mask, chamber
+    table = np.zeros((len(pairs), 1 << n))
+    for c in range(n):
+        table += rates[:, c, None] * member[:, c]
+    for p, pair in enumerate(pairs.values()):
+        for mask, rate in pair.overrides.items():
+            table[p, mask] = rate
+    return table
 
 
 @dataclass(frozen=True)
@@ -177,6 +198,12 @@ class BuiltModel:
     column's wafers per time unit.  `util_rows` holds one (tool, row_kind,
     row range) entry per reported utilization: the model's own
     `... - rho <= 0` rows, whose largest left-hand side is the entry's value.
+
+    A generalized model built for row generation sets `template`, the cut
+    template (see `_cut_template`), and `aggs`, each tool's first aggregate
+    column.  Its `problem` then holds of each tool's cut rows only the seed
+    row, which `util_rows` names; the others are built on demand by
+    `_cut_rows` and `_place`.  `stats` always count the full LP.
     """
 
     kind: str
@@ -187,6 +214,8 @@ class BuiltModel:
     rates: dict
     util_rows: tuple
     stats: lp.SizeStats
+    template: lp.Csr | None = None
+    aggs: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -234,9 +263,10 @@ MODEL_KINDS = ("basic", "serial", "generalized", "alternative")
 def _time_columns(inst: Instance, kind: str, recipes):
     """A model's LP so far: rho (column 0), one time column per (job, tool,
     recipe) for each qualified pair, jobs outer and tools inner, and the
-    demand rows.  `recipes(pair)` lists a pair's recipes as (label, column
-    name suffix, rate).  Demand row j holds job j's time columns, each at
-    its rate, and equals the job's demand.  Returns the builder, the time
+    demand rows.  `recipes(key, pair)` lists the recipes of the pair `key`,
+    (job, tool), whose `PairRates` is `pair`, as (label, column name suffix,
+    rate).  Demand row j holds job j's time columns, each at its rate, and
+    equals the job's demand.  Returns the builder, the time
     columns by (job, tool, recipe) and their rates."""
     missing = inst.unqualified_jobs()
     if missing:
@@ -248,7 +278,7 @@ def _time_columns(inst: Instance, kind: str, recipes):
         first = len(names)
         for ti, tool in enumerate(inst.tools):
             pair = inst.pair_rates.get((job.id, tool))
-            for label, suffix, rate in recipes(pair) if pair else ():
+            for label, suffix, rate in recipes((job.id, tool), pair) if pair else ():
                 rates[(job.id, tool, label)] = rate
                 names.append(f"x_j{ji}_t{ti}{suffix}")
         counts.append(len(names) - first)
@@ -281,13 +311,16 @@ def _time_model(inst: Instance, kind: str, pair_rate, per_chamber=False) -> Buil
     """Core of `basic` and `serial`.
 
     One time column per qualified (job, tool) pair, running the full
-    qualified recipe at `pair_rate(pair_rates)`; the demand rows; then one
-    block holding, per tool, a load row over the tool's time columns and,
-    with `per_chamber`, a row per chamber that a pair of the tool qualifies,
-    each column at its rate over the chamber's.
+    qualified recipe at `pair_rate(key, pair)` (the arguments of `recipes`
+    in `_time_columns`); the demand rows; then one block holding, per tool,
+    a load row over the tool's time columns and, with `per_chamber`, a row
+    per chamber that a pair of the tool qualifies, each column at its rate
+    over the chamber's.
     """
     build, x_cols, rates = _time_columns(
-        inst, kind, lambda pair: [(label_for_mask(pair.mask), "", pair_rate(pair))]
+        inst,
+        kind,
+        lambda key, pair: [(label_for_mask(pair.mask), "", pair_rate(key, pair))],
     )
     by_tool = {tool: [] for tool in inst.tools}
     for key in x_cols:
@@ -311,7 +344,10 @@ def build_basic(inst: Instance) -> BuiltModel:
     The pair rate is the full qualified-chamber recipe rate; one shared bound
     rho caps every tool's total committed time.
     """
-    return _time_model(inst, "basic", lambda pair: pair.rate(pair.mask))
+    masks = [pair.mask for pair in inst.pair_rates.values()]
+    full = _rate_table(inst)[np.arange(len(masks)), masks]
+    rates = dict(zip(inst.pair_rates, full.tolist()))
+    return _time_model(inst, "basic", lambda key, pair: rates[key])
 
 
 def build_serial(inst: Instance) -> BuiltModel:
@@ -321,7 +357,7 @@ def build_serial(inst: Instance) -> BuiltModel:
     row u_{i,v} = sum_j x_{ji} mu_{ji} / mu_{j,(i,v)} <= rho: the wafers sent
     to the tool occupy every chamber for that chamber's own service time.
     """
-    return _time_model(inst, "serial", lambda pair: min(pair.chamber_rates.values()), True)
+    return _time_model(inst, "serial", lambda key, pair: min(pair.chamber_rates.values()), True)
 
 
 def _recipe_model(inst: Instance, kind: str, g: ParallelGraph, tool_rows) -> BuiltModel:
@@ -334,15 +370,13 @@ def _recipe_model(inst: Instance, kind: str, g: ParallelGraph, tool_rows) -> Bui
     tool's first aggregate column, it adds the tool's other columns and rows
     and returns their utilization entries.
     """
-    build, x_cols, rates = _time_columns(
-        inst,
-        kind,
-        lambda pair: [
-            (r.label, "_" + r.label, pair.rate(r.mask))
-            for r in g.recipes
-            if r.mask & ~pair.mask == 0
-        ],
-    )
+    table = dict(zip(inst.pair_rates, _rate_table(inst).tolist()))
+
+    def recipes(key, pair):
+        rate = table[key]
+        return [(r.label, "_" + r.label, rate[r.mask]) for r in g.recipes if r.mask & ~pair.mask == 0]
+
+    build, x_cols, rates = _time_columns(inst, kind, recipes)
     members = {}  # (tool, recipe) -> its time columns, in column order
     for (_, tool, label), col in x_cols.items():
         members.setdefault((tool, label), []).append(col)
@@ -359,31 +393,100 @@ def _recipe_model(inst: Instance, kind: str, g: ParallelGraph, tool_rows) -> Bui
     return _finish(kind, build, x_cols, agg_cols, rates, util_rows)
 
 
-def build_generalized(inst: Instance, matrix: CutMatrix) -> BuiltModel:
-    """Cut-row model: per-recipe aggregate times bounded by every reduced cut.
+def _cut_template(matrix: CutMatrix, labels) -> lp.Csr:
+    """The reduced matrix as one `Csr` of K rows over the recipe slots, the
+    graph's `labels` in order: row k holds cut k's nonzero coefficients, in
+    the matrix's label order, each at its label's slot."""
+    slot = np.array([labels.index(label) for label in matrix.labels])
+    coeffs = matrix.coeffs
+    rows, cols = np.nonzero(coeffs)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(coeffs, axis=1))))
+    return lp.Csr(indptr, slot[cols], coeffs[rows, cols], (len(coeffs), len(labels)))
 
-    Requires the reduced matrix for the instance's chamber count; a matrix
-    with `reduced` set has matched its pinned digest (see `cuts.CutMatrix`).
-    """
+
+def _seed_row(template: lp.Csr) -> int:
+    """The cut row each tool starts row generation with: the first of those
+    with the most 1/2 entries."""
+    k = template.shape[0]
+    rows = np.repeat(np.arange(k), np.diff(template.indptr))
+    return int(np.argmax(np.bincount(rows, template.data == 0.5, k)))
+
+
+def _cut_rows(template: lp.Csr, ks) -> lp.Csr:
+    """Template rows `ks` as cut rows over one tool's columns: rho at column
+    0, then recipe slot s at column 1 + s.  Each row holds its template
+    entries in template order, then rho at -1.0, and reads `<= 0`;
+    `_place` puts the rows at a tool's columns of the LP."""
+    block = template[ks]
+    m = block.shape[0]
+    indptr = block.indptr + np.arange(m + 1)  # one more entry per row: rho
+    inner = np.ones(indptr[-1], bool)
+    inner[indptr[1:] - 1] = False
+    cols = np.zeros(indptr[-1], np.int64)
+    cols[inner] = block.indices + 1
+    vals = np.full(indptr[-1], -1.0)
+    vals[inner] = block.data
+    return lp.Csr(indptr, cols, vals, (m, 1 + template.shape[1]))
+
+
+def _place(rows: lp.Csr, aggs, columns: int) -> lp.Csr:
+    """Rows from `_cut_rows` in an LP of `columns` columns: row i's slot s
+    at column aggs[i] + s (`aggs` may be one column for all rows), and rho
+    at column 0."""
+    m = rows.shape[0]
+    first = np.repeat(np.broadcast_to(aggs, m), np.diff(rows.indptr))
+    cols = np.where(rows.indices == 0, 0, rows.indices - 1 + first)
+    return lp.Csr(rows.indptr, cols, rows.data, (m, columns))
+
+
+def _generalized(inst: Instance, matrix: CutMatrix, full: bool) -> BuiltModel:
+    """The generalized model with every cut row (`full`), or with only each
+    tool's seed row and the template to build the others from."""
     if matrix.n != inst.chambers:
         raise DomainError(f"cut matrix is for {matrix.n} chambers, instance has {inst.chambers}")
     if not matrix.reduced:
         raise DomainError("generalized model requires the reduced cut matrix")
     g = build_parallel_graph(inst.chambers)
-    # one row per cut: its nonzero coefficients in label order, then rho,
-    # which stands in the block's last column
-    block = np.hstack((matrix.coeffs, np.full((len(matrix.rows), 1), -1.0)))
-    counts = np.count_nonzero(block, axis=1)
-    rows, slots = np.nonzero(block)
-    vals = block[rows, slots]
-    offsets = np.array([g.labels.index(label) for label in matrix.labels])
+    template = _cut_template(matrix, g.labels)
+    n_cuts = template.shape[0]
+    seed = _seed_row(template)
+    ks = range(n_cuts) if full else [seed]
+    local = _cut_rows(template, ks)
+    counts = np.diff(local.indptr)
+    aggs = []
 
     def cut_rows(build: lp.LpBuilder, ti: int, tool: str, agg: int):
-        cols = np.append(agg + offsets, 0)
-        names = [f"cut_t{ti}_k{k}" for k in range(len(counts))]
-        return [(tool, "cut_max", build.add_rows(names, counts, cols[slots], vals, lp.LE, 0.0))]
+        aggs.append(agg)
+        # the aggregates of tool ti are the last columns built so far
+        rows = _place(local, agg, agg + len(g.labels))
+        names = [f"cut_t{ti}_k{k}" for k in ks]
+        added = build.add_rows(names, counts, rows.indices, rows.data, lp.LE, 0.0)
+        return [(tool, "cut_max", added)]
 
-    return _recipe_model(inst, "generalized", g, cut_rows)
+    model = _recipe_model(inst, "generalized", g, cut_rows)
+    if full:
+        return model
+    # counted from the base LP (the model without its seed rows) and the template
+    tools, seed_nnz = len(aggs), int(template.indptr[seed + 1] - template.indptr[seed])
+    base_rows = model.stats.rows - tools
+    base_nnz = model.stats.nonzeros - tools * (seed_nnz + 1)
+    stats = lp.SizeStats(
+        base_rows + tools * n_cuts, model.stats.columns, base_nnz + tools * (template.nnz + n_cuts)
+    )
+    return replace(model, stats=stats, template=template, aggs=tuple(aggs))
+
+
+def build_generalized(inst: Instance, matrix: CutMatrix) -> BuiltModel:
+    """Cut-row model: per-recipe aggregate times bounded by every reduced cut.
+
+    Requires the reduced matrix for the instance's chamber count; a matrix
+    with `reduced` set has matched its pinned digest (see `cuts.CutMatrix`).
+    Tool ti's row of cut k, `cut_t{ti}_k{k}`, comes from `_cut_rows`.  This
+    is the full LP, which `export-lp` writes; `solve_capacity` builds the
+    same model with one cut row per tool and adds the others as row
+    generation needs them.
+    """
+    return _generalized(inst, matrix, full=True)
 
 
 def build_alternative(inst: Instance) -> BuiltModel:
@@ -434,19 +537,25 @@ def build_model(
     raise DomainError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
 
 
-def _extract(model: BuiltModel, sol: lp.LpSolution) -> tuple:
+def _extract(model: BuiltModel, sol: lp.LpSolution, row_lhs=None) -> tuple:
+    """The assignments with x > 1e-9, and each utilization entry: the
+    largest left-hand side (rho left out) of its rows.  A model with a cut
+    template holds few of its cut rows, so `row_lhs` must give each entry's
+    left-hand sides, as row generation computed them."""
     x = sol.x
     assignments = tuple(
         Assignment(job, tool, recipe, x[col], x[col] * model.rates[(job, tool, recipe)])
         for (job, tool, recipe), col in model.x_cols.items()
         if x[col] > 1e-9
     )
-    no_rho = np.array(x)
-    no_rho[model.rho_col] = 0.0
-    lhs = model.problem.matrix @ no_rho
+    if model.template is None:
+        no_rho = np.array(x)
+        no_rho[model.rho_col] = 0.0
+        lhs = model.problem.matrix @ no_rho
+        row_lhs = [lhs[idx] for _, _, idx in model.util_rows]
     utilization = tuple(
-        UtilizationEntry(tool, row_kind, float(lhs[idx].max()))
-        for tool, row_kind, idx in model.util_rows
+        UtilizationEntry(tool, row_kind, float(values.max()))
+        for (tool, row_kind, _), values in zip(model.util_rows, row_lhs, strict=True)
     )
     return assignments, utilization
 
@@ -457,49 +566,57 @@ def _extract(model: BuiltModel, sol: lp.LpSolution) -> tuple:
 ROWS_PER_ROUND = 4
 
 
-def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int]:
-    """Solve a generalized model by row generation over its cut rows.
+def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int, list | None]:
+    """Solve a generalized model, built with its cut template, by row
+    generation over its cut rows.
 
-    HiGHS starts with every row that is not a cut row and, per tool, the cut
-    row with the most 1/2 entries.  Each round adds, per tool, up to
-    ROWS_PER_ROUND cut rows not yet held whose left-hand side (rho left out)
-    exceeds rho by more than the feasibility tolerance, most violated first,
+    HiGHS starts with the model's problem: every row that is not a cut row
+    and, per tool, the seed cut row.  Each round takes, per tool, the
+    template's product with the tool's aggregate times: each cut row's
+    left-hand side, rho left out.  It adds, per tool, up to ROWS_PER_ROUND
+    cut rows not yet held whose left-hand side exceeds rho by more than the
+    feasibility tolerance, most violated first, built from the template,
     and re-solves from the last basis.  The answer is certified against
-    every row of the full LP.  Returns it, with iterations summed over the
-    rounds, and the number of rounds.
+    every bound, every row of the problem and the objective, and, from the
+    last products, every cut row of every tool: every row of the full LP.
+    Returns it, with iterations summed over the rounds, the number of
+    rounds and, at Optimal, the last products.
     """
-    a = model.problem.matrix
-    m = a.shape[0]
-    ranges = [idx for _, _, idx in model.util_rows]  # one block of cut rows per tool
-    halves = np.bincount(np.repeat(np.arange(m), np.diff(a.indptr)), a.data == 0.5, m)
-    held = np.ones(m, dtype=bool)
-    for r in ranges:
-        held[r.start : r.stop] = False
-    held[[r.start + int(np.argmax(halves[r.start : r.stop])) for r in ranges]] = True
-    handle = lp.Handle(model.problem, np.flatnonzero(held))
+    template, aggs = model.template, np.array(model.aggs)
+    slots = template.shape[1]
+    held = np.zeros((len(aggs), template.shape[0]), dtype=bool)
+    held[:, _seed_row(template)] = True
+    handle = lp.Handle(model.problem)
     iterations = rounds = 0
     while True:
         sol = handle.run()
         iterations += sol.iterations
         rounds += 1
         if sol.status != lp.OPTIMAL:
-            break
+            return replace(sol, iterations=iterations), rounds, None
         x = np.array(sol.x)
         rho = x[model.rho_col]
-        x[model.rho_col] = 0.0
-        lhs = a @ x
-        new = []
-        for r in ranges:
-            block = lhs[r.start : r.stop]
-            over = np.flatnonzero((block > rho + lp.TOL.feasibility) & ~held[r.start : r.stop])
+        lhs = [template @ x[agg : agg + slots] for agg in aggs]
+        tools, ks = [], []
+        for ti, block in enumerate(lhs):
+            over = np.flatnonzero((block > rho + lp.TOL.feasibility) & ~held[ti])
             worst = over[np.argsort(-block[over], kind="stable")[:ROWS_PER_ROUND]]
-            new += (r.start + worst).tolist()
-        if not new:
-            handle.certify(sol)  # a held row that is still violated fails here
+            tools += [ti] * len(worst)
+            ks += worst.tolist()
+        if not ks:
             break
-        held[new] = True
-        handle.add_rows(new)
-    return replace(sol, iterations=iterations), rounds
+        held[tools, ks] = True
+        rows = _place(_cut_rows(template, ks), aggs[tools], len(x))
+        handle.add_rows(rows, np.full(len(ks), -np.inf), np.zeros(len(ks)))
+    handle.certify(sol)
+    for ti, block in enumerate(lhs):  # a held row that is still violated fails here too
+        violation = block - rho
+        bad = np.flatnonzero(~(violation <= lp.TOL.feasibility))
+        if bad.size:
+            k = bad[0]
+            name = f"cut_t{ti}_k{k}"
+            raise LpSolverError(f"{handle.problem.name}: row {name} violated by {violation[k]:.3e}")
+    return replace(sol, iterations=iterations), rounds, lhs
 
 
 def solve_capacity(
@@ -510,22 +627,29 @@ def solve_capacity(
 ) -> CapacityResult:
     """Build and solve one model; wall times are recorded for benchmarking.
 
-    The generalized model is solved by row generation over its cut rows,
-    the others in one HiGHS run: the alternative model by IPM with
-    crossover, the others by dual simplex.
+    The generalized model is built with one cut row per tool and its cut
+    template, and solved by row generation over its cut rows; the others
+    are solved in one HiGHS run: the alternative model by IPM with
+    crossover, the others by dual simplex.  `stats` count the full LP.
     """
     t0 = time.perf_counter()
-    model = build_model(inst, kind, matrix=matrix, cache_dir=cache_dir)
+    if kind == "generalized":
+        if matrix is None:
+            matrix = build_cut_matrix(inst.chambers, reduce=True, cache_dir=cache_dir)
+        model = _generalized(inst, matrix, full=False)
+    else:
+        model = build_model(inst, kind)
     t1 = time.perf_counter()
     if kind == "generalized":
-        sol, rounds = _solve_by_cut_rows(model)
+        sol, rounds, row_lhs = _solve_by_cut_rows(model)
     else:
         # IPM with crossover is several times faster on the alternative model
         # only; the generalized model is slower under it
         method = lp.IPM if kind == "alternative" else lp.SIMPLEX
-        sol, rounds = lp.solve(model.problem, method), 1
+        sol, rounds, row_lhs = lp.solve(model.problem, method), 1, None
     t2 = time.perf_counter()
-    assignments, utilization = _extract(model, sol) if sol.status == lp.OPTIMAL else ((), ())
+    ok = sol.status == lp.OPTIMAL
+    assignments, utilization = _extract(model, sol, row_lhs) if ok else ((), ())
     return CapacityResult(
         model=kind,
         status=sol.status,

@@ -556,11 +556,19 @@ class TestHandle:
         part = handle.run()
         assert part.status == lp.OPTIMAL and part.objective == pytest.approx(3.0)
         assert part.duals[2] == 0.0  # a row not held has no dual
-        handle.add_rows([2])
+        handle.add_rows(p.matrix[[2]], [5.0], [np.inf])  # row 2 from outside the LP
         whole = handle.run()
         handle.certify(whole)
         assert whole.objective == pytest.approx(lp.solve(p).objective, rel=1e-12)
-        assert sorted(handle.rows.tolist()) == [0, 1, 2]
+        assert handle.rows.tolist() == [0, 1] and handle.highs.getNumRow() == 3
+        assert whole.duals[2] == 0.0  # an added row is not a row of the LP
+
+    def test_added_rows_need_the_lp_columns(self):
+        p = floors_problem()
+        handle = lp.Handle(p, [0, 1])
+        narrow = lp.Csr(np.array([0, 1]), np.array([0]), np.array([1.0]), (1, 1))
+        with pytest.raises(DomainError, match="added rows over 1 columns"):
+            handle.add_rows(narrow, [5.0], [np.inf])
 
     def test_certify_checks_rows_not_held(self):
         handle = lp.Handle(floors_problem(), [0, 1])

@@ -179,13 +179,17 @@ def test_builder_rates_match_letter_reference(kind, matrices):
         assert built.rates == reference_rates(inst, kind)
 
 
-def stored_rows(problem):
-    """Each stored row as its (column, value) pairs, read one entry at a time."""
-    a = problem.matrix
+def csr_rows(a):
+    """Each row of a `Csr` as its (column, value) pairs, read one entry at a time."""
     return [
         [(int(a.indices[k]), float(a.data[k])) for k in range(a.indptr[i], a.indptr[i + 1])]
         for i in range(a.shape[0])
     ]
+
+
+def stored_rows(problem):
+    """Each stored row of the problem as its (column, value) pairs."""
+    return csr_rows(problem.matrix)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_INSTANCES))
@@ -473,10 +477,12 @@ class TestRowGeneration:
         assert rel_gap(alt.rho, alt_simplex.objective) <= 1e-9  # IPM vs dual simplex
         assert rel_gap(gen.rho, alt.rho) <= 1e-9
 
-    def test_answer_is_certified_by_the_full_lp(self, matrices, monkeypatch):
+    @pytest.mark.parametrize("per_round", [0, models.ROWS_PER_ROUND])
+    def test_answer_is_certified_by_the_full_lp(self, per_round, matrices, monkeypatch):
         """HiGHS answers for the rows it holds.  A run that reports Optimal
-        at an x breaking one cut row the handle did not start with is
-        refused, and the error names that row."""
+        at an x breaking one cut row of the full LP that the handle did not
+        start with is refused, and the error names that row: whether the
+        row is never added (no rows per round) or added and still broken."""
         inst = one_tool_instance(3, [("j0", 6.0)], [("j0", [(0, 2.0)])])
         built = build_generalized(inst, matrices[3])
         x = np.array(lp.solve(built.problem).x)
@@ -486,16 +492,18 @@ class TestRowGeneration:
         started = []
 
         def optimal_at_x(handle):
-            started.append(set(handle.rows.tolist()))
+            started.append({handle.problem.row_names[i] for i in handle.rows})
             fun = sum(v * x[j] for j, v in handle.problem.objective)
-            return lp._Answer(lp.OPTIMAL, x, fun, np.zeros(len(handle.rows)), 0)
+            return lp._Answer(lp.OPTIMAL, x, fun, np.zeros(handle.highs.getNumRow()), 0)
 
         monkeypatch.setattr(lp, "_run", optimal_at_x)
+        monkeypatch.setattr(models, "ROWS_PER_ROUND", per_round)
         name = built.problem.row_names[broken]
         assert name.startswith("cut_t0_")
         with pytest.raises(LpSolverError, match=f"row {name} violated"):
             solve_capacity(inst, "generalized", matrix=matrices[3])
-        assert broken not in started[0]
+        assert name not in started[0]
+        assert len(started) == (1 if per_round == 0 else 2)
 
     def test_single_runs_report_one_round(self, matrices):
         for kind in ("basic", "serial", "alternative"):
@@ -504,22 +512,35 @@ class TestRowGeneration:
 
 
 def test_row_generation_adds_the_most_violated_rows(matrices, monkeypatch):
-    """Each round adds, per tool, at most ROWS_PER_ROUND cut rows the handle
-    did not hold, each violated by the last answer, most violated first."""
+    """Each round adds, per tool, at most ROWS_PER_ROUND cut rows of the
+    full LP that HiGHS did not hold, each violated by the last answer, most
+    violated first.  The full LP is the oracle: each added row must equal
+    one of its cut rows, entry for entry, with its bounds."""
     inst = random_instance(np.random.default_rng(11), 4, max_tools=3, max_jobs=5)
     built = build_generalized(inst, matrices[4])
     a = built.problem.matrix
-    answers, calls = [], []
-    run, add_rows = lp.Handle.run, lp.Handle.add_rows
+    index = {tuple(row): i for i, row in enumerate(stored_rows(built.problem))}
+    by_name = {name: i for i, name in enumerate(built.problem.row_names)}
+    answers, calls, held = [], [], set()
+    init, run, add_rows = lp.Handle.__init__, lp.Handle.run, lp.Handle.add_rows
+
+    def spy_init(handle, problem, *args, **kwargs):
+        init(handle, problem, *args, **kwargs)
+        held.update(by_name[problem.row_names[i]] for i in handle.rows)
 
     def spy_run(handle):
         answers.append(run(handle))
         return answers[-1]
 
-    def spy_add_rows(handle, rows):
-        calls.append((set(handle.rows.tolist()), list(rows), answers[-1]))
-        add_rows(handle, rows)
+    def spy_add_rows(handle, block, lower, upper):
+        rows = [index[tuple(row)] for row in csr_rows(block)]
+        assert np.all(lower == -np.inf) and np.all(upper == built.problem.rhs[rows])
+        assert all(built.problem.senses[k] == lp.LE for k in rows)
+        calls.append((set(held), rows, answers[-1]))
+        held.update(rows)
+        add_rows(handle, block, lower, upper)
 
+    monkeypatch.setattr(lp.Handle, "__init__", spy_init)
     monkeypatch.setattr(lp.Handle, "run", spy_run)
     monkeypatch.setattr(lp.Handle, "add_rows", spy_add_rows)
     res = solve_capacity(inst, "generalized", matrix=matrices[4])
@@ -536,6 +557,120 @@ def test_row_generation_adds_the_most_violated_rows(matrices, monkeypatch):
             assert len(mine) <= models.ROWS_PER_ROUND
             assert all(lhs[k] > rho + lp.TOL.feasibility for k in mine)
             assert [lhs[k] for k in mine] == sorted((lhs[k] for k in mine), reverse=True)
+
+
+VERIFY_N5 = {  # the verify-n5 benchmark instances
+    "verify_s0": GenParams(0, "1:1", 3, 2, 5, 1),
+    "verify_s1": GenParams(1, "1:4", 3, 2, 5, 1),
+}
+
+
+def stats_cases():
+    """The pinned instances and the verify-n5 ones, by name."""
+    for case, make in sorted(PINNED_INSTANCES.items()):
+        yield case, make()
+    for case, params in VERIFY_N5.items():
+        yield case, generate(params)
+
+
+def assert_on_demand_rows_are_the_full_lp(inst, matrix):
+    """The model built for row generation holds rows and columns of the full
+    LP, and the rows `_cut_rows` builds on demand are the full LP's cut
+    rows: name, bounds, indices, data and entry order."""
+    full = build_generalized(inst, matrix).problem
+    base = models._generalized(inst, matrix, full=False)
+    part = base.problem
+    assert part.col_names == full.col_names and part.objective == full.objective
+    assert np.array_equal(part.lower, full.lower) and np.array_equal(part.upper, full.upper)
+    by_name = {name: i for i, name in enumerate(full.row_names)}
+    full_rows, part_rows = stored_rows(full), stored_rows(part)
+    for i, name in enumerate(part.row_names):
+        k = by_name[name]
+        got = (part.senses[i], part.rhs[i], part_rows[i])
+        assert got == (full.senses[k], full.rhs[k], full_rows[k]), name
+    n_cuts = base.template.shape[0]
+    assert len(base.aggs) == len(inst.tools)
+    assert sum(name.startswith("cut_") for name in part.row_names) == len(inst.tools)
+    want_tools, want_ks = [], []
+    for ti, agg in enumerate(base.aggs):
+        names = [f"cut_t{ti}_k{k}" for k in range(n_cuts)]
+        rows = [by_name[name] for name in names]
+        assert all(full.senses[i] == lp.LE and full.rhs[i] == 0.0 for i in rows)
+        got = models._place(models._cut_rows(base.template, range(n_cuts)), agg, len(full.col_names))
+        want = full.matrix[rows]
+        assert got.shape == want.shape
+        for field in ("indptr", "indices", "data"):
+            assert getattr(got, field).tolist() == getattr(want, field).tolist(), field
+        want_tools += [ti] * n_cuts
+        want_ks += range(n_cuts)
+    # rows of several tools in one block, in any order, as a round adds them
+    order = np.random.default_rng(len(want_ks)).permutation(len(want_ks))[:40]
+    tools, ks = np.array(want_tools)[order], np.array(want_ks)[order]
+    rows = models._cut_rows(base.template, ks)
+    got = models._place(rows, np.array(base.aggs)[tools], len(full.col_names))
+    want = full.matrix[[by_name[f"cut_t{ti}_k{k}"] for ti, k in zip(tools, ks)]]
+    assert csr_rows(got) == csr_rows(want)
+
+
+class TestCutRowsOnDemand:
+    """`solve_capacity` builds the generalized model with one cut row per
+    tool, and the others from the cut template; `build_generalized`, the
+    full LP, is the oracle."""
+
+    @pytest.mark.parametrize("case", sorted(PINNED_INSTANCES))
+    def test_pinned_rows_are_the_full_lp_rows(self, case, matrices):
+        inst = PINNED_INSTANCES[case]()
+        assert_on_demand_rows_are_the_full_lp(inst, matrices[inst.chambers])
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 5))
+    @settings(max_examples=12)
+    def test_drawn_rows_are_the_full_lp_rows(self, seed, n, matrices, cuts5):
+        inst = random_instance(np.random.default_rng(seed), n, overrides=True)
+        assert_on_demand_rows_are_the_full_lp(inst, cuts5[0] if n == 5 else matrices[n])
+
+    def test_stats_count_the_full_lp(self, matrices, cuts5):
+        for case, inst in stats_cases():
+            matrix = cuts5[0] if inst.chambers == 5 else matrices[inst.chambers]
+            want = size_stats(build_generalized(inst, matrix).problem)
+            assert models._generalized(inst, matrix, full=False).stats == want, case
+            assert solve_capacity(inst, "generalized", matrix=matrix).stats == want, case
+
+    def test_highs_starts_with_one_cut_row_per_tool(self, matrices, cuts5, monkeypatch):
+        """No HiGHS model of a generalized solve is handed more than one cut
+        row per tool at the start."""
+        init, started = lp.Handle.__init__, []
+
+        def spy_init(handle, problem, *args, **kwargs):
+            init(handle, problem, *args, **kwargs)
+            started.append([problem.row_names[i] for i in handle.rows])
+            assert handle.highs.getNumRow() == len(handle.rows)
+
+        monkeypatch.setattr(lp.Handle, "__init__", spy_init)
+        for case, inst in stats_cases():
+            matrix = cuts5[0] if inst.chambers == 5 else matrices[inst.chambers]
+            started.clear()
+            assert solve_capacity(inst, "generalized", matrix=matrix).status == lp.OPTIMAL
+            assert len(started) == 1, case
+            cut_tools = [name.split("_k")[0] for name in started[0] if name.startswith("cut_")]
+            assert sorted(cut_tools) == [f"cut_t{ti}" for ti in range(len(inst.tools))], case
+
+    @pytest.mark.parametrize("case", sorted(PINNED_INSTANCES))
+    def test_products_are_the_full_lp_rows(self, case, matrices):
+        """The per-tool template products that pick, certify and report the
+        cut rows are the full LP's cut-row left-hand sides bit for bit, and
+        the utilization read from them is the full LP's."""
+        inst = PINNED_INSTANCES[case]()
+        matrix = matrices[inst.chambers]
+        full = build_generalized(inst, matrix)
+        base = models._generalized(inst, matrix, full=False)
+        sol, _, products = models._solve_by_cut_rows(base)
+        x = np.array(sol.x)
+        x[full.rho_col] = 0.0
+        lhs = full.problem.matrix @ x
+        assert len(products) == len(full.util_rows)
+        for got, (_, _, idx) in zip(products, full.util_rows):
+            assert got.tobytes() == lhs[idx].tobytes()
+        assert models._extract(base, sol, products) == models._extract(full, sol)
 
 
 class TestAlternativeModel:
