@@ -46,12 +46,20 @@ def timed(fn, *args):
 def watch_highs() -> dict:
     """Wrap `lp._run`, the one place HiGHS solves, to sum the time ("s") and
     iterations of its runs and record the rows and nonzeros HiGHS held at
-    each ("rows", "nonzeros"); the returned dict holds the sums, which the
-    caller resets."""
+    each ("rows", "nonzeros"), and `lp.Handle.__init__`, where a handle
+    loads its LP into HiGHS, to sum the time spent in it ("load_s"); the
+    returned dict holds the sums, which the caller resets."""
     from clustercap import lp
 
-    highs = {"s": 0.0, "iterations": 0, "rows": [], "nonzeros": []}
-    run_highs = lp._run
+    highs = {"s": 0.0, "iterations": 0, "rows": [], "nonzeros": [], "load_s": 0.0}
+    run_highs, init = lp._run, lp.Handle.__init__
+
+    def watched_init(handle, *args, **kwargs):
+        t = time.perf_counter()
+        try:
+            init(handle, *args, **kwargs)
+        finally:
+            highs["load_s"] += time.perf_counter() - t
 
     def watched_run(handle):
         t = time.perf_counter()
@@ -65,6 +73,7 @@ def watch_highs() -> dict:
         return answer
 
     lp._run = watched_run
+    lp.Handle.__init__ = watched_init
     return highs
 
 
@@ -185,7 +194,8 @@ def solve(repeats):
     * alt_ipm      the alternative model under IPM with crossover.
 
     For each: build_s, solve_s (everything after the build: HiGHS,
-    separation, contract check), highs_s (inside HiGHS alone), iterations,
+    separation, contract check), highs_s (inside HiGHS runs alone), load_s
+    (inside `Handle.__init__`, loading the LP into HiGHS), iterations,
     rounds, rows added by row generation, nonzeros (all HiGHS was handed:
     the model it started with plus the rows added), and rho; gen_rows also
     has extract_s, the rest of `solve_capacity` (result extraction).  Per
@@ -251,9 +261,9 @@ def solve(repeats):
         for variant, (kind, run) in variants.items():
             samples = []
             for _ in range(repeats):
-                highs["s"], highs["rows"], highs["nonzeros"] = 0.0, [], []
+                highs.update(s=0.0, rows=[], nonzeros=[], load_s=0.0)
                 times, rho, iterations, rounds = run(inst, kind, matrix)
-                samples.append({**times, "highs_s": highs["s"]})
+                samples.append({**times, "highs_s": highs["s"], "load_s": highs["load_s"]})
             entry = {"build_s": build_s[name][kind]}
             for key in samples[0]:
                 pick = min if key == "build_s" else statistics.median

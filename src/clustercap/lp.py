@@ -8,8 +8,10 @@ that ships inside scipy (`scipy.optimize._highspy._core`).  It is loaded
 from its file, without importing `scipy.optimize`, which would add about
 half a second to every start-up.  Every LP reaches HiGHS as an `LpProblem`
 through a `Handle`, one HiGHS model of it as it is stated, which can take
-added rows and re-solve from its last basis; `solve` is one run of a handle
-on all rows.  Every answer is held to a fixed numerical contract: optimal
+added rows and re-solve from its last basis; `solve` is one run of a handle.
+Every row enters HiGHS the same way, as a `Csr` block with its bounds
+through one `addRows` call: the LP's own rows when the handle is made, and
+rows added later.  Every answer is held to a fixed numerical contract: optimal
 solutions violate no constraint or bound by more than the feasibility
 tolerance, and infeasibility is a solver-certified status, never a guess
 from objective values.  Problems can be exported to the common textual LP file format for
@@ -25,6 +27,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -77,17 +80,13 @@ class Tolerances:
 TOL = Tolerances()
 
 
-# entries in one block of whole rows of `Csr @ x`; this bounds its temporaries
-_PRODUCT_BLOCK = 1 << 16
-
-
 @dataclass(frozen=True, eq=False)
 class Csr:
     """Compressed sparse rows: row i holds the columns
     `indices[indptr[i]:indptr[i + 1]]` with the values `data[...]` in the same
     positions, in the order they were given; `shape` is (rows, columns).  It
-    offers `nnz`, the product `matrix @ x` and a block of rows by index,
-    `matrix[rows]`."""
+    offers `nnz`, `entry_rows`, the product `matrix @ x` and a block of rows
+    by index, `matrix[rows]`."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -98,25 +97,20 @@ class Csr:
     def nnz(self) -> int:
         return len(self.data)
 
+    @cached_property
+    def entry_rows(self) -> np.ndarray:
+        """The row of each entry, in stored order; made on first use, read-only."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        rows.flags.writeable = False
+        return rows
+
     def __matmul__(self, x) -> np.ndarray:
         """Each row's products summed one at a time in stored order, as
-        scipy.sparse sums them, so the two agree bit for bit; the rows go in
-        blocks of whole rows of at most _PRODUCT_BLOCK entries (or one row)."""
+        scipy.sparse sums them, so the two agree bit for bit."""
         x = np.asarray(x, dtype=float)
         if x.shape != self.shape[1:]:
             raise DomainError(f"matrix {self.shape} times vector {x.shape}")
-        m, ptr = self.shape[0], self.indptr
-        out = np.zeros(m)
-        start = 0
-        while start < m:
-            stop = int(np.searchsorted(ptr, ptr[start] + _PRODUCT_BLOCK, "right")) - 1
-            stop = max(stop, start + 1)
-            lo, hi = ptr[start], ptr[stop]
-            rows = np.repeat(np.arange(stop - start), np.diff(ptr[start : stop + 1]))
-            terms = self.data[lo:hi] * x[self.indices[lo:hi]]
-            out[start:stop] = np.bincount(rows, terms, stop - start)
-            start = stop
-        return out
+        return np.bincount(self.entry_rows, self.data * x[self.indices], self.shape[0])
 
     def __getitem__(self, rows) -> Csr:
         """The rows of index `rows`, in that order."""
@@ -188,7 +182,7 @@ class LpProblem:
             s, r = self.senses[i], rhs[i]
             if (s, r) not in ((LE, np.inf), (GE, -np.inf)):
                 raise DomainError(f"constraint {row_names[i]!r} has right-hand side {s} {r}")
-        rows = np.repeat(np.arange(m), np.diff(a.indptr))  # the row of each entry
+        rows = a.entry_rows
         bad = np.flatnonzero((a.indices < 0) | (a.indices >= nvar))
         if bad.size:
             i, j = rows[bad[0]], a.indices[bad[0]]
@@ -359,72 +353,75 @@ def _run(handle: "Handle") -> _Answer:
 
 
 class Handle:
-    """A HiGHS model of one LP that holds some of its rows.
+    """A HiGHS model of one LP.
 
-    It holds the LP's rows `rows` (all rows by default), in the order of the
-    attribute `rows`, and takes rows from outside the LP through `add_rows`;
-    every `run` starts from the basis the last one ended on.  `run` answers
-    for the rows held, and `certify` holds an answer to every bound and row
-    of the LP.  `method` is SIMPLEX or IPM.
+    It holds every row of the LP, in the order of the attribute `rows`, and
+    takes rows from outside the LP through `add_rows`; every `run` starts
+    from the basis the last one ended on.  `run` answers for the rows held,
+    and `certify` holds an answer to every bound and row of the LP.
+    `method` is SIMPLEX or IPM.
 
     HiGHS is handed the LP as it is stated: its objective sense and `cost`,
-    its column bounds, its matrix, and row i as `row_lower[i] <= matrix[i] x
-    <= row_upper[i]`, the bound its sense does not set being infinite.
+    its column bounds, and row i as `row_lower[i] <= matrix[i] x <=
+    row_upper[i]`, the bound its sense does not set being infinite.  The
+    LP's rows enter as one row block, through the same `addRows` call as
+    the rows `add_rows` takes.
     """
 
-    def __init__(self, problem: LpProblem, rows=None, method: str = SIMPLEX):
+    def __init__(self, problem: LpProblem, method: str = SIMPLEX):
         p = self.problem = problem
-        self.highs = _highspy._Highs()
+        h = self.highs = _highspy._Highs()
         if method not in _METHODS:
             raise DomainError(f"LP method {method!r}")
         for key, value in {**_OPTIONS, **_METHODS[method]}.items():
-            if self.highs.setOptionValue(key, value) != _highspy.HighsStatus.kOk:
+            if h.setOptionValue(key, value) != _highspy.HighsStatus.kOk:
                 raise DomainError(f"HiGHS option {key}={value!r}")
-        self.cost = np.zeros(len(p.col_names))
+        n = len(p.col_names)
+        self.cost = np.zeros(n)
         for j, v in p.objective:
             self.cost[j] = v
         senses = np.array(p.senses, dtype="U2")
         self.row_lower = np.where(senses == LE, -np.inf, p.rhs)
         self.row_upper = np.where(senses == GE, np.inf, p.rhs)
-        a = p.matrix
-        m, n = a.shape
-        rows = np.arange(m) if rows is None else np.asarray(rows, dtype=np.int64)
-        is_eq = senses[rows] == EQ
+        is_eq = senses == EQ
         # = rows after the others: answers depend on it (in stored order, a
         # one-tool generalized model ends on a slightly negative aggregate time)
-        self.rows = np.concatenate((rows[~is_eq], rows[is_eq]))
-        block = a[self.rows]  # rows go in as CSR, as `add_rows` adds them
-        model = _highspy.HighsLp()
-        model.sense_ = _SENSE[p.sense]
-        model.num_col_, model.num_row_ = n, len(self.rows)
-        model.col_cost_, model.col_lower_, model.col_upper_ = self.cost, p.lower, p.upper
-        model.row_lower_ = self.row_lower[self.rows]
-        model.row_upper_ = self.row_upper[self.rows]
-        matrix = model.a_matrix_
-        matrix.format_ = _highspy.MatrixFormat.kRowwise
-        matrix.num_col_, matrix.num_row_ = n, len(self.rows)
-        matrix.start_, matrix.index_, matrix.value_ = block.indptr, block.indices, block.data
-        if self.highs.passModel(model) == _highspy.HighsStatus.kError:
-            raise LpSolverError(f"{p.name}: HiGHS refused the model")
+        self.rows = np.concatenate((np.flatnonzero(~is_eq), np.flatnonzero(is_eq)))
+        for status in (
+            h.addVars(n, p.lower, p.upper),
+            h.changeColsCost(n, np.arange(n), self.cost),
+            h.changeObjectiveSense(_SENSE[p.sense]),
+        ):
+            if status == _highspy.HighsStatus.kError:
+                raise LpSolverError(f"{p.name}: HiGHS refused the columns")
+        self._add_rows(p.matrix[self.rows], self.row_lower[self.rows], self.row_upper[self.rows])
 
     def add_rows(self, block: Csr, lower, upper):
         """Add rows to the model that are not rows of the LP: row i reads
         `lower[i] <= block[i] x <= upper[i]`.  `run` gives them no dual and
         `certify` does not check them; the caller holds an answer to them."""
+        self._add_rows(block, lower, upper)
+
+    def _add_rows(self, block: Csr, lower, upper):
+        """The one place rows reach HiGHS: `block` with one lower and one
+        upper bound per row."""
         m, n = block.shape
+        name = self.problem.name
         if n != len(self.problem.col_names):
-            raise DomainError(f"{self.problem.name}: added rows over {n} columns")
+            raise DomainError(f"{name}: added rows over {n} columns")
         lower, upper = (np.asarray(b, dtype=float) for b in (lower, upper))
+        if not lower.shape == upper.shape == (m,):
+            raise DomainError(f"{name}: {m} added rows need {m} lower and upper bounds")
         status = self.highs.addRows(
             m, lower, upper, block.nnz, block.indptr[:-1], block.indices, block.data
         )
         if status == _highspy.HighsStatus.kError:
-            raise LpSolverError(f"{self.problem.name}: HiGHS refused {m} added rows")
+            raise LpSolverError(f"{name}: HiGHS refused {m} added rows")
 
     def run(self) -> LpSolution:
         """Solve the rows held.  Solver breakdown raises LpSolverError instead
-        of being mapped onto Infeasible; duals are per row of the LP (0 for a
-        row not held) in the minimization form."""
+        of being mapped onto Infeasible; duals are per row of the LP, in its
+        own order, in the minimization form."""
         ans = _run(self)
         if ans.status not in (OPTIMAL, INFEASIBLE, UNBOUNDED):
             raise LpSolverError(f"{self.problem.name}: solver failure: {ans.status}")

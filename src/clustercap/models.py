@@ -202,8 +202,8 @@ class BuiltModel:
     A generalized model built for row generation sets `template`, the cut
     template (see `_cut_template`), and `aggs`, each tool's first aggregate
     column.  Its `problem` then holds of each tool's cut rows only the seed
-    row, which `util_rows` names; the others are built on demand by
-    `_cut_rows` and `_place`.  `stats` always count the full LP.
+    row, which `util_rows` names; the others are built on demand, as rows
+    of the template placed by `_place`.  `stats` always count the full LP.
     """
 
     kind: str
@@ -393,44 +393,31 @@ def _recipe_model(inst: Instance, kind: str, g: ParallelGraph, tool_rows) -> Bui
     return _finish(kind, build, x_cols, agg_cols, rates, util_rows)
 
 
-def _cut_template(matrix: CutMatrix, labels) -> lp.Csr:
-    """The reduced matrix as one `Csr` of K rows over the recipe slots, the
-    graph's `labels` in order: row k holds cut k's nonzero coefficients, in
-    the matrix's label order, each at its label's slot."""
-    slot = np.array([labels.index(label) for label in matrix.labels])
+def _cut_template(matrix: CutMatrix) -> lp.Csr:
+    """The reduced matrix as one `Csr` of K cut rows over one tool's columns:
+    rho at column 0, then recipe slot s at column 1 + s, where slot s is the
+    matrix's label s (its pinned digest covers its header, so these are the
+    graph's labels in order).  Row k holds cut k's nonzero coefficients in
+    slot order, then rho at -1.0, and reads `<= 0`; `_place` puts rows of
+    it at a tool's columns of the LP."""
     coeffs = matrix.coeffs
-    rows, cols = np.nonzero(coeffs)
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(coeffs, axis=1))))
-    return lp.Csr(indptr, slot[cols], coeffs[rows, cols], (len(coeffs), len(labels)))
+    n_cuts, slots = coeffs.shape
+    with_rho = np.hstack((coeffs, np.full((n_cuts, 1), -1.0)))  # rho after the slots
+    rows, cols = np.nonzero(with_rho)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(with_rho, axis=1))))
+    local = np.where(cols == slots, 0, cols + 1)
+    return lp.Csr(indptr, local, with_rho[rows, cols], (n_cuts, 1 + slots))
 
 
 def _seed_row(template: lp.Csr) -> int:
     """The cut row each tool starts row generation with: the first of those
     with the most 1/2 entries."""
     k = template.shape[0]
-    rows = np.repeat(np.arange(k), np.diff(template.indptr))
-    return int(np.argmax(np.bincount(rows, template.data == 0.5, k)))
-
-
-def _cut_rows(template: lp.Csr, ks) -> lp.Csr:
-    """Template rows `ks` as cut rows over one tool's columns: rho at column
-    0, then recipe slot s at column 1 + s.  Each row holds its template
-    entries in template order, then rho at -1.0, and reads `<= 0`;
-    `_place` puts the rows at a tool's columns of the LP."""
-    block = template[ks]
-    m = block.shape[0]
-    indptr = block.indptr + np.arange(m + 1)  # one more entry per row: rho
-    inner = np.ones(indptr[-1], bool)
-    inner[indptr[1:] - 1] = False
-    cols = np.zeros(indptr[-1], np.int64)
-    cols[inner] = block.indices + 1
-    vals = np.full(indptr[-1], -1.0)
-    vals[inner] = block.data
-    return lp.Csr(indptr, cols, vals, (m, 1 + template.shape[1]))
+    return int(np.argmax(np.bincount(template.entry_rows, template.data == 0.5, k)))
 
 
 def _place(rows: lp.Csr, aggs, columns: int) -> lp.Csr:
-    """Rows from `_cut_rows` in an LP of `columns` columns: row i's slot s
+    """Rows of the cut template in an LP of `columns` columns: row i's slot s
     at column aggs[i] + s (`aggs` may be one column for all rows), and rho
     at column 0."""
     m = rows.shape[0]
@@ -447,11 +434,11 @@ def _generalized(inst: Instance, matrix: CutMatrix, full: bool) -> BuiltModel:
     if not matrix.reduced:
         raise DomainError("generalized model requires the reduced cut matrix")
     g = build_parallel_graph(inst.chambers)
-    template = _cut_template(matrix, g.labels)
+    template = _cut_template(matrix)
     n_cuts = template.shape[0]
     seed = _seed_row(template)
     ks = range(n_cuts) if full else [seed]
-    local = _cut_rows(template, ks)
+    local = template[ks]
     counts = np.diff(local.indptr)
     aggs = []
 
@@ -469,9 +456,9 @@ def _generalized(inst: Instance, matrix: CutMatrix, full: bool) -> BuiltModel:
     # counted from the base LP (the model without its seed rows) and the template
     tools, seed_nnz = len(aggs), int(template.indptr[seed + 1] - template.indptr[seed])
     base_rows = model.stats.rows - tools
-    base_nnz = model.stats.nonzeros - tools * (seed_nnz + 1)
+    base_nnz = model.stats.nonzeros - tools * seed_nnz
     stats = lp.SizeStats(
-        base_rows + tools * n_cuts, model.stats.columns, base_nnz + tools * (template.nnz + n_cuts)
+        base_rows + tools * n_cuts, model.stats.columns, base_nnz + tools * template.nnz
     )
     return replace(model, stats=stats, template=template, aggs=tuple(aggs))
 
@@ -481,7 +468,8 @@ def build_generalized(inst: Instance, matrix: CutMatrix) -> BuiltModel:
 
     Requires the reduced matrix for the instance's chamber count; a matrix
     with `reduced` set has matched its pinned digest (see `cuts.CutMatrix`).
-    Tool ti's row of cut k, `cut_t{ti}_k{k}`, comes from `_cut_rows`.  This
+    Tool ti's row of cut k, `cut_t{ti}_k{k}`, is row k of the cut template
+    placed at the tool's columns (see `_cut_template` and `_place`).  This
     is the full LP, which `export-lp` writes; `solve_capacity` builds the
     same model with one cut row per tool and adds the others as row
     generation needs them.
@@ -572,18 +560,20 @@ def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int, list | No
 
     HiGHS starts with the model's problem: every row that is not a cut row
     and, per tool, the seed cut row.  Each round takes, per tool, the
-    template's product with the tool's aggregate times: each cut row's
-    left-hand side, rho left out.  It adds, per tool, up to ROWS_PER_ROUND
-    cut rows not yet held whose left-hand side exceeds rho by more than the
-    feasibility tolerance, most violated first, built from the template,
-    and re-solves from the last basis.  The answer is certified against
-    every bound, every row of the problem and the objective, and, from the
-    last products, every cut row of every tool: every row of the full LP.
+    template's product with the tool's columns, its aggregate times and rho
+    at 0.0: each cut row's left-hand side, rho left out.  It adds, per tool,
+    up to ROWS_PER_ROUND cut rows not yet held whose left-hand side exceeds
+    rho by more than the feasibility tolerance, most violated first, as
+    template rows placed at the tools' columns, and re-solves from the last
+    basis.  The answer is certified against every bound, every row of the
+    problem and the objective, and, from the last products, every cut row
+    of every tool: every row of the full LP.
     Returns it, with iterations summed over the rounds, the number of
     rounds and, at Optimal, the last products.
     """
     template, aggs = model.template, np.array(model.aggs)
-    slots = template.shape[1]
+    slots = template.shape[1] - 1
+    local = np.zeros(1 + slots)  # one tool's columns, rho held at 0.0
     held = np.zeros((len(aggs), template.shape[0]), dtype=bool)
     held[:, _seed_row(template)] = True
     handle = lp.Handle(model.problem)
@@ -596,7 +586,10 @@ def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int, list | No
             return replace(sol, iterations=iterations), rounds, None
         x = np.array(sol.x)
         rho = x[model.rho_col]
-        lhs = [template @ x[agg : agg + slots] for agg in aggs]
+        lhs = []
+        for agg in aggs:
+            local[1:] = x[agg : agg + slots]
+            lhs.append(template @ local)
         tools, ks = [], []
         for ti, block in enumerate(lhs):
             over = np.flatnonzero((block > rho + lp.TOL.feasibility) & ~held[ti])
@@ -606,7 +599,7 @@ def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int, list | No
         if not ks:
             break
         held[tools, ks] = True
-        rows = _place(_cut_rows(template, ks), aggs[tools], len(x))
+        rows = _place(template[ks], aggs[tools], len(x))
         handle.add_rows(rows, np.full(len(ks), -np.inf), np.zeros(len(ks)))
     handle.certify(sol)
     for ti, block in enumerate(lhs):  # a held row that is still violated fails here too

@@ -5,7 +5,6 @@ import sys
 import textwrap
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -499,8 +498,6 @@ class TestCsr:
         problem = models.build_model(inst, kind, cuts5[0]).problem
         a = problem.matrix
         m, n = a.shape
-        if kind == "generalized":
-            assert a.nnz > lp._PRODUCT_BLOCK  # the product runs over several blocks
         rng = np.random.default_rng(m)
         solved = np.array(lp.solve(problem).x)
         sparse_x = rng.normal(size=n) * (rng.random(n) < 0.3)
@@ -517,8 +514,7 @@ class TestCsr:
     )
     def test_random_rows(self, cols, rows, data):
         """Rows empty or not, columns in any order, and rho, the last column,
-        last in each row that holds it; the product also in blocks of one,
-        two and three entries."""
+        last in each row that holds it."""
         values = st.floats(-1e6, 1e6, allow_subnormal=False)
         build = lp.LpBuilder("rows")
         build.add_cols([f"v{j}" for j in range(cols + 1)])
@@ -531,50 +527,59 @@ class TestCsr:
         a = build.problem().matrix
         x = np.array(data.draw(st.lists(values, min_size=cols + 1, max_size=cols + 1)))
         picks = st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=10 if rows else 0)
-        blocks = [np.arange(len(rows)), data.draw(picks)]
-        for block in (1, 2, 3, lp._PRODUCT_BLOCK):
-            with mock.patch.object(lp, "_PRODUCT_BLOCK", block):
-                assert_like_scipy(a, [x], blocks)
+        assert_like_scipy(a, [x], [np.arange(len(rows)), data.draw(picks)])
+
+    def test_entry_rows_are_made_once_and_read_only(self):
+        a = floors_problem().matrix
+        assert a.entry_rows.tolist() == [0, 1, 2, 2] and a.entry_rows is a.entry_rows
+        with pytest.raises(ValueError, match="read-only"):
+            a.entry_rows[0] = 1
 
 
-def floors_problem():
-    """min x + y s.t. x >= 1, y >= 2, x + y >= 5: optimum 5."""
+def floors_problem(both=True):
+    """min x + y s.t. x >= 1, y >= 2, x + y >= 5: optimum 5; without the
+    row `both`, optimum 3."""
     build = lp.LpBuilder("floors")
     x = build.add_var("x")
     y = build.add_var("y")
     build.set_objective([(x, 1.0), (y, 1.0)])
     build.add_constraint("fx", [(x, 1.0)], lp.GE, 1.0)
     build.add_constraint("fy", [(y, 1.0)], lp.GE, 2.0)
-    build.add_constraint("both", [(x, 1.0), (y, 1.0)], lp.GE, 5.0)
+    if both:
+        build.add_constraint("both", [(x, 1.0), (y, 1.0)], lp.GE, 5.0)
     return build.problem()
 
 
 class TestHandle:
     def test_added_rows_reach_the_full_answer(self):
-        p = floors_problem()
-        handle = lp.Handle(p, [0, 1])
+        p, full = floors_problem(both=False), floors_problem()
+        handle = lp.Handle(p)
         part = handle.run()
         assert part.status == lp.OPTIMAL and part.objective == pytest.approx(3.0)
-        assert part.duals[2] == 0.0  # a row not held has no dual
-        handle.add_rows(p.matrix[[2]], [5.0], [np.inf])  # row 2 from outside the LP
+        handle.add_rows(full.matrix[[2]], [5.0], [np.inf])  # the row `both`, from outside
         whole = handle.run()
         handle.certify(whole)
-        assert whole.objective == pytest.approx(lp.solve(p).objective, rel=1e-12)
+        assert whole.objective == pytest.approx(lp.solve(full).objective, rel=1e-12)
         assert handle.rows.tolist() == [0, 1] and handle.highs.getNumRow() == 3
-        assert whole.duals[2] == 0.0  # an added row is not a row of the LP
+        assert len(whole.duals) == 2  # an added row is not a row of the LP
 
     def test_added_rows_need_the_lp_columns(self):
-        p = floors_problem()
-        handle = lp.Handle(p, [0, 1])
+        handle = lp.Handle(floors_problem())
         narrow = lp.Csr(np.array([0, 1]), np.array([0]), np.array([1.0]), (1, 1))
         with pytest.raises(DomainError, match="added rows over 1 columns"):
             handle.add_rows(narrow, [5.0], [np.inf])
 
-    def test_certify_checks_rows_not_held(self):
-        handle = lp.Handle(floors_problem(), [0, 1])
-        part = handle.run()
-        with pytest.raises(LpSolverError, match="floors: row both violated by 2.000e\\+00"):
-            handle.certify(part)
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [([3.0], [np.inf]), ([3.0, 3.0], [np.inf]), (3.0, np.inf), ([[3.0, 3.0]], [[np.inf] * 2])],
+    )
+    def test_added_rows_need_one_lower_and_upper_bound_each(self, lower, upper):
+        """A short bound array would have HiGHS read bounds past its end."""
+        p = floors_problem()
+        handle = lp.Handle(p)
+        with pytest.raises(DomainError, match="floors: 2 added rows need 2 lower and upper"):
+            handle.add_rows(p.matrix[[0, 2]], lower, upper)
+        assert handle.highs.getNumRow() == 3
 
     def test_certify_refuses_a_point_that_is_not_a_number(self):
         handle = lp.Handle(simple_problem())
@@ -599,10 +604,10 @@ class TestHandle:
         assert handle.rows.tolist() == [0, 2, 3, 1]
         assert list(held.row_lower_) == [1.5, -np.inf, -np.inf, 6.0]
         assert list(held.row_upper_) == [np.inf, 7.0, np.inf, 6.0]
-        a = held.a_matrix_  # HiGHS keeps it column-wise, whatever it was handed
-        assert a.format_ == lp._highspy.MatrixFormat.kColwise
-        shape = (held.num_row_, held.num_col_)
-        got = sparse.csc_matrix((a.value_, a.index_, a.start_), shape=shape)
+        a = held.a_matrix_  # row-wise until the first run, column-wise after
+        fmt = lp._highspy.MatrixFormat
+        kind = {fmt.kRowwise: sparse.csr_matrix, fmt.kColwise: sparse.csc_matrix}[a.format_]
+        got = kind((a.value_, a.index_, a.start_), shape=(held.num_row_, held.num_col_))
         assert got.toarray().tolist() == [[1, -2, 0], [5, 0, -6], [0, 8, 0], [0, 4, 1]]
 
     def test_ipm_reaches_the_simplex_answer(self):
