@@ -357,8 +357,10 @@ class Handle:
 
     It holds every row of the LP, in the order of the attribute `rows`, and
     takes rows from outside the LP through `add_rows`; every `run` starts
-    from the basis the last one ended on.  `run` answers for the rows held,
-    and `certify` holds an answer to every bound and row of the LP.
+    from the basis the last one ended on, unless `clear` dropped it.  `run`
+    answers for the rows held, and `certify` holds an answer to every bound
+    and row of the LP, under the row bounds the handle holds: those the LP
+    states, unless `set_row_upper` has edited them since.
     `method` is SIMPLEX or IPM.
 
     HiGHS is handed the LP as it is stated: its objective sense and `cost`,
@@ -387,6 +389,7 @@ class Handle:
         # = rows after the others: answers depend on it (in stored order, a
         # one-tool generalized model ends on a slightly negative aggregate time)
         self.rows = np.concatenate((np.flatnonzero(~is_eq), np.flatnonzero(is_eq)))
+        self._position = np.argsort(self.rows)  # HiGHS's index of each LP row
         for status in (
             h.addVars(n, p.lower, p.upper),
             h.changeColsCost(n, np.arange(n), self.cost),
@@ -417,6 +420,37 @@ class Handle:
         )
         if status == _highspy.HighsStatus.kError:
             raise LpSolverError(f"{name}: HiGHS refused {m} added rows")
+
+    def set_row_upper(self, rows, upper):
+        """Bound LP row `rows[i]` above by `upper[i]`, in HiGHS and in the
+        bounds `certify` checks; the lower bounds stay.  The rows must be
+        distinct rows of the LP, and each new bound a number no lower than
+        the row's lower bound, or inf."""
+        rows, upper = np.asarray(rows), np.asarray(upper, dtype=float)
+        name, m = self.problem.name, len(self.row_upper)
+        if not rows.ndim == 1 == upper.ndim or rows.size != upper.size:
+            raise DomainError(f"{name}: {rows.size} rows to bound need one upper bound each")
+        if rows.size and (
+            rows.dtype.kind not in "iu" or not 0 <= rows.min() <= rows.max() < m
+            or np.bincount(rows).max() > 1
+        ):
+            raise DomainError(f"{name}: rows to bound must be distinct indices in 0..{m - 1}")
+        lower = self.row_lower[rows]
+        bad = np.flatnonzero(~((upper >= lower) & (upper > -np.inf)))  # NaN fails too
+        if bad.size:
+            k = bad[0]
+            row = self.problem.row_names[rows[k]]
+            raise DomainError(f"{name}: row {row} upper bound {upper[k]}")
+        self.row_upper[rows] = upper
+        for at, lo, hi in zip(self._position[rows].tolist(), lower.tolist(), upper.tolist()):
+            if self.highs.changeRowBounds(at, lo, hi) == _highspy.HighsStatus.kError:
+                raise LpSolverError(f"{name}: HiGHS refused the bounds of row {at}")
+
+    def clear(self):
+        """Drop the basis and the solution HiGHS holds, so that the next
+        `run` solves from scratch, presolve included, as on a new handle."""
+        if self.highs.clearSolver() == _highspy.HighsStatus.kError:
+            raise LpSolverError(f"{self.problem.name}: HiGHS could not clear its solver")
 
     def run(self) -> LpSolution:
         """Solve the rows held.  Solver breakdown raises LpSolverError instead

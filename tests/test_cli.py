@@ -293,6 +293,22 @@ class TestBench:
             (r.instance, r.model, r.rho) for r in par_records
         ]
 
+    def test_workers_change_only_the_timings(self, env_cache, tmp_path):
+        """The report of `bench --workers 2` is that of one worker, but for
+        the columns that hold times."""
+        paths = [str(gen_instance(tmp_path, seed=s)) for s in (5, 6)]
+        reports = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}.csv"
+            argv = ["bench", *paths, "--reps", "2", "--workers", workers, "--out", str(out)]
+            assert cli(argv) == 0
+            rows = list(csv.DictReader(out.read_text().splitlines()))
+            for row in rows:
+                for timed in ("build_ms", "solve_ms", "speedup_gen_over_alt"):
+                    row.pop(timed)
+            reports.append(rows)
+        assert len(reports[0]) == 10 and reports[0] == reports[1]
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_no_workers_is_an_error(self, env_cache, tmp_path, workers):
         inst = str(gen_instance(tmp_path, seed=9))

@@ -1,3 +1,7 @@
+import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +9,14 @@ from hypothesis import strategies as st
 
 from clustercap import (
     build_parallel_graph,
+    flows,
+    lp,
     makespan_via_cuts,
     solve_maxflow,
     solve_parallelization_lp,
 )
-from clustercap.errors import DomainError
-from clustercap.flows import FLOW_TOL, check_plan_feasible
+from clustercap.errors import DomainError, LpSolverError
+from clustercap.flows import FLOW_TOL, ParallelizationPlan, check_plan_feasible
 from clustercap.recipes import ParallelGraph
 from flow_oracles import builder_pairing_lp, check_flow_feasible, dense_maxflow, flow_to_xi
 
@@ -164,6 +170,111 @@ def test_oracles_reject_non_finite_times(g3, matrices, bad):
     ):
         with pytest.raises(DomainError, match="finite"):
             oracle()
+
+
+def test_oracles_reject_an_allocation_whose_sum_overflows(g3, matrices):
+    """Every time is finite but their sum is not.  The max flow used to give
+    value=inf and NaN cross arcs, and the cut rows inf, without a word."""
+    x = np.full(7, 1e308)
+    for oracle in (
+        lambda: solve_maxflow(x, g3),
+        lambda: solve_parallelization_lp(x, g3),
+        lambda: makespan_via_cuts(x, matrices[3]),
+    ):
+        with pytest.raises(DomainError, match="finite"):
+            oracle()
+
+
+def draws(g, rng, count):
+    m = len(g.recipes)
+    return [rng.uniform(0.0, 10.0, m) * (rng.random(m) < 0.7) for _ in range(count)]
+
+
+class TestHeldPerGraph:
+    """The pairing LP's HiGHS model (one per thread) and the max flow's arcs
+    are kept for the last graph; every answer equals a fresh build's."""
+
+    def test_interleaved_graphs_match_fresh_builds(self):
+        g3, g4, g5 = (build_parallel_graph(n) for n in (3, 4, 5))
+        rng = np.random.default_rng(705)  # the n = 5 order of test_edges_listed_in_another_order
+        edges = tuple(g5.edges[k] for k in rng.permutation(len(g5.edges)))
+        shuffled = ParallelGraph(n=5, recipes=g5.recipes, edges=edges)
+        rng = np.random.default_rng(900)
+        for g in [g3, g4, g5, shuffled, g5, g3, shuffled, g4] * 6:
+            (x,) = draws(g, rng, 1)
+            assert solve_parallelization_lp(x, g) == builder_pairing_lp(x, g)
+            assert_same_as_dense(x, g)
+
+    def test_two_threads_on_one_graph(self):
+        g = build_parallel_graph(5)
+        xs = draws(g, np.random.default_rng(901), 40)
+
+        def both(x):
+            return solve_parallelization_lp(x, g), solve_maxflow(x, g)
+
+        alone = [both(x) for x in xs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(both, xs, timeout=60)) == alone
+            theirs = pool.submit(flows._pairing_lp, g).result(timeout=60)[0]
+        assert theirs is not flows._pairing_lp(g)[0]  # each thread holds its own model
+
+    def test_more_threads_than_cores_across_two_graphs(self):
+        """Four threads switching often, each call on one of two graphs: a
+        model or network held for one graph never answers for the other."""
+        g4, g5 = build_parallel_graph(4), build_parallel_graph(5)
+        rng = np.random.default_rng(903)
+        work = [(g, x) for _ in range(12) for g in (g4, g5) for x in draws(g, rng, 1)]
+
+        def both(task):
+            g, x = task
+            return solve_parallelization_lp(x, g), solve_maxflow(x, g)
+
+        alone = [both(task) for task in work]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(both, work, timeout=120)) == alone
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_call_that_raises_leaves_the_next_one_right(self, monkeypatch):
+        """A call refused before any edit, and one that fails after HiGHS
+        ran under its bounds, leave nothing that changes the next answer."""
+        g = build_parallel_graph(4)
+        x, y = draws(g, np.random.default_rng(902), 2)
+        solve_parallelization_lp(y, g)
+        bad = x.copy()
+        bad[3] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            solve_parallelization_lp(bad, g)
+        with pytest.raises(DomainError, match="finite"):
+            solve_maxflow(bad, g)
+        run = lp._run
+
+        def broken(handle):  # HiGHS runs under the bounds of 2y, then the answer is lost
+            run(handle)
+            return lp._Answer("Solve error", None, None, None, 0)
+
+        monkeypatch.setattr(lp, "_run", broken)
+        with pytest.raises(LpSolverError, match="solver failure"):
+            solve_parallelization_lp(y * 2.0, g)
+        monkeypatch.undo()
+        assert solve_parallelization_lp(x, g) == builder_pairing_lp(x, g)
+        assert_same_as_dense(x, g)
+
+
+def test_plan_load_adds_edge_times_in_edge_order(g3):
+    """A recipe's load is 0.0 plus its edges' times, in edge order."""
+    edge_time = [0.0] * len(g3.edges)
+    for k, t in zip(g3.incident[g3.index_of("A")], (0.1, 0.2, 0.3)):
+        edge_time[k] = t
+    x = np.full(7, 10.0)
+    x[g3.index_of("A")] = 0.5
+    plan = ParallelizationPlan(edge_time=tuple(edge_time))
+    # 0.1 + 0.2 + 0.3 in this order is 0.6000000000000001; in reverse, 0.6
+    with pytest.raises(DomainError, match=re.escape("recipe A: 0.6000000000000001 > 0.5")):
+        check_plan_feasible(plan, x, g3)
 
 
 class TestFlowToPlan:

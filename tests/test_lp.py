@@ -621,6 +621,107 @@ class TestHandle:
             lp.solve(mix_problem(), "primal")
 
 
+def eq_first_problem():
+    """max 2x + y s.t. x + y = 4 (stored first), x <= 3: optimum 7 at (3, 1).
+    HiGHS holds the = row last, so LP row 1 is HiGHS's row 0."""
+    build = lp.LpBuilder("eqfirst", lp.MAXIMIZE)
+    x = build.add_cols(["x", "y"])
+    build.set_objective([(x[0], 2.0), (x[1], 1.0)])
+    build.add_constraint("total", [(x[0], 1.0), (x[1], 1.0)], lp.EQ, 4.0)
+    build.add_constraint("cap", [(x[0], 1.0)], lp.LE, 3.0)
+    return build.problem()
+
+
+def dense_problem(seed=0):
+    """A small dense packing LP that presolve does not solve on its own."""
+    rng = np.random.default_rng(seed)
+    build = lp.LpBuilder("dense", lp.MAXIMIZE)
+    x = build.add_cols([f"x{j}" for j in range(8)])
+    build.set_objective(zip(x, rng.uniform(1.0, 2.0, 8).tolist()))
+    a = rng.uniform(0.0, 1.0, (6, 8))
+    rhs = rng.uniform(1.0, 2.0, 6)
+    build.add_rows([f"r{i}" for i in range(6)], [8] * 6, list(x) * 6, a.ravel(), lp.LE, rhs)
+    return build.problem()
+
+
+class TestHandleEdits:
+    """`set_row_upper` edits a held row's upper bound, in HiGHS and for
+    `certify`; `clear` drops the basis."""
+
+    def test_the_edit_reaches_the_intended_row(self):
+        handle = lp.Handle(eq_first_problem())
+        assert handle.rows.tolist() == [1, 0]
+        assert handle.run().objective == pytest.approx(7.0)
+        handle.set_row_upper([1], [2.0])  # cap: x <= 2
+        held = handle.highs.getLp()
+        assert list(held.row_lower_) == [-np.inf, 4.0]
+        assert list(held.row_upper_) == [2.0, 4.0]
+        assert handle.row_upper.tolist() == [4.0, 2.0]  # in the LP's own order
+        sol = handle.run()
+        handle.certify(sol)
+        assert sol.x == pytest.approx((2.0, 2.0)) and sol.objective == pytest.approx(6.0)
+
+    def test_certify_holds_the_edited_bound(self):
+        handle = lp.Handle(eq_first_problem())
+        sol = handle.run()
+        handle.certify(sol)
+        handle.set_row_upper([1], [2.0])
+        with pytest.raises(LpSolverError, match="row cap violated by 1.000e"):
+            handle.certify(sol)  # x = 3 held only under the old bound
+
+    def test_an_edit_to_no_bound_and_back(self):
+        handle = lp.Handle(eq_first_problem())
+        handle.set_row_upper([1], [np.inf])
+        assert handle.run().objective == pytest.approx(8.0)
+        handle.set_row_upper(np.array([1]), np.array([3.0]))
+        assert handle.run().objective == pytest.approx(7.0)
+
+    @pytest.mark.parametrize(
+        "rows, upper, why",
+        [
+            ([[1]], [[2.0]], "1 rows to bound need one upper bound each"),
+            ([1], [2.0, 3.0], "1 rows to bound need one upper bound each"),
+            ([0, 1], [2.0], "2 rows to bound need one upper bound each"),
+            ([1], 2.0, "1 rows to bound need one upper bound each"),
+            ([2], [2.0], "rows to bound must be distinct indices in 0..1"),
+            ([-1], [2.0], "rows to bound must be distinct indices in 0..1"),
+            ([1, 1], [2.0, 3.0], "rows to bound must be distinct indices in 0..1"),
+            ([1.0], [2.0], "rows to bound must be distinct indices in 0..1"),
+            ([1], [np.nan], "row cap upper bound nan"),
+            ([1], [-np.inf], "row cap upper bound -inf"),
+            ([0], [3.0], "row total upper bound 3.0"),  # below its lower bound 4
+        ],
+    )
+    def test_bad_edits_are_refused_and_change_nothing(self, rows, upper, why):
+        handle = lp.Handle(eq_first_problem())
+        with pytest.raises(DomainError, match=f"eqfirst: {why}"):
+            handle.set_row_upper(rows, upper)
+        held = handle.highs.getLp()
+        assert list(held.row_upper_) == [3.0, 4.0] and handle.row_upper.tolist() == [4.0, 3.0]
+
+    def test_clear_drops_the_basis(self):
+        p = dense_problem()
+        handle = lp.Handle(p)
+        first = handle.run()
+        assert first.iterations > 0 and handle.run().iterations == 0  # warm
+        handle.clear()
+        assert not handle.highs.getBasis().valid
+        again = handle.run()
+        assert again == first == lp.Handle(p).run()
+
+    def test_edited_and_cleared_is_a_new_handle_of_the_edited_lp(self):
+        """An edit then `clear` answers as a new handle of the LP stated
+        with the new bounds does, bit for bit."""
+        p, q = dense_problem(), dense_problem()
+        handle = lp.Handle(p)
+        handle.run()
+        upper = np.linspace(0.5, 3.0, 6)
+        handle.set_row_upper(range(6), upper)
+        handle.clear()
+        stated = replace(q, rhs=upper)
+        assert handle.run() == lp.Handle(stated).run()
+
+
 def test_solver_breakdown_raises(monkeypatch):
     def broken(handle):
         return lp._Answer("Solve error", None, None, None, 0)
