@@ -126,16 +126,18 @@ def solve_parallelization_lp(x, g: ParallelGraph) -> tuple[ParallelizationPlan, 
     return plan, sol.objective
 
 
-def check_plan_feasible(plan: ParallelizationPlan, x, g: ParallelGraph, tol: float = 1e-8):
+def check_plan_feasible(plan: ParallelizationPlan, x, g: ParallelGraph):
+    """Raise DomainError unless the plan's times are >= 0 and fit x, to lp.TOL (NaN fails)."""
     arr = _check_x(x, len(g.recipes))
+    tol = lp.TOL.feasibility
     if len(plan.edge_time) != len(g.edges):
         raise DomainError("plan does not match the graph's edge list")
-    if any(v < -tol for v in plan.edge_time):
-        raise DomainError("plan has negative pairing times")
+    if not all(v >= -tol for v in plan.edge_time):
+        raise DomainError("plan has negative or NaN pairing times")
     # each edge's time added to both its ends, edge by edge: [i0, j0, i1, j1, ...]
     ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * len(g.edges))
     load = np.bincount(ends, np.repeat(plan.edge_time, 2), len(g.recipes))
-    bad = np.nonzero(load > arr + tol)[0]
+    bad = np.flatnonzero(~(load <= arr + tol))
     if bad.size:
         r = int(bad[0])
         raise DomainError(

@@ -21,8 +21,8 @@ on the optimal bottleneck utilization.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -103,7 +103,7 @@ class Instance:
         jobs = {j.id for j in self.jobs}
         tools = set(self.tools)
         for j in self.jobs:
-            if not _is_a(j.demand, numbers.Real) or not 0 <= j.demand < math.inf:
+            if not _is_a(j.demand, numbers.Real) or not 0 <= j.demand <= sys.float_info.max:
                 raise DomainError(f"job {j.id}: demand must be a finite number >= 0")
         pairs = {}
         for q in self.qualifications:
@@ -121,7 +121,7 @@ class Instance:
                     raise DomainError(f"({q.job}, {q.tool}): chamber index {c!r} out of range")
                 if c in rates:
                     raise DomainError(f"({q.job}, {q.tool}): duplicate chamber {c}")
-                if not _is_a(rate, numbers.Real) or not 0 < rate < math.inf:
+                if not _is_a(rate, numbers.Real) or not 0 < rate <= sys.float_info.max:
                     raise DomainError(f"({q.job}, {q.tool}): rate must be a finite number > 0")
                 rates[c] = rate
             mask = sum(1 << c for c in rates)
@@ -138,7 +138,7 @@ class Instance:
                 raise DomainError(f"{where}: recipe outside the qualified chambers")
             if mask in pair.overrides:
                 raise DomainError(f"{where}: duplicate of an earlier override")
-            if not _is_a(ov.rate, numbers.Real) or not 0 < ov.rate < math.inf:
+            if not _is_a(ov.rate, numbers.Real) or not 0 < ov.rate <= sys.float_info.max:
                 raise DomainError(f"{where}: rate must be a finite number > 0")
             pair.overrides[mask] = ov.rate
         object.__setattr__(self, "pair_rates", pairs)
@@ -525,22 +525,15 @@ def build_model(
     raise DomainError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
 
 
-def _extract(model: BuiltModel, sol: lp.LpSolution, row_lhs=None) -> tuple:
-    """The assignments with x > 1e-9, and each utilization entry: the
-    largest left-hand side (rho left out) of its rows.  A model with a cut
-    template holds few of its cut rows, so `row_lhs` must give each entry's
-    left-hand sides, as row generation computed them."""
+def _extract(model: BuiltModel, sol: lp.LpSolution, row_lhs) -> tuple:
+    """The assignments with x > 1e-9, and utilization entry i: the largest
+    of `row_lhs[i]`, its rows' left-hand sides (rho left out)."""
     x = sol.x
     assignments = tuple(
         Assignment(job, tool, recipe, x[col], x[col] * model.rates[(job, tool, recipe)])
         for (job, tool, recipe), col in model.x_cols.items()
         if x[col] > 1e-9
     )
-    if model.template is None:
-        no_rho = np.array(x)
-        no_rho[model.rho_col] = 0.0
-        lhs = model.problem.matrix @ no_rho
-        row_lhs = [lhs[idx] for _, _, idx in model.util_rows]
     utilization = tuple(
         UtilizationEntry(tool, row_kind, float(values.max()))
         for (tool, row_kind, _), values in zip(model.util_rows, row_lhs, strict=True)
@@ -554,28 +547,35 @@ def _extract(model: BuiltModel, sol: lp.LpSolution, row_lhs=None) -> tuple:
 ROWS_PER_ROUND = 4
 
 
-def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int, list | None]:
+def _violated(lhs: np.ndarray, held: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (tool, k) pairs of the cut rows to add, tool-major: per row ti of
+    `lhs`, up to ROWS_PER_ROUND k not `held` whose lhs[ti, k] exceeds rho by
+    more than the feasibility tolerance, most violated first, ties by k."""
+    over = (lhs > rho + lp.TOL.feasibility) & ~held
+    worst = np.argsort(np.where(over, -lhs, np.inf), axis=1, kind="stable")[:, :ROWS_PER_ROUND]
+    tools, picks = np.nonzero(np.take_along_axis(over, worst, axis=1))
+    return tools, worst[tools, picks]
+
+
+def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int, np.ndarray | None]:
     """Solve a generalized model, built with its cut template, by row
     generation over its cut rows.
 
     HiGHS starts with the model's problem: every row that is not a cut row
-    and, per tool, the seed cut row.  Each round takes, per tool, the
-    template's product with the tool's columns, its aggregate times and rho
-    at 0.0: each cut row's left-hand side, rho left out.  It adds, per tool,
-    up to ROWS_PER_ROUND cut rows not yet held whose left-hand side exceeds
-    rho by more than the feasibility tolerance, most violated first, as
-    template rows placed at the tools' columns, and re-solves from the last
-    basis.  The answer is certified against every bound, every row of the
-    problem and the objective, and, from the last products, every cut row
-    of every tool: every row of the full LP.
-    Returns it, with iterations summed over the rounds, the number of
-    rounds and, at Optimal, the last products.
+    and, per tool, the seed cut row.  Each round fills one (tools, K) array
+    of cut-row left-hand sides, rho left out: row ti is the template's
+    product with tool ti's columns, its aggregate times and rho at 0.0.  It
+    adds the rows `_violated` picks from that array, as template rows placed
+    at the tools' columns, and re-solves from the last basis.  The answer is
+    certified against every bound, every row of the problem and the
+    objective, and, from the last array, every cut row of every tool: every
+    row of the full LP.  Returns it, with iterations summed over the rounds,
+    the number of rounds and, at Optimal, the last array.
     """
     template, aggs = model.template, np.array(model.aggs)
-    slots = template.shape[1] - 1
-    local = np.zeros(1 + slots)  # one tool's columns, rho held at 0.0
-    held = np.zeros((len(aggs), template.shape[0]), dtype=bool)
-    held[:, _seed_row(template)] = True
+    local = np.zeros(template.shape[1])  # one tool's columns, rho held at 0.0
+    lhs = np.empty((len(aggs), template.shape[0]))
+    held = np.tile(np.arange(lhs.shape[1]) == _seed_row(template), (len(aggs), 1))
     handle = lp.Handle(model.problem)
     iterations = rounds = 0
     while True:
@@ -586,29 +586,21 @@ def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int, list | No
             return replace(sol, iterations=iterations), rounds, None
         x = np.array(sol.x)
         rho = x[model.rho_col]
-        lhs = []
-        for agg in aggs:
-            local[1:] = x[agg : agg + slots]
-            lhs.append(template @ local)
-        tools, ks = [], []
-        for ti, block in enumerate(lhs):
-            over = np.flatnonzero((block > rho + lp.TOL.feasibility) & ~held[ti])
-            worst = over[np.argsort(-block[over], kind="stable")[:ROWS_PER_ROUND]]
-            tools += [ti] * len(worst)
-            ks += worst.tolist()
-        if not ks:
+        for ti, agg in enumerate(aggs):
+            local[1:] = x[agg : agg + len(local) - 1]
+            lhs[ti] = template @ local
+        tools, ks = _violated(lhs, held, rho)
+        if not ks.size:
             break
         held[tools, ks] = True
         rows = _place(template[ks], aggs[tools], len(x))
         handle.add_rows(rows, np.full(len(ks), -np.inf), np.zeros(len(ks)))
     handle.certify(sol)
-    for ti, block in enumerate(lhs):  # a held row that is still violated fails here too
-        violation = block - rho
-        bad = np.flatnonzero(~(violation <= lp.TOL.feasibility))
-        if bad.size:
-            k = bad[0]
-            name = f"cut_t{ti}_k{k}"
-            raise LpSolverError(f"{handle.problem.name}: row {name} violated by {violation[k]:.3e}")
+    bad = np.argwhere(~(lhs - rho <= lp.TOL.feasibility))  # a held row still violated fails too
+    if bad.size:
+        ti, k = bad[0]
+        violation = lhs[ti, k] - rho
+        raise LpSolverError(f"{handle.problem.name}: row cut_t{ti}_k{k} violated by {violation:.3e}")
     return replace(sol, iterations=iterations), rounds, lhs
 
 
@@ -623,7 +615,9 @@ def solve_capacity(
     The generalized model is built with one cut row per tool and its cut
     template, and solved by row generation over its cut rows; the others
     are solved in one HiGHS run: the alternative model by IPM with
-    crossover, the others by dual simplex.  `stats` count the full LP.
+    crossover, the others by dual simplex.  Either solve also gives
+    `_extract` the utilization rows' left-hand sides, rho left out.  `stats`
+    count the full LP.
     """
     t0 = time.perf_counter()
     if kind == "generalized":
@@ -640,9 +634,13 @@ def solve_capacity(
         # only; the generalized model is slower under it
         method = lp.IPM if kind == "alternative" else lp.SIMPLEX
         sol, rounds, row_lhs = lp.solve(model.problem, method), 1, None
+        if sol.status == lp.OPTIMAL:
+            no_rho = np.array(sol.x)
+            no_rho[model.rho_col] = 0.0
+            lhs = model.problem.matrix @ no_rho
+            row_lhs = [lhs[idx] for _, _, idx in model.util_rows]
     t2 = time.perf_counter()
-    ok = sol.status == lp.OPTIMAL
-    assignments, utilization = _extract(model, sol, row_lhs) if ok else ((), ())
+    assignments, utilization = _extract(model, sol, row_lhs) if sol.status == lp.OPTIMAL else ((), ())
     return CapacityResult(
         model=kind,
         status=sol.status,

@@ -277,6 +277,15 @@ def test_plan_load_adds_edge_times_in_edge_order(g3):
         check_plan_feasible(plan, x, g3)
 
 
+@pytest.mark.parametrize("where", ["all", "one"])
+def test_plan_with_nan_times_is_refused(where, g3):
+    """A NaN pairing time compares false both ways, so each check must be
+    written so that it fails on NaN."""
+    edge_time = [np.nan] * 6 if where == "all" else [0.0] * 5 + [np.nan]
+    with pytest.raises(DomainError, match="negative or NaN"):
+        check_plan_feasible(ParallelizationPlan(tuple(edge_time)), np.ones(7), g3)
+
+
 class TestFlowToPlan:
     def test_pair_and_single_fold_together(self, g3):
         x = x_vec(g3, AB=2, C=2)

@@ -210,12 +210,21 @@ def test_cut_block_matches_row_reference(case, matrices):
             assert rows[f"cut_t{ti}_k{k}"] == [*want, (built.rho_col, -1.0)]
 
 
+def full_lp_lhs(built, sol):
+    """The left-hand sides, rho left out, of each utilization entry's rows,
+    from the product of the whole LP matrix, as a single run gives them."""
+    x = np.array(sol.x)
+    x[built.rho_col] = 0.0
+    lhs = built.problem.matrix @ x
+    return [lhs[idx] for _, _, idx in built.util_rows]
+
+
 @pytest.mark.parametrize("kind,case", sorted(PINNED_LP))
 def test_utilization_matches_row_sums(kind, case, matrices):
     inst = PINNED_INSTANCES[case]()
     built = models.build_model(inst, kind, matrix=matrices[inst.chambers])
     sol = lp.solve(built.problem)
-    _, utilization = models._extract(built, sol)
+    _, utilization = models._extract(built, sol, full_lp_lhs(built, sol))
     rows = stored_rows(built.problem)
     want = [
         max(sum(v * sol.x[j] for j, v in rows[i] if j != built.rho_col) for i in idx)
@@ -334,6 +343,27 @@ class TestInstanceValidation:
         # raise TypeError, or (demand True) build a job of demand 1
         with pytest.raises(DomainError):
             one_tool_instance(2, jobs, quals, overrides)
+
+    @pytest.mark.parametrize(
+        "jobs,quals,overrides,field",
+        [
+            ([("j0", 10**400)], [("j0", [(0, 0.5)])], (), "demand"),
+            ([("j0", 1.0)], [("j0", [(0, 10**400)])], (), r"\(j0, t0\): rate"),
+            (
+                [("j0", 1.0)],
+                [("j0", [(0, 0.5)])],
+                (models.RateOverride("j0", "t0", "A", 10**400),),
+                "override 0 .*: rate",
+            ),
+        ],
+        ids=["demand", "chamber-rate", "override-rate"],
+    )
+    def test_int_too_large_for_a_float_rejected(self, jobs, quals, overrides, field):
+        # such an int passes `< inf`, and converting it in a solve raises OverflowError
+        with pytest.raises(DomainError, match=field):
+            one_tool_instance(2, jobs, quals, overrides)
+        edge = (models.RateOverride("j0", "t0", "A", 2**1023),) if overrides else ()
+        one_tool_instance(2, [("j0", 2**1023)], [("j0", [(0, 2**1023)])], edge)
 
     def test_structural_feasibility_flag(self):
         inst = models.Instance(
@@ -507,6 +537,31 @@ class TestRowGeneration:
         assert name not in started[0]
         assert len(started) == (1 if per_round == 0 else 2)
 
+    @pytest.mark.parametrize("per_round", [0, models.ROWS_PER_ROUND])
+    def test_first_broken_row_in_tool_order_is_named(self, per_round, matrices, monkeypatch):
+        """With cut rows broken on two tools, the error names tool 0's row,
+        though tool 1's has the lower k."""
+        inst = models.Instance(
+            "two", 3, ("t0", "t1"), (models.Job("j0", 6.0), models.Job("j1", 6.0)),
+            (models.Qualification("j0", "t0", ((0, 2.0),)),
+             models.Qualification("j1", "t1", ((2, 2.0),))),
+        )
+        built = build_generalized(inst, matrices[3])
+        x = np.array(lp.solve(built.problem).x)
+        x[built.rho_col] *= 0.75
+        gap = built.problem.matrix @ x - built.problem.rhs
+        broken = [built.problem.row_names[i] for i in np.flatnonzero(gap > 1e-8)]
+        assert broken == ["cut_t0_k4", "cut_t1_k1"]
+
+        def optimal_at_x(handle):
+            fun = sum(v * x[j] for j, v in handle.problem.objective)
+            return lp._Answer(lp.OPTIMAL, x, fun, np.zeros(handle.highs.getNumRow()), 0)
+
+        monkeypatch.setattr(lp, "_run", optimal_at_x)
+        monkeypatch.setattr(models, "ROWS_PER_ROUND", per_round)
+        with pytest.raises(LpSolverError, match="row cut_t0_k4 violated"):
+            solve_capacity(inst, "generalized", matrix=matrices[3])
+
     def test_single_runs_report_one_round(self, matrices):
         for kind in ("basic", "serial", "alternative"):
             res = solve_capacity(example1_instance(), kind, matrix=matrices[3])
@@ -559,6 +614,63 @@ def test_row_generation_adds_the_most_violated_rows(matrices, monkeypatch):
             assert len(mine) <= models.ROWS_PER_ROUND
             assert all(lhs[k] > rho + lp.TOL.feasibility for k in mine)
             assert [lhs[k] for k in mine] == sorted((lhs[k] for k in mine), reverse=True)
+
+
+def violated_by_tool(lhs, held, rho):
+    """Row generation's selection as a loop over tools, `_violated`'s
+    reference: per tool, the violated rows not yet held, most violated
+    first (a stable sort, so ties by k), at most ROWS_PER_ROUND of them."""
+    tools, ks = [], []
+    for ti, block in enumerate(lhs):
+        over = np.flatnonzero((block > rho + lp.TOL.feasibility) & ~held[ti])
+        worst = over[np.argsort(-block[over], kind="stable")[: models.ROWS_PER_ROUND]]
+        tools += [ti] * len(worst)
+        ks += worst.tolist()
+    return tools, ks
+
+
+class TestViolatedRows:
+    """`_violated` picks from the whole (tools, K) array the (tool, k) pairs
+    that the loop over tools picks, in the same order."""
+
+    TIES = [[1, 3, 3, 2, 3, 3, 0], [2, 2, 0, 2, 2, 2, 2]]
+    # added to rho: 1e-8 is the feasibility tolerance, not a violation
+    OFFSETS = np.array([-1.0, 0.0, 1e-8, 2e-8, 0.5, 1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "lhs,held,want",
+        [
+            (TIES, [], ([0] * 4 + [1] * 4, [1, 2, 4, 5, 0, 1, 3, 4])),
+            (TIES, [(0, 2), (1, 0)], ([0] * 4 + [1] * 4, [1, 4, 5, 3, 1, 3, 4, 5])),
+            ([[0, 1, 0], [0, 0, 0], [2, 0, 5]], [], ([0, 2, 2], [1, 2, 0])),
+            ([[0, 1e-8, -1], [0, 0, 0]], [], ([], [])),
+        ],
+        ids=["ties", "held", "fewer", "none"],
+    )
+    def test_pinned_arrays(self, lhs, held, want):
+        lhs = np.array(lhs, dtype=float)
+        mask = np.zeros(lhs.shape, dtype=bool)
+        for at in held:
+            mask[at] = True
+        got = [a.tolist() for a in models._violated(lhs, mask, 0.0)]
+        assert got == list(want) == list(violated_by_tool(lhs, mask, 0.0))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        per_round=st.sampled_from([0, 1, 2, models.ROWS_PER_ROUND, 9]),
+    )
+    @settings(max_examples=200)
+    def test_drawn_arrays(self, seed, per_round):
+        rng = np.random.default_rng(seed)
+        shape = rng.integers(1, 7), rng.integers(1, 30)
+        rho = rng.choice([0.0, 3.0, 330.0])
+        lhs = rho + self.OFFSETS[rng.integers(0, len(self.OFFSETS), shape)]  # ties aplenty
+        held = rng.random(shape) < rng.choice([0.0, 0.3, 0.9])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "ROWS_PER_ROUND", per_round)
+            tools, ks = models._violated(lhs, held, rho)
+            want = violated_by_tool(lhs, held, rho)
+        assert (tools.tolist(), ks.tolist()) == want
 
 
 VERIFY_N5 = {  # the verify-n5 benchmark instances
@@ -671,7 +783,9 @@ class TestCutRowsOnDemand:
         assert len(products) == len(full.util_rows)
         for got, (_, _, idx) in zip(products, full.util_rows):
             assert got.tobytes() == lhs[idx].tobytes()
-        assert models._extract(base, sol, products) == models._extract(full, sol)
+        assert models._extract(base, sol, products) == models._extract(
+            full, sol, full_lp_lhs(full, sol)
+        )
 
 
 class TestAlternativeModel:
