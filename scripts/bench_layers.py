@@ -26,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -41,6 +42,29 @@ def timed(fn, *args):
     t = time.perf_counter()
     out = fn(*args)
     return out, time.perf_counter() - t
+
+
+def traced_build(inst, kind, matrix) -> tuple[float, float]:
+    """The model `solve_capacity` builds for `kind` (for generalized, the
+    model with one cut row per tool): the tracemalloc size, in MB, that the
+    built model holds, and the traced peak of its build.  One untraced build
+    goes first, so that what a build leaves cached counts in neither."""
+    from clustercap import models
+
+    def build():
+        if kind == "generalized":
+            return models._generalized(inst, matrix, full=False)
+        return models.build_model(inst, kind, matrix)
+
+    build()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model = build()  # alive while the size it holds is read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (held - start) / 2**20, (peak - start) / 2**20
 
 
 def watch_highs() -> dict:
@@ -206,8 +230,11 @@ def solve(repeats):
     variants.  gen_rows reports the least build time `solve_capacity`
     itself records over its repeats, for that is the build it runs.  The
     other times are medians of the repeats, in s; counts repeat exactly.
-    Fails if rho of gen_rows differs from gen_full, or alt_ipm from
-    alt_simplex, by more than 1e-9 relative.
+    Per instance and model kind, model_mb is the tracemalloc size that the
+    model `solve_capacity` builds holds, and build_peak_mb the traced peak
+    of that build, both in MB (see `traced_build`).  Fails if rho of
+    gen_rows differs from gen_full, or alt_ipm from alt_simplex, by more
+    than 1e-9 relative.
     """
     from clustercap import cuts, instances, lp, models
 
@@ -256,8 +283,12 @@ def solve(repeats):
     }
     results = {}
     for name, inst in insts.items():
-        got = results[name] = {"build_s": build_s[name]}
-        print(name, "build_s", json.dumps(build_s[name]), flush=True)
+        got = results[name] = {"build_s": build_s[name], "model_mb": {}, "build_peak_mb": {}}
+        for kind in models.MODEL_KINDS:
+            held, peak = traced_build(inst, kind, matrix)
+            got["model_mb"][kind], got["build_peak_mb"][kind] = round(held, 3), round(peak, 3)
+        for key in ("build_s", "model_mb", "build_peak_mb"):
+            print(name, key, json.dumps(got[key]), flush=True)
         for variant, (kind, run) in variants.items():
             samples = []
             for _ in range(repeats):

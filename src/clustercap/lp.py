@@ -26,8 +26,10 @@ import importlib.util
 import os
 import re
 import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -122,6 +124,27 @@ class Csr:
         return Csr(indptr, self.indices[take], self.data[take], (len(rows), self.shape[1]))
 
 
+@dataclass(frozen=True)
+class Names:
+    """The names of a block of `count` columns or rows, as a rule: `make()`
+    returns them in order, and runs only when a problem's names are asked
+    for.  A rule must give distinct names that no other block gives; the
+    problem does not check them, but refuses a rule that makes other than
+    `count` names."""
+
+    count: int
+    make: Callable[[], Sequence[str]]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        names = self.make()
+        if len(names) != self.count:
+            raise DomainError(f"a name rule made {len(names)} of {self.count} names")
+        return iter(names)
+
+
 @dataclass(frozen=True, eq=False)
 class LpProblem:
     """Immutable sparse LP in general form.
@@ -129,70 +152,82 @@ class LpProblem:
     Column j is named `col_names[j]` and reads `lower[j] <= x_j <= upper[j]`,
     -inf and inf meaning no bound.  Row i is named `row_names[i]` and reads
     `matrix[i] x  senses[i]  rhs[i]`; `matrix` is a `Csr` with each row's
-    entries in the order they were given.  The bounds, `rhs` and the
-    matrix's arrays are made read-only, so a handle's copy of the row bounds
-    and the matrix it certifies against cannot drift apart.  The objective
-    is (variable index, value) pairs.
+    entries in the order they were given.  The names come in blocks,
+    `col_blocks` and `row_blocks`, each a sequence of names or a `Names`
+    rule; `col_names` and `row_names` are made from them on first access.
+    The bounds, `rhs` and the matrix's arrays are made read-only, so a
+    handle's copy of the row bounds and the matrix it certifies against
+    cannot drift apart.  The objective is (variable index, value) pairs.
     Indices must be in range and unique within a row and within the
-    objective, all names unique, and every bound interval must hold a number.
-    A right-hand side is a number, or inf on a <= row and -inf on a >= row,
-    where the row then holds at every x.
+    objective, the names given one by one unique, and every bound interval
+    must hold a number.  A right-hand side is a number, or inf on a <= row
+    and -inf on a >= row, where the row then holds at every x.
     """
 
     name: str
     sense: str
     objective: tuple[tuple[int, float], ...]
-    col_names: tuple[str, ...]
+    col_blocks: tuple
     lower: np.ndarray
     upper: np.ndarray
-    row_names: tuple[str, ...]
+    row_blocks: tuple
     senses: tuple[str, ...]
     rhs: np.ndarray
     matrix: Csr
 
+    @cached_property
+    def col_names(self) -> tuple[str, ...]:
+        return tuple(chain.from_iterable(self.col_blocks))
+
+    @cached_property
+    def row_names(self) -> tuple[str, ...]:
+        return tuple(chain.from_iterable(self.row_blocks))
+
     def __post_init__(self):
         if self.sense not in (MINIMIZE, MAXIMIZE):
             raise DomainError(f"objective sense {self.sense!r}")
-        nvar = len(self.col_names)
+        nvar = sum(map(len, self.col_blocks))
         lo, hi = self.lower, self.upper
         if not lo.shape == hi.shape == (nvar,):
             raise DomainError(f"columns need {nvar} lower and upper bounds")
         bad = np.flatnonzero(~((lo <= hi) & (lo < np.inf) & (hi > -np.inf)))  # NaN fails too
         if bad.size:
             raise DomainError(f"variable {self.col_names[bad[0]]!r} has empty bound interval")
-        m, a, row_names, rhs = len(self.row_names), self.matrix, self.row_names, self.rhs
+        m, a, rhs = sum(map(len, self.row_blocks)), self.matrix, self.rhs
         if not len(self.senses) == len(rhs) == m or not isinstance(a, Csr):
             raise DomainError(f"rows need {m} senses, right-hand sides and CSR matrix rows")
         for array in (lo, hi, rhs, a.indptr, a.indices, a.data):
             array.flags.writeable = False
         if a.shape != (m, nvar):
             raise DomainError(f"constraint matrix is {a.shape}, expected {(m, nvar)}")
-        names = self.col_names + row_names
-        if len(set(names)) != len(names):
-            seen = set()
-            for k, name in enumerate(names):
-                if name in seen:
-                    kind = "variable" if k < nvar else "constraint"
-                    raise DomainError(f"duplicate {kind} name {name!r}")
-                seen.add(name)
+        cols, rows = (
+            [name for b in blocks if not isinstance(b, Names) for name in b]
+            for blocks in (self.col_blocks, self.row_blocks)
+        )
+        seen = set()
+        for k, name in enumerate(cols + rows):
+            if name in seen:
+                kind = "variable" if k < len(cols) else "constraint"
+                raise DomainError(f"duplicate {kind} name {name!r}")
+            seen.add(name)
         bad = set(self.senses).difference(_SENSES)
         if bad:
             raise DomainError(f"constraint sense {bad.pop()!r}")
         for i in np.flatnonzero(~np.isfinite(rhs)).tolist():  # NaN, or inf as "no bound"
             s, r = self.senses[i], rhs[i]
             if (s, r) not in ((LE, np.inf), (GE, -np.inf)):
-                raise DomainError(f"constraint {row_names[i]!r} has right-hand side {s} {r}")
+                raise DomainError(f"constraint {self.row_names[i]!r} has right-hand side {s} {r}")
         rows = a.entry_rows
         bad = np.flatnonzero((a.indices < 0) | (a.indices >= nvar))
         if bad.size:
             i, j = rows[bad[0]], a.indices[bad[0]]
-            raise DomainError(f"constraint {row_names[i]!r}: index {j} out of range")
+            raise DomainError(f"constraint {self.row_names[i]!r}: index {j} out of range")
         key = rows * nvar + a.indices  # (row, column) of each entry, as one number
         key.sort(kind="stable")  # a merge sort, which the rising runs of columns speed up
         dup = np.flatnonzero(key[1:] == key[:-1])
         if dup.size:
             i, j = divmod(int(key[dup[0]]), nvar)
-            raise DomainError(f"constraint {row_names[i]!r}: duplicate index {j}")
+            raise DomainError(f"constraint {self.row_names[i]!r}: duplicate index {j}")
         seen = set()
         for j, _ in self.objective:
             if not 0 <= j < nvar:
@@ -226,13 +261,15 @@ class LpBuilder:
 
     Columns and rows enter in array blocks (`add_cols`, `add_rows`);
     `add_var` adds a block of one column and `add_constraint` one of one row.
+    A block's names are a sequence of names, or a `Names` rule that makes
+    them only when the problem's names are asked for.
     """
 
     def __init__(self, name: str, sense: str = MINIMIZE):
         self.name = name
         self.sense = sense
         self._obj: list[tuple[int, float]] = []
-        self._col_names, self._col_blocks = [], []
+        self._col_names, self._bounds, self._ncols = [], [], 0
         self._names, self._senses, self._blocks = [], [], []
 
     def add_var(self, name: str, lower: float = 0.0, upper: float | None = None) -> int:
@@ -240,12 +277,14 @@ class LpBuilder:
 
     def add_cols(self, names, lower=0.0, upper=np.inf) -> range:
         """Columns `names[j]`, each bound one value or one per column; returns their indices."""
-        n, start = len(names), len(self._col_names)
+        names = names if isinstance(names, Names) else tuple(names)
+        n, start = len(names), self._ncols
         bounds = np.asarray(lower, float), np.asarray(upper, float)
         if any(b.shape not in ((), (n,)) for b in bounds):
-            raise DomainError(f"column block {names[:1]}: bounds for {n} columns expected")
-        self._col_names.extend(names)
-        self._col_blocks.append([np.full(n, b) for b in bounds])
+            raise DomainError(f"column block {[*names][:1]}: bounds for {n} columns expected")
+        self._col_names.append(names)
+        self._bounds.append([np.full(n, b) for b in bounds])
+        self._ncols += n
         return range(start, start + n)
 
     def add_constraint(self, name, coeffs, sense, rhs) -> int:
@@ -263,23 +302,24 @@ class LpBuilder:
         cols = np.asarray(cols, np.int64)
         vals = np.asarray(vals, float)
         rhs = np.asarray(rhs, float)
+        names = names if isinstance(names, Names) else tuple(names)
         m = len(names)
         bad = counts.shape != (m,) or counts.min(initial=0) < 0
         if bad or not counts.sum() == len(cols) == len(vals):
-            raise DomainError(f"row block {names[:1]}: counts, columns and values disagree")
+            raise DomainError(f"row block {[*names][:1]}: counts, columns and values disagree")
         if rhs.shape not in ((), (m,)):
-            raise DomainError(f"row block {names[:1]}: {rhs.size} right-hand sides for {m} rows")
-        start = len(self._names)
-        self._names.extend(names)
+            raise DomainError(f"row block {[*names][:1]}: {rhs.size} right-hand sides for {m} rows")
+        start = len(self._senses)
+        self._names.append(names)
         self._senses.extend([sense] * m)
         self._blocks.append((counts, cols, vals, np.full(m, rhs)))
-        return range(start, len(self._names))
+        return range(start, len(self._senses))
 
     def set_objective(self, coeffs):
         self._obj = list(coeffs)
 
     def problem(self) -> LpProblem:
-        lower, upper = (np.concatenate(parts) for parts in zip(([], []), *self._col_blocks))
+        lower, upper = (np.concatenate(parts) for parts in zip(([], []), *self._bounds))
         empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0))
         counts, cols, vals, rhs = (np.concatenate(parts) for parts in zip(empty, *self._blocks))
         indptr = np.concatenate(([0], np.cumsum(counts)))
@@ -287,10 +327,10 @@ class LpBuilder:
             name=self.name,
             sense=self.sense,
             objective=tuple(self._obj),
-            col_names=tuple(self._col_names),
+            col_blocks=tuple(self._col_names),
             lower=lower,
             upper=upper,
-            row_names=tuple(self._names),
+            row_blocks=tuple(self._names),
             senses=tuple(self._senses),
             rhs=rhs,
             matrix=Csr(indptr, cols, vals, (len(rhs), len(lower))),
@@ -299,7 +339,7 @@ class LpBuilder:
 
 def size_stats(p: LpProblem) -> SizeStats:
     """Row/column/nonzero counts of the constraint matrix."""
-    return SizeStats(rows=p.matrix.shape[0], columns=len(p.col_names), nonzeros=p.matrix.nnz)
+    return SizeStats(rows=p.matrix.shape[0], columns=len(p.lower), nonzeros=p.matrix.nnz)
 
 
 SIMPLEX, IPM = "simplex", "ipm"
@@ -378,7 +418,7 @@ class Handle:
         for key, value in {**_OPTIONS, **_METHODS[method]}.items():
             if h.setOptionValue(key, value) != _highspy.HighsStatus.kOk:
                 raise DomainError(f"HiGHS option {key}={value!r}")
-        n = len(p.col_names)
+        n = len(p.lower)
         self.cost = np.zeros(n)
         for j, v in p.objective:
             self.cost[j] = v
@@ -410,7 +450,7 @@ class Handle:
         upper bound per row."""
         m, n = block.shape
         name = self.problem.name
-        if n != len(self.problem.col_names):
+        if n != len(self.problem.lower):
             raise DomainError(f"{name}: added rows over {n} columns")
         lower, upper = (np.asarray(b, dtype=float) for b in (lower, upper))
         if not lower.shape == upper.shape == (m,):

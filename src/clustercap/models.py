@@ -25,6 +25,7 @@ import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,6 +167,18 @@ def derive_recipe_rate(inst: Instance, job: str, tool: str, recipe: str) -> floa
     return _rate_table(inst)[list(inst.pair_rates).index((job, tool)), mask].item()
 
 
+def _chamber_rates(inst: Instance) -> np.ndarray:
+    """Each qualified pair's chamber base rates, one row per pair in
+    `pair_rates` order, one column per chamber; 0.0 where it is not
+    qualified."""
+    n, pairs = inst.chambers, inst.pair_rates
+    return np.fromiter(
+        (pair.chamber_rates.get(c, 0.0) for pair in pairs.values() for c in range(n)),
+        float,
+        len(pairs) * n,
+    ).reshape(len(pairs), n)
+
+
 def _rate_table(inst: Instance) -> np.ndarray:
     """Each qualified pair's recipe rates, one row per pair in `pair_rates`
     order, indexed by recipe mask.  A recipe's pinned rate wins; by default
@@ -175,11 +188,7 @@ def _rate_table(inst: Instance) -> np.ndarray:
     one chamber at a time: an absent chamber adds 0.0, which changes no
     sum.  Entries of masks outside a pair's chambers are not rates."""
     n, pairs = inst.chambers, inst.pair_rates
-    rates = np.fromiter(
-        (pair.chamber_rates.get(c, 0.0) for pair in pairs.values() for c in range(n)),
-        float,
-        len(pairs) * n,
-    ).reshape(len(pairs), n)
+    rates = _chamber_rates(inst)
     member = np.arange(1 << n)[:, None] >> np.arange(n) & 1  # mask, chamber
     table = np.zeros((len(pairs), 1 << n))
     for c in range(n):
@@ -190,28 +199,42 @@ def _rate_table(inst: Instance) -> np.ndarray:
     return table
 
 
+class TimeColumns(NamedTuple):
+    """A model's time columns, one entry per column: entry i is LP column
+    1 + i (rho is column 0).  It runs the recipe of mask `recipe[i]` on the
+    qualified pair `pair[i]`, an index into `keys`, the (job, tool) of each
+    pair in `Instance.pair_rates` order, at `rate[i]` wafers per time
+    unit."""
+
+    keys: tuple[tuple[str, str], ...]
+    pair: np.ndarray
+    recipe: np.ndarray
+    rate: np.ndarray
+
+
 @dataclass(frozen=True)
 class BuiltModel:
     """A built LP plus what result extraction reads back from it.
 
-    `x_cols` maps (job, tool, recipe) to its time column and `rates` to that
-    column's wafers per time unit.  `util_rows` holds one (tool, row_kind,
-    row range) entry per reported utilization: the model's own
-    `... - rho <= 0` rows, whose largest left-hand side is the entry's value.
+    `x_cols` is the table of the time columns (see `TimeColumns`).  The
+    `generalized` and `alternative` models set `aggs`, each tool's first
+    aggregate column: tool ti's aggregate of recipe slot s, the graph's
+    recipe s, is column aggs[ti] + s.  `util_rows` holds one (tool,
+    row_kind, row range) entry per reported utilization: the model's own
+    `... - rho <= 0` rows, whose largest left-hand side is the entry's
+    value.
 
     A generalized model built for row generation sets `template`, the cut
-    template (see `_cut_template`), and `aggs`, each tool's first aggregate
-    column.  Its `problem` then holds of each tool's cut rows only the seed
-    row, which `util_rows` names; the others are built on demand, as rows
-    of the template placed by `_place`.  `stats` always count the full LP.
+    template (see `_cut_template`).  Its `problem` then holds of each tool's
+    cut rows only the seed row, which `util_rows` names; the others are
+    built on demand, as rows of the template placed by `_place`.  `stats`
+    always count the full LP.
     """
 
     kind: str
     problem: lp.LpProblem
     rho_col: int
-    x_cols: dict
-    agg_cols: dict
-    rates: dict
+    x_cols: TimeColumns
     util_rows: tuple
     stats: lp.SizeStats
     template: lp.Csr | None = None
@@ -260,82 +283,98 @@ class CapacityResult:
 MODEL_KINDS = ("basic", "serial", "generalized", "alternative")
 
 
-def _time_columns(inst: Instance, kind: str, recipes):
-    """A model's LP so far: rho (column 0), one time column per (job, tool,
-    recipe) for each qualified pair, jobs outer and tools inner, and the
-    demand rows.  `recipes(key, pair)` lists the recipes of the pair `key`,
-    (job, tool), whose `PairRates` is `pair`, as (label, column name suffix,
-    rate).  Demand row j holds job j's time columns, each at its rate, and
-    equals the job's demand.  Returns the builder, the time
-    columns by (job, tool, recipe) and their rates."""
+def _time_columns(inst: Instance, kind: str, rates: np.ndarray, slots=None):
+    """A model's LP so far: rho (column 0), the time columns and the demand
+    rows.  Without `slots`, each qualified pair p (in `pair_rates` order)
+    has one time column, running its own chamber set at `rates[p]`, named
+    `x_j{j}_t{t}` for job j and tool t.  Given the graph's recipe masks
+    `slots`, it has one per slot s inside its chamber set, at `rates[p, s]`,
+    named `x_j{j}_t{t}_{recipe label}`.  The columns run jobs outer and
+    tools inner, each pair's recipes in slot order.  Demand row j holds job
+    j's time columns, each at its rate, and equals the job's demand.
+    Returns the builder, the time columns' table, and each time column's
+    tool index and slot (0 without `slots`)."""
     missing = inst.unqualified_jobs()
     if missing:
         raise StructurallyInfeasibleError(f"jobs without any qualification: {', '.join(missing)}")
+    keys = tuple(inst.pair_rates)
+    job_index = {job.id: ji for ji, job in enumerate(inst.jobs)}
+    tool_index = {tool: ti for ti, tool in enumerate(inst.tools)}
+    pair_job = np.array([job_index[job] for job, _ in keys], np.int64)
+    pair_tool = np.array([tool_index[tool] for _, tool in keys], np.int64)
+    masks = np.array([pair.mask for pair in inst.pair_rates.values()], np.int64)[:, None]
+    if slots is None:
+        recipes, rates = masks, rates[:, None]
+    else:
+        recipes = np.where(slots & ~masks == 0, slots, 0)  # 0: no recipe
+    order = np.lexsort((pair_tool, pair_job))
+    at, slot = np.nonzero(recipes[order] != 0)
+    pair = order[at]
+    table = TimeColumns(keys, pair, recipes[pair, slot], rates[pair, slot])
+    tags = ["" if slots is None else "_" + label_for_mask(m) for m in range(1 << inst.chambers)]
+
+    def names():
+        jobs, tools = pair_job[pair].tolist(), pair_tool[pair].tolist()
+        return [f"x_j{j}_t{t}{tags[r]}" for j, t, r in zip(jobs, tools, table.recipe.tolist())]
+
     build = lp.LpBuilder(f"{kind}[{inst.name}]", lp.MINIMIZE)
     build.set_objective([(build.add_var("rho"), 1.0)])
-    rates, names, counts = {}, [], []
-    for ji, job in enumerate(inst.jobs):
-        first = len(names)
-        for ti, tool in enumerate(inst.tools):
-            pair = inst.pair_rates.get((job.id, tool))
-            for label, suffix, rate in recipes((job.id, tool), pair) if pair else ():
-                rates[(job.id, tool, label)] = rate
-                names.append(f"x_j{ji}_t{ti}{suffix}")
-        counts.append(len(names) - first)
-    cols = build.add_cols(names)
-    names = [f"dem_j{ji}" for ji in range(len(inst.jobs))]
+    cols = build.add_cols(lp.Names(len(pair), names))
+    counts = np.bincount(pair_job[pair], minlength=len(inst.jobs))
+    dem_names = [f"dem_j{ji}" for ji in range(len(inst.jobs))]
     demands = [job.demand for job in inst.jobs]
-    build.add_rows(names, counts, cols, list(rates.values()), lp.EQ, demands)
-    return build, dict(zip(rates, cols)), rates
+    build.add_rows(dem_names, counts, cols, table.rate, lp.EQ, demands)
+    return build, table, pair_tool[pair], slot
+
+
+def _tool_names(prefix: str, ti: int, parts) -> lp.Names:
+    """The names `{prefix}_t{ti}_{part}` of a block of tool ti, one per part."""
+    return lp.Names(len(parts), lambda: [f"{prefix}_t{ti}_{part}" for part in parts])
 
 
 def _rho_rows(build: lp.LpBuilder, rows) -> list:
     """One block of rows `columns . values - rho <= 0` from (tool, row kind,
     name, columns, values); returns each row's utilization entry."""
+    if not rows:  # an instance without tools
+        return []
     tools, kinds, names, cols, vals = zip(*rows)
     counts = [len(c) + 1 for c in cols]
-    flat_cols = [j for c in cols for j in (*c, 0)]
-    flat_vals = [v for vs in vals for v in (*vs, -1.0)]
+    flat_cols = np.concatenate([part for c in cols for part in (c, [0])])
+    flat_vals = np.concatenate([part for v in vals for part in (v, [-1.0])])
     idx = build.add_rows(names, counts, flat_cols, flat_vals, lp.LE, 0.0)
     return [(tool, kind, range(i, i + 1)) for tool, kind, i in zip(tools, kinds, idx)]
 
 
-def _finish(kind, build, x_cols, agg_cols, rates, util_rows) -> BuiltModel:
+def _finish(kind, build, table, util_rows, aggs=()) -> BuiltModel:
     problem = build.problem()
     return BuiltModel(
-        kind, problem, 0, x_cols, agg_cols, rates, tuple(util_rows), lp.size_stats(problem)
+        kind, problem, 0, table, tuple(util_rows), lp.size_stats(problem), aggs=tuple(aggs)
     )
 
 
-def _time_model(inst: Instance, kind: str, pair_rate, per_chamber=False) -> BuiltModel:
+def _time_model(inst: Instance, kind: str, rate: np.ndarray, chamber=None) -> BuiltModel:
     """Core of `basic` and `serial`.
 
     One time column per qualified (job, tool) pair, running the full
-    qualified recipe at `pair_rate(key, pair)` (the arguments of `recipes`
-    in `_time_columns`); the demand rows; then one block holding, per tool,
-    a load row over the tool's time columns and, with `per_chamber`, a row
-    per chamber that a pair of the tool qualifies, each column at its rate
-    over the chamber's.
+    qualified recipe at `rate[p]` for pair p in `pair_rates` order; the
+    demand rows; then one block holding, per tool, a load row over the
+    tool's time columns and, given the pairs' `chamber` rates (see
+    `_chamber_rates`), a row per chamber that a pair of the tool qualifies,
+    each column at its rate over the chamber's.
     """
-    build, x_cols, rates = _time_columns(
-        inst,
-        kind,
-        lambda key, pair: [(label_for_mask(pair.mask), "", pair_rate(key, pair))],
-    )
-    by_tool = {tool: [] for tool in inst.tools}
-    for key in x_cols:
-        by_tool[key[1]].append(key)
+    build, table, col_tool, _ = _time_columns(inst, kind, rate)
+    chamber = np.zeros((len(table.pair), 0)) if chamber is None else chamber[table.pair]
     rows = []
     for ti, tool in enumerate(inst.tools):
-        pairs = [(x_cols[k], rates[k], inst.pair_rates[k[:2]].chamber_rates) for k in by_tool[tool]]
-        cols = [col for col, _, _ in pairs]
-        rows.append((tool, "total_time", f"load_t{ti}", cols, [1.0] * len(cols)))
-        for c in range(inst.chambers if per_chamber else 0):
-            terms = [(col, rate / chamber[c]) for col, rate, chamber in pairs if c in chamber]
-            if terms:
+        mine = np.flatnonzero(col_tool == ti)
+        rows.append((tool, "total_time", f"load_t{ti}", 1 + mine, np.ones(len(mine))))
+        for c in range(chamber.shape[1]):
+            on = mine[chamber[mine, c] > 0.0]
+            if on.size:
                 letter = chamber_letter(c)
-                rows.append((tool, f"chamber_{letter}", f"cham_t{ti}_{letter}", *zip(*terms)))
-    return _finish(kind, build, x_cols, {}, rates, _rho_rows(build, rows))
+                terms = 1 + on, table.rate[on] / chamber[on, c]
+                rows.append((tool, f"chamber_{letter}", f"cham_t{ti}_{letter}", *terms))
+    return _finish(kind, build, table, _rho_rows(build, rows))
 
 
 def build_basic(inst: Instance) -> BuiltModel:
@@ -345,9 +384,7 @@ def build_basic(inst: Instance) -> BuiltModel:
     rho caps every tool's total committed time.
     """
     masks = [pair.mask for pair in inst.pair_rates.values()]
-    full = _rate_table(inst)[np.arange(len(masks)), masks]
-    rates = dict(zip(inst.pair_rates, full.tolist()))
-    return _time_model(inst, "basic", lambda key, pair: rates[key])
+    return _time_model(inst, "basic", _rate_table(inst)[np.arange(len(masks)), masks])
 
 
 def build_serial(inst: Instance) -> BuiltModel:
@@ -357,7 +394,8 @@ def build_serial(inst: Instance) -> BuiltModel:
     row u_{i,v} = sum_j x_{ji} mu_{ji} / mu_{j,(i,v)} <= rho: the wafers sent
     to the tool occupy every chamber for that chamber's own service time.
     """
-    return _time_model(inst, "serial", lambda key, pair: min(pair.chamber_rates.values()), True)
+    rates = _chamber_rates(inst)
+    return _time_model(inst, "serial", np.where(rates > 0.0, rates, np.inf).min(1), rates)
 
 
 def _recipe_model(inst: Instance, kind: str, g: ParallelGraph, tool_rows) -> BuiltModel:
@@ -366,31 +404,28 @@ def _recipe_model(inst: Instance, kind: str, g: ParallelGraph, tool_rows) -> Bui
     One time column per qualification-set triple (job, tool, recipe), the
     recipes taken in graph order; the demand rows; then per tool one
     aggregate column per recipe, one block of balance rows (aggregate = sum
-    of its time columns), and `tool_rows(build, ti, tool, agg)`.  Given the
-    tool's first aggregate column, it adds the tool's other columns and rows
-    and returns their utilization entries.
+    of its time columns, in column order), and `tool_rows(build, ti, tool,
+    agg)`.  Given the tool's first aggregate column, it adds the tool's
+    other columns and rows and returns their utilization entries.  The
+    balance rows come from the time columns sorted by tool, then recipe
+    slot: each row is the slot's aggregate, then its group.
     """
-    table = dict(zip(inst.pair_rates, _rate_table(inst).tolist()))
-
-    def recipes(key, pair):
-        rate = table[key]
-        return [(r.label, "_" + r.label, rate[r.mask]) for r in g.recipes if r.mask & ~pair.mask == 0]
-
-    build, x_cols, rates = _time_columns(inst, kind, recipes)
-    members = {}  # (tool, recipe) -> its time columns, in column order
-    for (_, tool, label), col in x_cols.items():
-        members.setdefault((tool, label), []).append(col)
-    agg_cols, util_rows = {}, []
-    for ti, tool in enumerate(inst.tools):
-        aggs = build.add_cols([f"agg_t{ti}_{label}" for label in g.labels])
-        agg_cols.update(((tool, label), agg) for label, agg in zip(g.labels, aggs))
-        parts = [members.get((tool, label), []) for label in g.labels]
-        cols = [j for agg, part in zip(aggs, parts) for j in (agg, *part)]
-        vals = [v for part in parts for v in (1.0, *(-1.0 for _ in part))]
-        names = [f"bal_t{ti}_{label}" for label in g.labels]
-        build.add_rows(names, [1 + len(part) for part in parts], cols, vals, lp.EQ, 0.0)
-        util_rows += tool_rows(build, ti, tool, aggs.start)
-    return _finish(kind, build, x_cols, agg_cols, rates, util_rows)
+    slots = np.array([r.mask for r in g.recipes])
+    build, table, col_tool, col_slot = _time_columns(inst, kind, _rate_table(inst)[:, slots], slots)
+    grouped = 1 + np.lexsort((col_slot, col_tool))  # stable: each group in column order
+    sizes = np.bincount(col_tool * len(slots) + col_slot, minlength=len(inst.tools) * len(slots))
+    sizes = sizes.reshape(len(inst.tools), len(slots))
+    groups = np.split(grouped, np.cumsum(sizes.sum(axis=1))[:-1])  # per tool
+    aggs, util_rows = [], []
+    for ti, (tool, group) in enumerate(zip(inst.tools, groups)):
+        agg = build.add_cols(_tool_names("agg", ti, g.labels)).start
+        at = np.cumsum(sizes[ti]) - sizes[ti]  # where each slot's group starts
+        cols = np.insert(group, at, agg + np.arange(len(slots)))
+        vals = np.insert(np.full(len(group), -1.0), at, 1.0)
+        build.add_rows(_tool_names("bal", ti, g.labels), 1 + sizes[ti], cols, vals, lp.EQ, 0.0)
+        aggs.append(agg)
+        util_rows += tool_rows(build, ti, tool, agg)
+    return _finish(kind, build, table, util_rows, aggs)
 
 
 def _cut_template(matrix: CutMatrix) -> lp.Csr:
@@ -440,13 +475,12 @@ def _generalized(inst: Instance, matrix: CutMatrix, full: bool) -> BuiltModel:
     ks = range(n_cuts) if full else [seed]
     local = template[ks]
     counts = np.diff(local.indptr)
-    aggs = []
+    parts = [f"k{k}" for k in ks]
 
     def cut_rows(build: lp.LpBuilder, ti: int, tool: str, agg: int):
-        aggs.append(agg)
         # the aggregates of tool ti are the last columns built so far
         rows = _place(local, agg, agg + len(g.labels))
-        names = [f"cut_t{ti}_k{k}" for k in ks]
+        names = _tool_names("cut", ti, parts)
         added = build.add_rows(names, counts, rows.indices, rows.data, lp.LE, 0.0)
         return [(tool, "cut_max", added)]
 
@@ -454,13 +488,13 @@ def _generalized(inst: Instance, matrix: CutMatrix, full: bool) -> BuiltModel:
     if full:
         return model
     # counted from the base LP (the model without its seed rows) and the template
-    tools, seed_nnz = len(aggs), int(template.indptr[seed + 1] - template.indptr[seed])
+    tools, seed_nnz = len(model.aggs), int(template.indptr[seed + 1] - template.indptr[seed])
     base_rows = model.stats.rows - tools
     base_nnz = model.stats.nonzeros - tools * seed_nnz
     stats = lp.SizeStats(
         base_rows + tools * n_cuts, model.stats.columns, base_nnz + tools * template.nnz
     )
-    return replace(model, stats=stats, template=template, aggs=tuple(aggs))
+    return replace(model, stats=stats, template=template)
 
 
 def build_generalized(inst: Instance, matrix: CutMatrix) -> BuiltModel:
@@ -495,10 +529,11 @@ def build_alternative(inst: Instance) -> BuiltModel:
     )
     par_vals = np.array([v for inc in incident for v in (*(1.0 for _ in inc), -1.0)])
     mk_vals = [1.0] * n_rec + [-1.0] * n_edges
+    edges = [f"{labels[i]}_{labels[j]}" for i, j in g.edges]
 
     def pairing_rows(build: lp.LpBuilder, ti: int, tool: str, agg: int):
-        build.add_cols([f"pair_t{ti}_{labels[i]}_{labels[j]}" for i, j in g.edges])
-        names = [f"par_t{ti}_{label}" for label in labels]
+        build.add_cols(_tool_names("pair", ti, edges))
+        names = _tool_names("par", ti, labels)
         build.add_rows(names, par_counts, agg + par_cols, par_vals, lp.LE, 0.0)
         mk_cols = range(agg, agg + n_rec + n_edges)  # the aggregates, then the pairings
         return _rho_rows(build, [(tool, "makespan", f"mk_t{ti}", mk_cols, mk_vals)])
@@ -526,13 +561,17 @@ def build_model(
 
 
 def _extract(model: BuiltModel, sol: lp.LpSolution, row_lhs) -> tuple:
-    """The assignments with x > 1e-9, and utilization entry i: the largest
-    of `row_lhs[i]`, its rows' left-hand sides (rho left out)."""
-    x = sol.x
+    """The assignments of the time columns with x > 1e-9, in column order,
+    and utilization entry i: the largest of `row_lhs[i]`, its rows'
+    left-hand sides (rho left out).  Every field is a plain str or float."""
+    table = model.x_cols
+    x = np.array(sol.x[1 : 1 + len(table.rate)])
+    on = np.flatnonzero(x > 1e-9)
+    times = x[on]
+    picked = zip(table.pair[on].tolist(), table.recipe[on].tolist())
     assignments = tuple(
-        Assignment(job, tool, recipe, x[col], x[col] * model.rates[(job, tool, recipe)])
-        for (job, tool, recipe), col in model.x_cols.items()
-        if x[col] > 1e-9
+        Assignment(*table.keys[p], label_for_mask(r), time, wafers)
+        for (p, r), time, wafers in zip(picked, times.tolist(), (times * table.rate[on]).tolist())
     )
     utilization = tuple(
         UtilizationEntry(tool, row_kind, float(values.max()))

@@ -455,6 +455,35 @@ def test_column_blocks_and_single_columns_keep_their_order():
         p.upper[0] = 5.0
 
 
+def test_name_rules_run_only_when_the_names_are_asked_for():
+    runs = []
+
+    def rule():
+        runs.append(1)
+        return ["b", "c"]
+
+    build = lp.LpBuilder("rules")
+    build.add_var("a")
+    assert build.add_cols(lp.Names(2, rule)) == range(1, 3)
+    build.add_rows(lp.Names(1, lambda: ["r"]), [3], [0, 1, 2], [1.0, 2.0, 3.0], lp.GE, 6.0)
+    build.add_constraint("s", [(2, 1.0)], lp.LE, 1.0)
+    p = build.problem()
+    assert lp.solve(p).status == lp.OPTIMAL and lp.size_stats(p) == lp.SizeStats(2, 3, 4)
+    assert not runs
+    assert (p.col_names, p.row_names) == (("a", "b", "c"), ("r", "s"))
+    assert p.col_names is p.col_names and runs == [1]
+
+
+def test_a_rule_that_makes_another_count_of_names_is_refused():
+    build = lp.LpBuilder("rules")
+    build.add_cols(lp.Names(2, lambda: ["x"]))
+    p = build.problem()
+    with pytest.raises(DomainError, match="a name rule made 1 of 2 names"):
+        p.col_names
+    with pytest.raises(DomainError, match=r"column block \['x'\]: bounds for 2 columns"):
+        build.add_cols(lp.Names(2, lambda: ["x", "y"]), lower=[0.0])
+
+
 def test_problem_arrays_are_read_only():
     """What a handle copies (the right-hand sides) and what `certify` reads
     (the matrix) cannot drift apart: a write to any array of the problem

@@ -12,6 +12,7 @@ from clustercap import (
     build_alternative,
     build_basic,
     build_generalized,
+    build_parallel_graph,
     build_serial,
     derive_recipe_rate,
     export_lp_text,
@@ -32,6 +33,7 @@ from clustercap.errors import (
 from clustercap.instances import SHAPES
 
 from conftest import example1_instance, random_instance
+from model_oracles import reference_columns, table_columns
 
 
 def one_tool_instance(chambers, jobs, quals, overrides=(), name="inst"):
@@ -112,9 +114,13 @@ PINNED_LP = {
 def test_lp_text_is_pinned(kind, case, matrices):
     inst = PINNED_INSTANCES[case]()
     built = models.build_model(inst, kind, matrix=matrices[inst.chambers])
-    digest = hashlib.sha256(export_lp_text(built.problem).encode()).hexdigest()[:16]
+    problem = built.problem
+    assert not {"col_names", "row_names"} & set(vars(problem))  # made only when asked
+    digest = hashlib.sha256(export_lp_text(problem).encode()).hexdigest()[:16]
     stats = built.stats
     assert (digest, stats.rows, stats.columns, stats.nonzeros) == PINNED_LP[(kind, case)]
+    names = problem.col_names + problem.row_names
+    assert len(set(names)) == len(names)
 
 
 @pytest.mark.parametrize("kind,case", sorted(PINNED_LP))
@@ -178,7 +184,69 @@ def test_builder_rates_match_letter_reference(kind, matrices):
     assert sum(bool(inst.rate_overrides) for inst in cases) >= 8
     for inst in cases:
         built = models.build_model(inst, kind, matrix=matrices[inst.chambers])
-        assert built.rates == reference_rates(inst, kind)
+        assert table_columns(built)[1] == reference_rates(inst, kind)
+
+
+def drawn_instances(count=30):
+    """Instances from `random_instance` with rate overrides, n = 3, 4, 5 in turn."""
+    rng = np.random.default_rng(2026)
+    return [random_instance(rng, 3 + k % 3, overrides=True) for k in range(count)]
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_column_table_matches_the_per_column_build(kind, matrices, cuts5):
+    """The column table holds the columns, rates and names that the build
+    of one column at a time gives, in its order, and the demand and
+    balance rows hold their columns in that order."""
+    for inst in [make() for make in PINNED_INSTANCES.values()] + drawn_instances():
+        matrix = cuts5[0] if inst.chambers == 5 else matrices[inst.chambers]
+        built = models.build_model(inst, kind, matrix=matrix)
+        cols, rates, names = reference_columns(inst, kind)
+        assert table_columns(built) == (cols, rates)
+        assert built.problem.col_names[1 : 1 + len(names)] == tuple(names)
+        demand, balance = {}, {}
+        for (job, tool, label), col in cols.items():
+            demand.setdefault(job, []).append((col, rates[(job, tool, label)]))
+            balance.setdefault((tool, label), []).append((col, -1.0))
+        rows = dict(zip(built.problem.row_names, stored_rows(built.problem)))
+        for ji, job in enumerate(inst.jobs):
+            assert rows[f"dem_j{ji}"] == demand[job.id]
+        for ti, tool in enumerate(inst.tools if built.aggs else ()):
+            for slot, label in enumerate(build_parallel_graph(inst.chambers).labels):
+                want = [(built.aggs[ti] + slot, 1.0), *balance.get((tool, label), [])]
+                assert rows[f"bal_t{ti}_{label}"] == want
+
+
+@pytest.fixture(scope="module")
+def plan_model():
+    """The plan-n5 instance 1:1 with three locked chambers, and its alternative model."""
+    inst = generate(GenParams(2, "1:1", 3, 2, 5, 1))
+    return inst, build_alternative(inst)
+
+
+def test_errors_name_the_column_or_row_on_a_plan_size_model(plan_model):
+    inst, built = plan_model
+    problem, names = built.problem, reference_columns(inst, "alternative")[2]
+    x = np.zeros(len(problem.lower))
+    x[5] = -1.0
+    with pytest.raises(LpSolverError, match=f"bound violated for {names[4]}$"):
+        lp.Handle(problem).certify(lp.LpSolution(lp.OPTIMAL, 0.0, tuple(x), None, 0))
+    x[5], x[built.aggs[0]] = 0.0, 1.0  # breaks tool 0's balance row of recipe A alone
+    zero = replace(problem, rhs=np.zeros(len(problem.rhs)))
+    with pytest.raises(LpSolverError, match="row bal_t0_A violated by 1.000e"):
+        lp.Handle(zero).certify(lp.LpSolution(lp.OPTIMAL, 0.0, tuple(x), None, 0))
+    lower = problem.lower.copy()
+    lower[7] = np.nan
+    with pytest.raises(DomainError, match=f"variable '{names[6]}' has empty bound interval"):
+        replace(problem, lower=lower)
+
+
+def test_assignments_hold_plain_str_and_float(plan_model):
+    res = solve_capacity(plan_model[0], "alternative")
+    assert res.status == lp.OPTIMAL and res.assignments
+    for a in res.assignments:
+        assert [type(value) for value in vars(a).values()] == [str, str, str, float, float]
+    assert {type(u.value) for u in res.utilization} == {float}
 
 
 def csr_rows(a):
@@ -200,10 +268,11 @@ def test_cut_block_matches_row_reference(case, matrices):
     matrix = matrices[inst.chambers]
     built = build_generalized(inst, matrix)
     rows = dict(zip(built.problem.row_names, stored_rows(built.problem)))
-    for ti, tool in enumerate(inst.tools):
+    cols = {name: j for j, name in enumerate(built.problem.col_names)}
+    for ti in range(len(inst.tools)):
         for k, coeffs in enumerate(matrix.coeff_rows()):
             want = [
-                (built.agg_cols[(tool, label)], coef)
+                (cols[f"agg_t{ti}_{label}"], coef)
                 for label, coef in zip(matrix.labels, coeffs)
                 if coef != 0.0
             ]
@@ -463,7 +532,6 @@ class TestGeneralizedModel:
 
     def test_requires_reduced_matrix(self, matrices):
         from clustercap import cuts_to_matrix, double_graph, enumerate_minimal_cuts
-        from clustercap import build_parallel_graph
 
         g = build_parallel_graph(3)
         raw = cuts_to_matrix(g, enumerate_minimal_cuts(double_graph(g)))
@@ -892,12 +960,8 @@ class TestModelAgreement:
             built = build_generalized(inst, matrices[3])
             sol = lp.solve(built.problem)
             assert sol.status == lp.OPTIMAL
-            x = np.array(
-                [
-                    sol.x[built.agg_cols[(inst.tools[0], label)]]
-                    for label in matrices[3].labels
-                ]
-            )
+            cols = {name: j for j, name in enumerate(built.problem.col_names)}
+            x = np.array([sol.x[cols[f"agg_t0_{label}"]] for label in matrices[3].labels])
             assert makespan_via_cuts(x, matrices[3]) == pytest.approx(
                 sol.objective, abs=1e-6
             )
@@ -974,6 +1038,12 @@ class TestMetamorphic:
             for name in ("reversed", "split"):
                 assert rho[name] == pytest.approx(rho["base"], rel=1e-9, abs=0.0), (kind, name)
             assert rho["raised"] >= rho["base"] * (1 - 1e-9), kind
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_an_instance_without_tools_or_jobs_needs_no_capacity(kind, matrices):
+    res = solve_capacity(models.Instance("none", 3, (), (), ()), kind, matrix=matrices[3])
+    assert (res.status, res.rho, res.assignments, res.utilization) == (lp.OPTIMAL, 0.0, (), ())
 
 
 class TestResultExtraction:

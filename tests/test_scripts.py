@@ -2,12 +2,14 @@
 
 import csv
 import json
+import os
 import runpy
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import clustercap
 from clustercap import GenParams, render_matrix_csv
 from clustercap.cli import BENCH_HEADER
 
@@ -124,3 +126,30 @@ def test_bench_grid_smallest_grid_is_optimal(monkeypatch, tmp_path):
     assert {r["status"] for r in bench} == {"Optimal"}
     made = [p.name for p in tmp_path.glob("bench_instances_*/*.json")]
     assert made == [f"{GenParams(0, '1:1', 0, 1, 3, 1).name}.json"]
+
+
+def test_traced_build_reports_the_held_size_and_the_peak():
+    """`bench_layers.traced_build` on the shipped instance, in a fresh
+    interpreter, as the script itself runs."""
+    code = (
+        "import json, sys, bench_layers\n"
+        "from clustercap import cuts, instances, models\n"
+        "inst = instances.read_instance(sys.argv[1])\n"
+        "matrix = cuts.read_matrix_csv(sys.argv[2], reduced=True)\n"
+        "sizes = {k: bench_layers.traced_build(inst, k, matrix) for k in models.MODEL_KINDS}\n"
+        "print(json.dumps(sizes))"
+    )
+    data = SCRIPTS.parent / "tests" / "data"
+    files = [str(data / "example1.json"), str(data / "cuts_n3_reference.csv")]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *files],
+        cwd=SCRIPT.parent,
+        env={**os.environ, "PYTHONPATH": str(Path(clustercap.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    sizes = json.loads(done.stdout)
+    assert set(sizes) == {"basic", "serial", "generalized", "alternative"}
+    for held, peak in sizes.values():
+        assert 0 < held <= peak < 1
