@@ -29,7 +29,6 @@ def main():
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="bench_report.csv")
-    parser.add_argument("--cache", default=None, help="cut-matrix cache directory")
     args = parser.parse_args()
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_instances_"))
@@ -47,11 +46,7 @@ def main():
     print(f"{len(paths)} instances generated under {tmp}")
 
     records, summaries = run_bench(
-        paths,
-        ["generalized", "alternative"],
-        reps=args.reps,
-        cache_dir=args.cache,
-        workers=args.workers,
+        paths, ["generalized", "alternative"], reps=args.reps, workers=args.workers
     )
     Path(args.out).write_text(render_bench_csv(records, summaries))
     print(f"report written to {args.out}")

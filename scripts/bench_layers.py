@@ -320,7 +320,8 @@ def startup(repeats):
     * import  `python -c "import clustercap"`;
     * solve   `python -m clustercap.cli solve --model generalized
               tests/data/example1.json`, its n = 3 cut matrix in a warm
-              cache of its own.
+              cache of its own, which `CLUSTERCAP_CACHE` names in the
+              children's environment.
 
     For each: wall_s, the median wall time of `--repeats` runs, in s;
     max_rss_mb, the peak resident memory of the largest run
@@ -336,11 +337,12 @@ def startup(repeats):
     env = {**os.environ, "PYTHONPATH": str(Path(clustercap.__file__).parents[1])}
     commands = {
         "import": ["-c", "import clustercap"],
-        "solve": ["-m", "clustercap.cli", "solve", "--model", "generalized"],
+        "solve": ["-m", "clustercap.cli", "solve", "--model", "generalized",
+                  str(ROOT / "tests" / "data" / "example1.json")],
     }
     results = {}
     with tempfile.TemporaryDirectory() as cache:
-        commands["solve"] += [str(ROOT / "tests" / "data" / "example1.json"), "--cache", cache]
+        env[clustercap.cuts.CACHE_ENV_VAR] = cache
         for name, words in commands.items():
             traced = subprocess.run(
                 [sys.executable, "-X", "importtime", *words],

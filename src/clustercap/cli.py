@@ -78,7 +78,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--chambers", type=int, required=True)
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.add_argument("--raw", action="store_true", help="emit the unreduced matrix")
-    p.add_argument("--cache", help="cut-matrix cache directory")
     p.add_argument("--graph-out", help="also dump recipes and edges as CSV")
 
     p = sub.add_parser("gen", help="generate a benchmark instance")
@@ -94,13 +93,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=models.MODEL_KINDS)
     p.add_argument("instance")
     p.add_argument("--out", help="solution JSON path (default: stdout)")
-    p.add_argument("--cache", help="cut-matrix cache directory")
 
     p = sub.add_parser("verify", help="run the oracle cross-checks on an instance")
     p.add_argument("instance")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache", help="cut-matrix cache directory")
 
     p = sub.add_parser("bench", help="benchmark models on instance files")
     p.add_argument("instances", nargs="+")
@@ -108,13 +105,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--out", help="report CSV path (default: stdout)")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cache", help="cut-matrix cache directory")
 
     p = sub.add_parser("export-lp", help="write one model as an LP-format file")
     p.add_argument("--model", required=True, choices=models.MODEL_KINDS)
     p.add_argument("instance")
     p.add_argument("--out", required=True)
-    p.add_argument("--cache", help="cut-matrix cache directory")
     return parser
 
 
@@ -127,9 +122,7 @@ def _write_text(path: str | None, text: str):
 
 
 def _cmd_cuts(args) -> int:
-    matrix = cuts_mod.build_cut_matrix(
-        args.chambers, reduce=not args.raw, cache_dir=args.cache
-    )
+    matrix = cuts_mod.build_cut_matrix(args.chambers, reduce=not args.raw)
     _write_text(args.out, cuts_mod.render_matrix_csv(matrix))
     if args.graph_out:
         g = build_parallel_graph(args.chambers)
@@ -158,21 +151,21 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = instances.read_instance(args.instance)
-    result = models.solve_capacity(inst, args.model, cache_dir=args.cache)
+    result = models.solve_capacity(inst, args.model)
     text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
     _write_text(args.out, text)
     return 0
 
 
 def verify_instance(
-    inst: models.Instance, samples: int = 200, seed: int = 0, cache_dir=None
+    inst: models.Instance, samples: int = 200, seed: int = 0
 ) -> list[tuple[str, bool, str]]:
     """Cross-checks for one instance; returns (check name, passed, detail)."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
     checks: list[tuple[str, bool, str]] = []
     g = build_parallel_graph(inst.chambers)
-    matrix = cuts_mod.build_cut_matrix(inst.chambers, reduce=True, cache_dir=cache_dir)
+    matrix = cuts_mod.build_cut_matrix(inst.chambers)
     rng = np.random.default_rng(seed)
     worst_flow, worst_lp = 0.0, 0.0
     for _ in range(samples):
@@ -249,7 +242,7 @@ def verify_instance(
 
 def _cmd_verify(args) -> int:
     inst = instances.read_instance(args.instance)
-    checks = verify_instance(inst, samples=args.samples, seed=args.seed, cache_dir=args.cache)
+    checks = verify_instance(inst, samples=args.samples, seed=args.seed)
     failed = False
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -259,7 +252,7 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _bench_instance(path: str, kinds: list[str], reps: int, cache_dir) -> list[BenchRecord]:
+def _bench_instance(path: str, kinds: list[str], reps: int) -> list[BenchRecord]:
     records: list[BenchRecord] = []
     try:
         inst = instances.read_instance(path)
@@ -276,7 +269,7 @@ def _bench_instance(path: str, kinds: list[str], reps: int, cache_dir) -> list[B
                 # built once, outside the timed solve; a chamber count with
                 # no cut matrix fails each generalized record, not the run
                 if kind == "generalized" and matrix is None:
-                    matrix = cuts_mod.build_cut_matrix(inst.chambers, reduce=True, cache_dir=cache_dir)
+                    matrix = cuts_mod.build_cut_matrix(inst.chambers)
                 res = models.solve_capacity(
                     inst, kind, matrix=matrix if kind == "generalized" else None
                 )
@@ -308,7 +301,6 @@ def run_bench(
     instance_paths: list[str],
     kinds: list[str],
     reps: int = 3,
-    cache_dir=None,
     workers: int = 1,
 ) -> tuple[list[BenchRecord], list[dict]]:
     """One record per (instance, model, repetition) plus per-instance summary.
@@ -327,7 +319,7 @@ def run_bench(
         raise DomainError("workers must be >= 1")
     with ThreadPoolExecutor(max_workers=workers) as pool:
         groups = list(
-            pool.map(lambda path: _bench_instance(path, kinds, reps, cache_dir), instance_paths)
+            pool.map(lambda path: _bench_instance(path, kinds, reps), instance_paths)
         )
     records = [rec for group in groups for rec in group]
     summaries = []
@@ -395,16 +387,14 @@ def render_bench_csv(records: list[BenchRecord], summaries: list[dict]) -> str:
 
 def _cmd_bench(args) -> int:
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
-    records, summaries = run_bench(
-        args.instances, kinds, reps=args.reps, cache_dir=args.cache, workers=args.workers
-    )
+    records, summaries = run_bench(args.instances, kinds, reps=args.reps, workers=args.workers)
     _write_text(args.out, render_bench_csv(records, summaries))
     return 0
 
 
 def _cmd_export_lp(args) -> int:
     inst = instances.read_instance(args.instance)
-    model = models.build_model(inst, args.model, cache_dir=args.cache)
+    model = models.build_model(inst, args.model)
     _write_text(args.out, lp.export_lp_text(model.problem))
     return 0
 

@@ -17,6 +17,9 @@ The distinct coefficient rows then go to `redundancy.reduce_to_minimal`,
 whose perceptron stage certifies the vertices and drops the rows below a
 midpoint of two others as it goes (see that module).  `BasicCut` objects are
 made only by `enumerate_minimal_cuts`, for callers that want the covers.
+
+This module alone decides where the reduced matrices are cached on disk:
+`default_cache_dir()`.  The models and the CLI take no location.
 """
 
 from __future__ import annotations
@@ -274,10 +277,12 @@ def build_cut_matrix(
     """End-to-end pipeline with a per-n disk cache for reduced matrices.
 
     graph -> doubled graph -> minimal covers -> weight rows -> (reduction).
-    Reduced matrices are cached as CSV under the cache directory (overridable
-    via the CLUSTERCAP_CACHE environment variable); raw matrices are always
-    recomputed.  A cached file is used only when it hashes to the pin of n;
-    anything else is rebuilt with a warning naming it.  Past 5 chambers it
+    Reduced matrices are cached as `cuts_n{n}.csv` under `cache_dir`, which
+    defaults to `default_cache_dir()`; raw matrices are always recomputed.
+    A cached file is used only when it hashes to the pin of n; anything else
+    is rebuilt with a warning naming it.  A cache that cannot be written
+    only warns, with the path and the error: the built matrix, checked
+    against its pin, is returned all the same.  Past 5 chambers it
     raises DomainError at once, before any enumeration: reduce=True has no
     pin there, and reduce=False no room in the int64 cover masks.
 
@@ -307,12 +312,16 @@ def build_cut_matrix(
     kept = redundancy.reduce_to_minimal(1.0 - counts / 2)
     rows = tuple(tuple(1.0 - v for v in c) for c in kept)
     reduced = CutMatrix(n=n, labels=g.labels, rows=rows, reduced=True)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, render_matrix_csv(reduced))
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _atomic_write(path, render_matrix_csv(reduced))
+    except OSError as exc:
+        warnings.warn(f"cut cache not written to {path}: {exc}", stacklevel=2)
     return reduced
 
 
 def default_cache_dir() -> Path:
+    """The one cache location: CLUSTERCAP_CACHE, or else ~/.cache/clustercap."""
     env = os.environ.get(CACHE_ENV_VAR)
     if env:
         return Path(env)

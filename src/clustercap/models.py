@@ -31,9 +31,7 @@ import numpy as np
 
 from . import lp
 from .cuts import CutMatrix, build_cut_matrix
-from .errors import (
-    DomainError, LpSolverError, NotQualifiedError, StructurallyInfeasibleError,
-)
+from .errors import DomainError, LpSolverError, StructurallyInfeasibleError
 from .recipes import (
     MAX_CHAMBERS, RECIPE_MASKS, ParallelGraph, build_parallel_graph, chamber_letter,
     label_for_mask, predict_graph_counts,
@@ -148,23 +146,6 @@ class Instance:
         """Jobs that reach no (tool, chamber); no model can serve them."""
         qualified = {job for job, _ in self.pair_rates}
         return tuple(j.id for j in self.jobs if j.id not in qualified)
-
-
-def derive_recipe_rate(inst: Instance, job: str, tool: str, recipe: str) -> float:
-    """Wafers per time unit for running `recipe` of (job, tool).
-
-    The triple belongs to the qualification set only when `recipe` is a
-    canonical label whose chambers are all qualified for the pair; otherwise
-    NotQualifiedError.  An explicit override wins; the default is the sum of
-    the chamber base rates in ascending chamber order.
-    """
-    pair = inst.pair_rates.get((job, tool))
-    if pair is None:
-        raise NotQualifiedError(f"({job}, {tool}) is not qualified")
-    mask = RECIPE_MASKS.get(recipe)
-    if mask is None or mask & ~pair.mask:
-        raise NotQualifiedError(f"({job}, {tool}, {recipe!r}) is outside the qualification set")
-    return _rate_table(inst)[list(inst.pair_rates).index((job, tool)), mask].item()
 
 
 def _chamber_rates(inst: Instance) -> np.ndarray:
@@ -461,9 +442,13 @@ def _place(rows: lp.Csr, aggs, columns: int) -> lp.Csr:
     return lp.Csr(rows.indptr, cols, rows.data, (m, columns))
 
 
-def _generalized(inst: Instance, matrix: CutMatrix, full: bool) -> BuiltModel:
+def _generalized(inst: Instance, matrix: CutMatrix | None, full: bool) -> BuiltModel:
     """The generalized model with every cut row (`full`), or with only each
-    tool's seed row and the template to build the others from."""
+    tool's seed row and the template to build the others from.  Without a
+    `matrix`, the reduced one of the instance's chamber count is fetched
+    from `build_cut_matrix` (and its cache)."""
+    if matrix is None:
+        matrix = build_cut_matrix(inst.chambers)
     if matrix.n != inst.chambers:
         raise DomainError(f"cut matrix is for {matrix.n} chambers, instance has {inst.chambers}")
     if not matrix.reduced:
@@ -541,20 +526,13 @@ def build_alternative(inst: Instance) -> BuiltModel:
     return _recipe_model(inst, "alternative", g, pairing_rows)
 
 
-def build_model(
-    inst: Instance,
-    kind: str,
-    matrix: CutMatrix | None = None,
-    cache_dir=None,
-) -> BuiltModel:
+def build_model(inst: Instance, kind: str, matrix: CutMatrix | None = None) -> BuiltModel:
     if kind == "basic":
         return build_basic(inst)
     if kind == "serial":
         return build_serial(inst)
     if kind == "generalized":
-        if matrix is None:
-            matrix = build_cut_matrix(inst.chambers, reduce=True, cache_dir=cache_dir)
-        return build_generalized(inst, matrix)
+        return _generalized(inst, matrix, full=True)
     if kind == "alternative":
         return build_alternative(inst)
     raise DomainError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
@@ -643,12 +621,7 @@ def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int, np.ndarra
     return replace(sol, iterations=iterations), rounds, lhs
 
 
-def solve_capacity(
-    inst: Instance,
-    kind: str,
-    matrix: CutMatrix | None = None,
-    cache_dir=None,
-) -> CapacityResult:
+def solve_capacity(inst: Instance, kind: str, matrix: CutMatrix | None = None) -> CapacityResult:
     """Build and solve one model; wall times are recorded for benchmarking.
 
     The generalized model is built with one cut row per tool and its cut
@@ -660,8 +633,6 @@ def solve_capacity(
     """
     t0 = time.perf_counter()
     if kind == "generalized":
-        if matrix is None:
-            matrix = build_cut_matrix(inst.chambers, reduce=True, cache_dir=cache_dir)
         model = _generalized(inst, matrix, full=False)
     else:
         model = build_model(inst, kind)
@@ -719,9 +690,7 @@ def gamma_formula(n: int) -> int:
     return (3 ** (n + 1) - 2 ** (n + 1) + 1) // 2
 
 
-def predict_sizes(
-    kind: str, n: int, n_tools: int, n_jobs: int, n_quals: int, cache_dir=None
-) -> SizePrediction:
+def predict_sizes(kind: str, n: int, n_tools: int, n_jobs: int, n_quals: int) -> SizePrediction:
     """Evaluate the closed-form size formulas for one model family.
 
     k_rows and coeff_nonzeros come from the built reduced matrix (n <= 5 is
@@ -729,7 +698,7 @@ def predict_sizes(
     """
     if kind not in ("generalized", "alternative"):
         raise DomainError("size formulas exist for 'generalized' and 'alternative' only")
-    matrix = build_cut_matrix(n, reduce=True, cache_dir=cache_dir)
+    matrix = build_cut_matrix(n)
     n_recipes, n_edges = predict_graph_counts(n)
     k_rows = len(matrix.rows)
     coeff_nz = matrix.nonzeros()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from clustercap import build_cut_matrix, models
+from clustercap.cuts import CACHE_ENV_VAR
 from clustercap.recipes import chamber_letter
 
 settings.register_profile(
@@ -19,15 +20,20 @@ settings.load_profile("fixed")
 DATA = __file__.rsplit("/", 1)[0] + "/data"
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture(scope="session", autouse=True)
 def cache_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("cutcache"))
+    """The session's cut-matrix cache.  CLUSTERCAP_CACHE names it, so no test
+    writes under HOME unless it sets the variable itself."""
+    path = str(tmp_path_factory.mktemp("cutcache"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(CACHE_ENV_VAR, path)
+        yield path
 
 
 @pytest.fixture(scope="session")
 def matrices(cache_dir):
     """Reduced cut matrices for the cheap chamber counts."""
-    return {n: build_cut_matrix(n, reduce=True, cache_dir=cache_dir) for n in (1, 2, 3, 4)}
+    return {n: build_cut_matrix(n) for n in (1, 2, 3, 4)}
 
 
 @pytest.fixture(scope="session")

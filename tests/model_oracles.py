@@ -1,8 +1,27 @@
 """Slow reference for the models' time columns, built one Python step per
-(job, tool, recipe) triple, against which the column table is checked."""
+(job, tool, recipe) triple, against which the column table is checked, and
+the rate of one such triple."""
 
 from clustercap import models
-from clustercap.recipes import build_parallel_graph, label_for_mask
+from clustercap.errors import NotQualifiedError
+from clustercap.recipes import RECIPE_MASKS, build_parallel_graph, label_for_mask
+
+
+def derive_recipe_rate(inst, job: str, tool: str, recipe: str) -> float:
+    """Wafers per time unit for running `recipe` of (job, tool).
+
+    The triple belongs to the qualification set only when `recipe` is a
+    canonical label whose chambers are all qualified for the pair; otherwise
+    NotQualifiedError.  An explicit override wins; the default is the sum of
+    the chamber base rates in ascending chamber order.
+    """
+    pair = inst.pair_rates.get((job, tool))
+    if pair is None:
+        raise NotQualifiedError(f"({job}, {tool}) is not qualified")
+    mask = RECIPE_MASKS.get(recipe)
+    if mask is None or mask & ~pair.mask:
+        raise NotQualifiedError(f"({job}, {tool}, {recipe!r}) is outside the qualification set")
+    return models._rate_table(inst)[list(inst.pair_rates).index((job, tool)), mask].item()
 
 
 def reference_columns(inst, kind):

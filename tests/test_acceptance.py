@@ -40,12 +40,13 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num} {name}: {detail}"
 
 
-def test_criterion_1_cut_matrix_ground_truth(tmp_path):
+def test_criterion_1_cut_matrix_ground_truth(tmp_path, monkeypatch):
+    monkeypatch.setenv("CLUSTERCAP_CACHE", str(tmp_path))
     start = time.perf_counter()
     out3 = tmp_path / "m3.csv"
     out4 = tmp_path / "m4.csv"
-    assert cli(["cuts", "--chambers", "3", "--out", str(out3), "--cache", str(tmp_path)]) == 0
-    assert cli(["cuts", "--chambers", "4", "--out", str(out4), "--cache", str(tmp_path)]) == 0
+    assert cli(["cuts", "--chambers", "3", "--out", str(out3)]) == 0
+    assert cli(["cuts", "--chambers", "4", "--out", str(out4)]) == 0
     elapsed = time.perf_counter() - start
     ok = True
     details = []
@@ -163,7 +164,7 @@ def test_criterion_6_reference_instance(matrices):
     report(6, "shipped instance solves to 330", ok, f"generalized={rho_g}, alternative={rho_a}")
 
 
-def test_criterion_7_size_formula_audit(matrices, cuts5, cache_dir):
+def test_criterion_7_size_formula_audit(matrices, cuts5):
     matrix5, _ = cuts5
     all_m = dict(matrices)
     all_m[5] = matrix5
@@ -184,7 +185,7 @@ def test_criterion_7_size_formula_audit(matrices, cuts5, cache_dir):
             ok = ok and delta == REFERENCE_DELTA[n]
             details.append(f"delta({n})={delta}")
         ok = ok and gamma == REFERENCE_GAMMA[n]
-    pred = predict_sizes("alternative", 3, 1, 1, 7, cache_dir=cache_dir)
+    pred = predict_sizes("alternative", 3, 1, 1, 7)
     details.append(
         f"nonzero_alt listing={pred.nonzeros} vs gamma form={pred.nonzeros_gamma} "
         "[flagged: reference counts disagree with each other]"
@@ -193,7 +194,7 @@ def test_criterion_7_size_formula_audit(matrices, cuts5, cache_dir):
     report(7, "size-formula audit", ok, "; ".join(details))
 
 
-def test_criterion_8_size_ratio_trend(cache_dir, matrices, cuts5):
+def test_criterion_8_size_ratio_trend(matrices, cuts5):
     # all chambers released and at least the reference smallest size class,
     # where the qualification entries dominate the per-tool constants
     matrix5, _ = cuts5

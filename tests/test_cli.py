@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import clustercap
 from clustercap import read_instance, read_matrix_csv
 from clustercap.cli import VERIFY_TOL, cli, run_bench, verify_instance
 from clustercap.instances import GenParams, generate
@@ -134,7 +138,7 @@ class TestGenSolve:
         ],
         ids=["header-only", "one-row", "mid-row"],
     )
-    def test_truncated_cut_cache_is_rebuilt(self, env_cache, tmp_path, capsys, keep, why):
+    def test_truncated_cut_cache_is_rebuilt(self, tmp_path, monkeypatch, capsys, keep, why):
         """A cut cache cut short is rebuilt with a warning, never read as a
         matrix with fewer rows (which gave rho 0.0 on this instance)."""
         cache = tmp_path / "truncated"
@@ -143,7 +147,8 @@ class TestGenSolve:
         lines = reference.splitlines(keepends=True)
         cut = "".join(lines[:keep]) if keep else reference[: len(lines[0]) + 5]
         (cache / "cuts_n3.csv").write_text(cut)
-        args = ["solve", "--model", "generalized", f"{DATA}/example1.json", "--cache", str(cache)]
+        monkeypatch.setenv("CLUSTERCAP_CACHE", str(cache))
+        args = ["solve", "--model", "generalized", f"{DATA}/example1.json"]
         with pytest.warns(UserWarning, match=f"cuts_n3.csv.*{why}"):
             assert cli(args) == 0
         assert json.loads(capsys.readouterr().out)["rho"] == pytest.approx(330.0, abs=1e-6)
@@ -327,6 +332,69 @@ class TestBench:
     def test_empty_models_list_is_error(self, env_cache, tmp_path):
         inst = gen_instance(tmp_path, seed=8)
         assert cli(["bench", str(inst), "--models", "warp", "--out", "/dev/null"]) == 1
+
+
+EXAMPLE1 = f"{DATA}/example1.json"
+
+# each subcommand that needs the n = 3 cut matrix, on the shipped instance
+# (its output files under the test's directory)
+CACHE_COMMANDS = {
+    "cuts": lambda out: ["cuts", "--chambers", "3", "--out", str(out / "m3.csv")],
+    "solve": lambda out: ["solve", "--model", "generalized", EXAMPLE1,
+                          "--out", str(out / "s.json")],
+    "verify": lambda out: ["verify", "--samples", "5", EXAMPLE1],
+    "bench": lambda out: ["bench", "--models", "generalized", "--reps", "1", EXAMPLE1,
+                          "--out", str(out / "b.csv")],
+    "export-lp": lambda out: ["export-lp", "--model", "generalized", EXAMPLE1,
+                              "--out", str(out / "m.lp")],
+}
+
+
+class TestCacheLocation:
+    """CLUSTERCAP_CACHE, or else ~/.cache/clustercap, is the one place the
+    cut matrices are cached; no subcommand takes a location of its own."""
+
+    @pytest.mark.parametrize("command", CACHE_COMMANDS)
+    def test_the_variable_places_the_cache(self, tmp_path, monkeypatch, capsys, command):
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("CLUSTERCAP_CACHE", str(tmp_path / "cache"))
+        assert cli(CACHE_COMMANDS[command](tmp_path)) == 0
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["cuts_n3.csv"]
+        assert not list(home.iterdir())
+
+    @pytest.mark.parametrize("command", CACHE_COMMANDS)
+    def test_the_cache_flag_is_gone(self, tmp_path, capsys, command):
+        assert cli([*CACHE_COMMANDS[command](tmp_path), "--cache", str(tmp_path / "d")]) == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("where", ["under-a-file", "home-is-dev-null"])
+    def test_an_unwritable_cache_only_warns(self, tmp_path, monkeypatch, capsys, where):
+        """`clustercap solve` gives the same JSON as with a writable cache and
+        exits 0, with a warning naming the path and the error; it used to
+        exit 1 after the matrix was built."""
+        monkeypatch.setenv("CLUSTERCAP_CACHE", str(tmp_path / "writable"))
+        assert cli(["solve", "--model", "generalized", EXAMPLE1]) == 0
+        want = capsys.readouterr().out
+        env = {**os.environ, "PYTHONPATH": str(Path(clustercap.__file__).parents[1])}
+        if where == "under-a-file":
+            (tmp_path / "file").write_text("")
+            env["CLUSTERCAP_CACHE"] = str(tmp_path / "file" / "cache")
+            path = tmp_path / "file" / "cache" / "cuts_n3.csv"
+        else:
+            env["HOME"] = "/dev/null"
+            del env["CLUSTERCAP_CACHE"]
+            path = Path("/dev/null/.cache/clustercap/cuts_n3.csv")
+        done = subprocess.run(
+            [sys.executable, "-m", "clustercap.cli", "solve", "--model", "generalized", EXAMPLE1],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == want
+        warning = f"UserWarning: cut cache not written to {path}: [Errno 20] Not a directory"
+        assert warning in done.stderr
 
 
 class TestUsage:

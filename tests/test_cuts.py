@@ -400,6 +400,26 @@ def test_cache_env_var_override(tmp_path, monkeypatch):
     assert (tmp_path / "envcache" / "cuts_n2.csv").is_file()
 
 
+@pytest.mark.parametrize(
+    "where, error",
+    [("under-a-file", "Not a directory"), ("file-is-a-directory", "Is a directory")],
+)
+def test_unwritable_cache_warns_and_returns_the_matrix(tmp_path, where, error):
+    """A cache that cannot be created or written costs a warning naming the
+    path and the error, never the matrix just built."""
+    if where == "under-a-file":
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "cache"
+    else:
+        cache = tmp_path / "cache"
+        cache_path(3, cache).mkdir(parents=True)
+    path = cache_path(3, cache)
+    with pytest.warns(UserWarning, match=f"cut cache not written to {re.escape(str(path))}: .*{error}"):
+        built = build_cut_matrix(3, cache_dir=cache)
+    assert built.reduced and built == build_cut_matrix(3, cache_dir=tmp_path / "fresh")
+    assert not list(tmp_path.glob("**/*.tmp"))
+
+
 def test_concurrent_builds_distinct_n(tmp_path):
     errors = []
 

@@ -14,7 +14,6 @@ from clustercap import (
     build_generalized,
     build_parallel_graph,
     build_serial,
-    derive_recipe_rate,
     export_lp_text,
     generate,
     lp,
@@ -33,7 +32,7 @@ from clustercap.errors import (
 from clustercap.instances import SHAPES
 
 from conftest import example1_instance, random_instance
-from model_oracles import reference_columns, table_columns
+from model_oracles import derive_recipe_rate, reference_columns, table_columns
 
 
 def one_tool_instance(chambers, jobs, quals, overrides=(), name="inst"):
@@ -877,7 +876,7 @@ class TestAlternativeModel:
 
 
 class TestModelAgreement:
-    def test_small_fuzz(self, matrices, cache_dir):
+    def test_small_fuzz(self, matrices):
         rng = np.random.default_rng(2024)
         for _ in range(20):
             n = int(rng.integers(2, 5))
@@ -1084,11 +1083,11 @@ class TestResultExtraction:
 
 
 class TestSizeFormulas:
-    def test_delta_and_gamma_sequences(self, cache_dir):
+    def test_delta_and_gamma_sequences(self):
         deltas = {}
         gammas = {}
         for n in (1, 2, 3, 4):
-            pred = predict_sizes("generalized", n, 1, 1, 1, cache_dir=cache_dir)
+            pred = predict_sizes("generalized", n, 1, 1, 1)
             deltas[n] = pred.delta_n
             gammas[n] = pred.gamma_n
         assert gammas == {1: 3, 2: 10, 3: 33, 4: 106}
@@ -1097,12 +1096,12 @@ class TestSizeFormulas:
         # the reference nonzero tally for n=3 is off by one vs its own table
         assert deltas[3] == 2
 
-    def test_alternative_toy_formula_vs_actual(self, cache_dir, matrices):
+    def test_alternative_toy_formula_vs_actual(self, matrices):
         inst = one_tool_instance(
             3, [("j0", 5.0)], [("j0", [(0, 1.0), (1, 1.0), (2, 1.0)])]
         )
         built = build_alternative(inst)
-        pred = predict_sizes("alternative", 3, 1, 1, 7, cache_dir=cache_dir)
+        pred = predict_sizes("alternative", 3, 1, 1, 7)
         assert pred.nonzeros == 48  # reference listing: 2|C| + |I|(1 + 3|R| + 2|E|)
         assert pred.nonzeros_gamma == 47  # reference gamma variant
         # the built row set carries the pairing variables in the makespan row
@@ -1111,12 +1110,12 @@ class TestSizeFormulas:
         assert built.stats.rows == pred.rows == 16
         assert built.stats.columns == pred.columns == 21
 
-    def test_generalized_toy_counts(self, cache_dir, matrices):
+    def test_generalized_toy_counts(self, matrices):
         inst = one_tool_instance(
             3, [("j0", 5.0)], [("j0", [(0, 1.0), (1, 1.0), (2, 1.0)])]
         )
         built = build_generalized(inst, matrices[3])
-        pred = predict_sizes("generalized", 3, 1, 1, 7, cache_dir=cache_dir)
+        pred = predict_sizes("generalized", 3, 1, 1, 7)
         assert built.stats.rows == pred.rows == 13
         # reference column formula counts pairing variables the cut model
         # does not have

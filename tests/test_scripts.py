@@ -17,8 +17,10 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SCRIPT = SCRIPTS / "bench_layers.py"
 
 
-def bench_layers(*args):
-    return subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True, text=True)
+def bench_layers(*args, env=None):
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), *args], capture_output=True, text=True, env=env
+    )
 
 
 def test_bench_layers_adds_an_oracles_run_to_the_stored_ones(tmp_path):
@@ -57,9 +59,17 @@ def test_bench_layers_reduce_runs_the_stages(tmp_path):
 
 
 def test_bench_layers_startup_times_fresh_interpreters(tmp_path):
+    """The solve child caches its cut matrix where the script's own
+    CLUSTERCAP_CACHE points, not under HOME."""
     out = tmp_path / "BENCH_startup.json"
-    done = bench_layers("startup", "--label", "now", "--repeats", "1", "--out", str(out))
+    home = tmp_path / "home"
+    home.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "CLUSTERCAP_CACHE"}
+    env["HOME"] = str(home)
+    args = ("startup", "--label", "now", "--repeats", "1", "--out", str(out))
+    done = bench_layers(*args, env=env)
     assert done.returncode == 0, done.stderr
+    assert not list(home.iterdir())
     commands = json.loads(out.read_text())["runs"]["now"]["commands"]
     assert set(commands) == {"import", "solve"}
     for entry in commands.values():
@@ -106,8 +116,9 @@ def run_script(name, monkeypatch, tmp_path, *args):
 
 
 def test_make_cut_tables_writes_the_reduced_matrices(monkeypatch, tmp_path, matrices):
+    monkeypatch.setenv("CLUSTERCAP_CACHE", str(tmp_path / "cache"))
     out = tmp_path / "tables"
-    args = ["--max-chambers", "3", "--out-dir", str(out), "--cache", str(tmp_path / "cache")]
+    args = ["--max-chambers", "3", "--out-dir", str(out)]
     run_script("make_cut_tables.py", monkeypatch, tmp_path, *args)
     assert sorted(p.name for p in out.iterdir()) == ["cuts_n1.csv", "cuts_n2.csv", "cuts_n3.csv"]
     for n in (1, 2, 3):
@@ -115,9 +126,10 @@ def test_make_cut_tables_writes_the_reduced_matrices(monkeypatch, tmp_path, matr
 
 
 def test_bench_grid_smallest_grid_is_optimal(monkeypatch, tmp_path):
+    monkeypatch.setenv("CLUSTERCAP_CACHE", str(tmp_path / "cache"))
     out = tmp_path / "grid.csv"
     args = ["--sizecats", "0", "--shapes", "1:1", "--densities", "1", "--chambers", "3"]
-    args += ["--reps", "1", "--out", str(out), "--cache", str(tmp_path / "cache")]
+    args += ["--reps", "1", "--out", str(out)]
     run_script("bench_grid.py", monkeypatch, tmp_path, *args)
     lines = out.read_text().splitlines()
     assert tuple(lines[0].split(",")) == BENCH_HEADER
