@@ -52,19 +52,26 @@ BENCH_HEADER = (
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One (instance, model, repetition) of `bench`: the solve's result, or
+    the error that stopped the read or the solve."""
+
     instance: str
     params: dict
     model: str
     rep: int
-    rows: int
-    cols: int
-    nonzeros: int
-    build_ms: float
-    solve_ms: float
-    rho: float | None
-    status: str
-    iterations: int = 0
-    rounds: int = 0
+    result: models.CapacityResult | None = None
+    error: str = ""
+
+    @property
+    def status(self) -> str:
+        return self.result.status if self.result else f"Error: {self.error}"
+
+
+# the report's cells of a record that reached no result
+_NO_RESULT = models.CapacityResult(
+    model="", status="", rho=None, assignments=(), utilization=(), build_ms=0.0,
+    solve_ms=0.0, stats=lp.SizeStats(0, 0, 0), iterations=0, rounds=0,
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -104,7 +111,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--models", default="generalized,alternative")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--out", help="report CSV path (default: stdout)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="instances benched at once (default 1); more finish the run sooner but "
+        "slow each solve, so use 1 when the timings themselves matter",
+    )
 
     p = sub.add_parser("export-lp", help="write one model as an LP-format file")
     p.add_argument("--model", required=True, choices=models.MODEL_KINDS)
@@ -163,6 +174,8 @@ def verify_instance(
     """Cross-checks for one instance; returns (check name, passed, detail)."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     checks: list[tuple[str, bool, str]] = []
     g = build_parallel_graph(inst.chambers)
     matrix = cuts_mod.build_cut_matrix(inst.chambers)
@@ -257,10 +270,7 @@ def _bench_instance(path: str, kinds: list[str], reps: int) -> list[BenchRecord]
     try:
         inst = instances.read_instance(path)
     except (ClusterCapError, OSError) as exc:
-        return [
-            BenchRecord(path, {}, kind, 0, 0, 0, 0, 0.0, 0.0, None, f"Error: {exc}")
-            for kind in kinds
-        ]
+        return [BenchRecord(path, {}, kind, 0, error=str(exc)) for kind in kinds]
     params = instances.parse_generated_name(inst.name) or {}
     matrix = None
     for kind in kinds:
@@ -273,27 +283,9 @@ def _bench_instance(path: str, kinds: list[str], reps: int) -> list[BenchRecord]
                 res = models.solve_capacity(
                     inst, kind, matrix=matrix if kind == "generalized" else None
                 )
-                records.append(
-                    BenchRecord(
-                        inst.name,
-                        params,
-                        kind,
-                        rep,
-                        res.stats.rows,
-                        res.stats.columns,
-                        res.stats.nonzeros,
-                        res.build_ms,
-                        res.solve_ms,
-                        res.rho,
-                        res.status,
-                        res.iterations,
-                        res.rounds,
-                    )
-                )
+                records.append(BenchRecord(inst.name, params, kind, rep, res))
             except ClusterCapError as exc:
-                records.append(
-                    BenchRecord(inst.name, params, kind, rep, 0, 0, 0, 0.0, 0.0, None, f"Error: {exc}")
-                )
+                records.append(BenchRecord(inst.name, params, kind, rep, error=str(exc)))
     return records
 
 
@@ -334,15 +326,16 @@ def run_bench(
         alt = by_kind.get("alternative")
         if not gen or not alt:
             continue
-        speedup = statistics.median(r.solve_ms for r in gen) / max(
-            statistics.median(r.solve_ms for r in alt), 1e-9
+        speedup = statistics.median(r.result.solve_ms for r in gen) / max(
+            statistics.median(r.result.solve_ms for r in alt), 1e-9
         )
         summaries.append(
             {
                 "instance": group[0].instance,
                 "params": group[0].params,
                 "speedup_gen_over_alt": speedup,
-                "nonzeros_gen_over_alt": gen[0].nonzeros / max(alt[0].nonzeros, 1),
+                "nonzeros_gen_over_alt": gen[0].result.stats.nonzeros
+                / max(alt[0].result.stats.nonzeros, 1),
             }
         )
     return records, summaries
@@ -354,6 +347,7 @@ def render_bench_csv(records: list[BenchRecord], summaries: list[dict]) -> str:
     writer = csv.DictWriter(buf, BENCH_HEADER, restval="", lineterminator="\n")
     writer.writeheader()
     for r in records:
+        res = r.result or _NO_RESULT
         writer.writerow(
             {
                 **r.params,
@@ -361,15 +355,15 @@ def render_bench_csv(records: list[BenchRecord], summaries: list[dict]) -> str:
                 "instance": r.instance,
                 "model": r.model,
                 "rep": r.rep,
-                "rows": r.rows,
-                "cols": r.cols,
-                "nonzeros": r.nonzeros,
-                "build_ms": f"{r.build_ms:.3f}",
-                "solve_ms": f"{r.solve_ms:.3f}",
-                "rho": "" if r.rho is None else f"{r.rho:.9g}",
+                "rows": res.stats.rows,
+                "cols": res.stats.columns,
+                "nonzeros": res.stats.nonzeros,
+                "build_ms": f"{res.build_ms:.3f}",
+                "solve_ms": f"{res.solve_ms:.3f}",
+                "rho": "" if res.rho is None else f"{res.rho:.9g}",
                 "status": r.status,
-                "iterations": r.iterations,
-                "rounds": r.rounds,
+                "iterations": res.iterations,
+                "rounds": res.rounds,
             }
         )
     for s in summaries:

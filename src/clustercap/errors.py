@@ -20,10 +20,6 @@ class EnumerationBudgetError(DomainError):
         self.budget = budget
 
 
-class NotQualifiedError(DomainError):
-    """A (job, tool, recipe) triple outside the qualification set was queried."""
-
-
 class StructurallyInfeasibleError(DomainError):
     """Instance cannot be feasible regardless of rates (e.g. unqualified job)."""
 

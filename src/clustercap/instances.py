@@ -53,6 +53,8 @@ class GenParams:
             raise DomainError(f"density must be one of {DENSITIES}")
         if self.chambers not in CHAMBERS:
             raise DomainError(f"chambers must be one of {CHAMBERS}")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
 
     @property
     def ratio(self) -> float:

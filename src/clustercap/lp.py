@@ -15,8 +15,8 @@ rows added later.  Every answer is held to a fixed numerical contract: optimal
 solutions violate no constraint or bound by more than the feasibility
 tolerance, and infeasibility is a solver-certified status, never a guess
 from objective values.  Problems can be exported to the common textual LP file format for
-cross-checking with external solvers; the exported text re-parses to an
-equivalent problem.
+cross-checking with external solvers; the tests read the text back with
+HiGHS's own LP reader and hold it to the problem.
 """
 
 from __future__ import annotations
@@ -547,8 +547,7 @@ def solve(p: LpProblem, method: str = SIMPLEX) -> LpSolution:
 
 # --- textual LP format -----------------------------------------------------
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
-_NAME_RE = re.compile(rf"^{_NAME}$")
+_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
 
 def _fmt(value: float) -> str:
@@ -557,7 +556,7 @@ def _fmt(value: float) -> str:
 
 def _emit_terms(coeffs, names) -> str:
     if not coeffs:
-        return "0"  # no terms; "0 x" would read back as an explicit zero entry
+        return "0"
     parts = []
     for k, (j, v) in enumerate(coeffs):
         sign = "-" if v < 0 else ("+" if k > 0 else "")
@@ -571,9 +570,9 @@ def export_lp_text(p: LpProblem) -> str:
 
     Sections: Minimize/Maximize, Subject To, Bounds, End.  Every variable gets
     an explicit Bounds line so the text is self-describing.  Coefficients keep
-    17 significant digits so a re-parse reproduces the numbers exactly.  An
-    objective or row without entries reads `0`, so an explicit zero entry and
-    no entry stay apart.
+    17 significant digits so a reader gets the numbers back exactly.  An
+    objective or row without entries reads `0`; an explicit zero entry reads
+    `0 x`.
     """
     for kind, group in (("variable", p.col_names), ("constraint", p.row_names)):
         for name in group:
@@ -598,104 +597,3 @@ def export_lp_text(p: LpProblem) -> str:
             lines.append(f" {name} free" if lo == -np.inf else f" {name} >= {_fmt(lo)}")
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-_BOUND = r"([+-]?(?:inf|[\d.eE+-]+))"  # export writes an infinite bound as inf
-_RHS = r"([+-]?(?:inf|\d+(?:\.\d*)?(?:[eE][+-]?\d+)?))"  # an infinite rhs too
-_TERM_RE = re.compile(rf"([+-]?)\s*(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)?\s*({_NAME})")
-
-
-def _parse_terms(text: str) -> list[tuple[str, float]]:
-    if text.strip() == "0":  # how export_lp_text writes an empty sum
-        return []
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m:
-            if text[pos].isspace():
-                pos += 1
-                continue
-            raise DomainError(f"cannot parse LP terms at: {text[pos:pos+30]!r}")
-        sign, mag, name = m.groups()
-        coef = float(mag) if mag else 1.0
-        if sign == "-":
-            coef = -coef
-        out.append((name, coef))
-        pos = m.end()
-    return out
-
-
-def parse_lp_text(text: str) -> LpProblem:
-    """Parse the subset of the LP format produced by export_lp_text."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("\\")]
-    name = "parsed"
-    first = text.splitlines()[0] if text.splitlines() else ""
-    if first.startswith("\\"):
-        name = first[1:].strip() or name
-    section = None
-    sense = MINIMIZE
-    obj_terms: list[tuple[str, float]] = []
-    rows: list[tuple[str, list[tuple[str, float]], str, float]] = []
-    bounds: dict[str, tuple[float, float]] = {}  # variables in order of appearance
-    for ln in lines:
-        stripped = ln.strip()
-        low = stripped.lower()
-        if low in ("minimize", "maximize", "subject to", "bounds", "end"):
-            section = low
-            if low == "minimize":
-                sense = MINIMIZE
-            elif low == "maximize":
-                sense = MAXIMIZE
-            continue
-        if section in ("minimize", "maximize"):
-            body = stripped.split(":", 1)[1] if ":" in stripped else stripped
-            for var, coef in _parse_terms(body):
-                bounds.setdefault(var, (0.0, np.inf))
-                obj_terms.append((var, coef))
-        elif section == "subject to":
-            if ":" not in stripped:
-                raise DomainError(f"constraint line without name: {stripped!r}")
-            rname, body = stripped.split(":", 1)
-            m = re.search(rf"(<=|>=|=)\s*{_RHS}\s*$", body)
-            if not m:
-                raise DomainError(f"constraint line without sense/rhs: {stripped!r}")
-            terms = _parse_terms(body[: m.start()])
-            for var, _ in terms:
-                bounds.setdefault(var, (0.0, np.inf))
-            rows.append((rname.strip(), terms, m.group(1), float(m.group(2))))
-        elif section == "bounds":
-            both = re.match(rf"^{_BOUND}\s*<=\s*({_NAME})\s*<=\s*{_BOUND}$", stripped)
-            one = re.match(rf"^({_NAME})\s*(<=|>=)\s*{_BOUND}$", stripped)
-            try:
-                if low.endswith(" free"):
-                    bounds[stripped[: -len(" free")].strip()] = (-np.inf, np.inf)
-                elif both:
-                    bounds[both.group(2)] = (float(both.group(1)), float(both.group(3)))
-                elif one:
-                    var, value = one.group(1), float(one.group(3))
-                    lo, hi = bounds.get(var, (0.0, np.inf))
-                    bounds[var] = (value, hi) if one.group(2) == ">=" else (lo, value)
-                else:
-                    raise ValueError
-            except ValueError:  # no such line, or a number float() cannot read
-                raise DomainError(f"cannot parse bounds line: {stripped!r}") from None
-        elif section == "end":
-            raise DomainError(f"content after End: {stripped!r}")
-        else:
-            raise DomainError(f"content before a section header: {stripped!r}")
-
-    build = LpBuilder(name, sense)
-    lower, upper = np.reshape(list(bounds.values()), (-1, 2)).T
-    index = dict(zip(bounds, build.add_cols(list(bounds), lower, upper)))
-
-    def merged(terms) -> list[tuple[int, float]]:
-        out: dict[int, float] = {}
-        for var, coef in terms:
-            out[index[var]] = out.get(index[var], 0.0) + coef
-        return sorted(out.items())
-
-    build.set_objective(merged(obj_terms))
-    for rname, terms, s, rhs in rows:
-        build.add_constraint(rname, merged(terms), s, rhs)
-    return build.problem()

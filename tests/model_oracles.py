@@ -3,8 +3,12 @@
 the rate of one such triple."""
 
 from clustercap import models
-from clustercap.errors import NotQualifiedError
+from clustercap.errors import DomainError
 from clustercap.recipes import RECIPE_MASKS, build_parallel_graph, label_for_mask
+
+
+class NotQualifiedError(DomainError):
+    """A (job, tool, recipe) triple outside the qualification set was queried."""
 
 
 def derive_recipe_rate(inst, job: str, tool: str, recipe: str) -> float:

@@ -25,6 +25,7 @@ from clustercap.instances import GenParams, generate
 from clustercap.models import build_model, predict_sizes
 
 from conftest import DATA, random_instance
+from lp_oracles import read_lp_text
 from redundancy_oracles import is_redundant_hull, lp_problem_for
 
 EXPECTED_ROW_COUNTS = {1: 1, 2: 2, 3: 5, 4: 23, 5: 590}
@@ -296,7 +297,7 @@ def test_criterion_9_property_suites(matrices):
     builder.set_objective([(x, 1.0), (y, 2.0)])
     builder.add_constraint("cap", [(x, 1.0), (y, 1.5)], lp.LE, 6.0)
     problem = builder.problem()
-    back = lp.parse_lp_text(lp.export_lp_text(problem))
+    back = read_lp_text(lp.export_lp_text(problem)).problem()
     a, b = lp.solve(problem), lp.solve(back)
     checks.append(
         ("LP export round-trip", a.status == b.status and abs(a.objective - b.objective) < 1e-9)

@@ -17,6 +17,7 @@ from clustercap.models import solve_capacity
 from clustercap.errors import DomainError
 
 from conftest import DATA
+from lp_oracles import read_lp_text
 
 
 @pytest.fixture()
@@ -107,6 +108,15 @@ class TestGenSolve:
     def test_missing_file(self, env_cache, capsys):
         assert cli(["solve", "--model", "basic", "nope.json"]) == 1
 
+    def test_negative_seed_is_an_error(self, env_cache, tmp_path, capsys):
+        # numpy's generator refuses it with a ValueError, which was a traceback
+        argv = ["gen", "--sizecat", "0", "--shape", "1:1", "--locked", "0",
+                "--density", "1", "--chambers", "3", "--seed", "-5"]
+        assert cli(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            GenParams(0, "1:1", 0, 1, 3, -1)
+
     @pytest.mark.parametrize("bad", ['"demand": Infinity', '"demand": "lots"'])
     def test_malformed_instance_exits_1(self, env_cache, tmp_path, capsys, bad):
         text = (Path(DATA) / "example1.json").read_text()
@@ -195,6 +205,12 @@ class TestVerify:
         checks = {name: ok for name, ok, _ in verify_instance(inst, samples=5)}
         assert checks["generalized and alternative agree"] == agree
 
+    def test_negative_seed_is_an_error(self, env_cache, capsys):
+        assert cli(["verify", f"{DATA}/example1.json", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            verify_instance(read_instance(f"{DATA}/example1.json"), samples=1, seed=-1)
+
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_is_an_error(self, env_cache, capsys, samples):
         rc = cli(["verify", f"{DATA}/example1.json", "--samples", str(samples)])
@@ -214,8 +230,7 @@ class TestExportLp:
         assert rc == 0
         text = out.read_text()
         assert text.startswith("\\")
-        parsed = lp.parse_lp_text(text)
-        sol = lp.solve(parsed)
+        sol = lp.solve(read_lp_text(text).problem())
         assert sol.status == lp.OPTIMAL
 
 
@@ -246,8 +261,22 @@ class TestBench:
     def test_rhos_agree_across_models(self, env_cache, tmp_path):
         inst = gen_instance(tmp_path, seed=3)
         records, _ = run_bench([str(inst)], ["generalized", "alternative"], reps=1)
-        rhos = {r.model: r.rho for r in records}
+        rhos = {r.model: r.result.rho for r in records}
         assert rhos["generalized"] == pytest.approx(rhos["alternative"], rel=1e-6)
+
+    def test_records_hold_the_solve_result(self, env_cache, tmp_path):
+        """Each record holds the `CapacityResult` of its solve: equal, but for
+        its timings, to the result of solving the instance directly."""
+        path = gen_instance(tmp_path, seed=3)
+        kinds = list(clustercap.models.MODEL_KINDS)
+        records, _ = run_bench([str(path)], kinds, reps=2)
+        inst = read_instance(path)
+        untimed = {"build_ms": 0.0, "solve_ms": 0.0}
+        want = {kind: replace(solve_capacity(inst, kind), **untimed) for kind in kinds}
+        assert [(r.model, r.rep) for r in records] == [(k, rep) for k in kinds for rep in (0, 1)]
+        for r in records:
+            assert r.error == "" and r.status == r.result.status == "Optimal"
+            assert replace(r.result, **untimed) == want[r.model]
 
     def test_missing_instance_recorded_not_fatal(self, env_cache, tmp_path):
         good = gen_instance(tmp_path, seed=4)
@@ -294,8 +323,8 @@ class TestBench:
         paths = [str(gen_instance(tmp_path, seed=s)) for s in (5, 6)]
         seq_records, seq_sum = run_bench(paths, ["alternative"], reps=1, workers=1)
         par_records, par_sum = run_bench(paths, ["alternative"], reps=1, workers=2)
-        assert [(r.instance, r.model, r.rho) for r in seq_records] == [
-            (r.instance, r.model, r.rho) for r in par_records
+        assert [(r.instance, r.model, r.result.rho) for r in seq_records] == [
+            (r.instance, r.model, r.result.rho) for r in par_records
         ]
 
     def test_workers_change_only_the_timings(self, env_cache, tmp_path):

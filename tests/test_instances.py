@@ -55,6 +55,7 @@ class TestParamValidation:
             {"density": 0},
             {"chambers": 2},
             {"chambers": 6},
+            {"seed": -1},
         ],
     )
     def test_rejects_out_of_domain(self, kw):

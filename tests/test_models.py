@@ -23,16 +23,12 @@ from clustercap import (
     size_stats,
     solve_capacity,
 )
-from clustercap.errors import (
-    DomainError,
-    LpSolverError,
-    NotQualifiedError,
-    StructurallyInfeasibleError,
-)
+from clustercap.errors import DomainError, LpSolverError, StructurallyInfeasibleError
 from clustercap.instances import SHAPES
 
 from conftest import example1_instance, random_instance
-from model_oracles import derive_recipe_rate, reference_columns, table_columns
+from lp_oracles import read_lp_text
+from model_oracles import NotQualifiedError, derive_recipe_rate, reference_columns, table_columns
 
 
 def one_tool_instance(chambers, jobs, quals, overrides=(), name="inst"):
@@ -123,23 +119,27 @@ def test_lp_text_is_pinned(kind, case, matrices):
 
 
 @pytest.mark.parametrize("kind,case", sorted(PINNED_LP))
-def test_highs_reads_the_exported_lp(kind, case, matrices, tmp_path):
-    """HiGHS's own LP file reader, not `parse_lp_text`, reads the export."""
+def test_highs_reads_the_exported_lp(kind, case, matrices):
+    """HiGHS's own LP file reader reads the export back to the same problem,
+    every number exactly."""
     inst = PINNED_INSTANCES[case]()
-    built = models.build_model(inst, kind, matrix=matrices[inst.chambers])
-    path = tmp_path / "model.lp"
-    path.write_text(export_lp_text(built.problem))
-    highs = lp._highspy._Highs()
-    highs.setOptionValue("output_flag", False)
-    assert highs.readModel(str(path)) == lp._highspy.HighsStatus.kOk
-    stats = built.stats
-    assert (highs.getNumCol(), highs.getNumRow(), highs.getNumNz()) == (
-        stats.columns, stats.rows, stats.nonzeros
-    )
-    highs.run()
-    assert highs.getModelStatus() == lp._highspy.HighsModelStatus.kOptimal
-    want = lp.solve(built.problem).objective
-    assert highs.getInfo().objective_function_value == pytest.approx(want, rel=1e-9, abs=0.0)
+    problem = models.build_model(inst, kind, matrix=matrices[inst.chambers]).problem
+    read = read_lp_text(export_lp_text(problem))
+    cost = np.zeros(len(problem.lower))
+    for j, v in problem.objective:
+        cost[j] = v
+    senses = np.array(problem.senses)
+    row_lower = np.where(senses == lp.LE, -np.inf, problem.rhs)
+    row_upper = np.where(senses == lp.GE, np.inf, problem.rhs)
+    assert read.sense == problem.sense
+    assert read.col_names == problem.col_names
+    assert read.cost.tolist() == cost.tolist()
+    assert read.lower.tolist() == problem.lower.tolist()
+    assert read.upper.tolist() == problem.upper.tolist()
+    assert read.row_names == problem.row_names
+    assert read.row_lower.tolist() == row_lower.tolist()
+    assert read.row_upper.tolist() == row_upper.tolist()
+    assert csr_rows(read.matrix) == [sorted(row) for row in csr_rows(problem.matrix)]
 
 
 @pytest.mark.parametrize("kind,case", sorted(PINNED_LP))
@@ -313,7 +313,7 @@ def test_lp_text_roundtrip_keeps_rho(kind, case, matrices):
     inst = ROUNDTRIP_INSTANCES[case]()
     problem = models.build_model(inst, kind, matrix=matrices[inst.chambers]).problem
     direct = lp.solve(problem)
-    back = lp.solve(lp.parse_lp_text(export_lp_text(problem)))
+    back = lp.solve(read_lp_text(export_lp_text(problem)).problem())
     assert direct.status == back.status == lp.OPTIMAL
     assert back.objective == pytest.approx(direct.objective, rel=1e-9)
 
