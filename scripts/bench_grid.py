@@ -7,6 +7,7 @@ per-(chambers, density) summary of median speedups and nonzero ratios.
 """
 
 import argparse
+import itertools
 import statistics
 import sys
 import tempfile
@@ -15,6 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from clustercap.cli import render_bench_csv, run_bench
+from clustercap.errors import ClusterCapError
 from clustercap.instances import GenParams, generate, write_instance
 
 
@@ -30,19 +32,27 @@ def main():
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="bench_report.csv")
     args = parser.parse_args()
+    try:
+        return run(args)
+    except ClusterCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+
+def run(args) -> int:
+    # every factor value is checked before the instance directory is made
+    grid = [
+        GenParams(*factors)
+        for factors in itertools.product(
+            args.sizecats, args.shapes, args.locked, args.densities, args.chambers, args.seeds
+        )
+    ]
     tmp = Path(tempfile.mkdtemp(prefix="bench_instances_"))
     paths = []
-    for sizecat in args.sizecats:
-        for shape in args.shapes:
-            for locked in args.locked:
-                for density in args.densities:
-                    for n in args.chambers:
-                        for seed in args.seeds:
-                            params = GenParams(sizecat, shape, locked, density, n, seed)
-                            path = tmp / f"{params.name}.json"
-                            write_instance(generate(params), path)
-                            paths.append(str(path))
+    for params in grid:
+        path = tmp / f"{params.name}.json"
+        write_instance(generate(params), path)
+        paths.append(str(path))
     print(f"{len(paths)} instances generated under {tmp}")
 
     records, summaries = run_bench(
@@ -60,7 +70,8 @@ def main():
         speed = statistics.median(r["speedup_gen_over_alt"] for r in rows)
         ratio = statistics.median(r["nonzeros_gen_over_alt"] for r in rows)
         print(f"{n:>8} {density:>8} {speed:>12.3f} {ratio:>13.3f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

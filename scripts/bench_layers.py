@@ -319,9 +319,11 @@ def startup(repeats):
 
     * import  `python -c "import clustercap"`;
     * solve   `python -m clustercap.cli solve --model generalized
-              tests/data/example1.json`, its n = 3 cut matrix in a warm
-              cache of its own, which `CLUSTERCAP_CACHE` names in the
-              children's environment.
+              tests/data/example1.json`, which reads the n = 3 cut matrix
+              the package ships.  The children's environment names a
+              temporary `CLUSTERCAP_CACHE`, which the package ignores; it
+              is kept only so that a parent checkout timed through `--src`,
+              which still caches its matrices there, times a warm hit.
 
     For each: wall_s, the median wall time of `--repeats` runs, in s;
     max_rss_mb, the peak resident memory of the largest run
@@ -329,7 +331,7 @@ def startup(repeats):
     runs go first, as they are the smaller); scipy_optimize and
     scipy_sparse, whether any module of `scipy.optimize` or of
     `scipy.sparse` was imported, from one more run under
-    `python -X importtime`, which also warms the cache.  Fails if a run
+    `python -X importtime`, which also warms such a cache.  Fails if a run
     fails.
     """
     import clustercap  # from `--src`, as the other layers import it

@@ -178,7 +178,7 @@ def verify_instance(
         raise DomainError("seed must be >= 0")
     checks: list[tuple[str, bool, str]] = []
     g = build_parallel_graph(inst.chambers)
-    matrix = cuts_mod.build_cut_matrix(inst.chambers)
+    matrix = cuts_mod.reduced_matrix(inst.chambers)
     rng = np.random.default_rng(seed)
     worst_flow, worst_lp = 0.0, 0.0
     for _ in range(samples):
@@ -276,10 +276,10 @@ def _bench_instance(path: str, kinds: list[str], reps: int) -> list[BenchRecord]
     for kind in kinds:
         for rep in range(reps):
             try:
-                # built once, outside the timed solve; a chamber count with
+                # read once, outside the timed solve; a chamber count with
                 # no cut matrix fails each generalized record, not the run
                 if kind == "generalized" and matrix is None:
-                    matrix = cuts_mod.build_cut_matrix(inst.chambers)
+                    matrix = cuts_mod.reduced_matrix(inst.chambers)
                 res = models.solve_capacity(
                     inst, kind, matrix=matrix if kind == "generalized" else None
                 )

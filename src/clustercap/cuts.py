@@ -18,8 +18,9 @@ whose perceptron stage certifies the vertices and drops the rows below a
 midpoint of two others as it goes (see that module).  `BasicCut` objects are
 made only by `enumerate_minimal_cuts`, for callers that want the covers.
 
-This module alone decides where the reduced matrices are cached on disk:
-`default_cache_dir()`.  The models and the CLI take no location.
+The reduced matrices of n = 1..5 ship with the package, each as its
+`render_matrix_csv` text in `data/cuts_n{n}.csv`, which `reduced_matrix(n)`
+reads and checks against its pin.  Files are written only where asked.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import hashlib
 import io
 import os
 import tempfile
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -44,6 +44,9 @@ DEFAULT_NODE_BUDGET = 10**7
 MASK_RECIPES = 31  # recipes an int64 cover mask holds (two copies each): 5 chambers
 KEY_RECIPES = 39  # recipes one int64 base-3 key holds: 3^39 < 2^63
 
+DATA_DIR = Path(__file__).with_name("data")  # the shipped reduced matrices
+# Read by nothing in the package: perfbench checks that the directory it names
+# stays empty, and `bench_layers.py startup` gives older checkouts a cache.
 CACHE_ENV_VAR = "CLUSTERCAP_CACHE"
 
 # SHA-256 of render_matrix_csv of the reduced matrix per chamber count (1, 2,
@@ -274,17 +277,17 @@ def build_cut_matrix(
     reduce: bool = True,
     cache_dir: str | os.PathLike | None = None,
 ) -> CutMatrix:
-    """End-to-end pipeline with a per-n disk cache for reduced matrices.
+    """End-to-end pipeline, computed cold.
 
     graph -> doubled graph -> minimal covers -> weight rows -> (reduction).
-    Reduced matrices are cached as `cuts_n{n}.csv` under `cache_dir`, which
-    defaults to `default_cache_dir()`; raw matrices are always recomputed.
-    A cached file is used only when it hashes to the pin of n; anything else
-    is rebuilt with a warning naming it.  A cache that cannot be written
-    only warns, with the path and the error: the built matrix, checked
-    against its pin, is returned all the same.  Past 5 chambers it
-    raises DomainError at once, before any enumeration: reduce=True has no
-    pin there, and reduce=False no room in the int64 cover masks.
+    With a `cache_dir`, an existing directory, a reduced matrix is read from
+    `cuts_n{n}.csv` there when that file exists, and otherwise built and
+    written there atomically; a file that fails its pin or holds another
+    chamber count raises DomainError naming it, and a directory that cannot
+    be written raises its OSError.  Without one nothing is written (the
+    solvers read `reduced_matrix`).  Past 5 chambers it raises DomainError
+    at once, before any enumeration: reduce=True has no pin there, and
+    reduce=False no room in the int64 cover masks.
 
     The reduction keeps the coefficient rows (1 - weight) that can be the
     worst one for some x >= 0: the makespan is the largest coefficient row
@@ -292,17 +295,10 @@ def build_cut_matrix(
     covers it.  The kept rows stay in matrix order.
     """
     if reduce:
-        if n not in REDUCED_SHA256:
-            raise DomainError(f"no reduced cut matrix for {n} chambers, only for 1..5")
-        path = cache_path(n, cache_dir)
-        if path.is_file():
-            try:
-                cached = read_matrix_csv(path, reduced=True)
-                if cached.n == n:
-                    return cached
-                raise DomainError(f"{path}: holds the matrix for {cached.n} chambers, not {n}")
-            except DomainError as exc:
-                warnings.warn(f"rebuilding the cut cache: {exc}", stacklevel=2)
+        _check_pinned(n)
+        path = None if cache_dir is None else Path(cache_dir, f"cuts_n{n}.csv")
+        if path is not None and path.is_file():
+            return _read_reduced(path, n)
     g = build_parallel_graph(n)
     _check_mask_room(len(g.recipes))
     masks = _cover_masks(double_graph(g), DEFAULT_NODE_BUDGET)
@@ -312,25 +308,28 @@ def build_cut_matrix(
     kept = redundancy.reduce_to_minimal(1.0 - counts / 2)
     rows = tuple(tuple(1.0 - v for v in c) for c in kept)
     reduced = CutMatrix(n=n, labels=g.labels, rows=rows, reduced=True)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+    if path is not None:
         _atomic_write(path, render_matrix_csv(reduced))
-    except OSError as exc:
-        warnings.warn(f"cut cache not written to {path}: {exc}", stacklevel=2)
     return reduced
 
 
-def default_cache_dir() -> Path:
-    """The one cache location: CLUSTERCAP_CACHE, or else ~/.cache/clustercap."""
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "clustercap"
+def reduced_matrix(n: int) -> CutMatrix:
+    """The reduced cut matrix of n chambers, read from the table shipped
+    with the package and checked against its pin."""
+    _check_pinned(n)
+    return _read_reduced(DATA_DIR / f"cuts_n{n}.csv", n)
 
 
-def cache_path(n: int, cache_dir: str | os.PathLike | None = None) -> Path:
-    base = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    return base / f"cuts_n{n}.csv"
+def _check_pinned(n: int):
+    if n not in REDUCED_SHA256:
+        raise DomainError(f"no reduced cut matrix for {n} chambers, only for 1..5")
+
+
+def _read_reduced(path: Path, n: int) -> CutMatrix:
+    matrix = read_matrix_csv(path, reduced=True)
+    if matrix.n != n:
+        raise DomainError(f"{path}: holds the matrix for {matrix.n} chambers, not {n}")
+    return matrix
 
 
 def _atomic_write(path: Path, text: str):
@@ -340,8 +339,7 @@ def _atomic_write(path: Path, text: str):
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        Path(tmp).unlink(missing_ok=True)
         raise
 
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
-from .cuts import CutMatrix, build_cut_matrix
+from .cuts import CutMatrix, reduced_matrix
 from .errors import DomainError, LpSolverError, StructurallyInfeasibleError
 from .recipes import (
     MAX_CHAMBERS, RECIPE_MASKS, ParallelGraph, build_parallel_graph, chamber_letter,
@@ -445,10 +445,9 @@ def _place(rows: lp.Csr, aggs, columns: int) -> lp.Csr:
 def _generalized(inst: Instance, matrix: CutMatrix | None, full: bool) -> BuiltModel:
     """The generalized model with every cut row (`full`), or with only each
     tool's seed row and the template to build the others from.  Without a
-    `matrix`, the reduced one of the instance's chamber count is fetched
-    from `build_cut_matrix` (and its cache)."""
+    `matrix`, it reads the shipped `reduced_matrix(inst.chambers)`."""
     if matrix is None:
-        matrix = build_cut_matrix(inst.chambers)
+        matrix = reduced_matrix(inst.chambers)
     if matrix.n != inst.chambers:
         raise DomainError(f"cut matrix is for {matrix.n} chambers, instance has {inst.chambers}")
     if not matrix.reduced:
@@ -693,12 +692,12 @@ def gamma_formula(n: int) -> int:
 def predict_sizes(kind: str, n: int, n_tools: int, n_jobs: int, n_quals: int) -> SizePrediction:
     """Evaluate the closed-form size formulas for one model family.
 
-    k_rows and coeff_nonzeros come from the built reduced matrix (n <= 5 is
-    practical), never from a hardcoded table.
+    k_rows and coeff_nonzeros come from the shipped reduced matrix of n
+    (`reduced_matrix`, n = 1..5), never from a hardcoded table.
     """
     if kind not in ("generalized", "alternative"):
         raise DomainError("size formulas exist for 'generalized' and 'alternative' only")
-    matrix = build_cut_matrix(n)
+    matrix = reduced_matrix(n)
     n_recipes, n_edges = predict_graph_counts(n)
     k_rows = len(matrix.rows)
     coeff_nz = matrix.nonzeros()

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from clustercap import build_cut_matrix, models
-from clustercap.cuts import CACHE_ENV_VAR
 from clustercap.recipes import chamber_letter
 
 settings.register_profile(
@@ -20,29 +19,18 @@ settings.load_profile("fixed")
 DATA = __file__.rsplit("/", 1)[0] + "/data"
 
 
-@pytest.fixture(scope="session", autouse=True)
-def cache_dir(tmp_path_factory):
-    """The session's cut-matrix cache.  CLUSTERCAP_CACHE names it, so no test
-    writes under HOME unless it sets the variable itself."""
-    path = str(tmp_path_factory.mktemp("cutcache"))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv(CACHE_ENV_VAR, path)
-        yield path
-
-
 @pytest.fixture(scope="session")
-def matrices(cache_dir):
-    """Reduced cut matrices for the cheap chamber counts."""
+def matrices():
+    """Reduced cut matrices for the cheap chamber counts, built cold."""
     return {n: build_cut_matrix(n) for n in (1, 2, 3, 4)}
 
 
 @pytest.fixture(scope="session")
-def cuts5(tmp_path_factory):
-    """The reduced five-chamber matrix from a fresh, timed pipeline run (empty
-    cache), and its build time in seconds; built once per session."""
-    cache = tmp_path_factory.mktemp("n5cache")
+def cuts5():
+    """The reduced five-chamber matrix from a cold, timed pipeline run, and
+    its build time in seconds; built once per session."""
     start = time.perf_counter()
-    matrix = build_cut_matrix(5, reduce=True, cache_dir=cache)
+    matrix = build_cut_matrix(5)
     return matrix, time.perf_counter() - start
 
 

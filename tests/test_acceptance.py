@@ -41,8 +41,7 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num} {name}: {detail}"
 
 
-def test_criterion_1_cut_matrix_ground_truth(tmp_path, monkeypatch):
-    monkeypatch.setenv("CLUSTERCAP_CACHE", str(tmp_path))
+def test_criterion_1_cut_matrix_ground_truth(tmp_path):
     start = time.perf_counter()
     out3 = tmp_path / "m3.csv"
     out4 = tmp_path / "m4.csv"

@@ -18,10 +18,12 @@ from clustercap import (
     double_graph,
     enumerate_minimal_cuts,
     read_matrix_csv,
+    reduced_matrix,
     render_matrix_csv,
     solve_capacity,
     write_matrix_csv,
 )
+from clustercap import cuts
 from clustercap.cuts import (
     KEY_RECIPES,
     MASK_RECIPES,
@@ -29,7 +31,6 @@ from clustercap.cuts import (
     DoubledGraph,
     _collapse,
     _mask_counts,
-    cache_path,
 )
 from clustercap.errors import DomainError, EnumerationBudgetError
 
@@ -287,9 +288,34 @@ def test_rows_are_sorted_and_unique(matrices):
         assert len(set(m.rows)) == len(m.rows)
 
 
+def test_shipped_tables_are_the_cold_builds(matrices, cuts5):
+    built = {**matrices, 5: cuts5[0]}
+    assert sorted(p.name for p in cuts.DATA_DIR.iterdir()) == [
+        f"cuts_n{n}.csv" for n in range(1, 6)
+    ]
+    for n in range(1, 6):
+        shipped = cuts.DATA_DIR / f"cuts_n{n}.csv"
+        assert shipped.read_bytes() == render_matrix_csv(built[n]).encode()
+        assert reduced_matrix(n) == built[n]
+
+
+@pytest.mark.parametrize("n", [0, 6, -1])
+def test_no_shipped_table_past_the_pins(n):
+    with pytest.raises(DomainError, match=f"no reduced cut matrix for {n} chambers, only for 1..5"):
+        reduced_matrix(n)
+
+
+def test_a_shipped_table_of_another_n_is_refused(tmp_path, monkeypatch):
+    (tmp_path / "cuts_n3.csv").write_bytes((cuts.DATA_DIR / "cuts_n2.csv").read_bytes())
+    monkeypatch.setattr(cuts, "DATA_DIR", tmp_path)
+    path = re.escape(str(tmp_path / "cuts_n3.csv"))
+    with pytest.raises(DomainError, match=f"{path}: holds the matrix for 2 chambers, not 3"):
+        reduced_matrix(3)
+
+
 def test_cache_roundtrip(tmp_path):
     first = build_cut_matrix(3, cache_dir=tmp_path)
-    path = cache_path(3, tmp_path)
+    path = tmp_path / "cuts_n3.csv"
     assert path.is_file()
     stamp = path.stat().st_mtime_ns
     second = build_cut_matrix(3, cache_dir=tmp_path)
@@ -314,15 +340,13 @@ NOT_PINNED = "not the reduced cut matrix of {} chambers: SHA-256 mismatch"
     ],
     ids=["one-row", "mid-row", "other-n", "not-utf8", "huge-field", "other-n-pinned"],
 )
-def test_bad_cache_file_is_rebuilt_with_a_warning(tmp_path, content, why):
-    path = cache_path(3, tmp_path)
+def test_bad_cache_file_is_an_error(tmp_path, content, why):
+    path = tmp_path / "cuts_n3.csv"
     path.write_bytes(content)
-    with pytest.warns(UserWarning, match=f"{re.escape(str(path))}.*{why}"):
-        rebuilt = build_cut_matrix(3, cache_dir=tmp_path)
-    fresh = build_cut_matrix(3, cache_dir=tmp_path / "fresh")
-    assert rebuilt == fresh
-    assert path.read_text() == render_matrix_csv(fresh)
-    assert sorted(tmp_path.iterdir()) == [path, tmp_path / "fresh"]
+    with pytest.raises(DomainError, match=f"{re.escape(str(path))}.*{why}"):
+        build_cut_matrix(3, cache_dir=tmp_path)
+    assert path.read_bytes() == content
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 # the header and the five reduced three-chamber rows, as the cache stores them
@@ -341,14 +365,13 @@ N3_HEADER, N3_ROWS = N3_LINES[0], N3_LINES[1:]
     ],
     ids=["flipped-entry", "repeated-row", "swapped-rows", "opposite-edits"],
 )
-def test_cache_file_with_wrong_rows_is_rebuilt_with_a_warning(tmp_path, rows, why):
-    path = cache_path(3, tmp_path)
-    path.write_text("\n".join((N3_HEADER,) + rows) + "\n")
-    with pytest.warns(UserWarning, match=f"{re.escape(str(path))}.*{why}"):
-        rebuilt = build_cut_matrix(3, cache_dir=tmp_path)
-    fresh = build_cut_matrix(3, cache_dir=tmp_path / "fresh")
-    assert rebuilt == fresh
-    assert path.read_bytes() == cache_path(3, tmp_path / "fresh").read_bytes()
+def test_cache_file_with_wrong_rows_is_an_error(tmp_path, rows, why):
+    path = tmp_path / "cuts_n3.csv"
+    text = "\n".join((N3_HEADER,) + rows) + "\n"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=f"{re.escape(str(path))}: {why}"):
+        build_cut_matrix(3, cache_dir=tmp_path)
+    assert path.read_text() == text
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -394,30 +417,34 @@ def test_hand_built_reduced_matrix_is_checked(matrices):
     assert not CutMatrix(n=3, labels=m.labels, rows=tuple(edited), reduced=False).reduced
 
 
-def test_cache_env_var_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("CLUSTERCAP_CACHE", str(tmp_path / "envcache"))
-    build_cut_matrix(2)
-    assert (tmp_path / "envcache" / "cuts_n2.csv").is_file()
-
-
 @pytest.mark.parametrize(
     "where, error",
-    [("under-a-file", "Not a directory"), ("file-is-a-directory", "Is a directory")],
+    [("under-a-file", NotADirectoryError), ("file-is-a-directory", IsADirectoryError)],
 )
-def test_unwritable_cache_warns_and_returns_the_matrix(tmp_path, where, error):
-    """A cache that cannot be created or written costs a warning naming the
-    path and the error, never the matrix just built."""
+def test_unwritable_cache_raises(tmp_path, where, error):
+    """A cache directory that cannot be written (a path under a file, or a
+    directory in the table's place) raises its OSError and leaves no
+    temporary file behind."""
     if where == "under-a-file":
         (tmp_path / "file").write_text("")
         cache = tmp_path / "file" / "cache"
     else:
         cache = tmp_path / "cache"
-        cache_path(3, cache).mkdir(parents=True)
-    path = cache_path(3, cache)
-    with pytest.warns(UserWarning, match=f"cut cache not written to {re.escape(str(path))}: .*{error}"):
-        built = build_cut_matrix(3, cache_dir=cache)
-    assert built.reduced and built == build_cut_matrix(3, cache_dir=tmp_path / "fresh")
+        (cache / "cuts_n3.csv").mkdir(parents=True)
+    with pytest.raises(error):
+        build_cut_matrix(3, cache_dir=cache)
     assert not list(tmp_path.glob("**/*.tmp"))
+
+
+def test_a_build_without_a_cache_writes_nothing(tmp_path, monkeypatch):
+    home, cache = tmp_path / "home", tmp_path / "cache"
+    home.mkdir()
+    cache.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("CLUSTERCAP_CACHE", str(cache))
+    monkeypatch.chdir(tmp_path)
+    assert build_cut_matrix(2) == reduced_matrix(2)
+    assert sorted(tmp_path.rglob("*")) == [cache, home]
 
 
 def test_concurrent_builds_distinct_n(tmp_path):
@@ -436,7 +463,7 @@ def test_concurrent_builds_distinct_n(tmp_path):
         t.join()
     assert not errors
     for n in (2, 3, 4):
-        assert cache_path(n, tmp_path).is_file()
+        assert (tmp_path / f"cuts_n{n}.csv").is_file()
 
 
 def test_csv_rendering_format(matrices):

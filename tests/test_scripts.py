@@ -9,9 +9,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 import clustercap
-from clustercap import GenParams, render_matrix_csv
+from clustercap import GenParams
 from clustercap.cli import BENCH_HEADER
+from clustercap.cuts import DATA_DIR
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SCRIPT = SCRIPTS / "bench_layers.py"
@@ -59,13 +62,12 @@ def test_bench_layers_reduce_runs_the_stages(tmp_path):
 
 
 def test_bench_layers_startup_times_fresh_interpreters(tmp_path):
-    """The solve child caches its cut matrix where the script's own
-    CLUSTERCAP_CACHE points, not under HOME."""
+    """The solve child reads the shipped cut matrix and writes nothing
+    under HOME."""
     out = tmp_path / "BENCH_startup.json"
     home = tmp_path / "home"
     home.mkdir()
-    env = {k: v for k, v in os.environ.items() if k != "CLUSTERCAP_CACHE"}
-    env["HOME"] = str(home)
+    env = {**os.environ, "HOME": str(home)}
     args = ("startup", "--label", "now", "--repeats", "1", "--out", str(out))
     done = bench_layers(*args, env=env)
     assert done.returncode == 0, done.stderr
@@ -115,22 +117,58 @@ def run_script(name, monkeypatch, tmp_path, *args):
     runpy.run_path(str(SCRIPTS / name), run_name="__main__")
 
 
-def test_make_cut_tables_writes_the_reduced_matrices(monkeypatch, tmp_path, matrices):
-    monkeypatch.setenv("CLUSTERCAP_CACHE", str(tmp_path / "cache"))
+def test_make_cut_tables_writes_the_shipped_tables(monkeypatch, tmp_path):
     out = tmp_path / "tables"
     args = ["--max-chambers", "3", "--out-dir", str(out)]
-    run_script("make_cut_tables.py", monkeypatch, tmp_path, *args)
+    with pytest.raises(SystemExit) as done:
+        run_script("make_cut_tables.py", monkeypatch, tmp_path, *args)
+    assert done.value.code == 0
     assert sorted(p.name for p in out.iterdir()) == ["cuts_n1.csv", "cuts_n2.csv", "cuts_n3.csv"]
     for n in (1, 2, 3):
-        assert (out / f"cuts_n{n}.csv").read_bytes() == render_matrix_csv(matrices[n]).encode()
+        assert (out / f"cuts_n{n}.csv").read_bytes() == (DATA_DIR / f"cuts_n{n}.csv").read_bytes()
+
+
+def test_make_cut_tables_past_five_chambers_is_an_error(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "tables"
+    args = ["--max-chambers", "6", "--out-dir", str(out)]
+    with pytest.raises(SystemExit) as done:
+        run_script("make_cut_tables.py", monkeypatch, tmp_path, *args)
+    assert done.value.code == 1
+    err = capsys.readouterr().err
+    assert err == "error: no reduced cut matrix for 6 chambers, only for 1..5\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "factor, why",
+    [
+        (["--seeds", "-1"], "seed must be >= 0"),
+        (["--sizecats", "4"], "sizecat must be one of"),
+        (["--sizecats", "0", "-1"], "sizecat must be one of"),
+    ],
+    ids=["negative-seed", "sizecat-4", "one-bad-sizecat"],
+)
+def test_bench_grid_bad_factor_is_an_error(monkeypatch, tmp_path, capsys, factor, why):
+    """A factor value the generator refuses gives one `error:` line and exit
+    1, before the instance directory is made."""
+    out = tmp_path / "grid.csv"
+    args = ["--sizecats", "0", "--shapes", "1:1", "--densities", "1", "--chambers", "3"]
+    args += [*factor, "--reps", "1", "--out", str(out)]
+    with pytest.raises(SystemExit) as done:
+        run_script("bench_grid.py", monkeypatch, tmp_path, *args)
+    assert done.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {why}") and len(err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_bench_grid_smallest_grid_is_optimal(monkeypatch, tmp_path):
-    monkeypatch.setenv("CLUSTERCAP_CACHE", str(tmp_path / "cache"))
     out = tmp_path / "grid.csv"
     args = ["--sizecats", "0", "--shapes", "1:1", "--densities", "1", "--chambers", "3"]
     args += ["--reps", "1", "--out", str(out)]
-    run_script("bench_grid.py", monkeypatch, tmp_path, *args)
+    with pytest.raises(SystemExit) as done:
+        run_script("bench_grid.py", monkeypatch, tmp_path, *args)
+    assert done.value.code == 0
     lines = out.read_text().splitlines()
     assert tuple(lines[0].split(",")) == BENCH_HEADER
     bench = [r for r in csv.DictReader(lines) if r["record_type"] == "bench"]
