@@ -149,39 +149,51 @@ def oracles(repeats):
 def reduce(repeats):
     """Time each stage of the cold five-chamber cut reduction; write BENCH_reduce.json.
 
-    Stages, in the order `build_cut_matrix` runs them: enumerate (the cover
-    bit masks), collapse (the copy counts of the masks and their distinct
-    rows), perceptron (certificates and midpoint exits on every raw row) and
-    lps (separation LPs on the rows left neither certified nor dropped).
-    Counts: covers, raw rows, certified and dropped (by the perceptron), LPs
-    run and rows kept; `lp_iterations` sums the HiGHS iterations of the LPs.  Stage
-    times are medians in s.  Fails if the kept rows differ from the
-    checked-in five-chamber matrix.
+    Stages, in the order `build_cut_matrix` runs them: enumerate (the closed
+    sets of the doubled graph, by intersection closure), collapse (the copy
+    counts of their covers and the distinct rows), orbits (the 120 chamber
+    relabelings, the one sort of the rows and their representatives under
+    the relabelings), perceptron (certificates and midpoint exits on the
+    representatives, each verdict spread over its orbit) and lps (separation
+    LPs on the rows left neither certified nor dropped).  Counts: covers,
+    raw rows, orbits, the representatives certified and dropped by the
+    perceptron, LPs run and rows kept; `lp_iterations` sums the HiGHS
+    iterations of the LPs.  Stage times are medians in s.  Fails if the kept
+    rows differ from the checked-in five-chamber matrix.
     """
-    from clustercap import cuts, redundancy
+    from clustercap import cuts, recipes, redundancy
 
     highs = watch_highs()
     reference = set(cuts.read_matrix_csv(N5_COPY, reduced=True).coeff_rows())
-    stages = ("enumerate", "collapse", "perceptron", "lps")
+    stages = ("enumerate", "collapse", "orbits", "perceptron", "lps")
     runs = []
     for _ in range(repeats):
         highs["iterations"] = 0
         secs = {}
         t = time.perf_counter()
         g = cuts.build_parallel_graph(5)
-        masks = cuts._cover_masks(cuts.double_graph(g), cuts.DEFAULT_NODE_BUDGET)
+        nbr = cuts._neighbours(cuts.double_graph(g))
+        sets = cuts._closed_sets(nbr, cuts.DEFAULT_NODE_BUDGET)
         secs["enumerate"] = time.perf_counter() - t
         t = time.perf_counter()
-        counts = cuts._collapse(cuts._mask_counts(masks, len(g.recipes)))
+        counts = cuts._collapse(cuts._cover_counts(sets, nbr))
         secs["collapse"] = time.perf_counter() - t
-        arr = 1.0 - counts / 2  # distinct, in the sorted order of reduce_to_minimal
-        (certified, dropped), secs["perceptron"] = timed(redundancy.perceptron_certified, arr)
-        alive = ~dropped
+        t = time.perf_counter()
+        perms = recipes.chamber_permutations(5)
+        arr, keys = redundancy._sort_distinct(1.0 - counts / 2)
+        rep_of = redundancy._representatives(arr, keys, perms)
+        secs["orbits"] = time.perf_counter() - t
+        t = time.perf_counter()
+        reps = rep_of == np.arange(len(arr))
+        certified, dropped = redundancy._perceptron(arr, reps)
+        settled, alive = certified[rep_of], ~dropped[rep_of]
+        secs["perceptron"] = time.perf_counter() - t
         # separate_remaining clears the rows it finds redundant from `alive`
-        lps, secs["lps"] = timed(redundancy.separate_remaining, arr, alive, certified)
+        lps, secs["lps"] = timed(redundancy.separate_remaining, arr, alive, settled)
         counts = {
-            "covers": len(masks),
+            "covers": len(sets),
             "raw_rows": len(arr),
+            "orbits": int(reps.sum()),
             "certified": int(certified.sum()),
             "dropped": int(dropped.sum()),
             "lps": lps,
@@ -190,7 +202,7 @@ def reduce(repeats):
         if set(map(tuple, arr[alive].tolist())) != reference:
             sys.exit(f"kept rows differ from {N5_COPY.name}: {counts['kept']} vs {len(reference)}")
         runs.append(secs)
-        print(" ".join(f"{k}={secs[k]:.3f}" for k in stages), counts, flush=True)
+        print(" ".join(f"{k}={secs[k]:.4f}" for k in stages), counts, flush=True)
     stage_s = {k: round(statistics.median(r[k] for r in runs), 4) for k in stages}
     return {
         "stage_s": stage_s,

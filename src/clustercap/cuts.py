@@ -7,16 +7,26 @@ independent sets.  Each cut collapses to a per-recipe weight vector with
 entries in {0, 1/2, 1} (half per selected copy); the capacity models consume
 the complementary rows (1 - weight).
 
-`build_cut_matrix` runs on arrays end to end.  The covers come out of the
-enumeration as bit sets, 2m bits for m recipes, which an int64 holds up to
-m = 31 (5 chambers); the selected copies per recipe are counted from them
-with shifts.  `_collapse` keys each count row as a base-3 number (3^31 fits
-an int64; wider rows take one key per 39 recipes) and deduplicates the keys
-with a stable sort, which gives the rows in matrix order.
-The distinct coefficient rows then go to `redundancy.reduce_to_minimal`,
-whose perceptron stage certifies the vertices and drops the rows below a
-midpoint of two others as it goes (see that module).  `BasicCut` objects are
-made only by `enumerate_minimal_cuts`, for callers that want the covers.
+The covers are enumerated as closed sets.  Write N(i) for the right copies
+the left copy of recipe i has arcs to.  A maximal independent set is a pair
+(I_L, I_R) with I_R the intersection of R - N(i) over i in I_L, and I_L the
+recipes i whose N(i) misses I_R.  So the right halves I_R are exactly the
+intersections of the sets R - N(i) (R itself the empty one), and each fixes
+its cover: the right copies outside I_R and the left copies whose arcs meet
+it.  `_closed_sets` closes the family {R} under intersection with each
+R - N(i) in turn, on bit sets.  Every family on the way is part of the final
+one, so DEFAULT_NODE_BUDGET caps the sets the enumeration holds.
+`build_cut_matrix` runs on arrays from there: the closed sets go into an
+int64 array (m bits for m recipes, up to m = 63), the selected copies per
+recipe are counted from it with shifts, and `_collapse` keys each count row
+as a base-3 number (3^31 fits an int64; wider rows take one key per 39
+recipes) and deduplicates the keys with a stable sort, which gives the rows
+in matrix order.  The distinct coefficient rows then go to
+`redundancy.reduce_to_minimal` with the n! relabelings of the chambers
+(`recipes.chamber_permutations`), which leave the row set invariant: its
+perceptron stage certifies one row per orbit and drops the rows below a
+midpoint of two others (see that module).  `BasicCut` objects are made only
+by `enumerate_minimal_cuts`, for callers that want the covers.
 
 The reduced matrices of n = 1..5 ship with the package, each as its
 `render_matrix_csv` text in `data/cuts_n{n}.csv`, which `reduced_matrix(n)`
@@ -37,11 +47,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, EnumerationBudgetError
-from .recipes import MAX_CHAMBERS, ParallelGraph, build_parallel_graph
+from .recipes import MAX_CHAMBERS, ParallelGraph, build_parallel_graph, chamber_permutations
 from . import redundancy
 
-DEFAULT_NODE_BUDGET = 10**7
-MASK_RECIPES = 31  # recipes an int64 cover mask holds (two copies each): 5 chambers
+# closed sets the enumeration may hold: 5 chambers need 7579; 6 chambers pass
+# the budget within about 0.05 s, holding about 5 MB
+DEFAULT_NODE_BUDGET = 2**16
+MASK_RECIPES = 63  # recipes an int64 bit set holds, one bit each: 6 chambers
 KEY_RECIPES = 39  # recipes one int64 base-3 key holds: 3^39 < 2^63
 
 DATA_DIR = Path(__file__).with_name("data")  # the shipped reduced matrices
@@ -50,7 +62,8 @@ DATA_DIR = Path(__file__).with_name("data")  # the shipped reduced matrices
 CACHE_ENV_VAR = "CLUSTERCAP_CACHE"
 
 # SHA-256 of render_matrix_csv of the reduced matrix per chamber count (1, 2,
-# 5, 23, 590 rows); n = 6 exceeds DEFAULT_NODE_BUDGET, so there are no others
+# 5, 23, 590 rows); the closed sets of n = 6 exceed DEFAULT_NODE_BUDGET, so
+# there are no others
 REDUCED_SHA256 = {
     1: "8ebbd9fe688c1e5442da8aaf95b3ebd6d850c60f8ef42a69a3a4b82f4df064e6",
     2: "fd580b13d0ec4c5a918d4fc42d160b46c4f488370b095f37589b7caebc994449",
@@ -146,56 +159,31 @@ def double_graph(g: ParallelGraph) -> DoubledGraph:
     return DoubledGraph(graph=g, arcs=arcs)
 
 
-def _cover_masks(dg: DoubledGraph, node_budget: int) -> list[int]:
-    """The minimal vertex covers as bit sets: bit i is the left copy of
-    recipe i, bit m + i its right copy.
-
-    Complements of maximal independent sets, enumerated as maximal cliques of
-    the complement graph (Bron-Kerbosch with pivoting, bitmask sets).
-    Vertices with no incident arc are in every independent set, hence never
-    selected by a cover.  Aborts with a budget error if the recursion exceeds
-    `node_budget` nodes.
-    """
-    m = dg.size
-    nv = 2 * m
-    adj = [0] * nv
+def _neighbours(dg: DoubledGraph) -> list[int]:
+    """Per recipe i, the right copies its left copy has arcs to, as a bit set."""
+    nbr = [0] * dg.size
     for i, j in dg.arcs:
-        adj[i] |= 1 << (m + j)
-        adj[m + j] |= 1 << i
-    full = (1 << nv) - 1
-    comp = [(~adj[v]) & full & ~(1 << v) for v in range(nv)]
-    out: list[int] = []
-    nodes = 0
+        nbr[i] |= 1 << j
+    return nbr
 
-    def expand(r: int, p: int, x: int):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise EnumerationBudgetError(nodes, node_budget)
-        if p == 0 and x == 0:
-            out.append(full & ~r)
-            return
-        pux = p | x
-        pivot, best = -1, -1
-        mask = pux
-        while mask:
-            u = (mask & -mask).bit_length() - 1
-            deg = (p & comp[u]).bit_count()
-            if deg > best:
-                pivot, best = u, deg
-            mask &= mask - 1
-        cand = p & ~comp[pivot]
-        mask = cand
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            bit = 1 << v
-            expand(r | bit, p & comp[v], x & comp[v])
-            p &= ~bit
-            x |= bit
-            mask &= mask - 1
 
-    expand(0, full, 0)
-    return out
+def _closed_sets(nbr: list[int], node_budget: int) -> set[int]:
+    """The right halves I_R of the maximal independent sets, as bit sets: the
+    intersections of the sets R - N(i), the empty intersection R included.
+
+    The family {R} is closed under intersection with each R - N(i) in turn
+    (the last recipe first, which holds the family smallest on the way).
+    Every family on the way is a subset of the final one, so the budget caps
+    the sets held: past `node_budget` of them it raises, holding at most
+    twice that many.
+    """
+    full = (1 << len(nbr)) - 1
+    family = {full}
+    for allowed in reversed(dict.fromkeys(full & ~x for x in nbr if x)):
+        family |= {s & allowed for s in family}
+        if len(family) > node_budget:
+            raise EnumerationBudgetError(len(family), node_budget)
+    return family
 
 
 def enumerate_minimal_cuts(
@@ -203,37 +191,42 @@ def enumerate_minimal_cuts(
 ) -> list[BasicCut]:
     """All minimal vertex covers of the doubled graph, sorted by (left, right).
 
-    The covers of `_cover_masks`, on Python ints, so any chamber count works
-    (within the budget).
+    The covers of `_closed_sets`, on Python ints, so any number of recipes
+    works (within the budget): a cover holds the right copies outside I_R
+    and the left copies whose arcs meet I_R.
     """
     m = dg.size
+    nbr = _neighbours(dg)
     covers = [
         BasicCut(
-            left=tuple(cov >> i & 1 for i in range(m)),
-            right=tuple(cov >> (m + i) & 1 for i in range(m)),
+            left=tuple(int(x & s != 0) for x in nbr),
+            right=tuple(1 - (s >> i & 1) for i in range(m)),
         )
-        for cov in _cover_masks(dg, node_budget)
+        for s in _closed_sets(nbr, node_budget)
     ]
     covers.sort(key=lambda c: (c.left, c.right))
     return covers
 
 
 def _check_mask_room(m: int):
-    """Refuse more recipes than an int64 cover mask holds, two bits each."""
+    """Refuse more recipes than an int64 bit set holds."""
     if m > MASK_RECIPES:
         raise DomainError(
-            f"{m} recipes do not fit an int64 cover mask, at most {MASK_RECIPES}: "
+            f"{m} recipes do not fit an int64 bit set, at most {MASK_RECIPES}: "
             "cut matrices only for 1..5 chambers"
         )
 
 
-def _mask_counts(masks, m: int) -> np.ndarray:
-    """The selected copies per recipe (0, 1 or 2) of each cover mask of m
-    recipes, one int64 row each: bit i plus bit m + i."""
+def _cover_counts(sets, nbr: list[int]) -> np.ndarray:
+    """The selected copies per recipe (0, 1 or 2) of the cover of each closed
+    set, one int64 row each: the left copy of i when N(i) meets the set, plus
+    the right copy of i when i is not in it."""
+    m = len(nbr)
     _check_mask_room(m)
-    masks = np.asarray(masks, dtype=np.int64)[:, None]
-    shifts = np.arange(m, dtype=np.int64)
-    return (masks >> shifts & 1) + (masks >> (shifts + m) & 1)
+    sets = np.fromiter(sets, dtype=np.int64, count=len(sets))[:, None]
+    left = (sets & np.array(nbr, dtype=np.int64)) != 0
+    right = (sets >> np.arange(m, dtype=np.int64) & 1) == 0
+    return left.astype(np.int64) + right
 
 
 def _collapse(counts) -> np.ndarray:
@@ -285,9 +278,10 @@ def build_cut_matrix(
     written there atomically; a file that fails its pin or holds another
     chamber count raises DomainError naming it, and a directory that cannot
     be written raises its OSError.  Without one nothing is written (the
-    solvers read `reduced_matrix`).  Past 5 chambers it raises DomainError
-    at once, before any enumeration: reduce=True has no pin there, and
-    reduce=False no room in the int64 cover masks.
+    solvers read `reduced_matrix`).  reduce=True raises DomainError past 5
+    chambers, before any enumeration, for there is no pin there;
+    reduce=False past 6, where the int64 bit sets have no room, and at 6
+    chambers the enumeration passes its budget within about 0.05 s.
 
     The reduction keeps the coefficient rows (1 - weight) that can be the
     worst one for some x >= 0: the makespan is the largest coefficient row
@@ -301,12 +295,12 @@ def build_cut_matrix(
             return _read_reduced(path, n)
     g = build_parallel_graph(n)
     _check_mask_room(len(g.recipes))
-    masks = _cover_masks(double_graph(g), DEFAULT_NODE_BUDGET)
-    counts = _collapse(_mask_counts(masks, len(g.recipes)))
+    nbr = _neighbours(double_graph(g))
+    counts = _collapse(_cover_counts(_closed_sets(nbr, DEFAULT_NODE_BUDGET), nbr))
     if not reduce:
         return _raw_matrix(g, counts)
-    kept = redundancy.reduce_to_minimal(1.0 - counts / 2)
-    rows = tuple(tuple(1.0 - v for v in c) for c in kept)
+    kept = redundancy.reduce_to_minimal(1.0 - counts / 2, chamber_permutations(n))
+    rows = tuple(map(tuple, (1.0 - np.array(kept)).tolist()))
     reduced = CutMatrix(n=n, labels=g.labels, rows=rows, reduced=True)
     if path is not None:
         _atomic_write(path, render_matrix_csv(reduced))

@@ -10,13 +10,11 @@ class DomainError(ClusterCapError):
 
 
 class EnumerationBudgetError(DomainError):
-    """Cut enumeration exceeded its branch-node budget."""
+    """Cut enumeration held more closed sets than its budget allows."""
 
-    def __init__(self, nodes: int, budget: int):
-        super().__init__(
-            f"cut enumeration aborted after {nodes} branch nodes (budget {budget})"
-        )
-        self.nodes = nodes
+    def __init__(self, held: int, budget: int):
+        super().__init__(f"cut enumeration aborted holding {held} closed sets (budget {budget})")
+        self.held = held
         self.budget = budget
 
 

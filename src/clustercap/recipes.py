@@ -7,8 +7,11 @@ pairs are the edges of the parallelization graph.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -117,3 +120,21 @@ def build_parallel_graph(n: int) -> ParallelGraph:
     if (len(g.recipes), len(g.edges)) != expect:
         raise AssertionError(f"graph counts {len(g.recipes)},{len(g.edges)} != {expect}")
     return g
+
+
+def chamber_permutations(n: int) -> np.ndarray:
+    """The n! relabelings of the chambers as slot permutations, one int64 row
+    each, in the order of `itertools.permutations(range(n))` (the identity
+    first).  Row p maps recipe slot k to the slot of the recipe whose
+    chambers are those of recipe k relabeled by the p-th permutation.  A
+    relabeling keeps disjointness, so each row maps every edge of
+    `build_parallel_graph(n)` onto an edge; as column permutations
+    (`rows[:, perm]`) they form a group isomorphic to the symmetric group.
+    """
+    g = build_parallel_graph(n)
+    masks = np.array([r.mask for r in g.recipes], dtype=np.int64)
+    slot = np.empty(1 << n, dtype=np.int64)
+    slot[masks] = np.arange(len(masks))
+    chambers = masks[:, None] >> np.arange(n) & 1  # (recipes, n)
+    relabel = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    return slot[(chambers[None, :, :] << relabel[:, None, :]).sum(axis=2)]

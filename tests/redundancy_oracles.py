@@ -6,13 +6,14 @@ from clustercap import is_redundant_lp, lp
 from clustercap.errors import LpSolverError
 from clustercap.redundancy import (
     BLOCK,
+    MASK_WIDTH,
     PERCEPTRON_STEPS,
     RedundancyVerdict,
     _half_integral_rows,
-    _pack,
     _validate_inputs,
 )
 
+_BITS = np.left_shift(np.int64(1), np.arange(MASK_WIDTH, dtype=np.int64))
 PIVOT_TOL = 1e-10  # the phase-1 simplex's pivot and ratio-test tolerance
 WITNESS_SLACK = 1e-7  # how far a witness may miss, in the hull oracle's checks
 
@@ -45,6 +46,11 @@ def one_pass_lp_reduction(a_set) -> list[tuple[float, ...]]:
         if others.shape[0] and is_redundant_lp(arr[i], others).redundant:
             alive[i] = False
     return [rows[i] for i in range(len(rows)) if alive[i]]
+
+
+def _pack(flags: np.ndarray) -> np.ndarray:
+    """Each row of a boolean matrix as one int64 bit mask."""
+    return flags.astype(np.int64) @ _BITS[: flags.shape[1]]
 
 
 def _some_pair_fits(zero: np.ndarray, below: np.ndarray) -> bool:

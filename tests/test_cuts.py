@@ -25,16 +25,20 @@ from clustercap import (
 )
 from clustercap import cuts
 from clustercap.cuts import (
+    DEFAULT_NODE_BUDGET,
     KEY_RECIPES,
     MASK_RECIPES,
     REDUCED_SHA256,
     DoubledGraph,
+    _closed_sets,
     _collapse,
-    _mask_counts,
+    _cover_counts,
+    _neighbours,
 )
 from clustercap.errors import DomainError, EnumerationBudgetError
 
 from conftest import DATA, example1_instance
+from cut_oracles import bron_kerbosch_covers
 
 
 def brute_force_minimal_covers(dg):
@@ -126,6 +130,31 @@ def test_budget_guard_raises():
         enumerate_minimal_cuts(dg, node_budget=10)
 
 
+def test_six_chambers_pass_the_default_budget_at_once():
+    dg = double_graph(build_parallel_graph(6))
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudgetError, match=f"budget {DEFAULT_NODE_BUDGET}") as err:
+        enumerate_minimal_cuts(dg)
+    assert time.perf_counter() - start < 1.0
+    # the closure stops in the step that passes the budget, at most doubling it
+    assert DEFAULT_NODE_BUDGET < err.value.held <= 2 * DEFAULT_NODE_BUDGET
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_closure_matches_bron_kerbosch(n):
+    dg = double_graph(build_parallel_graph(n))
+    covers = {(c.left, c.right) for c in minimal_cuts(n)}
+    assert len(covers) == COVER_COUNTS[n]
+    assert covers == bron_kerbosch_covers(dg)
+
+
+def test_closure_matches_bron_kerbosch_on_any_number_of_recipes():
+    dg = DoubledGraph(graph=build_parallel_graph(6), arcs=((0, 62), (62, 0)))
+    covers = {(c.left, c.right) for c in enumerate_minimal_cuts(dg)}
+    assert len(covers) == 4
+    assert covers == bron_kerbosch_covers(dg)
+
+
 COVER_COUNTS = {1: 1, 2: 4, 3: 18, 4: 166, 5: 7579}
 
 
@@ -148,23 +177,23 @@ def test_collapse_matches_the_weight_sets(n):
     g = build_parallel_graph(n)
     covers = list(minimal_cuts(n))
     slow = sorted({c.weights() for c in covers}, key=lambda w: tuple(1 - v for v in w))
-    m = len(g.recipes)
-    masks = [
-        sum(v << i for i, v in enumerate(c.left)) | sum(v << (m + i) for i, v in enumerate(c.right))
-        for c in covers
-    ]
-    assert [tuple(r) for r in (_collapse(_mask_counts(masks, m)) / 2).tolist()] == slow
+    nbr = _neighbours(double_graph(g))
+    counts = _cover_counts(_closed_sets(nbr, DEFAULT_NODE_BUDGET), nbr)
+    assert [tuple(r) for r in (_collapse(counts) / 2).tolist()] == slow
     assert cuts_to_matrix(g, covers).rows == tuple(slow)
     assert build_cut_matrix(n, reduce=False).rows == tuple(slow)
 
 
 def test_more_recipes_than_a_cover_mask_holds_are_refused():
-    with pytest.raises(DomainError, match=f"32 recipes .* at most {MASK_RECIPES}"):
-        _mask_counts([], MASK_RECIPES + 1)
+    with pytest.raises(DomainError, match=f"64 recipes .* at most {MASK_RECIPES}"):
+        _cover_counts(set(), [0] * (MASK_RECIPES + 1))
     start = time.perf_counter()
-    with pytest.raises(DomainError, match="63 recipes .* only for 1..5 chambers"):
+    with pytest.raises(DomainError, match="127 recipes .* only for 1..5 chambers"):
+        build_cut_matrix(7, reduce=False)
+    # six chambers fit the bit sets, and the enumeration budget refuses them
+    with pytest.raises(EnumerationBudgetError, match="budget"):
         build_cut_matrix(6, reduce=False)
-    assert time.perf_counter() - start < 1.0  # before the 10^7-node recursion
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumeration_takes_any_number_of_recipes():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from clustercap import build_parallel_graph, predict_graph_counts
 from clustercap.errors import DomainError
-from clustercap.recipes import RECIPE_MASKS
+from clustercap.recipes import RECIPE_MASKS, chamber_permutations
 
 
 def brute_force_edges(n):
@@ -106,3 +106,24 @@ def test_incidence_and_label_lookup_match_slow_scans(n):
             assert (spelling in RECIPE_MASKS) == (spelling == label)
         assert label + label[-1] not in RECIPE_MASKS
     assert "" not in RECIPE_MASKS
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_chamber_permutations_are_the_relabelings(n):
+    g = build_parallel_graph(n)
+    perms = chamber_permutations(n)
+    assert perms.shape == (len(list(permutations(range(n)))), len(g.recipes))
+    assert len({tuple(p) for p in perms.tolist()}) == len(perms)
+    assert perms[0].tolist() == list(range(len(g.recipes)))
+    edges = set(g.edges)
+    for perm in perms.tolist():
+        assert sorted(perm) == list(range(len(g.recipes)))
+        assert all(tuple(sorted((perm[i], perm[j]))) in edges for i, j in g.edges)
+
+
+def test_a_chamber_permutation_relabels_the_chambers():
+    g = build_parallel_graph(3)
+    # the second relabeling of itertools.permutations swaps chambers B and C
+    swap = chamber_permutations(3)[1]
+    moved = {g.labels[k]: g.labels[swap[k]] for k in range(len(g.recipes))}
+    assert moved == {"A": "A", "B": "C", "C": "B", "AB": "AC", "AC": "AB", "BC": "BC", "ABC": "ABC"}

@@ -19,6 +19,7 @@ from clustercap import (
 )
 from clustercap import redundancy
 from clustercap.errors import DomainError, LpSolverError
+from clustercap.recipes import chamber_permutations
 from clustercap.redundancy import (
     MASK_WIDTH,
     PERCEPTRON_STEPS,
@@ -550,3 +551,104 @@ class TestSeparationPass:
     def test_negative_entries_rejected(self):
         with pytest.raises(DomainError, match="nonnegative"):
             reduce_to_minimal([(1.0, -0.5), (0.0, 1.0)])
+
+
+def cyclic_group(perm) -> np.ndarray:
+    """The powers of a column permutation, the identity first."""
+    powers = [np.arange(len(perm))]
+    while (power := powers[-1][perm]).tolist() != powers[0].tolist():
+        powers.append(power)
+    return np.array(powers)
+
+
+@st.composite
+def symmetric_sets(draw):
+    """A half-integral set closed under the cyclic group of a random column
+    permutation, and the group."""
+    rows = draw(half_integral_sets())
+    group = cyclic_group(np.array(draw(st.permutations(range(len(rows[0]))))))
+    closed = sorted({tuple(np.asarray(row)[perm].tolist()) for row in rows for perm in group})
+    return draw(st.permutations(closed)), group
+
+
+class TestSymmetries:
+    """`reduce_to_minimal` with a group of column permutations that leaves
+    the set invariant: one perceptron run per orbit, the same rows kept."""
+
+    @given(symmetric_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_a_group_changes_nothing_kept(self, case):
+        rows, group = case
+        assert reduce_to_minimal(rows, symmetries=group) == reduce_to_minimal(rows)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_the_chamber_relabelings_change_nothing_kept_on_raw_cut_rows(self, n):
+        rows = raw_cut_rows(n)
+        assert reduce_to_minimal(rows, chamber_permutations(n)) == reduce_to_minimal(rows)
+
+    def test_five_chambers_fall_into_86_orbits(self):
+        arr, keys = redundancy._sort_distinct(raw_cut_rows(5))
+        rep_of = redundancy._representatives(arr, keys, chamber_permutations(5))
+        reps = np.flatnonzero(rep_of == np.arange(len(arr)))
+        assert len(arr) == 2645 and len(reps) == 86
+        assert (rep_of[reps] == reps).all()
+        # each row's representative is one of its images
+        for i in range(0, len(arr), 37):
+            images = {tuple(arr[i][perm].tolist()) for perm in chamber_permutations(5)}
+            assert tuple(arr[rep_of[i]].tolist()) in images
+
+    @pytest.mark.parametrize(
+        "rows, group",
+        [
+            pytest.param([(1.0, 0.0)], [[0, 1], [1, 0]], id="image-missing"),
+            pytest.param(
+                [(1.0, 0.0, 0.5), (0.0, 0.5, 1.0)], [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                id="two-of-three-images",
+            ),
+        ],
+    )
+    def test_a_set_the_group_does_not_keep_is_refused(self, rows, group):
+        with pytest.raises(DomainError, match="do not leave the set invariant"):
+            reduce_to_minimal(rows, symmetries=group)
+
+    def test_cut_rows_less_one_are_refused(self):
+        rows = raw_cut_rows(4)[1:]
+        with pytest.raises(DomainError, match="do not leave the set invariant"):
+            reduce_to_minimal(rows, chamber_permutations(4))
+
+    @pytest.mark.parametrize(
+        "group",
+        [[[0, 0]], [[0, 1, 2]], [0, 1], [[0.0, 1.0]], [[1, 2]]],
+        ids=["repeat", "too-wide", "flat", "floats", "out-of-range"],
+    )
+    def test_symmetries_must_be_permutations_of_the_columns(self, group):
+        with pytest.raises(DomainError, match="permutations of the 2 columns"):
+            reduce_to_minimal([(1.0, 0.0), (0.0, 1.0)], symmetries=group)
+
+    def test_symmetries_take_a_half_integral_set(self):
+        with pytest.raises(DomainError, match="symmetries take a half-integral set"):
+            reduce_to_minimal([(2.0, 0.0), (0.0, 2.0)], symmetries=[[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize("width", [33, 40, MASK_WIDTH])
+    def test_keys_are_exact_at_every_width(self, width):
+        # the rows differ in the last column only; a single float64 base-3
+        # key would round that digit away past 33 columns
+        low = np.zeros(width)
+        low[0] = 1.0
+        high = low.copy()
+        high[-1] = 0.5
+        swap = np.arange(width)
+        swap[[1, 2]] = swap[[2, 1]]
+        kept = [tuple(high.tolist())]
+        assert reduce_to_minimal([low, high]) == kept
+        assert reduce_to_minimal([high, low, high], symmetries=[np.arange(width), swap]) == kept
+
+    def test_the_perceptron_runs_only_the_rows_asked(self):
+        arr = raw_cut_rows(4)
+        todo = np.zeros(len(arr), dtype=bool)
+        todo[::3] = True
+        certified, dropped = redundancy._perceptron(arr, todo)
+        every = perceptron_certified(arr)
+        assert not (certified | dropped)[~todo].any()
+        assert certified[todo].tolist() == every[0][todo].tolist()
+        assert dropped[todo].tolist() == every[1][todo].tolist()

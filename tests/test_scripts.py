@@ -49,12 +49,13 @@ def test_bench_layers_reduce_runs_the_stages(tmp_path):
     done = bench_layers("reduce", "--label", "now", "--repeats", "1", "--out", str(out))
     assert done.returncode == 0, done.stderr
     run = json.loads(out.read_text())["runs"]["now"]
-    assert set(run["stage_s"]) == {"enumerate", "collapse", "perceptron", "lps"}
+    assert set(run["stage_s"]) == {"enumerate", "collapse", "orbits", "perceptron", "lps"}
     assert run["counts"] == {
         "covers": 7579,
         "raw_rows": 2645,
-        "certified": 590,
-        "dropped": 2055,
+        "orbits": 86,
+        "certified": 29,
+        "dropped": 57,
         "lps": 0,
         "kept": 590,
     }
