@@ -4,7 +4,7 @@
     python scripts/bench_layers.py oracles --label after --repeats 3
     python scripts/bench_layers.py reduce --label after --repeats 5
     python scripts/bench_layers.py solve --label after --repeats 3
-    python scripts/bench_layers.py startup --label after --repeats 15
+    python scripts/bench_layers.py startup --label after --repeats 5
 
 Each layer is timed `--repeats` times; the medians go into the JSON file
 (`--out`, by default `BENCH_<layer>.json` at the repository root) under
@@ -20,7 +20,6 @@ import json
 import os
 import platform
 import re
-import resource
 import statistics
 import subprocess
 import sys
@@ -324,8 +323,21 @@ def solve(repeats):
     return {"instances": results}
 
 
+def run_child(argv, env) -> tuple[float, float]:
+    """Run one child process to its end, waited for with `os.wait4`: its
+    wall time in s and its own peak resident memory in MB."""
+    t = time.perf_counter()
+    child = subprocess.Popen(argv, env=env, cwd=ROOT, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - t
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, argv)
+    return wall, usage.ru_maxrss / 1024
+
+
 def startup(repeats):
-    """Time fresh interpreters that import clustercap or solve the shipped instance; write BENCH_startup.json.
+    """Time fresh interpreters that import clustercap, solve the shipped instance or bench the plan instances; write BENCH_startup.json.
 
     Commands, each run in a new interpreter with PYTHONPATH set to `--src`:
 
@@ -335,46 +347,55 @@ def startup(repeats):
               the package ships.  The children's environment names a
               temporary `CLUSTERCAP_CACHE`, which the package ignores; it
               is kept only so that a parent checkout timed through `--src`,
-              which still caches its matrices there, times a warm hit.
+              which still caches its matrices there, times a warm hit;
+    * plan    `python -m clustercap.cli bench --reps 1 --models
+              generalized,alternative` on perfbench's three plan-n5
+              instances (sizecat 2, density 2, 5 chambers, seed 1: shapes
+              1:4, 1:1 with 3 locked chambers, 4:1), written once beforehand
+              with `clustercap gen` of `--src`.
 
     For each: wall_s, the median wall time of `--repeats` runs, in s;
-    max_rss_mb, the peak resident memory of the largest run
-    (`getrusage(RUSAGE_CHILDREN)`, read after the command's runs; the import
-    runs go first, as they are the smaller); scipy_optimize and
+    max_rss_mb, the largest of the runs' own peak resident memory, each
+    read from `os.wait4` as its child ends; scipy_optimize and
     scipy_sparse, whether any module of `scipy.optimize` or of
     `scipy.sparse` was imported, from one more run under
-    `python -X importtime`, which also warms such a cache.  Fails if a run
-    fails.
+    `python -X importtime`, which also warms such a cache and counts in
+    neither number.  Fails if a run fails.
     """
     import clustercap  # from `--src`, as the other layers import it
 
     env = {**os.environ, "PYTHONPATH": str(Path(clustercap.__file__).parents[1])}
-    commands = {
-        "import": ["-c", "import clustercap"],
-        "solve": ["-m", "clustercap.cli", "solve", "--model", "generalized",
-                  str(ROOT / "tests" / "data" / "example1.json")],
-    }
     results = {}
-    with tempfile.TemporaryDirectory() as cache:
+    with tempfile.TemporaryDirectory() as cache, tempfile.TemporaryDirectory() as plans:
         env[clustercap.cuts.CACHE_ENV_VAR] = cache
+        paths = []
+        for shape, locked in (("1:4", 0), ("1:1", 3), ("4:1", 0)):
+            paths.append(str(Path(plans, f"plan_{shape.replace(':', 'to')}_l{locked}.json")))
+            subprocess.run(
+                [sys.executable, "-m", "clustercap.cli", "gen", "--sizecat", "2", "--shape", shape,
+                 "--locked", str(locked), "--density", "2", "--chambers", "5", "--seed", "1",
+                 "--out", paths[-1]],
+                env=env, cwd=ROOT, check=True,
+            )
+        commands = {
+            "import": ["-c", "import clustercap"],
+            "solve": ["-m", "clustercap.cli", "solve", "--model", "generalized",
+                      str(ROOT / "tests" / "data" / "example1.json")],
+            "plan": ["-m", "clustercap.cli", "bench", "--reps", "1",
+                     "--models", "generalized,alternative", *paths],
+        }
         for name, words in commands.items():
             traced = subprocess.run(
                 [sys.executable, "-X", "importtime", *words],
                 env=env, cwd=ROOT, capture_output=True, text=True, check=True,
             )
-            times = []
-            for _ in range(repeats):
-                t = time.perf_counter()
-                subprocess.run([sys.executable, *words], env=env, cwd=ROOT, check=True,
-                               stdout=subprocess.DEVNULL)
-                times.append(time.perf_counter() - t)
-            rss_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+            times, rss_mb = zip(*(run_child([sys.executable, *words], env) for _ in range(repeats)))
             # a subpackage, or any module in it (`from scipy import sparse`
             # leaves no line of `scipy.sparse` itself)
             imported = set(re.findall(r"\|\s*(scipy\.\w+)", traced.stderr))
             entry = results[name] = {
                 "wall_s": round(statistics.median(times), 4),
-                "max_rss_mb": round(rss_kb / 1024, 1),
+                "max_rss_mb": round(max(rss_mb), 1),
                 "scipy_optimize": "scipy.optimize" in imported,
                 "scipy_sparse": "scipy.sparse" in imported,
             }

@@ -134,7 +134,7 @@ def _write_text(path: str | None, text: str):
 
 def _cmd_cuts(args) -> int:
     matrix = cuts_mod.build_cut_matrix(args.chambers, reduce=not args.raw)
-    _write_text(args.out, cuts_mod.render_matrix_csv(matrix))
+    _write_text(args.out, matrix.csv_text)
     if args.graph_out:
         g = build_parallel_graph(args.chambers)
         lines = ["kind,first,second"]
@@ -203,22 +203,21 @@ def verify_instance(
             f"max deviation {worst_lp:.2e} over {samples} samples",
         )
     )
-    if inst.chambers <= 4:
-        raw = cuts_mod.build_cut_matrix(inst.chambers, reduce=False)
-        worst = 0.0
-        for _ in range(min(samples, 100)):
-            x = rng.uniform(0.0, 10.0, len(g.recipes))
-            worst = max(
-                worst,
-                abs(flows.makespan_via_cuts(x, raw) - flows.makespan_via_cuts(x, matrix)),
-            )
-        checks.append(
-            (
-                "reduction preserves worst cut row",
-                worst <= VERIFY_TOL,
-                f"max deviation {worst:.2e}",
-            )
+    raw = cuts_mod.build_cut_matrix(inst.chambers, reduce=False)
+    worst = 0.0
+    for _ in range(min(samples, 100)):
+        x = rng.uniform(0.0, 10.0, len(g.recipes))
+        worst = max(
+            worst,
+            abs(flows.makespan_via_cuts(x, raw) - flows.makespan_via_cuts(x, matrix)),
         )
+    checks.append(
+        (
+            "reduction preserves worst cut row",
+            worst <= VERIFY_TOL,
+            f"max deviation {worst:.2e}",
+        )
+    )
     res_gen = models.solve_capacity(inst, "generalized", matrix=matrix)
     res_alt = models.solve_capacity(inst, "alternative")
     if res_gen.status != lp.OPTIMAL or res_alt.status != lp.OPTIMAL:

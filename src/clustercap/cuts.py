@@ -131,11 +131,17 @@ class CutMatrix:
         if not self.reduced:
             return
         try:
-            digest = hashlib.sha256(render_matrix_csv(self).encode()).hexdigest()
+            digest = hashlib.sha256(self.csv_text.encode()).hexdigest()
         except KeyError:  # an entry other than 0, 1/2 or 1
             digest = "unrenderable"
         if digest != REDUCED_SHA256.get(self.n):
             raise DomainError(f"not the reduced cut matrix of {self.n} chambers: SHA-256 mismatch")
+
+    @cached_property
+    def csv_text(self) -> str:
+        """`render_matrix_csv` of the matrix, rendered once: the pin check
+        and the file written share it."""
+        return render_matrix_csv(self)
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -303,7 +309,7 @@ def build_cut_matrix(
     rows = tuple(map(tuple, (1.0 - np.array(kept)).tolist()))
     reduced = CutMatrix(n=n, labels=g.labels, rows=rows, reduced=True)
     if path is not None:
-        _atomic_write(path, render_matrix_csv(reduced))
+        _atomic_write(path, reduced.csv_text)
     return reduced
 
 
@@ -351,7 +357,7 @@ def render_matrix_csv(matrix: CutMatrix) -> str:
 
 
 def write_matrix_csv(matrix: CutMatrix, path: str | os.PathLike):
-    _atomic_write(Path(path), render_matrix_csv(matrix))
+    _atomic_write(Path(path), matrix.csv_text)
 
 
 def read_matrix_csv(path: str | os.PathLike, reduced: bool) -> CutMatrix:

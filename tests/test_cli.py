@@ -173,6 +173,14 @@ class TestVerify:
         assert out.strip().endswith("PASS")
         assert "FAIL" not in out
 
+    def test_verify_checks_the_five_chamber_reduction(self, tmp_path, capsys):
+        inst = gen_instance(tmp_path, chambers=5)
+        rc = cli(["verify", str(inst), "--samples", "20"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert re.search(r"^PASS reduction preserves worst cut row: ", out, re.M)
+        assert "FAIL" not in out
+
     def test_verify_reference_instance(self, capsys):
         rc = cli(["verify", f"{DATA}/example1.json", "--samples", "20"])
         assert rc == 0

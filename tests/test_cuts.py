@@ -353,6 +353,18 @@ def test_cache_roundtrip(tmp_path):
     assert not list(path.parent.glob("*.tmp"))
 
 
+def test_a_cold_build_renders_its_csv_once(tmp_path, monkeypatch):
+    """The pin check and the cache file share one render; the file is the
+    shipped table, byte for byte."""
+    renders = []
+    render = cuts.render_matrix_csv
+    monkeypatch.setattr(cuts, "render_matrix_csv", lambda m: renders.append(m.n) or render(m))
+    built = build_cut_matrix(5, cache_dir=tmp_path)
+    assert renders == [5]
+    written = (tmp_path / "cuts_n5.csv").read_bytes()
+    assert written == (cuts.DATA_DIR / "cuts_n5.csv").read_bytes() == built.csv_text.encode()
+
+
 # the refusal of a matrix that is not the pinned reduced one
 NOT_PINNED = "not the reduced cut matrix of {} chambers: SHA-256 mismatch"
 

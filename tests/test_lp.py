@@ -1,3 +1,4 @@
+import ctypes
 import os
 import re
 import subprocess
@@ -826,13 +827,15 @@ SRC = str(Path(lp.__file__).resolve().parents[1])
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def run_fresh(code: str) -> str:
+def run_fresh(code: str, env: dict[str, str | None] | None = None) -> str:
     """Run `code` in a new interpreter that imports clustercap from this source
-    tree; this process may already hold `scipy.optimize`."""
+    tree, in this process's environment updated by `env` (None unsets a
+    variable); this process may already hold `scipy.optimize`."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
-        env={**os.environ, "PYTHONPATH": path},
+        env={k: v for k, v in env.items() if v is not None},
         capture_output=True,
         text=True,
         timeout=120,
@@ -917,3 +920,115 @@ class TestBindingLoad:
             assert lp.solve(build.problem()).objective == 5.0
             """
         )
+
+
+def _glibc_with_mallinfo2() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION")) and hasattr(ctypes.CDLL(None), "mallinfo2")
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+# Defines, in a fresh interpreter, `make_handle()` and `mmaps_after_a_large_free()`:
+# whether new 256 KiB blocks are mmapped after an 8 MiB block was, and was
+# freed.  glibc's dynamic threshold rises to 8 MiB at that free, so they come
+# from the heap; a threshold held at 128 KiB keeps mmapping them.
+_MMAP_PROBE = """
+    import ctypes
+    import numpy as np
+    from clustercap import lp
+
+    class Mallinfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd",
+            "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+    mallinfo2 = ctypes.CDLL(None).mallinfo2
+    mallinfo2.restype = Mallinfo2
+
+    def make_handle():
+        build = lp.LpBuilder("floor")
+        x = build.add_var("x")
+        build.set_objective([(x, 1.0)])
+        build.add_constraint("floor", [(x, 1.0)], lp.GE, 5.0)
+        assert lp.Handle(build.problem()).run().objective == 5.0
+
+    def mmaps_after_a_large_free():
+        big = np.ones(1 << 20)
+        del big
+        before = mallinfo2().hblkhd
+        blocks = [np.ones(1 << 15) for _ in range(8)]
+        return mallinfo2().hblkhd > before
+"""
+
+
+def run_probe(code: str, **env: str) -> str:
+    """`run_fresh` of `_MMAP_PROBE`, then `code`, with no MALLOC_* variable of
+    glibc's set but those in `env`."""
+    code = textwrap.dedent(_MMAP_PROBE) + textwrap.dedent(code)
+    return run_fresh(code, {**dict.fromkeys(lp._MALLOC_ENV), **env})
+
+
+@pytest.mark.skipif(not _glibc_with_mallinfo2(), reason="glibc with mallinfo2 only")
+class TestMmapThreshold:
+    """The first `Handle` of a process holds glibc's mmap threshold at
+    128 KiB; each test runs in a fresh interpreter, for the setting is
+    process-wide."""
+
+    def test_a_handle_holds_the_threshold(self):
+        assert run_probe("print(mmaps_after_a_large_free())").split() == ["False"]
+        assert run_probe("make_handle(); print(mmaps_after_a_large_free())").split() == ["True"]
+
+    def test_the_users_threshold_stands(self):
+        out = run_probe(
+            "make_handle(); print(mmaps_after_a_large_free())", MALLOC_MMAP_THRESHOLD_="1048576"
+        )
+        assert out.split() == ["False"]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("MALLOC_MMAP_THRESHOLD_", "1048576"),
+            ("MALLOC_TRIM_THRESHOLD_", "262144"),
+            ("MALLOC_TOP_PAD_", "131072"),
+            ("MALLOC_MMAP_MAX_", "65536"),
+        ],
+    )
+    def test_no_mallopt_call_under_the_users_setting(self, name, value):
+        code = """
+            looked_up = []
+            real_cdll = ctypes.CDLL
+            ctypes.CDLL = lambda *args, **kwargs: looked_up.append(args) or real_cdll(*args, **kwargs)
+            make_handle()
+            print(looked_up)
+            """
+        assert run_probe(code, **{name: value}).split() == ["[]"]
+
+    @pytest.mark.parametrize(
+        "lookup",
+        [
+            "def fail(*args, **kwargs): raise OSError('no libc')\nctypes.CDLL = fail",
+            "ctypes.CDLL = lambda *args, **kwargs: object()",
+            "def fail(*args): raise ValueError('unrecognized configuration name')\n"
+            "import os\nos.confstr = fail",
+        ],
+        ids=["no-libc", "no-mallopt", "not-glibc"],
+    )
+    def test_a_failing_libc_lookup_changes_nothing(self, lookup):
+        out = run_probe(lookup + "\nmake_handle(); print(mmaps_after_a_large_free())")
+        assert out.split() == ["False"]
+
+    def test_a_process_without_a_handle_keeps_the_default(self, tmp_path):
+        out = run_probe(
+            f"""
+            import os
+            from clustercap import build_cut_matrix
+            from clustercap.cli import cli
+            assert cli(["cuts", "--chambers", "5", "--out", {str(tmp_path / "n5.csv")!r}]) == 0
+            for n in range(1, 6):
+                build_cut_matrix(n, cache_dir={str(tmp_path)!r})
+            assert lp._hold_mmap_threshold.cache_info().misses == 0
+            print(mmaps_after_a_large_free())
+            """
+        )
+        assert out.split() == ["False"]

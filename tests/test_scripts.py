@@ -74,11 +74,28 @@ def test_bench_layers_startup_times_fresh_interpreters(tmp_path):
     assert done.returncode == 0, done.stderr
     assert not list(home.iterdir())
     commands = json.loads(out.read_text())["runs"]["now"]["commands"]
-    assert set(commands) == {"import", "solve"}
+    assert set(commands) == {"import", "solve", "plan"}
     for entry in commands.values():
         assert entry["wall_s"] > 0 and entry["max_rss_mb"] > 0
         assert entry["scipy_optimize"] is False
         assert entry["scipy_sparse"] is False
+
+
+def test_bench_layers_reads_each_childs_own_peak():
+    """A small child that runs after a large one reads its own peak, not
+    the largest of all children so far."""
+    code = """if True:
+        import sys, bench_layers
+        big = [sys.executable, "-c", "block = bytearray(64 << 20)"]
+        small = [sys.executable, "-c", "pass"]
+        print(bench_layers.run_child(big, None)[1], bench_layers.run_child(small, None)[1])
+    """
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=SCRIPT.parent, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    big, small = map(float, done.stdout.split())
+    assert big > 64 > small
 
 
 def test_a_rewritten_bench_file_does_not_mark_the_tree_dirty(tmp_path):
