@@ -337,7 +337,7 @@ def run_child(argv, env) -> tuple[float, float]:
 
 
 def startup(repeats):
-    """Time fresh interpreters that import clustercap, solve the shipped instance or bench the plan instances; write BENCH_startup.json.
+    """Time fresh interpreters that import clustercap, solve the shipped instance, bench the plan instances or build the n = 5 cut matrix; write BENCH_startup.json.
 
     Commands, each run in a new interpreter with PYTHONPATH set to `--src`:
 
@@ -352,15 +352,17 @@ def startup(repeats):
               generalized,alternative` on perfbench's three plan-n5
               instances (sizecat 2, density 2, 5 chambers, seed 1: shapes
               1:4, 1:1 with 3 locked chambers, 4:1), written once beforehand
-              with `clustercap gen` of `--src`.
+              with `clustercap gen` of `--src`;
+    * cuts    `python -m clustercap.cli cuts --chambers 5`, the cold
+              n = 5 build, which solves no LP, its CSV to stdout.
 
     For each: wall_s, the median wall time of `--repeats` runs, in s;
     max_rss_mb, the largest of the runs' own peak resident memory, each
-    read from `os.wait4` as its child ends; scipy_optimize and
-    scipy_sparse, whether any module of `scipy.optimize` or of
-    `scipy.sparse` was imported, from one more run under
-    `python -X importtime`, which also warms such a cache and counts in
-    neither number.  Fails if a run fails.
+    read from `os.wait4` as its child ends; scipy, whether the child
+    imported scipy at all, and scipy_optimize and scipy_sparse, whether any
+    module of `scipy.optimize` or of `scipy.sparse` was imported, from one
+    more run under `python -X importtime`, which also warms such a cache
+    and counts in no number.  Fails if a run fails.
     """
     import clustercap  # from `--src`, as the other layers import it
 
@@ -383,6 +385,7 @@ def startup(repeats):
                       str(ROOT / "tests" / "data" / "example1.json")],
             "plan": ["-m", "clustercap.cli", "bench", "--reps", "1",
                      "--models", "generalized,alternative", *paths],
+            "cuts": ["-m", "clustercap.cli", "cuts", "--chambers", "5"],
         }
         for name, words in commands.items():
             traced = subprocess.run(
@@ -392,10 +395,11 @@ def startup(repeats):
             times, rss_mb = zip(*(run_child([sys.executable, *words], env) for _ in range(repeats)))
             # a subpackage, or any module in it (`from scipy import sparse`
             # leaves no line of `scipy.sparse` itself)
-            imported = set(re.findall(r"\|\s*(scipy\.\w+)", traced.stderr))
+            imported = set(re.findall(r"\|\s*(scipy(?:\.\w+)?)", traced.stderr))
             entry = results[name] = {
                 "wall_s": round(statistics.median(times), 4),
                 "max_rss_mb": round(max(rss_mb), 1),
+                "scipy": bool(imported),
                 "scipy_optimize": "scipy.optimize" in imported,
                 "scipy_sparse": "scipy.sparse" in imported,
             }

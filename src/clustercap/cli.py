@@ -239,6 +239,16 @@ def verify_instance(
             f"rho {res_gen.rho:.9g} vs {res_alt.rho:.9g} (rel gap {gap:.2e})",
         )
     )
+    for res in (res_gen, res_alt):
+        tool, top = _flow_makespan(res, g)
+        gap = abs(top - res.rho) / abs(res.rho) if res.rho else abs(top)
+        checks.append(
+            (
+                f"{res.model} rho equals the largest total-minus-maxflow",
+                gap <= VERIFY_TOL,
+                f"{top:.9g} on {tool or 'no tool'} vs rho {res.rho:.9g} (rel gap {gap:.2e})",
+            )
+        )
     produced: dict[str, float] = {}
     for a in res_gen.assignments:
         produced[a.job] = produced.get(a.job, 0.0) + a.wafers
@@ -250,6 +260,19 @@ def verify_instance(
         ("demands are met", worst <= VERIFY_TOL, f"max relative deviation {worst:.2e}")
     )
     return checks
+
+
+def _flow_makespan(res: models.CapacityResult, g) -> tuple[str | None, float]:
+    """The tool with the largest makespan by the paper's flow form, and that
+    makespan, from the result's assignments alone: per tool, its times summed
+    per recipe into x, and then sum(x) - maxflow(x).  (None, 0.0) when no
+    tool has an assignment."""
+    index = {label: k for k, label in enumerate(g.labels)}
+    times: dict[str, np.ndarray] = {}
+    for a in res.assignments:
+        times.setdefault(a.tool, np.zeros(len(index)))[index[a.recipe]] += a.time
+    spans = {tool: x.sum() - flows.solve_maxflow(x, g).value for tool, x in times.items()}
+    return max(spans.items(), key=lambda item: item[1], default=(None, 0.0))
 
 
 def _cmd_verify(args) -> int:

@@ -18,10 +18,9 @@ R - N(i) in turn, on bit sets.  Every family on the way is part of the final
 one, so DEFAULT_NODE_BUDGET caps the sets the enumeration holds.
 `build_cut_matrix` runs on arrays from there: the closed sets go into an
 int64 array (m bits for m recipes, up to m = 63), the selected copies per
-recipe are counted from it with shifts, and `_collapse` keys each count row
-as a base-3 number (3^31 fits an int64; wider rows take one key per 39
-recipes) and deduplicates the keys with a stable sort, which gives the rows
-in matrix order.  The distinct coefficient rows then go to
+recipe are counted from it as int8, and `_collapse` deduplicates the count
+rows by the exact base-3 keys `redundancy` sorts by, which give the rows in
+matrix order.  The distinct coefficient rows then go to
 `redundancy.reduce_to_minimal` with the n! relabelings of the chambers
 (`recipes.chamber_permutations`), which leave the row set invariant: its
 perceptron stage certifies one row per orbit and drops the rows below a
@@ -54,7 +53,6 @@ from . import redundancy
 # the budget within about 0.05 s, holding about 5 MB
 DEFAULT_NODE_BUDGET = 2**16
 MASK_RECIPES = 63  # recipes an int64 bit set holds, one bit each: 6 chambers
-KEY_RECIPES = 39  # recipes one int64 base-3 key holds: 3^39 < 2^63
 
 DATA_DIR = Path(__file__).with_name("data")  # the shipped reduced matrices
 # Read by nothing in the package: perfbench checks that the directory it names
@@ -225,33 +223,33 @@ def _check_mask_room(m: int):
 
 def _cover_counts(sets, nbr: list[int]) -> np.ndarray:
     """The selected copies per recipe (0, 1 or 2) of the cover of each closed
-    set, one int64 row each: the left copy of i when N(i) meets the set, plus
-    the right copy of i when i is not in it."""
+    set, one int8 row each: the right copy of i when i is not in the set,
+    plus the left copy of i when N(i) meets it.  No (sets, recipes) array
+    wider than int8 is made: the right copies are the bits of the sets'
+    little-endian bytes, unpacked whatever the host's byte order, and the
+    left copies are added one recipe column at a time."""
     m = len(nbr)
     _check_mask_room(m)
-    sets = np.fromiter(sets, dtype=np.int64, count=len(sets))[:, None]
-    left = (sets & np.array(nbr, dtype=np.int64)) != 0
-    right = (sets >> np.arange(m, dtype=np.int64) & 1) == 0
-    return left.astype(np.int64) + right
+    sets = np.fromiter(sets, dtype="<i8", count=len(sets))
+    bits = np.unpackbits(sets.view(np.uint8).reshape(-1, 8), axis=1, count=m, bitorder="little")
+    counts = 1 - bits.view(np.int8)
+    for i, x in enumerate(nbr):
+        counts[:, i] += (sets & x) != 0
+    return counts
 
 
 def _collapse(counts) -> np.ndarray:
     """The distinct rows of per-recipe copy counts (0, 1 or 2), in matrix
     order: the rows 1 - counts / 2 come out lexicographically ascending.
 
-    Each run of KEY_RECIPES recipes is keyed as a base-3 number, most
-    significant recipe first, so ascending keys (lexsorted, the first run
-    primary) are lexicographically ascending counts; the rows are read back
-    in reverse, one per distinct key.  Up to 5 chambers (31 recipes) one key
-    holds a whole row.
+    Each row is keyed as `reduce_to_minimal` keys the coefficient rows
+    1 - counts / 2 (`redundancy._key_parts` of their doubled entries,
+    2 - counts), so one keying orders and deduplicates both.  The keys are
+    made by Horner steps, one recipe column at a time, so int8 counts are
+    never widened as a block; any number of recipes works.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    rows, m = counts.shape
-    runs = np.pad(counts, ((0, 0), (0, -m % KEY_RECIPES))).reshape(rows, -1, KEY_RECIPES)
-    keys = runs @ 3 ** np.arange(KEY_RECIPES - 1, -1, -1, dtype=np.int64)
-    order = np.lexsort(keys.T[::-1])
-    first = order[np.diff(keys[order], axis=0, prepend=-1).any(axis=1)]
-    return counts[first[::-1]]
+    counts = np.asarray(counts)
+    return counts[redundancy._distinct_order(redundancy._key_parts(2 - counts))]
 
 
 def _raw_matrix(g: ParallelGraph, counts: np.ndarray) -> CutMatrix:

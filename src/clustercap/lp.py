@@ -6,7 +6,7 @@ three compressed-sparse-row arrays `LpBuilder` makes from the blocks it takes.
 290 modules to every start-up.  The solver is HiGHS, through the binding
 that ships inside scipy (`scipy.optimize._highspy._core`).  It is loaded
 from its file, without importing `scipy.optimize`, which would add about
-half a second to every start-up.  Every LP reaches HiGHS as an `LpProblem`
+half a second.  Every LP reaches HiGHS as an `LpProblem`
 through a `Handle`, one HiGHS model of it as it is stated, which can take
 added rows and re-solve from its last basis; `solve` is one run of a handle.
 Every row enters HiGHS the same way, as a `Csr` block with its bounds
@@ -18,7 +18,16 @@ from objective values.  Problems can be exported to the common textual LP file f
 cross-checking with external solvers; the tests read the text back with
 HiGHS's own LP reader and hold it to the problem.
 
-The first `Handle` a process makes holds glibc's mmap threshold at 128 KiB
+Nothing of HiGHS loads at import.  The first `Handle` a process makes runs
+`_first_handle`, once: it holds glibc's mmap threshold (below) and loads
+the binding, and `scipy` with it, into `_highspy`.  So a process that
+solves no LP, one that builds cut matrices, instances, models or LP text,
+never loads them.  The step is thread-safe: threads that make their first
+handles at once (`clustercap bench --workers N`) load the binding once,
+under a lock, for pybind11 must not register its types twice.  Outside a
+handle, `lp._highspy` reads the binding, running the step if no handle has.
+
+The first handle holds glibc's mmap threshold at 128 KiB
 (`_hold_mmap_threshold`), for the rest of the process.  Left to itself,
 glibc raises the threshold to the size of each mmapped block freed above
 it, and from then on serves blocks up to that size from the brk heap, whose
@@ -44,6 +53,7 @@ import importlib.util
 import os
 import re
 import sys
+import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,9 +61,11 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .errors import DomainError, LpSolverError
+
+
+_CORE = "scipy.optimize._highspy._core"
 
 
 def _load_highs():
@@ -62,24 +74,24 @@ def _load_highs():
     It is registered under its real name, so a later `import scipy.optimize`
     reuses it and pybind11 never registers its types twice.  Where the file
     is not (scipy before 1.15 kept the binding elsewhere), the plain import
-    loads it, at the cost of the whole of `scipy.optimize`."""
-    name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
-        return sys.modules[name]
+    loads it, at the cost of the whole of `scipy.optimize`.  Called under
+    `_FIRST_HANDLE`'s lock."""
+    if _CORE in sys.modules:
+        return sys.modules[_CORE]
+    import scipy
+
     folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(folder, "_core" + suffix)
         if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(name, path)
-            module = sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec = importlib.util.spec_from_file_location(_CORE, path)
+            module = sys.modules[_CORE] = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             return module
     from scipy.optimize._highspy import _core
 
     return _core
 
-
-_highspy = _load_highs()
 
 # glibc's variables for what `_hold_mmap_threshold` sets: the user's own
 # setting, if any, stands
@@ -90,11 +102,10 @@ _M_MMAP_THRESHOLD = -3  # mallopt's parameter number, from glibc's malloc.h
 _MMAP_THRESHOLD = 128 * 1024  # glibc's own starting value, held from then on
 
 
-@functools.cache
 def _hold_mmap_threshold():
-    """Hold glibc's mmap threshold at 128 KiB, once per process (see the
-    module docstring).  Does nothing off glibc or when the environment sets
-    one of `_MALLOC_ENV`, and never raises."""
+    """Hold glibc's mmap threshold at 128 KiB (see the module docstring).
+    Does nothing off glibc or when the environment sets one of
+    `_MALLOC_ENV`, and never raises."""
     if any(name in os.environ for name in _MALLOC_ENV):
         return
     try:
@@ -105,6 +116,31 @@ def _hold_mmap_threshold():
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     except (AttributeError, OSError, ValueError):  # no confstr, libc or mallopt
         pass
+
+
+_FIRST_HANDLE = threading.Lock()
+
+
+@functools.cache
+def _first_handle():
+    """What the first `Handle` of a process does, once: hold the mmap
+    threshold and load HiGHS's binding into `_highspy`, which every use of
+    the binding reads.  A second thread that comes in before the first is
+    done (`functools.cache` lets both run) waits on the lock and finds the
+    binding in `sys.modules`."""
+    global _highspy
+    with _FIRST_HANDLE:
+        _hold_mmap_threshold()
+        _highspy = _load_highs()
+    return _highspy
+
+
+def __getattr__(name):
+    """`lp._highspy` before any handle: the first-handle step, then the binding."""
+    if name == "_highspy":
+        return _first_handle()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 MINIMIZE = "min"
 MAXIMIZE = "max"
@@ -399,13 +435,9 @@ _OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
 }
 
-_SENSE = {MINIMIZE: _highspy.ObjSense.kMinimize, MAXIMIZE: _highspy.ObjSense.kMaximize}
-
-_STATUS = {
-    _highspy.HighsModelStatus.kOptimal: OPTIMAL,
-    _highspy.HighsModelStatus.kInfeasible: INFEASIBLE,
-    _highspy.HighsModelStatus.kUnbounded: UNBOUNDED,
-}
+# the binding's names for the objective senses and the statuses of `_Answer`
+_SENSE = {MINIMIZE: "kMinimize", MAXIMIZE: "kMaximize"}
+_STATUS = {"kOptimal": OPTIMAL, "kInfeasible": INFEASIBLE, "kUnbounded": UNBOUNDED}
 
 
 class _Answer(NamedTuple):
@@ -429,7 +461,8 @@ def _run(handle: "Handle") -> _Answer:
     info = h.getInfo()
     nit = info.simplex_iteration_count or info.ipm_iteration_count
     if status != _highspy.HighsModelStatus.kOptimal:
-        return _Answer(_STATUS.get(status) or h.modelStatusToString(status), None, None, None, nit)
+        text = _STATUS.get(status.name) or h.modelStatusToString(status)
+        return _Answer(text, None, None, None, nit)
     sol = h.getSolution()
     fun = info.objective_function_value
     return _Answer(OPTIMAL, np.array(sol.col_value), fun, np.array(sol.row_dual), nit)
@@ -450,12 +483,13 @@ class Handle:
     its column bounds, and row i as `row_lower[i] <= matrix[i] x <=
     row_upper[i]`, the bound its sense does not set being infinite.  The
     LP's rows enter as one row block, through the same `addRows` call as
-    the rows `add_rows` takes.  The first handle of a process holds glibc's
-    mmap threshold (see the module docstring).
+    the rows `add_rows` takes.  The first handle of a process loads HiGHS's
+    binding and holds glibc's mmap threshold, once, under a lock, so threads
+    may make their first handles at once (see the module docstring).
     """
 
     def __init__(self, problem: LpProblem, method: str = SIMPLEX):
-        _hold_mmap_threshold()
+        _first_handle()
         p = self.problem = problem
         h = self.highs = _highspy._Highs()
         if method not in _METHODS:
@@ -478,7 +512,7 @@ class Handle:
         for status in (
             h.addVars(n, p.lower, p.upper),
             h.changeColsCost(n, np.arange(n), self.cost),
-            h.changeObjectiveSense(_SENSE[p.sense]),
+            h.changeObjectiveSense(getattr(_highspy.ObjSense, _SENSE[p.sense])),
         ):
             if status == _highspy.HighsStatus.kError:
                 raise LpSolverError(f"{p.name}: HiGHS refused the columns")

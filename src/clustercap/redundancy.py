@@ -13,9 +13,10 @@ self-contained phase-1 simplex in the tests, as the oracle for this module.
 members that are redundant against no other member.  On half-integral sets
 (entries in {0, 1/2, 1}, at most MASK_WIDTH columns) the rows are sorted
 and deduplicated once, by exact keys: base-3 numbers of the doubled
-entries, KEY_COLUMNS columns per float64 part, which order as the rows do.
-Then they fall into orbits, and two stages decide them, each by a proof
-rather than a guess.
+entries, KEY_COLUMNS columns per float64 part, which order as the rows do
+(`cuts._collapse` deduplicates the raw cut rows by the same keys).  Then
+they fall into orbits, and two stages decide them, each by a proof rather
+than a guess.
 
 0. Orbits.  A permutation sigma of the columns that maps the set onto
    itself is a linear bijection that keeps R+^n, so it maps conv(set) -
@@ -144,20 +145,33 @@ def _is_half_integral(arr: np.ndarray) -> bool:
     return arr.ndim == 2 and arr.shape[1] <= MASK_WIDTH and bool(np.isin(arr, HALF_INTEGRAL).all())
 
 
-def _key_weights(width: int) -> np.ndarray:
-    """(parts, width) float64 weights of the exact keys of half-integral rows.
+def _key_parts(digits) -> list[np.ndarray]:
+    """The exact keys of rows of base-3 digits (0, 1 or 2: the doubled
+    entries of half-integral rows), one float64 array per part.
 
     Part p keys the columns KEY_COLUMNS * p onwards, KEY_COLUMNS of them, as
-    a base-3 number of the doubled entries (0, 1 or 2), its first column most
-    significant.  A part is below 3^KEY_COLUMNS < 2^53, so it is exact in
-    float64 in any summation order, and rows compare as their keys compare
-    (the first part primary)."""
-    cols = np.arange(width)
-    part = cols // KEY_COLUMNS
-    place = np.minimum(KEY_COLUMNS, width - KEY_COLUMNS * part) - 1 - cols % KEY_COLUMNS
-    weights = np.zeros((part[-1] + 1, width))
-    weights[part, cols] = 3.0**place
-    return weights
+    a base-3 number, its first column most significant.  A part is below
+    3^KEY_COLUMNS < 2^53, so it is exact in float64, and rows compare as
+    their keys compare (the first part primary).  Each part is made by
+    Horner steps, one column at a time, so digits of any dtype go in
+    without a (rows, columns) float64 copy.  `cuts._collapse` keys the raw
+    cut rows with it too."""
+    digits = np.asarray(digits)
+    parts = []
+    for start in range(0, digits.shape[1], KEY_COLUMNS):
+        key = np.zeros(len(digits))
+        for column in digits.T[start : start + KEY_COLUMNS]:
+            key *= 3
+            key += column
+        parts.append(key)
+    return parts
+
+
+def _key_weights(width: int) -> np.ndarray:
+    """(parts, width) float64 weights of `_key_parts`: the key parts of the
+    doubled rows `twice` are `weights @ twice.T`, exact in any summation
+    order, since each part is below 2^53."""
+    return np.array(_key_parts(np.eye(width, dtype=np.int8)))
 
 
 def _keys(twice: np.ndarray, weights: np.ndarray) -> list[np.ndarray]:
@@ -173,6 +187,13 @@ def _steps(parts: list[np.ndarray]) -> np.ndarray:
     for part in parts:
         out = np.where(out == 0, np.sign(np.diff(part)), out)
     return out
+
+
+def _distinct_order(parts: list[np.ndarray]) -> np.ndarray:
+    """The rows of key `parts` in ascending key order, each key once: the
+    indices of the first row of each key."""
+    order = np.lexsort(parts[::-1])
+    return order[np.concatenate(([True], _steps([part[order] for part in parts]) != 0))]
 
 
 def _lex_min(parts: list[np.ndarray]) -> list[np.ndarray]:
@@ -199,12 +220,10 @@ def _lex_less(parts: list[np.ndarray], than: list[np.ndarray]) -> np.ndarray:
 def _sort_distinct(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Half-integral rows sorted ascending with each row once, and their key
     parts: one sort, none when they come sorted and distinct."""
-    parts = _keys(2.0 * arr, _key_weights(arr.shape[1]))
+    parts = _key_parts(2 * arr)
     if len(arr) > 1 and not (_steps(parts) > 0).all():
-        order = np.lexsort(parts[::-1])
-        parts = [part[order] for part in parts]
-        first = np.flatnonzero(np.concatenate(([True], _steps(parts) != 0)))
-        arr, parts = arr[order[first]], [part[first] for part in parts]
+        keep = _distinct_order(parts)
+        arr, parts = arr[keep], [part[keep] for part in parts]
     return arr, parts
 
 

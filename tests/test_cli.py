@@ -185,6 +185,37 @@ class TestVerify:
         rc = cli(["verify", f"{DATA}/example1.json", "--samples", "20"])
         assert rc == 0
 
+    @pytest.mark.parametrize("break_", ["rho-low", "tool-times"])
+    def test_verify_checks_each_optimum_against_the_max_flow(
+        self, tmp_path, capsys, monkeypatch, break_
+    ):
+        """Results that pass the agreement and demand checks but not the
+        flow form: rho 1 % low on both models, or the first tool's times
+        grown 50 % with its wafers unchanged."""
+        from clustercap import models
+
+        real = models.solve_capacity
+
+        def broken(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if break_ == "rho-low":
+                return replace(res, rho=res.rho * 0.99)
+            tool = res.assignments[0].tool
+            grown = [replace(a, time=a.time * 1.5) if a.tool == tool else a for a in res.assignments]
+            return replace(res, assignments=tuple(grown))
+
+        monkeypatch.setattr(models, "solve_capacity", broken)
+        inst = gen_instance(tmp_path, chambers=5)
+        rc = cli(["verify", str(inst), "--samples", "5"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert out.splitlines()[-1] == "FAIL"
+        failed = [line for line in out.splitlines()[:-1] if not line.startswith("PASS ")]
+        assert [line.split(":")[0] for line in failed] == [
+            f"FAIL {kind} rho equals the largest total-minus-maxflow"
+            for kind in ("generalized", "alternative")
+        ]
+
     def test_agreement_is_relative_to_rho(self):
         """Rates x2^20 and demands x2^-20 put rho near 8e-11, where a gap
         divided by max(1, |rho|) passes any two answers: the check passes

@@ -26,7 +26,6 @@ from clustercap import (
 from clustercap import cuts
 from clustercap.cuts import (
     DEFAULT_NODE_BUDGET,
-    KEY_RECIPES,
     MASK_RECIPES,
     REDUCED_SHA256,
     DoubledGraph,
@@ -36,6 +35,7 @@ from clustercap.cuts import (
     _neighbours,
 )
 from clustercap.errors import DomainError, EnumerationBudgetError
+from clustercap.redundancy import KEY_COLUMNS
 
 from conftest import DATA, example1_instance
 from cut_oracles import bron_kerbosch_covers
@@ -184,6 +184,26 @@ def test_collapse_matches_the_weight_sets(n):
     assert build_cut_matrix(n, reduce=False).rows == tuple(slow)
 
 
+NARROW_CASES = [
+    *(double_graph(build_parallel_graph(n)) for n in range(1, 6)),
+    DoubledGraph(graph=build_parallel_graph(6), arcs=((0, 62), (62, 0))),
+]
+
+
+@pytest.mark.parametrize("dg", NARROW_CASES, ids=["n1", "n2", "n3", "n4", "n5", "63-recipes"])
+def test_cover_counts_are_int8_and_match_the_covers(dg):
+    """The int8 counts against the int64 copy counts of the `BasicCut`
+    reference, cover by cover; the two collapse to the same rows."""
+    nbr = _neighbours(dg)
+    counts = _cover_counts(_closed_sets(nbr, DEFAULT_NODE_BUDGET), nbr)
+    assert counts.dtype == np.int8 and counts.shape == (len(counts), dg.size)
+    slow = np.array([np.add(c.left, c.right) for c in enumerate_minimal_cuts(dg)], np.int64)
+    assert sorted(map(tuple, counts.tolist())) == sorted(map(tuple, slow.tolist()))
+    narrow, wide = _collapse(counts), _collapse(counts.astype(np.int64))
+    assert narrow.dtype == np.int8 and wide.dtype == np.int64
+    assert narrow.tolist() == wide.tolist() == _collapse(slow).tolist()
+
+
 def test_more_recipes_than_a_cover_mask_holds_are_refused():
     with pytest.raises(DomainError, match=f"64 recipes .* at most {MASK_RECIPES}"):
         _cover_counts(set(), [0] * (MASK_RECIPES + 1))
@@ -214,7 +234,7 @@ def test_enumeration_takes_any_number_of_recipes():
 
 
 @given(
-    st.integers(min_value=1, max_value=3 * KEY_RECIPES).flatmap(
+    st.integers(min_value=1, max_value=3 * KEY_COLUMNS).flatmap(
         lambda m: st.lists(
             st.lists(st.integers(min_value=0, max_value=2), min_size=m, max_size=m),
             min_size=1,
@@ -225,7 +245,7 @@ def test_enumeration_takes_any_number_of_recipes():
 @settings(max_examples=40)
 def test_collapse_sorts_and_deduplicates_any_width(counts):
     # rows that share a first base-3 key and differ past it, and repeats
-    counts += [a[:KEY_RECIPES] + b[KEY_RECIPES:] for a, b in zip(counts, counts[1:])]
+    counts += [a[:KEY_COLUMNS] + b[KEY_COLUMNS:] for a, b in zip(counts, counts[1:])]
     counts += counts[:2]
     slow = sorted({tuple(r) for r in counts}, reverse=True)
     assert [tuple(r) for r in _collapse(counts).tolist()] == slow

@@ -911,15 +911,108 @@ class TestBindingLoad:
             import scipy
             scipy.__path__.insert(0, {str(tmp_path)!r})
             from clustercap import lp
-            assert "scipy.optimize" in sys.modules
-            assert lp._highspy is sys.modules["scipy.optimize._highspy._core"]
             build = lp.LpBuilder("fallback")
             x = build.add_var("x")
             build.set_objective([(x, 1.0)])
             build.add_constraint("floor", [(x, 1.0)], lp.GE, 5.0)
             assert lp.solve(build.problem()).objective == 5.0
+            assert "scipy.optimize" in sys.modules
+            assert lp._highspy is sys.modules["scipy.optimize._highspy._core"]
             """
         )
+
+    def test_a_process_that_solves_nothing_loads_no_scipy(self, tmp_path):
+        """Cut matrices, instances, models and LP text, through the package
+        and the CLI, make no handle, so neither scipy nor the binding loads."""
+        out = run_fresh(
+            f"""
+            import sys
+            from clustercap import build_cut_matrix, instances, lp, models, reduced_matrix
+            from clustercap.cli import cli
+
+            for n in range(1, 6):
+                build_cut_matrix(n)
+            assert len(build_cut_matrix(5, reduce=False).rows) == 2645
+            matrix = reduced_matrix(5)
+            path = {str(tmp_path / "inst.json")!r}
+            instances.write_instance(instances.generate(instances.GenParams(0, "1:1", 0, 2, 5, 7)), path)
+            inst = instances.read_instance(path)
+            for kind in models.MODEL_KINDS:
+                lp.export_lp_text(models.build_model(inst, kind, matrix).problem)
+            for words in (
+                ["cuts", "--chambers", "5", "--out", {str(tmp_path / "n5.csv")!r}],
+                ["gen", "--sizecat", "0", "--shape", "1:1", "--locked", "0", "--density", "2",
+                 "--chambers", "5", "--seed", "7", "--out", {str(tmp_path / "gen.json")!r}],
+                ["export-lp", "--model", "generalized", path, "--out", {str(tmp_path / "m.lp")!r}],
+            ):
+                assert cli(words) == 0
+            loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            assert not loaded, loaded
+            print("ok")
+            """
+        )
+        assert out.split() == ["ok"]
+
+    def test_the_first_solve_loads_the_binding_once(self):
+        out = run_fresh(
+            """
+            import importlib.util, sys
+            from clustercap import lp
+
+            specs = []
+            real = importlib.util.spec_from_file_location
+            importlib.util.spec_from_file_location = lambda *a, **k: specs.append(a[0]) or real(*a, **k)
+            build = lp.LpBuilder("floor")
+            x = build.add_var("x")
+            build.set_objective([(x, 1.0)])
+            build.add_constraint("floor", [(x, 1.0)], lp.GE, 5.0)
+            assert "scipy" not in sys.modules
+            for _ in range(3):
+                assert lp.solve(build.problem()).objective == 5.0
+            assert lp._highspy is sys.modules["scipy.optimize._highspy._core"]
+            assert "scipy.optimize" not in sys.modules
+            print(specs, lp._first_handle.cache_info().misses)
+            """
+        )
+        assert out.split() == ["['scipy.optimize._highspy._core']", "1"]
+
+    def test_four_threads_make_their_first_handles_at_once(self):
+        """The first handles of four threads all wait in the first-handle
+        step (held open here for 0.2 s, with a short switch interval), and
+        the binding is loaded once."""
+        out = run_fresh(
+            """
+            import importlib.util, sys, threading, time
+            from clustercap import lp
+
+            sys.setswitchinterval(1e-6)  # this interpreter ends with the test
+
+            specs = []
+            real = importlib.util.spec_from_file_location
+            importlib.util.spec_from_file_location = lambda *a, **k: specs.append(a[0]) or real(*a, **k)
+            hold = lp._hold_mmap_threshold
+            lp._hold_mmap_threshold = lambda: time.sleep(0.2) or hold()
+            gate = threading.Barrier(4)
+
+            def first_solve(k):
+                build = lp.LpBuilder(f"floor{k}")
+                x = build.add_var("x")
+                build.set_objective([(x, 1.0)])
+                build.add_constraint("floor", [(x, 1.0)], lp.GE, float(k))
+                gate.wait()
+                answers[k] = lp.solve(build.problem()).objective
+
+            answers = {}
+            threads = [threading.Thread(target=first_solve, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            print(sorted(answers.items()), len(specs))
+            """
+        )
+        assert out.split("\n")[0] == "[(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0)] 1"
 
 
 def _glibc_with_mallinfo2() -> bool:
@@ -1027,7 +1120,7 @@ class TestMmapThreshold:
             assert cli(["cuts", "--chambers", "5", "--out", {str(tmp_path / "n5.csv")!r}]) == 0
             for n in range(1, 6):
                 build_cut_matrix(n, cache_dir={str(tmp_path)!r})
-            assert lp._hold_mmap_threshold.cache_info().misses == 0
+            assert lp._first_handle.cache_info().misses == 0
             print(mmaps_after_a_large_free())
             """
         )

@@ -304,6 +304,28 @@ class TestReduction:
                 assert not is_redundant_lp(row, others).redundant
 
 
+@given(
+    st.integers(min_value=1, max_value=2 * redundancy.MASK_WIDTH).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(0, 2), min_size=width, max_size=width), min_size=1, max_size=12
+        )
+    )
+)
+@settings(max_examples=40)
+def test_one_keying_orders_rows_exactly(digits):
+    """The Horner keys of `_key_parts` are the product keys of the
+    permutation images (`_keys` under `_key_weights`), in any dtype, and
+    `_distinct_order` gives the distinct rows in lexicographic order."""
+    arr = np.array(digits, dtype=np.int8)
+    parts = redundancy._key_parts(arr)
+    assert len(parts) == -(-arr.shape[1] // redundancy.KEY_COLUMNS)
+    weights = redundancy._key_weights(arr.shape[1])
+    for other in (redundancy._key_parts(arr.astype(float)), redundancy._keys(1.0 * arr, weights)):
+        assert all((a == b).all() for a, b in zip(parts, other, strict=True))
+    got = arr[redundancy._distinct_order(parts)]
+    assert list(map(tuple, got.tolist())) == sorted(set(map(tuple, digits)))
+
+
 class TestStagedReduction:
     """The perceptron's certificates and midpoint exits, and the LPs after
     them, against the slow oracles."""

@@ -64,7 +64,7 @@ def test_bench_layers_reduce_runs_the_stages(tmp_path):
 
 def test_bench_layers_startup_times_fresh_interpreters(tmp_path):
     """The solve child reads the shipped cut matrix and writes nothing
-    under HOME."""
+    under HOME; only the children that solve an LP import scipy."""
     out = tmp_path / "BENCH_startup.json"
     home = tmp_path / "home"
     home.mkdir()
@@ -74,11 +74,14 @@ def test_bench_layers_startup_times_fresh_interpreters(tmp_path):
     assert done.returncode == 0, done.stderr
     assert not list(home.iterdir())
     commands = json.loads(out.read_text())["runs"]["now"]["commands"]
-    assert set(commands) == {"import", "solve", "plan"}
+    assert set(commands) == {"import", "solve", "plan", "cuts"}
     for entry in commands.values():
         assert entry["wall_s"] > 0 and entry["max_rss_mb"] > 0
         assert entry["scipy_optimize"] is False
         assert entry["scipy_sparse"] is False
+    assert {name: entry["scipy"] for name, entry in commands.items()} == {
+        "import": False, "solve": True, "plan": True, "cuts": False
+    }
 
 
 def test_bench_layers_reads_each_childs_own_peak():
