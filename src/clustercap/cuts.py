@@ -262,8 +262,11 @@ def cuts_to_matrix(g: ParallelGraph, cuts: list[BasicCut]) -> CutMatrix:
 
     Mirror-symmetric covers (and any other covers sharing a weight profile)
     fold into a single row here, by the collapse `build_cut_matrix` runs.
-    Any number of recipes works.
+    Any number of recipes works; an empty cover list is a DomainError, for
+    every graph has at least one minimal cover.
     """
+    if not cuts:
+        raise DomainError("cuts_to_matrix: no covers to collapse")
     m = len(g.recipes)
     copies = np.array([np.add(c.left, c.right) for c in cuts], dtype=np.int64)
     return _raw_matrix(g, _collapse(copies.reshape(len(cuts), m)))

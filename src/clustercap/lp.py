@@ -373,8 +373,9 @@ class LpBuilder:
         return self.add_rows([name], [len(pairs)], cols, vals, sense, rhs).start
 
     def add_rows(self, names, counts, cols, vals, sense, rhs) -> range:
-        """Rows `names[i]` sharing one sense; row i takes the next `counts[i]`
-        entries of `cols`/`vals`, in order, and the right-hand side `rhs`, or
+        """Rows `names[i]`; row i takes the next `counts[i]` entries of
+        `cols`/`vals`, in order, the sense `sense`, or `sense[i]` when `sense`
+        is a sequence of one sense per row, and the right-hand side `rhs`, or
         `rhs[i]` when `rhs` holds one value per row.  Returns the new rows'
         indices."""
         counts = np.asarray(counts, np.int64)
@@ -388,9 +389,12 @@ class LpBuilder:
             raise DomainError(f"row block {[*names][:1]}: counts, columns and values disagree")
         if rhs.shape not in ((), (m,)):
             raise DomainError(f"row block {[*names][:1]}: {rhs.size} right-hand sides for {m} rows")
+        senses = [sense] * m if isinstance(sense, str) else list(sense)
+        if len(senses) != m:
+            raise DomainError(f"row block {[*names][:1]}: {len(senses)} senses for {m} rows")
         start = len(self._senses)
         self._names.append(names)
-        self._senses.extend([sense] * m)
+        self._senses.extend(senses)
         self._blocks.append((counts, cols, vals, np.full(m, rhs)))
         return range(start, len(self._senses))
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numbers
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -200,10 +200,11 @@ class BuiltModel:
     `x_cols` is the table of the time columns (see `TimeColumns`).  The
     `generalized` and `alternative` models set `aggs`, each tool's first
     aggregate column: tool ti's aggregate of recipe slot s, the graph's
-    recipe s, is column aggs[ti] + s.  `util_rows` holds one (tool,
-    row_kind, row range) entry per reported utilization: the model's own
-    `... - rho <= 0` rows, whose largest left-hand side is the entry's
-    value.
+    recipe s, is column aggs[ti] + s.  One column block holds every tool's
+    columns, so aggs[ti] is aggs[0] + ti * (the columns of one tool).
+    `util_rows` holds one (tool, row_kind, row range) entry per reported
+    utilization: the model's own `... - rho <= 0` rows, whose largest
+    left-hand side is the entry's value.
 
     A generalized model built for row generation sets `template`, the cut
     template (see `_cut_template`).  Its `problem` then holds of each tool's
@@ -308,22 +309,11 @@ def _time_columns(inst: Instance, kind: str, rates: np.ndarray, slots=None):
     return build, table, pair_tool[pair], slot
 
 
-def _tool_names(prefix: str, ti: int, parts) -> lp.Names:
-    """The names `{prefix}_t{ti}_{part}` of a block of tool ti, one per part."""
-    return lp.Names(len(parts), lambda: [f"{prefix}_t{ti}_{part}" for part in parts])
-
-
-def _rho_rows(build: lp.LpBuilder, rows) -> list:
-    """One block of rows `columns . values - rho <= 0` from (tool, row kind,
-    name, columns, values); returns each row's utilization entry."""
-    if not rows:  # an instance without tools
-        return []
-    tools, kinds, names, cols, vals = zip(*rows)
-    counts = [len(c) + 1 for c in cols]
-    flat_cols = np.concatenate([part for c in cols for part in (c, [0])])
-    flat_vals = np.concatenate([part for v in vals for part in (v, [-1.0])])
-    idx = build.add_rows(names, counts, flat_cols, flat_vals, lp.LE, 0.0)
-    return [(tool, kind, range(i, i + 1)) for tool, kind, i in zip(tools, kinds, idx)]
+def _names_by_tool(tools: int, parts) -> lp.Names:
+    """Per tool ti, the names `{prefix}_t{ti}{suffix}` of each (prefix, suffix) in `parts`."""
+    return lp.Names(
+        tools * len(parts), lambda: [f"{p}_t{ti}{s}" for ti in range(tools) for p, s in parts]
+    )
 
 
 def _finish(kind, build, table, util_rows, aggs=()) -> BuiltModel:
@@ -334,28 +324,33 @@ def _finish(kind, build, table, util_rows, aggs=()) -> BuiltModel:
 
 
 def _time_model(inst: Instance, kind: str, rate: np.ndarray, chamber=None) -> BuiltModel:
-    """Core of `basic` and `serial`.
-
-    One time column per qualified (job, tool) pair, running the full
-    qualified recipe at `rate[p]` for pair p in `pair_rates` order; the
-    demand rows; then one block holding, per tool, a load row over the
-    tool's time columns and, given the pairs' `chamber` rates (see
-    `_chamber_rates`), a row per chamber that a pair of the tool qualifies,
-    each column at its rate over the chamber's.
-    """
+    """Core of `basic` and `serial`: one time column per qualified (job,
+    tool) pair, running the full qualified recipe at `rate[p]` for pair p in
+    `pair_rates` order; the demand rows; then, from one stable sort of all
+    tools' entries by (tool, row kind), per tool a load row over the tool's
+    time columns and, given the pairs' `chamber` rates (`_chamber_rates`), a
+    row per chamber a pair of the tool qualifies, each column at its rate
+    over the chamber's; rho last."""
     build, table, col_tool, _ = _time_columns(inst, kind, rate)
     chamber = np.zeros((len(table.pair), 0)) if chamber is None else chamber[table.pair]
-    rows = []
-    for ti, tool in enumerate(inst.tools):
-        mine = np.flatnonzero(col_tool == ti)
-        rows.append((tool, "total_time", f"load_t{ti}", 1 + mine, np.ones(len(mine))))
-        for c in range(chamber.shape[1]):
-            on = mine[chamber[mine, c] > 0.0]
-            if on.size:
-                letter = chamber_letter(c)
-                terms = 1 + on, table.rate[on] / chamber[on, c]
-                rows.append((tool, f"chamber_{letter}", f"cham_t{ti}_{letter}", *terms))
-    return _finish(kind, build, table, _rho_rows(build, rows))
+    letters = [chamber_letter(c) for c in range(chamber.shape[1])]
+    row_kinds = [("load", "", "total_time")] + [("cham", f"_{x}", f"chamber_{x}") for x in letters]
+    weight = np.hstack((np.ones((len(col_tool), 1)), chamber))  # row kind 0, then each chamber's
+    at, k = np.nonzero(weight > 0.0)  # each row kind's columns in column order
+    keys = col_tool[at] * len(row_kinds) + k
+    # every tool has a load row, one that no job qualifies `-rho <= 0`
+    rows = np.union1d(keys, len(row_kinds) * np.arange(len(inst.tools)))
+    keys = np.concatenate((keys, rows))  # rho, after each row's columns
+    order = np.argsort(keys, kind="stable")
+    cols = np.concatenate((1 + at, np.zeros(len(rows), np.int64)))[order]
+    vals = np.where(k == 0, 1.0, table.rate[at] / weight[at, k])
+    vals = np.concatenate((vals, np.full(len(rows), -1.0)))[order]
+    row_tool, row_kind = (part.tolist() for part in np.divmod(rows, len(row_kinds)))
+    tags = [(t, *row_kinds[k]) for t, k in zip(row_tool, row_kind)]
+    names = lp.Names(len(rows), lambda: [f"{p}_t{t}{s}" for t, p, s, _ in tags])
+    added = build.add_rows(names, np.unique(keys, return_counts=True)[1], cols, vals, lp.LE, 0.0)
+    util_rows = [(inst.tools[t], kind, range(i, i + 1)) for (t, _, _, kind), i in zip(tags, added)]
+    return _finish(kind, build, table, util_rows)
 
 
 def build_basic(inst: Instance) -> BuiltModel:
@@ -379,34 +374,50 @@ def build_serial(inst: Instance) -> BuiltModel:
     return _time_model(inst, "serial", np.where(rates > 0.0, rates, np.inf).min(1), rates)
 
 
-def _recipe_model(inst: Instance, kind: str, g: ParallelGraph, tool_rows) -> BuiltModel:
+def _row_entries(col_tool, col_slot, aggs: np.ndarray, n_slots: int, block: lp.Csr) -> tuple:
+    """The counts, columns and values of every tool's rows, tool by tool:
+    per tool ti its balance rows, row s holding column aggs[ti] + s at 1.0,
+    then the time columns of (ti, s) at -1.0 in column order; then the rows
+    of `block`, a `Csr` over one tool's local columns (`_local_columns`)."""
+    tools = len(aggs)
+    key = col_tool * n_slots + col_slot
+    sizes = np.bincount(key, minlength=tools * n_slots).reshape(tools, n_slots)
+    grouped = 1 + np.argsort(key, kind="stable")  # each (tool, slot) group in column order
+    at = np.cumsum(sizes) - sizes.ravel()  # where each group starts
+    bal_cols = np.insert(grouped, at, (aggs[:, None] + np.arange(n_slots)).ravel())
+    bal_vals = np.insert(np.full(len(grouped), -1.0), at, 1.0)
+    at = np.repeat(block.nnz * np.arange(tools), n_slots + sizes.sum(axis=1))  # each tool's start
+    cols = np.insert(_local_columns(block.indices, aggs[:, None]).ravel(), at, bal_cols)
+    vals = np.insert(np.tile(block.data, tools), at, bal_vals)
+    counts = np.hstack((1 + sizes, np.broadcast_to(np.diff(block.indptr), (tools, block.shape[0]))))
+    return counts.ravel(), cols, vals
+
+
+def _recipe_model(
+    inst: Instance, kind: str, g: ParallelGraph, block: lp.Csr, row_parts, util, col_parts=()
+) -> BuiltModel:
     """Core of `generalized` and `alternative`.
 
     One time column per qualification-set triple (job, tool, recipe), the
-    recipes taken in graph order; the demand rows; then per tool one
-    aggregate column per recipe, one block of balance rows (aggregate = sum
-    of its time columns, in column order), and `tool_rows(build, ti, tool,
-    agg)`.  Given the tool's first aggregate column, it adds the tool's
-    other columns and rows and returns their utilization entries.  The
-    balance rows come from the time columns sorted by tool, then recipe
-    slot: each row is the slot's aggregate, then its group.
-    """
+    recipes taken in graph order; the demand rows; per tool its aggregate
+    per recipe slot, then a column per (prefix, suffix) of `col_parts`; per
+    tool its balance rows, then the rows of `block`, named by `row_parts`
+    (see `_row_entries`).  `util` is the (row kind, block rows) of each tool's
+    utilization entry."""
     slots = np.array([r.mask for r in g.recipes])
     build, table, col_tool, col_slot = _time_columns(inst, kind, _rate_table(inst)[:, slots], slots)
-    grouped = 1 + np.lexsort((col_slot, col_tool))  # stable: each group in column order
-    sizes = np.bincount(col_tool * len(slots) + col_slot, minlength=len(inst.tools) * len(slots))
-    sizes = sizes.reshape(len(inst.tools), len(slots))
-    groups = np.split(grouped, np.cumsum(sizes.sum(axis=1))[:-1])  # per tool
-    aggs, util_rows = [], []
-    for ti, (tool, group) in enumerate(zip(inst.tools, groups)):
-        agg = build.add_cols(_tool_names("agg", ti, g.labels)).start
-        at = np.cumsum(sizes[ti]) - sizes[ti]  # where each slot's group starts
-        cols = np.insert(group, at, agg + np.arange(len(slots)))
-        vals = np.insert(np.full(len(group), -1.0), at, 1.0)
-        build.add_rows(_tool_names("bal", ti, g.labels), 1 + sizes[ti], cols, vals, lp.EQ, 0.0)
-        aggs.append(agg)
-        util_rows += tool_rows(build, ti, tool, agg)
-    return _finish(kind, build, table, util_rows, aggs)
+    tools, n_slots, n_rows = len(inst.tools), len(slots), block.shape[0]
+    agg_parts = [("agg", f"_{label}") for label in g.labels]
+    first = build.add_cols(_names_by_tool(tools, agg_parts + list(col_parts))).start
+    aggs = first + (n_slots + len(col_parts)) * np.arange(tools)
+    senses = ([lp.EQ] * n_slots + [lp.LE] * n_rows) * tools
+    names = _names_by_tool(tools, [("bal", f"_{label}") for label in g.labels] + list(row_parts))
+    entries = _row_entries(col_tool, col_slot, aggs, n_slots, block)
+    added = build.add_rows(names, *entries, senses, 0.0)
+    row_kind, mine = util
+    firsts = added[n_slots + mine.start :: n_slots + n_rows]
+    util_rows = [(tool, row_kind, range(i, i + len(mine))) for tool, i in zip(inst.tools, firsts)]
+    return _finish(kind, build, table, util_rows, aggs.tolist())
 
 
 def _cut_template(matrix: CutMatrix) -> lp.Csr:
@@ -432,14 +443,20 @@ def _seed_row(template: lp.Csr) -> int:
     return int(np.argmax(np.bincount(template.entry_rows, template.data == 0.5, k)))
 
 
+def _local_columns(indices: np.ndarray, first) -> np.ndarray:
+    """The LP columns of a tool's local columns: 0 (rho) stays, c >= 1 is `first` + c - 1."""
+    cols = indices - 1 + first
+    cols[..., indices == 0] = 0
+    return cols
+
+
 def _place(rows: lp.Csr, aggs, columns: int) -> lp.Csr:
-    """Rows of the cut template in an LP of `columns` columns: row i's slot s
-    at column aggs[i] + s (`aggs` may be one column for all rows), and rho
-    at column 0."""
+    """Rows of the cut template in an LP of `columns` columns: row i at the
+    local columns of the tool whose first aggregate is aggs[i] (`aggs` may
+    be one column for all rows)."""
     m = rows.shape[0]
     first = np.repeat(np.broadcast_to(aggs, m), np.diff(rows.indptr))
-    cols = np.where(rows.indices == 0, 0, rows.indices - 1 + first)
-    return lp.Csr(rows.indptr, cols, rows.data, (m, columns))
+    return lp.Csr(rows.indptr, _local_columns(rows.indices, first), rows.data, (m, columns))
 
 
 def _generalized(inst: Instance, matrix: CutMatrix | None, full: bool) -> BuiltModel:
@@ -457,27 +474,14 @@ def _generalized(inst: Instance, matrix: CutMatrix | None, full: bool) -> BuiltM
     n_cuts = template.shape[0]
     seed = _seed_row(template)
     ks = range(n_cuts) if full else [seed]
-    local = template[ks]
-    counts = np.diff(local.indptr)
-    parts = [f"k{k}" for k in ks]
-
-    def cut_rows(build: lp.LpBuilder, ti: int, tool: str, agg: int):
-        # the aggregates of tool ti are the last columns built so far
-        rows = _place(local, agg, agg + len(g.labels))
-        names = _tool_names("cut", ti, parts)
-        added = build.add_rows(names, counts, rows.indices, rows.data, lp.LE, 0.0)
-        return [(tool, "cut_max", added)]
-
-    model = _recipe_model(inst, "generalized", g, cut_rows)
+    block, util = template[ks], ("cut_max", range(len(ks)))
+    model = _recipe_model(inst, "generalized", g, block, [("cut", f"_k{k}") for k in ks], util)
     if full:
         return model
-    # counted from the base LP (the model without its seed rows) and the template
-    tools, seed_nnz = len(model.aggs), int(template.indptr[seed + 1] - template.indptr[seed])
-    base_rows = model.stats.rows - tools
-    base_nnz = model.stats.nonzeros - tools * seed_nnz
-    stats = lp.SizeStats(
-        base_rows + tools * n_cuts, model.stats.columns, base_nnz + tools * template.nnz
-    )
+    # the full LP holds every template row of each tool, where this one holds the seed row
+    tools, (rows, columns, nonzeros) = len(model.aggs), astuple(model.stats)
+    more_nonzeros = tools * (template.nnz - block.nnz)
+    stats = lp.SizeStats(rows + tools * (n_cuts - 1), columns, nonzeros + more_nonzeros)
     return replace(model, stats=stats, template=template)
 
 
@@ -499,30 +503,24 @@ def build_alternative(inst: Instance) -> BuiltModel:
     """Edge-variable model: pairing times on the parallelization graph.
 
     Per tool: availability rows cap each recipe's incident pairing time, and
-    one makespan row total-time-minus-paired-time <= rho.
+    one makespan row total-time-minus-paired-time <= rho.  Every tool holds
+    the same block of these rows over its local columns: rho at 0, slot s's
+    aggregate at 1 + s, and edge k's pairing column at 1 + S + k (S slots).
     """
     g = build_parallel_graph(inst.chambers)
     labels, incident = g.labels, g.incident
     n_rec, n_edges = len(labels), len(g.edges)
-    # availability row r by column offset from the tool's first aggregate
-    # column: the pairing columns of its edges (after the aggregates), then
-    # its own aggregate
-    par_counts = [len(inc) + 1 for inc in incident]
-    par_cols = np.array(
-        [j for r, inc in enumerate(incident) for j in (*(n_rec + k for k in inc), r)]
-    )
-    par_vals = np.array([v for inc in incident for v in (*(1.0 for _ in inc), -1.0)])
-    mk_vals = [1.0] * n_rec + [-1.0] * n_edges
-    edges = [f"{labels[i]}_{labels[j]}" for i, j in g.edges]
-
-    def pairing_rows(build: lp.LpBuilder, ti: int, tool: str, agg: int):
-        build.add_cols(_tool_names("pair", ti, edges))
-        names = _tool_names("par", ti, labels)
-        build.add_rows(names, par_counts, agg + par_cols, par_vals, lp.LE, 0.0)
-        mk_cols = range(agg, agg + n_rec + n_edges)  # the aggregates, then the pairings
-        return _rho_rows(build, [(tool, "makespan", f"mk_t{ti}", mk_cols, mk_vals)])
-
-    return _recipe_model(inst, "alternative", g, pairing_rows)
+    counts = [len(inc) + 1 for inc in incident] + [n_rec + n_edges + 1]
+    cols = [j for r, inc in enumerate(incident) for j in (*(1 + n_rec + k for k in inc), 1 + r)]
+    vals = [v for inc in incident for v in (*(1.0 for _ in inc), -1.0)]
+    cols += [*range(1, 1 + n_rec + n_edges), 0]
+    vals += [1.0] * n_rec + [-1.0] * (n_edges + 1)
+    shape = (n_rec + 1, 1 + n_rec + n_edges)
+    block = lp.Csr(np.cumsum([0, *counts]), np.array(cols), np.array(vals), shape)
+    edges = [("pair", f"_{labels[i]}_{labels[j]}") for i, j in g.edges]
+    row_parts = [("par", f"_{label}") for label in labels] + [("mk", "")]
+    util = ("makespan", range(n_rec, n_rec + 1))
+    return _recipe_model(inst, "alternative", g, block, row_parts, util, edges)
 
 
 def build_model(inst: Instance, kind: str, matrix: CutMatrix | None = None) -> BuiltModel:
@@ -615,8 +613,8 @@ def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int, np.ndarra
     bad = np.argwhere(~(lhs - rho <= lp.TOL.feasibility))  # a held row still violated fails too
     if bad.size:
         ti, k = bad[0]
-        violation = lhs[ti, k] - rho
-        raise LpSolverError(f"{handle.problem.name}: row cut_t{ti}_k{k} violated by {violation:.3e}")
+        violation = f"row cut_t{ti}_k{k} violated by {lhs[ti, k] - rho:.3e}"
+        raise LpSolverError(f"{handle.problem.name}: {violation}")
     return replace(sol, iterations=iterations), rounds, lhs
 
 
@@ -649,7 +647,8 @@ def solve_capacity(inst: Instance, kind: str, matrix: CutMatrix | None = None) -
             lhs = model.problem.matrix @ no_rho
             row_lhs = [lhs[idx] for _, _, idx in model.util_rows]
     t2 = time.perf_counter()
-    assignments, utilization = _extract(model, sol, row_lhs) if sol.status == lp.OPTIMAL else ((), ())
+    optimal = sol.status == lp.OPTIMAL
+    assignments, utilization = _extract(model, sol, row_lhs) if optimal else ((), ())
     return CapacityResult(
         model=kind,
         status=sol.status,

@@ -184,6 +184,11 @@ def test_collapse_matches_the_weight_sets(n):
     assert build_cut_matrix(n, reduce=False).rows == tuple(slow)
 
 
+def test_cuts_to_matrix_refuses_an_empty_cover_list():
+    with pytest.raises(DomainError, match="no covers"):
+        cuts_to_matrix(build_parallel_graph(3), [])
+
+
 NARROW_CASES = [
     *(double_graph(build_parallel_graph(n)) for n in range(1, 6)),
     DoubledGraph(graph=build_parallel_graph(6), arcs=((0, 62), (62, 0))),

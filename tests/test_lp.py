@@ -427,6 +427,42 @@ def test_block_rhs_of_the_wrong_length_is_refused(rhs):
         build.add_rows(["first", "second", "third"], [1, 1, 1], [0, 0, 0], [1.0] * 3, lp.LE, rhs)
 
 
+@pytest.mark.parametrize("senses", [[lp.LE, lp.EQ], (lp.LE,) * 4, []])
+def test_block_senses_of_the_wrong_length_are_refused(senses):
+    build = lp.LpBuilder("senses")
+    build.add_var("v0")
+    message = rf"row block \['first'\]: {len(senses)} senses for 3 rows"
+    with pytest.raises(DomainError, match=message):
+        build.add_rows(["first", "second", "third"], [1, 1, 1], [0, 0, 0], [1.0] * 3, senses, 0.0)
+
+
+def test_block_with_one_sense_per_row_is_two_blocks_of_one_sense():
+    """A block of `=` and `<=` rows gives the problem that one block per
+    sense gives: names, senses, right-hand sides and entries."""
+
+    def problem(*blocks):
+        build = lp.LpBuilder("mixed")
+        build.add_cols(["v0", "v1"])
+        for block in blocks:
+            build.add_rows(*block)
+        return build.problem()
+
+    senses = [lp.EQ, lp.EQ, lp.LE, lp.LE]
+    cols, vals = [0, 1, 1, 0, 0, 1], [1.0, -1.0, 2.0, 3.0, 4.0, 5.0]
+    one = problem((["a", "b", "c", "d"], [2, 1, 1, 2], cols, vals, senses, [0.0, 1.0, 2.0, 3.0]))
+    two = problem(
+        (["a", "b"], [2, 1], [0, 1, 1], [1.0, -1.0, 2.0], lp.EQ, [0.0, 1.0]),
+        (["c", "d"], [1, 2], [0, 0, 1], [3.0, 4.0, 5.0], lp.LE, [2.0, 3.0]),
+    )
+    assert one.senses == two.senses == tuple(senses)
+    assert one.row_names == two.row_names
+    for field in ("rhs", "lower", "upper"):
+        assert getattr(one, field).tobytes() == getattr(two, field).tobytes()
+    for field in ("indptr", "indices", "data"):
+        assert getattr(one.matrix, field).tobytes() == getattr(two.matrix, field).tobytes()
+    assert lp.export_lp_text(one) == lp.export_lp_text(two)
+
+
 @pytest.mark.parametrize(
     "counts, cols", [([1, 1], [0, 0, 0]), ([2, -1, 2], [0, 0, 0]), ([1, 1, 1, 0], [0, 0, 0])]
 )

@@ -28,7 +28,9 @@ from clustercap.instances import SHAPES
 
 from conftest import example1_instance, random_instance
 from lp_oracles import read_lp_text
-from model_oracles import NotQualifiedError, derive_recipe_rate, reference_columns, table_columns
+from model_oracles import (
+    NotQualifiedError, derive_recipe_rate, reference_columns, reference_model, table_columns,
+)
 
 
 def one_tool_instance(chambers, jobs, quals, overrides=(), name="inst"):
@@ -75,10 +77,22 @@ def overrides_instance():
     )
 
 
+def idle_tool_instance():
+    """Two tools, of which no job qualifies T0: its load row holds rho alone."""
+    return models.Instance(
+        "i",
+        3,
+        ("T0", "T1"),
+        (models.Job("j", 5.0),),
+        (models.Qualification("j", "T1", ((0, 0.2), (1, 0.3))),),
+    )
+
+
 PINNED_INSTANCES = {
     "example1": example1_instance,
     "gen_n3": lambda: generate(GenParams(0, "1:4", 3, 2, 3, 5)),
     "gen_n4": lambda: generate(GenParams(0, "1:1", 3, 2, 4, 6)),
+    "idle_tool": idle_tool_instance,
     "overrides_n4": overrides_instance,
 }
 
@@ -102,6 +116,11 @@ PINNED_LP = {
     ("serial", "overrides_n4"): ("0130649ac25e90ef", 13, 6, 32),
     ("generalized", "overrides_n4"): ("b78879f080c41875", 79, 60, 624),
     ("alternative", "overrides_n4"): ("43907dd42a794260", 65, 110, 300),
+    # recorded before every tool's rows were placed in one array step
+    ("basic", "idle_tool"): ("328304136e3676ea", 3, 2, 4),
+    ("serial", "idle_tool"): ("e0701421f9b85444", 5, 2, 8),
+    ("generalized", "idle_tool"): ("71721d55906ec91c", 25, 18, 76),
+    ("alternative", "idle_tool"): ("19d7ee1e3dc68326", 31, 30, 86),
 }
 
 
@@ -214,6 +233,66 @@ def test_column_table_matches_the_per_column_build(kind, matrices, cuts5):
             for slot, label in enumerate(build_parallel_graph(inst.chambers).labels):
                 want = [(built.aggs[ti] + slot, 1.0), *balance.get((tool, label), [])]
                 assert rows[f"bal_t{ti}_{label}"] == want
+
+
+def model_arrays(built):
+    """Everything a built model holds, each array as its dtype, shape and bytes."""
+    def raw(a):
+        return a.dtype.str, a.shape, a.tobytes()
+
+    def csr(a):
+        return None if a is None else (a.shape, raw(a.indptr), raw(a.indices), raw(a.data))
+
+    p, table = built.problem, built.x_cols
+    return {
+        "model": (built.kind, built.rho_col, built.util_rows, built.stats, built.aggs),
+        "problem": (p.name, p.sense, p.objective, p.senses, p.col_names, p.row_names),
+        "bounds": (raw(p.lower), raw(p.upper), raw(p.rhs)),
+        "matrix": csr(p.matrix),
+        "columns": (table.keys, raw(table.pair), raw(table.recipe), raw(table.rate)),
+        "template": csr(built.template),
+    }
+
+
+def reference_cases():
+    """Generated instances at n = 3..5 in every shape, drawn ones at
+    n = 1..5 (some with a tool that no job qualifies), the pinned ones, and
+    the instance with no tools and no jobs."""
+    rng = np.random.default_rng(34)
+    for n in (3, 4, 5):
+        for shape in SHAPES:
+            yield f"gen_n{n}_{shape}", generate(GenParams(n % 2, shape, 3 * (n % 2), 2, n, n))
+    for k in range(15):
+        yield f"drawn_{k}", random_instance(rng, 1 + k % 5, max_tools=6, overrides=True)
+    for case, make in sorted(PINNED_INSTANCES.items()):
+        yield case, make()
+    yield "none", models.Instance("none", 3, (), (), ())
+
+
+TOOL_BLOCK_FORMS = [  # (kind, full); the generalized model in both of its forms
+    ("basic", True),
+    ("serial", True),
+    ("generalized", True),
+    ("generalized", False),
+    ("alternative", True),
+]
+
+
+@pytest.mark.parametrize("kind,full", TOOL_BLOCK_FORMS)
+def test_tool_blocks_match_the_per_tool_build(kind, full, matrices, cuts5):
+    """Every tool's rows, placed in one array step, are the model that the
+    build of one tool at a time gives, bit for bit: arrays, names, senses,
+    utilization entries, aggregate columns, stats and the cut template."""
+    idle = 0
+    for case, inst in reference_cases():
+        matrix = cuts5[0] if inst.chambers == 5 else matrices[inst.chambers]
+        if kind == "generalized":
+            got = models._generalized(inst, matrix, full)
+        else:
+            got = models.build_model(inst, kind)
+        assert model_arrays(got) == model_arrays(reference_model(inst, kind, matrix, full)), case
+        idle += len(set(inst.tools) - {tool for _, tool in inst.pair_rates})
+    assert idle >= 10  # tools that no job qualifies
 
 
 @pytest.fixture(scope="module")
