@@ -344,10 +344,7 @@ def startup(repeats):
     * import  `python -c "import clustercap"`;
     * solve   `python -m clustercap.cli solve --model generalized
               tests/data/example1.json`, which reads the n = 3 cut matrix
-              the package ships.  The children's environment names a
-              temporary `CLUSTERCAP_CACHE`, which the package ignores; it
-              is kept only so that a parent checkout timed through `--src`,
-              which still caches its matrices there, times a warm hit;
+              the package ships;
     * plan    `python -m clustercap.cli bench --reps 1 --models
               generalized,alternative` on perfbench's three plan-n5
               instances (sizecat 2, density 2, 5 chambers, seed 1: shapes
@@ -361,15 +358,14 @@ def startup(repeats):
     read from `os.wait4` as its child ends; scipy, whether the child
     imported scipy at all, and scipy_optimize and scipy_sparse, whether any
     module of `scipy.optimize` or of `scipy.sparse` was imported, from one
-    more run under `python -X importtime`, which also warms such a cache
-    and counts in no number.  Fails if a run fails.
+    more run under `python -X importtime`, which counts in no number.
+    Fails if a run fails.
     """
     import clustercap  # from `--src`, as the other layers import it
 
     env = {**os.environ, "PYTHONPATH": str(Path(clustercap.__file__).parents[1])}
     results = {}
-    with tempfile.TemporaryDirectory() as cache, tempfile.TemporaryDirectory() as plans:
-        env[clustercap.cuts.CACHE_ENV_VAR] = cache
+    with tempfile.TemporaryDirectory() as plans:
         paths = []
         for shape, locked in (("1:4", 0), ("1:1", 3), ("4:1", 0)):
             paths.append(str(Path(plans, f"plan_{shape.replace(':', 'to')}_l{locked}.json")))

@@ -19,8 +19,9 @@ one, so DEFAULT_NODE_BUDGET caps the sets the enumeration holds.
 `build_cut_matrix` runs on arrays from there: the closed sets go into an
 int64 array (m bits for m recipes, up to m = 63), the selected copies per
 recipe are counted from it as int8, and `_collapse` deduplicates the count
-rows by the exact base-3 keys `redundancy` sorts by, which give the rows in
-matrix order.  The distinct coefficient rows then go to
+rows by the exact base-3 keys `redundancy` sorts by, one float64 per row,
+which give the rows in matrix order (a key holds `redundancy.KEY_WIDTH` =
+33 recipes; 5 chambers have 31).  The distinct coefficient rows then go to
 `redundancy.reduce_to_minimal` with the n! relabelings of the chambers
 (`recipes.chamber_permutations`), which leave the row set invariant: its
 perceptron stage certifies one row per orbit and drops the rows below a
@@ -56,7 +57,7 @@ MASK_RECIPES = 63  # recipes an int64 bit set holds, one bit each: 6 chambers
 
 DATA_DIR = Path(__file__).with_name("data")  # the shipped reduced matrices
 # Read by nothing in the package: perfbench checks that the directory it names
-# stays empty, and `bench_layers.py startup` gives older checkouts a cache.
+# stays empty.
 CACHE_ENV_VAR = "CLUSTERCAP_CACHE"
 
 # SHA-256 of render_matrix_csv of the reduced matrix per chamber count (1, 2,
@@ -243,13 +244,14 @@ def _collapse(counts) -> np.ndarray:
     order: the rows 1 - counts / 2 come out lexicographically ascending.
 
     Each row is keyed as `reduce_to_minimal` keys the coefficient rows
-    1 - counts / 2 (`redundancy._key_parts` of their doubled entries,
+    1 - counts / 2 (`redundancy._keys` of their doubled entries,
     2 - counts), so one keying orders and deduplicates both.  The keys are
     made by Horner steps, one recipe column at a time, so int8 counts are
-    never widened as a block; any number of recipes works.
+    never widened as a block.  More than `redundancy.KEY_WIDTH` recipes
+    have no exact key: DomainError.
     """
     counts = np.asarray(counts)
-    return counts[redundancy._distinct_order(redundancy._key_parts(2 - counts))]
+    return counts[redundancy._distinct_order(redundancy._keys(2 - counts))]
 
 
 def _raw_matrix(g: ParallelGraph, counts: np.ndarray) -> CutMatrix:
@@ -261,15 +263,22 @@ def cuts_to_matrix(g: ParallelGraph, cuts: list[BasicCut]) -> CutMatrix:
     """Collapse covers to their weight vectors and deduplicate.
 
     Mirror-symmetric covers (and any other covers sharing a weight profile)
-    fold into a single row here, by the collapse `build_cut_matrix` runs.
-    Any number of recipes works; an empty cover list is a DomainError, for
-    every graph has at least one minimal cover.
+    fold into a single row here, by the collapse `build_cut_matrix` runs,
+    so at most `redundancy.KEY_WIDTH` recipes work.  DomainError for an
+    empty cover list, for every graph has at least one minimal cover, and
+    for a cover without one entry per recipe on each side.
     """
     if not cuts:
         raise DomainError("cuts_to_matrix: no covers to collapse")
     m = len(g.recipes)
+    for c in cuts:
+        if len(c.left) != m or len(c.right) != m:
+            raise DomainError(
+                f"cuts_to_matrix: a cover of {len(c.left)} left and {len(c.right)} right "
+                f"entries for a graph of {m} recipes"
+            )
     copies = np.array([np.add(c.left, c.right) for c in cuts], dtype=np.int64)
-    return _raw_matrix(g, _collapse(copies.reshape(len(cuts), m)))
+    return _raw_matrix(g, _collapse(copies))
 
 
 def build_cut_matrix(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -43,6 +44,11 @@ class GenParams:
     seed: int
 
     def __post_init__(self):
+        for field in ("sizecat", "locked", "density", "chambers", "seed"):
+            value = getattr(self, field)
+            # a bool or a float would reach the name (gen_sTrue_..., _l0.0_)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{field} must be an integer, not {value!r}")
         if self.sizecat not in SIZECATS:
             raise DomainError(f"sizecat must be one of {SIZECATS}")
         if self.shape not in SHAPES:

@@ -11,12 +11,12 @@ self-contained phase-1 simplex in the tests, as the oracle for this module.
 
 `reduce_to_minimal` keeps exactly the vertices of conv(set) - R+^n, the
 members that are redundant against no other member.  On half-integral sets
-(entries in {0, 1/2, 1}, at most MASK_WIDTH columns) the rows are sorted
-and deduplicated once, by exact keys: base-3 numbers of the doubled
-entries, KEY_COLUMNS columns per float64 part, which order as the rows do
-(`cuts._collapse` deduplicates the raw cut rows by the same keys).  Then
-they fall into orbits, and two stages decide them, each by a proof rather
-than a guess.
+(entries in {0, 1/2, 1}, at most KEY_WIDTH columns) the rows are sorted
+and deduplicated once, by exact keys: each row's doubled entries as one
+base-3 number, below 3^KEY_WIDTH < 2^53, so one float64 holds it exactly
+and the keys order as the rows do (`cuts._collapse` deduplicates the raw
+cut rows by the same keys).  Then they fall into orbits, and two stages
+decide them, each by a proof rather than a guess.
 
 0. Orbits.  A permutation sigma of the columns that maps the set onto
    itself is a linear bijection that keeps R+^n, so it maps conv(set) -
@@ -57,7 +57,7 @@ than a guess.
    (block x rows) float32 product into a buffer that every step reuses.
    An update adds at most 2 to an entry, so d stays in
    [0, 2 + 2 * PERCEPTRON_STEPS]^n; every score is then a multiple of 1/2
-   and at most (2 + 2 * PERCEPTRON_STEPS) * MASK_WIDTH, so its partial sums
+   and at most (2 + 2 * PERCEPTRON_STEPS) * KEY_WIDTH, so its partial sums
    are whole numbers of halves below 2^24, which float32 (a 24-bit
    significand) holds exactly in any summation order: a tie is a real tie.
    The midpoint sums a_i + a_j lie in {0, 1/2, 1, 3/2, 2}, also exact.
@@ -69,7 +69,9 @@ than a guess.
 The perceptron refuses a set with a repeated row: a copy of b would be
 b's own midpoint competitor, and both copies would go.
 
-Any other input goes through stage 2 alone.
+Any other input goes through stage 2 alone: a set with an entry outside
+{0, 1/2, 1}, and a half-integral set wider than KEY_WIDTH, which has no
+exact key.  Rows need at least one column.
 """
 
 from __future__ import annotations
@@ -82,10 +84,9 @@ from . import lp
 from .errors import DomainError, LpSolverError
 
 HALF_INTEGRAL = (0.0, 0.5, 1.0)
-MASK_WIDTH = 63  # widest half-integral set the perceptron takes (an int64 bit mask's width)
+KEY_WIDTH = 33  # widest row one float64 base-3 key holds exactly: 3^33 < 2^53
 BLOCK = 256  # rows per block of perceptron scorings
 PERCEPTRON_STEPS = 24  # scorings per row before the separation LPs take it
-KEY_COLUMNS = 32  # columns one float64 base-3 key part holds exactly: 3^32 < 2^53
 PERMUTATION_BLOCK = 24  # permutations whose image keys are made at once (2645 rows: 0.5 MB)
 
 
@@ -103,6 +104,11 @@ class RedundancyVerdict:
     criterion: str
 
 
+def _check_columns(width: int):
+    if width < 1:
+        raise DomainError("rows need at least one column")
+
+
 def _validate_inputs(b, a_set) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(b, dtype=float)
     a = np.asarray(a_set, dtype=float)
@@ -112,6 +118,7 @@ def _validate_inputs(b, a_set) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("reference set must be nonempty")
     if a.shape[1] != b.shape[0]:
         raise DomainError(f"dimension mismatch: {b.shape[0]} vs {a.shape[1]}")
+    _check_columns(b.shape[0])
     if np.any(b < 0) or np.any(a < 0):
         raise DomainError("redundancy tests are defined for nonnegative vectors")
     return b, a
@@ -130,9 +137,8 @@ def is_redundant_lp(b, a_set) -> RedundancyVerdict:
     build.set_objective([(j, 1.0) for j in x])
     diff = b - a  # row i holds b - a_i; its nonzeros go in row by row
     kept = diff != 0.0
-    build.add_rows(
-        [str(i) for i in range(len(a))], kept.sum(axis=1), np.nonzero(kept)[1], diff[kept], lp.GE, 1.0
-    )
+    names = [str(i) for i in range(len(a))]
+    build.add_rows(names, kept.sum(axis=1), np.nonzero(kept)[1], diff[kept], lp.GE, 1.0)
     sol = lp.solve(build.problem())
     if sol.status == lp.INFEASIBLE:
         return RedundancyVerdict(redundant=True, witness=None, criterion="lp")
@@ -142,100 +148,57 @@ def is_redundant_lp(b, a_set) -> RedundancyVerdict:
 
 
 def _is_half_integral(arr: np.ndarray) -> bool:
-    return arr.ndim == 2 and arr.shape[1] <= MASK_WIDTH and bool(np.isin(arr, HALF_INTEGRAL).all())
+    return arr.ndim == 2 and arr.shape[1] <= KEY_WIDTH and bool(np.isin(arr, HALF_INTEGRAL).all())
 
 
-def _key_parts(digits) -> list[np.ndarray]:
+def _keys(digits) -> np.ndarray:
     """The exact keys of rows of base-3 digits (0, 1 or 2: the doubled
-    entries of half-integral rows), one float64 array per part.
+    entries of half-integral rows), one float64 per row.
 
-    Part p keys the columns KEY_COLUMNS * p onwards, KEY_COLUMNS of them, as
-    a base-3 number, its first column most significant.  A part is below
-    3^KEY_COLUMNS < 2^53, so it is exact in float64, and rows compare as
-    their keys compare (the first part primary).  Each part is made by
-    Horner steps, one column at a time, so digits of any dtype go in
-    without a (rows, columns) float64 copy.  `cuts._collapse` keys the raw
-    cut rows with it too."""
+    A row's key is the row as a base-3 number, its first column most
+    significant, so rows compare as their keys compare.  A key is below
+    3^KEY_WIDTH < 2^53, so it is exact in float64, and so is a key made as
+    a product with the keys of the identity rows, in any summation order;
+    past KEY_WIDTH columns it would round, so such rows raise DomainError.
+    The keys are made by Horner steps, one column at a time, so digits of
+    any dtype go in without a (rows, columns) float64 copy.
+    `cuts._collapse` keys the raw cut rows with it too."""
     digits = np.asarray(digits)
-    parts = []
-    for start in range(0, digits.shape[1], KEY_COLUMNS):
-        key = np.zeros(len(digits))
-        for column in digits.T[start : start + KEY_COLUMNS]:
-            key *= 3
-            key += column
-        parts.append(key)
-    return parts
+    if digits.shape[1] > KEY_WIDTH:
+        raise DomainError(f"rows {digits.shape[1]} wide have no exact key, at most {KEY_WIDTH}")
+    key = np.zeros(len(digits))
+    for column in digits.T:
+        key *= 3
+        key += column
+    return key
 
 
-def _key_weights(width: int) -> np.ndarray:
-    """(parts, width) float64 weights of `_key_parts`: the key parts of the
-    doubled rows `twice` are `weights @ twice.T`, exact in any summation
-    order, since each part is below 2^53."""
-    return np.array(_key_parts(np.eye(width, dtype=np.int8)))
+def _distinct_order(key: np.ndarray) -> np.ndarray:
+    """The rows of `key` in ascending key order, each key once: the indices
+    of the first row of each key."""
+    return np.unique(key, return_index=True)[1]
 
 
-def _keys(twice: np.ndarray, weights: np.ndarray) -> list[np.ndarray]:
-    """The key parts of the doubled rows `twice` under `weights`, one float64
-    array per part, of shape (rows,) or, with an axis of weight vectors
-    before the columns, (vectors, rows)."""
-    return [w @ twice.T for w in weights]
-
-
-def _steps(parts: list[np.ndarray]) -> np.ndarray:
-    """Per pair of consecutive keys, the sign of the later minus the earlier."""
-    out = np.zeros(len(parts[0]) - 1)
-    for part in parts:
-        out = np.where(out == 0, np.sign(np.diff(part)), out)
-    return out
-
-
-def _distinct_order(parts: list[np.ndarray]) -> np.ndarray:
-    """The rows of key `parts` in ascending key order, each key once: the
-    indices of the first row of each key."""
-    order = np.lexsort(parts[::-1])
-    return order[np.concatenate(([True], _steps([part[order] for part in parts]) != 0))]
-
-
-def _lex_min(parts: list[np.ndarray]) -> list[np.ndarray]:
-    """The least key along the first axis of (k, rows) key parts."""
-    out, tie = [], None
-    for k, part in enumerate(parts):
-        if tie is not None:
-            part = np.where(tie, part, np.inf)
-        out.append(part.min(axis=0))
-        if k + 1 < len(parts):
-            tie = part == out[-1]
-    return out
-
-
-def _lex_less(parts: list[np.ndarray], than: list[np.ndarray]) -> np.ndarray:
-    """Per row, whether the key `parts` is below the key `than`."""
-    less, tie = np.zeros(len(parts[0]), dtype=bool), np.ones(len(parts[0]), dtype=bool)
-    for part, other in zip(parts, than):
-        less |= tie & (part < other)
-        tie &= part == other
-    return less
-
-
-def _sort_distinct(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Half-integral rows sorted ascending with each row once, and their key
-    parts: one sort, none when they come sorted and distinct."""
-    parts = _key_parts(2 * arr)
-    if len(arr) > 1 and not (_steps(parts) > 0).all():
-        keep = _distinct_order(parts)
-        arr, parts = arr[keep], [part[keep] for part in parts]
-    return arr, parts
+def _sort_distinct(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-integral rows sorted ascending with each row once, and their
+    keys: one sort, none when they come sorted and distinct."""
+    key = _keys(2 * arr)
+    if len(arr) > 1 and not (np.diff(key) > 0).all():
+        keep = _distinct_order(key)
+        arr, key = arr[keep], key[keep]
+    return arr, key
 
 
 def _half_integral_rows(rows, stage: str) -> np.ndarray:
     """The rows as a float array, refused unless they are distinct and
-    half-integral, at most MASK_WIDTH wide: a row with a copy would be its
+    half-integral, 1 to KEY_WIDTH wide: a row with a copy would be its
     copy's midpoint competitor.  `stage` names the caller in the errors."""
     arr = np.asarray(rows, dtype=float)
     if not _is_half_integral(arr):
         raise DomainError(
-            f"{stage} takes a set of rows with entries in {{0, 1/2, 1}}, at most {MASK_WIDTH} wide"
+            f"{stage} takes a set of rows with entries in {{0, 1/2, 1}}, at most {KEY_WIDTH} wide"
         )
+    _check_columns(arr.shape[1])
     if len(_sort_distinct(arr)[0]) < len(arr):
         raise DomainError(f"{stage} takes distinct rows")
     return arr
@@ -248,7 +211,7 @@ def perceptron_certified(rows) -> tuple[np.ndarray, np.ndarray]:
     conv(rows) - R+^n.  Dropped rows lie below the midpoint of two rows
     they met as best competitors: each is redundant.
 
-    `rows` must be distinct and half-integral, at most MASK_WIDTH wide.
+    `rows` must be distinct and half-integral, 1 to KEY_WIDTH wide.
     """
     return _perceptron(_half_integral_rows(rows, "the perceptron"), None)
 
@@ -287,10 +250,11 @@ def _perceptron(arr: np.ndarray, todo) -> tuple[np.ndarray, np.ndarray]:
     return certified, dropped
 
 
-def _representatives(arr: np.ndarray, own: list[np.ndarray], symmetries) -> np.ndarray:
+def _representatives(arr: np.ndarray, own: np.ndarray, symmetries) -> np.ndarray:
     """Per row, the index of the representative of its orbit: the row with
     the least key among the row's images under `symmetries`, a group of
-    column permutations (None: the identity group).
+    column permutations (None: the identity group).  The rows come sorted
+    by their keys `own`, each once.
 
     The least image key is folded in one block of permutations at a time.
     The set must be invariant: every row's least key must be the key of a
@@ -310,26 +274,22 @@ def _representatives(arr: np.ndarray, own: list[np.ndarray], symmetries) -> np.n
     ):
         raise DomainError(f"symmetries must be permutations of the {width} columns, one per row")
     twice = 2.0 * arr
-    weights = _key_weights(width)
-    moved = np.empty((len(weights), len(perms), width))  # the weights seen through each permutation
-    moved[:, np.arange(len(perms))[:, None], perms] = weights[:, None, :]
+    # the keys of the identity rows, seen through each permutation
+    moved = np.empty((len(perms), width))
+    moved[np.arange(len(perms))[:, None], perms] = _keys(np.eye(width, dtype=np.int8))
     least = own
     for p in range(0, len(perms), PERMUTATION_BLOCK):
-        images = _lex_min(_keys(twice, moved[:, p : p + PERMUTATION_BLOCK]))
-        lower = _lex_less(images, least)
-        least = [np.where(lower, i, l) for i, l in zip(images, least)]
-    is_rep = np.logical_and.reduce([l == o for l, o in zip(least, own)])
-    order = np.lexsort(least[::-1])
-    starts = np.concatenate(([True], _steps([l[order] for l in least]) != 0))
-    orbit = np.cumsum(starts) - 1  # per sorted row, its orbit
-    reps = order[is_rep[order]]  # one per orbit when each orbit has one, in orbit order
-    stabilizer = np.logical_and.reduce(
-        [i == o[reps] for i, o in zip(_keys(twice[reps], moved), own)]
-    ).sum(axis=0)
-    if len(reps) != orbit[-1] + 1 or (np.bincount(orbit) * stabilizer != len(perms)).any():
+        least = np.minimum(least, (moved[p : p + PERMUTATION_BLOCK] @ twice.T).min(axis=0))
+    is_rep = least == own
+    reps = np.flatnonzero(is_rep)
+    rep_of = np.searchsorted(own, least)  # at most the row's own index, for least <= own
+    stabilizer = (moved @ twice[reps].T == own[reps]).sum(axis=0)
+    if (
+        (own[rep_of] != least).any()
+        or not is_rep[rep_of].all()
+        or (np.bincount(rep_of)[reps] * stabilizer != len(perms)).any()
+    ):
         raise DomainError("the symmetries do not leave the set invariant")
-    rep_of = np.empty(len(arr), dtype=np.intp)
-    rep_of[order] = reps[orbit]
     return rep_of
 
 
@@ -354,16 +314,17 @@ def separate_remaining(rows, alive: np.ndarray, settled: np.ndarray) -> int:
 def reduce_to_minimal(a_set, symmetries=None) -> list[tuple[float, ...]]:
     """The members redundant against no other member, sorted.
 
-    Equal members count once.  Half-integral sets go through the perceptron,
+    Equal members count once; members need at least one column.
+    Half-integral sets at most KEY_WIDTH wide go through the perceptron,
     one representative per orbit of `symmetries` (see `_representatives`;
     None is the identity group), which certifies vertices and drops rows
     below a midpoint of two others, each verdict spread over its orbit; then
-    separation LPs on the rows it leaves, member by member.  Other sets go
-    through the LPs alone, and take no symmetries.  One
-    LP pass suffices: removing a redundant vector leaves conv(set) - R+^n
-    unchanged, and a vector that is not redundant against a set is not
-    redundant against any subset of it, so every survivor is non-redundant
-    against the final set.
+    separation LPs on the rows it leaves, member by member.  Other sets,
+    wider half-integral ones included, go through the LPs alone, and take
+    no symmetries (else DomainError).  One LP pass suffices: removing a
+    redundant vector leaves conv(set) - R+^n unchanged, and a vector that is
+    not redundant against a set is not redundant against any subset of it,
+    so every survivor is non-redundant against the final set.
     The maximum of <a, x> over the set is preserved for every x >= 0.
     """
     try:
@@ -372,13 +333,14 @@ def reduce_to_minimal(a_set, symmetries=None) -> list[tuple[float, ...]]:
         arr = None
     if arr is None or arr.ndim != 2 or not len(arr):
         raise DomainError("expected a set of equal-length vectors")
+    _check_columns(arr.shape[1])
     if _is_half_integral(arr):
         arr, keys = _sort_distinct(arr)
         rep_of = _representatives(arr, keys, symmetries)
         certified, dropped = _perceptron(arr, rep_of == np.arange(len(arr)))
         settled, alive = certified[rep_of], ~dropped[rep_of]
     elif symmetries is not None:
-        raise DomainError(f"symmetries take a half-integral set, at most {MASK_WIDTH} wide")
+        raise DomainError(f"symmetries take a half-integral set, at most {KEY_WIDTH} wide")
     else:
         arr = np.unique(arr, axis=0)  # sorted, each member once
         settled, alive = np.zeros(len(arr), dtype=bool), np.ones(len(arr), dtype=bool)

@@ -6,14 +6,13 @@ from clustercap import is_redundant_lp, lp
 from clustercap.errors import LpSolverError
 from clustercap.redundancy import (
     BLOCK,
-    MASK_WIDTH,
     PERCEPTRON_STEPS,
     RedundancyVerdict,
     _half_integral_rows,
     _validate_inputs,
 )
 
-_BITS = np.left_shift(np.int64(1), np.arange(MASK_WIDTH, dtype=np.int64))
+_BITS = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))  # an int64 mask's bits
 PIVOT_TOL = 1e-10  # the phase-1 simplex's pivot and ratio-test tolerance
 WITNESS_SLACK = 1e-7  # how far a witness may miss, in the hull oracle's checks
 
@@ -75,7 +74,7 @@ def pair_dominated(rows, todo=None) -> np.ndarray:
     against all the other rows.  Rows are int64 bit masks (entry below 1,
     zero, half): a candidate a_i must be 1 wherever b is 1, and on the half
     entries of b no pair may put a 0 against an entry below 1.  `rows` must
-    be distinct and half-integral, at most MASK_WIDTH wide.
+    be distinct and half-integral, at most KEY_WIDTH wide.
     """
     arr = _half_integral_rows(rows, "the pair test")
     out = np.zeros(len(arr), dtype=bool)

@@ -35,7 +35,8 @@ from clustercap.cuts import (
     _neighbours,
 )
 from clustercap.errors import DomainError, EnumerationBudgetError
-from clustercap.redundancy import KEY_COLUMNS
+from clustercap.recipes import ParallelGraph
+from clustercap.redundancy import KEY_WIDTH
 
 from conftest import DATA, example1_instance
 from cut_oracles import bron_kerbosch_covers
@@ -189,6 +190,22 @@ def test_cuts_to_matrix_refuses_an_empty_cover_list():
         cuts_to_matrix(build_parallel_graph(3), [])
 
 
+@pytest.mark.parametrize(
+    "covers, named",
+    [
+        ([cuts.BasicCut((1,), (0,))], "1 left and 1 right"),
+        (
+            [cuts.BasicCut((1,) * 7, (0,) * 7), cuts.BasicCut((1,) * 6, (0,) * 7)],
+            "6 left and 7 right",
+        ),
+    ],
+    ids=["short", "ragged"],
+)
+def test_cuts_to_matrix_refuses_covers_of_the_wrong_length(covers, named):
+    with pytest.raises(DomainError, match=f"a cover of {named} entries for a graph of 7 recipes"):
+        cuts_to_matrix(build_parallel_graph(3), covers)
+
+
 NARROW_CASES = [
     *(double_graph(build_parallel_graph(n)) for n in range(1, 6)),
     DoubledGraph(graph=build_parallel_graph(6), arcs=((0, 62), (62, 0))),
@@ -204,6 +221,11 @@ def test_cover_counts_are_int8_and_match_the_covers(dg):
     assert counts.dtype == np.int8 and counts.shape == (len(counts), dg.size)
     slow = np.array([np.add(c.left, c.right) for c in enumerate_minimal_cuts(dg)], np.int64)
     assert sorted(map(tuple, counts.tolist())) == sorted(map(tuple, slow.tolist()))
+    if dg.size > KEY_WIDTH:  # no exact key: the collapse refuses them
+        for rows in (counts, slow):
+            with pytest.raises(DomainError, match=f"at most {KEY_WIDTH}"):
+                _collapse(rows)
+        return
     narrow, wide = _collapse(counts), _collapse(counts.astype(np.int64))
     assert narrow.dtype == np.int8 and wide.dtype == np.int64
     assert narrow.tolist() == wide.tolist() == _collapse(slow).tolist()
@@ -231,15 +253,13 @@ def test_enumeration_takes_any_number_of_recipes():
 
     covers = {(picked(c.left), picked(c.right)) for c in enumerate_minimal_cuts(dg)}
     assert covers == {((0, 62), ()), ((0,), (0,)), ((62,), (62,)), ((), (0, 62))}
-    # the two one-sided covers fold into one row; recipes 0 and 62 have
-    # their own base-3 keys
-    rows = cuts_to_matrix(dg.graph, enumerate_minimal_cuts(dg)).rows
-    assert [tuple(np.flatnonzero(r)) for r in rows] == [(0,), (0, 62), (62,)]
-    assert [max(r) for r in rows] == [1.0, 0.5, 1.0]
+    # one float64 key holds 33 recipes, so their rows are not collapsed
+    with pytest.raises(DomainError, match=f"rows 63 wide have no exact key, at most {KEY_WIDTH}"):
+        cuts_to_matrix(dg.graph, enumerate_minimal_cuts(dg))
 
 
 @given(
-    st.integers(min_value=1, max_value=3 * KEY_COLUMNS).flatmap(
+    st.integers(min_value=1, max_value=KEY_WIDTH).flatmap(
         lambda m: st.lists(
             st.lists(st.integers(min_value=0, max_value=2), min_size=m, max_size=m),
             min_size=1,
@@ -249,11 +269,36 @@ def test_enumeration_takes_any_number_of_recipes():
 )
 @settings(max_examples=40)
 def test_collapse_sorts_and_deduplicates_any_width(counts):
-    # rows that share a first base-3 key and differ past it, and repeats
-    counts += [a[:KEY_COLUMNS] + b[KEY_COLUMNS:] for a, b in zip(counts, counts[1:])]
+    # rows that differ in their last column only, and repeats
+    counts += [a[:-1] + b[-1:] for a, b in zip(counts, counts[1:])]
     counts += counts[:2]
     slow = sorted({tuple(r) for r in counts}, reverse=True)
     assert [tuple(r) for r in _collapse(counts).tolist()] == slow
+
+
+def first_recipes(m) -> ParallelGraph:
+    """The first m recipes of six chambers, without edges: a graph as wide
+    as asked for the collapse, whose covers the caller makes."""
+    six = build_parallel_graph(6)
+    return ParallelGraph(n=6, recipes=six.recipes[:m], edges=())
+
+
+def test_cuts_to_matrix_keys_33_recipes_exactly():
+    # the two covers differ in the last recipe only, the least significant
+    # base-3 digit of the key; the repeat folds away
+    low = cuts.BasicCut((1,) + (0,) * (KEY_WIDTH - 1), (0,) * KEY_WIDTH)
+    high = cuts.BasicCut(low.left, (0,) * (KEY_WIDTH - 1) + (1,))
+    rows = cuts_to_matrix(first_recipes(KEY_WIDTH), [low, high, low]).rows
+    assert rows == (high.weights(), low.weights())  # ascending in 1 - weight
+
+
+def test_collapse_and_cuts_to_matrix_refuse_more_recipes_than_a_key_holds():
+    wide = KEY_WIDTH + 1
+    with pytest.raises(DomainError, match=f"rows 34 wide have no exact key, at most {KEY_WIDTH}"):
+        _collapse(np.ones((2, wide), dtype=np.int8))
+    cover = cuts.BasicCut((0,) * wide, (1,) * wide)
+    with pytest.raises(DomainError, match=f"rows 34 wide have no exact key, at most {KEY_WIDTH}"):
+        cuts_to_matrix(first_recipes(wide), [cover])
 
 
 def test_two_chambers_raw_rows():

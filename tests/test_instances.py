@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,28 @@ class TestParamValidation:
     def test_rejects_out_of_domain(self, kw):
         with pytest.raises(DomainError):
             params(**kw)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sizecat", True),
+            ("locked", 0.0),
+            ("density", 2.0),
+            ("chambers", False),
+            ("seed", 1.5),
+            ("seed", np.True_),
+            ("seed", "7"),
+        ],
+    )
+    def test_rejects_bools_and_non_integers(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            params(**{field: value})
+
+    def test_takes_numpy_integers(self):
+        p = params(sizecat=np.int64(1), locked=np.int8(3), seed=np.uint32(7))
+        assert p.name == "gen_s1_1to1_l3_d2_n3_seed7"
+        assert parse_generated_name(p.name)["locked"] == 3
+        assert generate(p) == generate(params(sizecat=1, locked=3, seed=7))
 
 
 class TestGeneration:

@@ -21,7 +21,7 @@ from clustercap import redundancy
 from clustercap.errors import DomainError, LpSolverError
 from clustercap.recipes import chamber_permutations
 from clustercap.redundancy import (
-    MASK_WIDTH,
+    KEY_WIDTH,
     PERCEPTRON_STEPS,
     perceptron_certified,
     separate_remaining,
@@ -57,10 +57,11 @@ def vector_sets(min_dim=2, max_dim=8, max_vecs=6):
 
 
 @st.composite
-def half_integral_sets(draw, max_dim=7):
+def half_integral_sets(draw, min_dim=2, max_dim=7, max_rows=None):
     """Sets with entries in {0, 1/2, 1}, with planted midpoints of two 0/1
-    members and members pushed down entrywise (both redundant)."""
-    d = draw(st.integers(min_value=2, max_value=max_dim))
+    members and members pushed down entrywise (both redundant).  With
+    `max_rows`, only the last that many rows, so the planted ones stay."""
+    d = draw(st.integers(min_value=min_dim, max_value=max_dim))
     corner = st.lists(st.sampled_from([0.0, 1.0]), min_size=d, max_size=d).map(tuple)
     half = st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=d, max_size=d).map(tuple)
     rows = draw(st.lists(st.one_of(corner, half), min_size=1, max_size=8))
@@ -73,7 +74,7 @@ def half_integral_sets(draw, max_dim=7):
         row = draw(st.sampled_from(rows))
         drops = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=d, max_size=d))
         rows.append(tuple(max(0.0, v - s) for v, s in zip(row, drops)))
-    return rows
+    return rows if max_rows is None else rows[-max_rows:]
 
 
 def cut_rows(n, side):
@@ -305,25 +306,45 @@ class TestReduction:
 
 
 @given(
-    st.integers(min_value=1, max_value=2 * redundancy.MASK_WIDTH).flatmap(
+    st.integers(min_value=1, max_value=KEY_WIDTH).flatmap(
         lambda width: st.lists(
             st.lists(st.integers(0, 2), min_size=width, max_size=width), min_size=1, max_size=12
         )
     )
 )
 @settings(max_examples=40)
-def test_one_keying_orders_rows_exactly(digits):
-    """The Horner keys of `_key_parts` are the product keys of the
-    permutation images (`_keys` under `_key_weights`), in any dtype, and
-    `_distinct_order` gives the distinct rows in lexicographic order."""
+def test_one_key_orders_rows_exactly(digits):
+    """The Horner keys of `_keys` are the product keys of the permutation
+    images (the rows times the keys of the identity rows), in int8 and in
+    float, and `_distinct_order` gives the distinct rows in lexicographic
+    order."""
     arr = np.array(digits, dtype=np.int8)
-    parts = redundancy._key_parts(arr)
-    assert len(parts) == -(-arr.shape[1] // redundancy.KEY_COLUMNS)
-    weights = redundancy._key_weights(arr.shape[1])
-    for other in (redundancy._key_parts(arr.astype(float)), redundancy._keys(1.0 * arr, weights)):
-        assert all((a == b).all() for a, b in zip(parts, other, strict=True))
-    got = arr[redundancy._distinct_order(parts)]
+    key = redundancy._keys(arr)
+    weights = redundancy._keys(np.eye(arr.shape[1], dtype=np.int8))
+    assert key.shape == (len(arr),)
+    assert key.tolist() == redundancy._keys(arr.astype(float)).tolist() == (arr @ weights).tolist()
+    got = arr[redundancy._distinct_order(key)]
     assert list(map(tuple, got.tolist())) == sorted(set(map(tuple, digits)))
+
+
+def test_rows_past_the_key_width_have_no_key():
+    with pytest.raises(DomainError, match=f"rows 34 wide have no exact key, at most {KEY_WIDTH}"):
+        redundancy._keys(np.zeros((2, KEY_WIDTH + 1), dtype=np.int8))
+
+
+def test_rows_differing_in_the_last_of_33_columns_sort_and_deduplicate():
+    # the last column is the least significant base-3 digit of the key
+    low = np.zeros(KEY_WIDTH, dtype=np.int8)
+    low[0] = 2
+    high = low.copy()
+    high[-1] = 1
+    arr = np.array([high, low, high, low])
+    assert redundancy._keys(arr)[0] == redundancy._keys(arr)[1] + 1
+    assert arr[redundancy._distinct_order(redundancy._keys(arr))].tolist() == [
+        low.tolist(), high.tolist()
+    ]
+    twice = np.array([high, low, high]) / 2.0
+    assert redundancy._sort_distinct(twice)[0].tolist() == [(low / 2).tolist(), (high / 2).tolist()]
 
 
 class TestStagedReduction:
@@ -365,7 +386,7 @@ class TestStagedReduction:
         # a score counted in halves: the perceptron's directions stay in
         # [0, 2 + 2 * PERCEPTRON_STEPS], so every partial sum is exact within
         # float32's 24-bit significand
-        assert 2 * (2 + 2 * PERCEPTRON_STEPS) * MASK_WIDTH < 2**24
+        assert 2 * (2 + 2 * PERCEPTRON_STEPS) * KEY_WIDTH < 2**24
 
     @given(half_integral_sets())
     @settings(max_examples=40)
@@ -486,14 +507,14 @@ class TestStagedReduction:
             [[1.5, 0.0], [0.0, 1.0]],
             [[-0.5, 1.0], [1.0, 0.0]],
             [[np.nan, 1.0], [1.0, 0.0]],
-            np.zeros((2, MASK_WIDTH + 1)),
+            np.zeros((2, KEY_WIDTH + 1)),
             [0.5, 1.0],
             np.zeros((2, 2, 2)),
         ],
         ids=["fractions", "above-one", "negative-half", "nan", "too-wide", "one-row", "not-a-matrix"],
     )
     def test_off_domain_rows_are_refused(self, stage, rows):
-        rule = f"entries in {{0, 1/2, 1}}, at most {MASK_WIDTH} wide"
+        rule = f"entries in {{0, 1/2, 1}}, at most {KEY_WIDTH} wide"
         with pytest.raises(DomainError, match=re.escape(rule)):
             stage(rows)
 
@@ -627,6 +648,13 @@ class TestSymmetries:
                 [(1.0, 0.0, 0.5), (0.0, 0.5, 1.0)], [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
                 id="two-of-three-images",
             ),
+            pytest.param(
+                [(0.0, 1.0), (0.5, 0.0), (0.5, 0.5)], [[0, 1], [1, 0]], id="least-image-missing"
+            ),
+            pytest.param(
+                [(0.5, 0.5, 1.0), (0.5, 1.0, 0.5), (1.0, 0.5, 0.5)], [[0, 1, 2], [2, 0, 1]],
+                id="not-a-group",
+            ),
         ],
     )
     def test_a_set_the_group_does_not_keep_is_refused(self, rows, group):
@@ -651,10 +679,11 @@ class TestSymmetries:
         with pytest.raises(DomainError, match="symmetries take a half-integral set"):
             reduce_to_minimal([(2.0, 0.0), (0.0, 2.0)], symmetries=[[0, 1], [1, 0]])
 
-    @pytest.mark.parametrize("width", [33, 40, MASK_WIDTH])
+    @pytest.mark.parametrize("width", [33, 34, 40, 63])
     def test_keys_are_exact_at_every_width(self, width):
-        # the rows differ in the last column only; a single float64 base-3
-        # key would round that digit away past 33 columns
+        # the rows differ in the last column only; a float64 base-3 key would
+        # round that digit away past KEY_WIDTH columns, so wider sets go
+        # through the separation LPs alone and take no symmetries
         low = np.zeros(width)
         low[0] = 1.0
         high = low.copy()
@@ -662,8 +691,26 @@ class TestSymmetries:
         swap = np.arange(width)
         swap[[1, 2]] = swap[[2, 1]]
         kept = [tuple(high.tolist())]
-        assert reduce_to_minimal([low, high]) == kept
-        assert reduce_to_minimal([high, low, high], symmetries=[np.arange(width), swap]) == kept
+        assert reduce_to_minimal([low, high]) == reduce_to_minimal([high, low, high]) == kept
+        group = [np.arange(width), swap]
+        if width <= KEY_WIDTH:
+            assert reduce_to_minimal([high, low, high], symmetries=group) == kept
+        else:
+            with pytest.raises(DomainError, match=f"half-integral set, at most {KEY_WIDTH} wide"):
+                reduce_to_minimal([high, low, high], symmetries=group)
+
+    @given(half_integral_sets(min_dim=KEY_WIDTH + 1, max_dim=40, max_rows=8))
+    @settings(max_examples=40, deadline=None)
+    def test_sets_past_the_key_width_go_through_the_lps(self, rows):
+        arr = distinct(rows)
+        hull = [
+            tuple(arr[i].tolist())
+            for i in range(len(arr))
+            if len(arr) == 1 or not is_redundant_hull(arr[i], others(arr, i)).redundant
+        ]
+        assert reduce_to_minimal(rows) == hull
+        with pytest.raises(DomainError, match="symmetries take a half-integral set"):
+            reduce_to_minimal(rows, symmetries=[np.arange(arr.shape[1])])
 
     def test_the_perceptron_runs_only_the_rows_asked(self):
         arr = raw_cut_rows(4)
@@ -674,3 +721,17 @@ class TestSymmetries:
         assert not (certified | dropped)[~todo].any()
         assert certified[todo].tolist() == every[0][todo].tolist()
         assert dropped[todo].tolist() == every[1][todo].tolist()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: reduce_to_minimal(np.zeros((2, 0))),
+        lambda: perceptron_certified(np.zeros((2, 0))),
+        lambda: is_redundant_lp(np.zeros(0), np.zeros((1, 0))),
+    ],
+    ids=["reduce", "perceptron", "separation-lp"],
+)
+def test_rows_need_at_least_one_column(call):
+    with pytest.raises(DomainError, match="rows need at least one column"):
+        call()
