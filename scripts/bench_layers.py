@@ -157,8 +157,10 @@ def reduce(repeats):
     LPs on the rows left neither certified nor dropped).  Counts: covers,
     raw rows, orbits, the representatives certified and dropped by the
     perceptron, LPs run and rows kept; `lp_iterations` sums the HiGHS
-    iterations of the LPs.  Stage times are medians in s.  Fails if the kept
-    rows differ from the checked-in five-chamber matrix.
+    iterations of the LPs.  Stage times are medians in s (`stage_s`), with
+    each stage's best of the repeats beside them (`stage_best_s`): on a
+    shared host the medians follow its load, the best times much less.
+    Fails if the kept rows differ from the checked-in five-chamber matrix.
     """
     from clustercap import cuts, recipes, redundancy
 
@@ -205,6 +207,7 @@ def reduce(repeats):
     stage_s = {k: round(statistics.median(r[k] for r in runs), 4) for k in stages}
     return {
         "stage_s": stage_s,
+        "stage_best_s": {k: round(min(r[k] for r in runs), 4) for k in stages},
         "reduce_s": round(sum(stage_s[k] for k in stages[2:]), 4),
         "total_s": round(sum(stage_s.values()), 4),
         "counts": counts,

@@ -1,7 +1,7 @@
 """Command-line front end: cut matrices, instance generation, solving,
 cross-verification, and benchmark reports.
 
-Exit codes: 0 success, 1 domain error or failed verification, 2 usage error.
+Exit codes: 0 success, 1 domain or solver error or failed verification, 2 usage error.
 All output is deterministic for fixed inputs except wall-clock timings.
 """
 
@@ -67,9 +67,9 @@ class BenchRecord:
         return self.result.status if self.result else f"Error: {self.error}"
 
 
-# the report's cells of a record that reached no result
+# the report's cells of a record that reached no result; its rho cell stays empty
 _NO_RESULT = models.CapacityResult(
-    model="", status="", rho=None, assignments=(), utilization=(), build_ms=0.0,
+    model="", status="", rho=0.0, assignments=(), utilization=(), build_ms=0.0,
     solve_ms=0.0, stats=lp.SizeStats(0, 0, 0), iterations=0, rounds=0,
 )
 
@@ -212,24 +212,10 @@ def verify_instance(
             abs(flows.makespan_via_cuts(x, raw) - flows.makespan_via_cuts(x, matrix)),
         )
     checks.append(
-        (
-            "reduction preserves worst cut row",
-            worst <= VERIFY_TOL,
-            f"max deviation {worst:.2e}",
-        )
+        ("reduction preserves worst cut row", worst <= VERIFY_TOL, f"max deviation {worst:.2e}")
     )
     res_gen = models.solve_capacity(inst, "generalized", matrix=matrix)
     res_alt = models.solve_capacity(inst, "alternative")
-    if res_gen.status != lp.OPTIMAL or res_alt.status != lp.OPTIMAL:
-        checks.append(
-            (
-                "models solve to optimality",
-                False,
-                f"generalized={res_gen.status}, alternative={res_alt.status}",
-            )
-        )
-        return checks
-    checks.append(("models solve to optimality", True, "both Optimal"))
     scale = max(abs(res_gen.rho), abs(res_alt.rho))
     gap = abs(res_gen.rho - res_alt.rho) / scale if scale else 0.0
     checks.append(
@@ -278,13 +264,11 @@ def _flow_makespan(res: models.CapacityResult, g) -> tuple[str | None, float]:
 def _cmd_verify(args) -> int:
     inst = instances.read_instance(args.instance)
     checks = verify_instance(inst, samples=args.samples, seed=args.seed)
-    failed = False
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            failed = True
+    failed = not all(ok for _, ok, _ in checks)
     print("FAIL" if failed else "PASS")
-    return 1 if failed else 0
+    return int(failed)
 
 
 def _bench_instance(path: str, kinds: list[str], reps: int) -> list[BenchRecord]:
@@ -342,7 +326,7 @@ def run_bench(
             continue
         by_kind: dict[str, list[BenchRecord]] = {}
         for rec in group:
-            if rec.status == lp.OPTIMAL:
+            if rec.result is not None:
                 by_kind.setdefault(rec.model, []).append(rec)
         gen = by_kind.get("generalized")
         alt = by_kind.get("alternative")
@@ -382,7 +366,7 @@ def render_bench_csv(records: list[BenchRecord], summaries: list[dict]) -> str:
                 "nonzeros": res.stats.nonzeros,
                 "build_ms": f"{res.build_ms:.3f}",
                 "solve_ms": f"{res.solve_ms:.3f}",
-                "rho": "" if res.rho is None else f"{res.rho:.9g}",
+                "rho": "" if r.result is None else f"{res.rho:.9g}",
                 "status": r.status,
                 "iterations": res.iterations,
                 "rounds": res.rounds,

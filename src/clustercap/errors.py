@@ -27,4 +27,5 @@ class InstanceFormatError(DomainError):
 
 
 class LpSolverError(ClusterCapError):
-    """The LP backend failed numerically; distinct from Infeasible/Unbounded."""
+    """The LP backend failed: HiGHS broke down, an answer failed its checks,
+    or HiGHS called a capacity LP, feasible and bounded, Infeasible or Unbounded."""

@@ -655,8 +655,10 @@ def export_lp_text(p: LpProblem) -> str:
     an explicit Bounds line so the text is self-describing.  Coefficients keep
     17 significant digits so a reader gets the numbers back exactly.  An
     objective or row without entries reads `0`; an explicit zero entry reads
-    `0 x`.
+    `0 x`.  The problem's name, the first (comment) line, holds no line break.
     """
+    if "\n" in p.name or "\r" in p.name:
+        raise DomainError(f"problem name {p.name!r} holds a line break")
     for kind, group in (("variable", p.col_names), ("constraint", p.row_names)):
         for name in group:
             if not _NAME_RE.match(name):

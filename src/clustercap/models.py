@@ -182,7 +182,7 @@ def _rate_table(inst: Instance) -> np.ndarray:
 
 class TimeColumns(NamedTuple):
     """A model's time columns, one entry per column: entry i is LP column
-    1 + i (rho is column 0).  It runs the recipe of mask `recipe[i]` on the
+    1 + i (rho is column RHO_COL).  It runs the recipe of mask `recipe[i]` on the
     qualified pair `pair[i]`, an index into `keys`, the (job, tool) of each
     pair in `Instance.pair_rates` order, at `rate[i]` wafers per time
     unit."""
@@ -215,7 +215,6 @@ class BuiltModel:
 
     kind: str
     problem: lp.LpProblem
-    rho_col: int
     x_cols: TimeColumns
     util_rows: tuple
     stats: lp.SizeStats
@@ -241,9 +240,11 @@ class UtilizationEntry:
 
 @dataclass(frozen=True)
 class CapacityResult:
+    """A certified Optimal answer; `status`, always "Optimal", stays for the solution JSON."""
+
     model: str
     status: str
-    rho: float | None
+    rho: float
     assignments: tuple[Assignment, ...]
     utilization: tuple[UtilizationEntry, ...]
     build_ms: float
@@ -263,10 +264,11 @@ class CapacityResult:
 
 
 MODEL_KINDS = ("basic", "serial", "generalized", "alternative")
+RHO_COL = 0  # rho's column in every model: `_time_columns` adds it first
 
 
 def _time_columns(inst: Instance, kind: str, rates: np.ndarray, slots=None):
-    """A model's LP so far: rho (column 0), the time columns and the demand
+    """A model's LP so far: rho (column RHO_COL), the time columns and the demand
     rows.  Without `slots`, each qualified pair p (in `pair_rates` order)
     has one time column, running its own chamber set at `rates[p]`, named
     `x_j{j}_t{t}` for job j and tool t.  Given the graph's recipe masks
@@ -319,7 +321,7 @@ def _names_by_tool(tools: int, parts) -> lp.Names:
 def _finish(kind, build, table, util_rows, aggs=()) -> BuiltModel:
     problem = build.problem()
     return BuiltModel(
-        kind, problem, 0, table, tuple(util_rows), lp.size_stats(problem), aggs=tuple(aggs)
+        kind, problem, table, tuple(util_rows), lp.size_stats(problem), aggs=tuple(aggs)
     )
 
 
@@ -342,7 +344,7 @@ def _time_model(inst: Instance, kind: str, rate: np.ndarray, chamber=None) -> Bu
     rows = np.union1d(keys, len(row_kinds) * np.arange(len(inst.tools)))
     keys = np.concatenate((keys, rows))  # rho, after each row's columns
     order = np.argsort(keys, kind="stable")
-    cols = np.concatenate((1 + at, np.zeros(len(rows), np.int64)))[order]
+    cols = np.concatenate((1 + at, np.full(len(rows), RHO_COL)))[order]
     vals = np.where(k == 0, 1.0, table.rate[at] / weight[at, k])
     vals = np.concatenate((vals, np.full(len(rows), -1.0)))[order]
     row_tool, row_kind = (part.tolist() for part in np.divmod(rows, len(row_kinds)))
@@ -444,9 +446,9 @@ def _seed_row(template: lp.Csr) -> int:
 
 
 def _local_columns(indices: np.ndarray, first) -> np.ndarray:
-    """The LP columns of a tool's local columns: 0 (rho) stays, c >= 1 is `first` + c - 1."""
+    """The LP columns of a tool's local columns: 0 (rho) is RHO_COL, c >= 1 is `first` + c - 1."""
     cols = indices - 1 + first
-    cols[..., indices == 0] = 0
+    cols[..., indices == 0] = RHO_COL
     return cols
 
 
@@ -571,7 +573,18 @@ def _violated(lhs: np.ndarray, held: np.ndarray, rho: float) -> tuple[np.ndarray
     return tools, worst[tools, picks]
 
 
-def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int, np.ndarray | None]:
+def _optimal(sol: lp.LpSolution, name: str, round_: int | None = None) -> lp.LpSolution:
+    """`sol`, a run of the capacity LP `name` (`{kind}[{instance}]`).  A model that
+    builds is feasible (every job has a qualified pair at rates above 0, and rho has
+    no upper bound) and bounded (no column is negative), so any status but Optimal
+    raises LpSolverError naming the LP, the status and the round of row generation."""
+    if sol.status != lp.OPTIMAL:
+        where = "" if round_ is None else f" in round {round_} of row generation"
+        raise LpSolverError(f"{name}: HiGHS ended {sol.status}{where}")
+    return sol
+
+
+def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int, np.ndarray]:
     """Solve a generalized model, built with its cut template, by row
     generation over its cut rows.
 
@@ -584,7 +597,7 @@ def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int, np.ndarra
     certified against every bound, every row of the problem and the
     objective, and, from the last array, every cut row of every tool: every
     row of the full LP.  Returns it, with iterations summed over the rounds,
-    the number of rounds and, at Optimal, the last array.
+    the number of rounds and the last array.
     """
     template, aggs = model.template, np.array(model.aggs)
     local = np.zeros(template.shape[1])  # one tool's columns, rho held at 0.0
@@ -593,13 +606,11 @@ def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int, np.ndarra
     handle = lp.Handle(model.problem)
     iterations = rounds = 0
     while True:
-        sol = handle.run()
-        iterations += sol.iterations
         rounds += 1
-        if sol.status != lp.OPTIMAL:
-            return replace(sol, iterations=iterations), rounds, None
+        sol = _optimal(handle.run(), handle.problem.name, rounds)
+        iterations += sol.iterations
         x = np.array(sol.x)
-        rho = x[model.rho_col]
+        rho = x[RHO_COL]
         for ti, agg in enumerate(aggs):
             local[1:] = x[agg : agg + len(local) - 1]
             lhs[ti] = template @ local
@@ -626,32 +637,31 @@ def solve_capacity(inst: Instance, kind: str, matrix: CutMatrix | None = None) -
     are solved in one HiGHS run: the alternative model by IPM with
     crossover, the others by dual simplex.  Either solve also gives
     `_extract` the utilization rows' left-hand sides, rho left out.  `stats`
-    count the full LP.
+    count the full LP.  There are two outcomes: a certified Optimal result,
+    whose `status` is kept for the solution JSON, or LpSolverError, also when
+    a run ends Infeasible or Unbounded (`_optimal`).
     """
     t0 = time.perf_counter()
     if kind == "generalized":
         model = _generalized(inst, matrix, full=False)
-    else:
-        model = build_model(inst, kind)
-    t1 = time.perf_counter()
-    if kind == "generalized":
+        t1 = time.perf_counter()
         sol, rounds, row_lhs = _solve_by_cut_rows(model)
     else:
+        model = build_model(inst, kind)
+        t1 = time.perf_counter()
         # IPM with crossover is several times faster on the alternative model
         # only; the generalized model is slower under it
         method = lp.IPM if kind == "alternative" else lp.SIMPLEX
-        sol, rounds, row_lhs = lp.solve(model.problem, method), 1, None
-        if sol.status == lp.OPTIMAL:
-            no_rho = np.array(sol.x)
-            no_rho[model.rho_col] = 0.0
-            lhs = model.problem.matrix @ no_rho
-            row_lhs = [lhs[idx] for _, _, idx in model.util_rows]
+        sol, rounds = _optimal(lp.solve(model.problem, method), model.problem.name), 1
+        no_rho = np.array(sol.x)
+        no_rho[RHO_COL] = 0.0
+        lhs = model.problem.matrix @ no_rho
+        row_lhs = [lhs[idx] for _, _, idx in model.util_rows]
     t2 = time.perf_counter()
-    optimal = sol.status == lp.OPTIMAL
-    assignments, utilization = _extract(model, sol, row_lhs) if optimal else ((), ())
+    assignments, utilization = _extract(model, sol, row_lhs)
     return CapacityResult(
         model=kind,
-        status=sol.status,
+        status=lp.OPTIMAL,
         rho=sol.objective,
         assignments=assignments,
         utilization=utilization,

@@ -1,10 +1,11 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from clustercap import build_cut_matrix, models
+from clustercap import GenParams, build_cut_matrix, generate, models
 from clustercap.recipes import chamber_letter
 
 settings.register_profile(
@@ -98,4 +99,20 @@ def random_instance(
         jobs=jobs,
         qualifications=tuple(quals),
         rate_overrides=tuple(rate_overrides),
+    )
+
+
+def tiny_rates_instance() -> models.Instance:
+    """`GenParams(1, "1:4", 3, 2, 4, 1)` with every chamber rate and pinned
+    rate x2^-30: every rate falls below 1e-9, under HiGHS's feasibility
+    tolerance, and HiGHS calls each of the four models Infeasible."""
+    inst = generate(GenParams(1, "1:4", 3, 2, 4, 1))
+    scale = 2.0**-30
+    return replace(
+        inst,
+        qualifications=tuple(
+            replace(q, chamber_rates=tuple((c, r * scale) for c, r in q.chamber_rates))
+            for q in inst.qualifications
+        ),
+        rate_overrides=tuple(replace(o, rate=o.rate * scale) for o in inst.rate_overrides),
     )

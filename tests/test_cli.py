@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 import clustercap
-from clustercap import read_instance
+from clustercap import read_instance, write_instance
 from clustercap.cli import VERIFY_TOL, cli, run_bench, verify_instance
 from clustercap.instances import GenParams, generate
 from clustercap.models import solve_capacity
 from clustercap.errors import DomainError
 
-from conftest import DATA
+from conftest import DATA, tiny_rates_instance
 from lp_oracles import read_lp_text
 
 
@@ -252,7 +252,59 @@ class TestVerify:
             verify_instance(read_instance(f"{DATA}/example1.json"), samples=samples)
 
 
+class TestNotOptimal:
+    """A model HiGHS does not end Optimal is an error of the command; the
+    instance's four models all end Infeasible."""
+
+    NAME = "gen_s1_1to4_l3_d2_n4_seed1"
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "tiny.json"
+        write_instance(tiny_rates_instance(), path)
+        return path
+
+    @pytest.mark.parametrize("kind", clustercap.models.MODEL_KINDS)
+    def test_solve_exits_1_and_writes_nothing(self, path, tmp_path, capsys, kind):
+        out = tmp_path / "solution.json"
+        assert cli(["solve", "--model", kind, str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind}[{self.NAME}]: HiGHS ended Infeasible")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_verify_exits_1(self, path, capsys):
+        assert cli(["verify", str(path), "--samples", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: generalized[{self.NAME}]: HiGHS ended Infeasible")
+
+    def test_bench_records_an_error_per_model(self, path, tmp_path):
+        out = tmp_path / "report.csv"
+        kinds = clustercap.models.MODEL_KINDS
+        argv = ["bench", str(path), "--models", ",".join(kinds), "--reps", "1", "--out", str(out)]
+        assert cli(argv) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["model"] for r in rows] == list(kinds)  # and no summary row
+        for r in rows:
+            assert r["record_type"] == "bench" and r["instance"] == self.NAME
+            assert r["status"].startswith(f"Error: {r['model']}[{self.NAME}]: HiGHS ended ")
+            assert (r["rho"], r["rounds"]) == ("", "0")
+
+
 class TestExportLp:
+    @pytest.mark.parametrize("name", ["ex\nMaximize\n obj: 0\nEnd\n", "ex\rEnd"])
+    def test_a_name_with_a_line_break_is_refused(self, tmp_path, capsys, name):
+        """The name goes on the text's comment line; a line break there
+        would start LP text of the name's own."""
+        inst = {**json.loads(Path(f"{DATA}/example1.json").read_text()), "name": name}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(inst))
+        out = tmp_path / "model.lp"
+        assert cli(["export-lp", "--model", "basic", str(path), "--out", str(out)]) == 1
+        assert "holds a line break" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_export_and_reparse(self, tmp_path):
         from clustercap import lp
 

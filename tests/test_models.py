@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 from itertools import combinations
 
@@ -26,7 +27,7 @@ from clustercap import (
 from clustercap.errors import DomainError, LpSolverError, StructurallyInfeasibleError
 from clustercap.instances import SHAPES
 
-from conftest import example1_instance, random_instance
+from conftest import example1_instance, random_instance, tiny_rates_instance
 from lp_oracles import read_lp_text
 from model_oracles import (
     NotQualifiedError, derive_recipe_rate, reference_columns, reference_model, table_columns,
@@ -245,7 +246,7 @@ def model_arrays(built):
 
     p, table = built.problem, built.x_cols
     return {
-        "model": (built.kind, built.rho_col, built.util_rows, built.stats, built.aggs),
+        "model": (built.kind, built.util_rows, built.stats, built.aggs),
         "problem": (p.name, p.sense, p.objective, p.senses, p.col_names, p.row_names),
         "bounds": (raw(p.lower), raw(p.upper), raw(p.rhs)),
         "matrix": csr(p.matrix),
@@ -354,14 +355,14 @@ def test_cut_block_matches_row_reference(case, matrices):
                 for label, coef in zip(matrix.labels, coeffs)
                 if coef != 0.0
             ]
-            assert rows[f"cut_t{ti}_k{k}"] == [*want, (built.rho_col, -1.0)]
+            assert rows[f"cut_t{ti}_k{k}"] == [*want, (models.RHO_COL, -1.0)]
 
 
 def full_lp_lhs(built, sol):
     """The left-hand sides, rho left out, of each utilization entry's rows,
     from the product of the whole LP matrix, as a single run gives them."""
     x = np.array(sol.x)
-    x[built.rho_col] = 0.0
+    x[models.RHO_COL] = 0.0
     lhs = built.problem.matrix @ x
     return [lhs[idx] for _, _, idx in built.util_rows]
 
@@ -374,7 +375,7 @@ def test_utilization_matches_row_sums(kind, case, matrices):
     _, utilization = models._extract(built, sol, full_lp_lhs(built, sol))
     rows = stored_rows(built.problem)
     want = [
-        max(sum(v * sol.x[j] for j, v in rows[i] if j != built.rho_col) for i in idx)
+        max(sum(v * sol.x[j] for j, v in rows[i] if j != models.RHO_COL) for i in idx)
         for _, _, idx in built.util_rows
     ]
     assert [u.value for u in utilization] == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -664,7 +665,7 @@ class TestRowGeneration:
         inst = one_tool_instance(3, [("j0", 6.0)], [("j0", [(0, 2.0)])])
         built = build_generalized(inst, matrices[3])
         x = np.array(lp.solve(built.problem).x)
-        x[built.rho_col] *= 0.75
+        x[models.RHO_COL] *= 0.75
         gap = built.problem.matrix @ x - built.problem.rhs
         (broken,) = np.flatnonzero(gap > 1e-8)
         started = []
@@ -694,7 +695,7 @@ class TestRowGeneration:
         )
         built = build_generalized(inst, matrices[3])
         x = np.array(lp.solve(built.problem).x)
-        x[built.rho_col] *= 0.75
+        x[models.RHO_COL] *= 0.75
         gap = built.problem.matrix @ x - built.problem.rhs
         broken = [built.problem.row_names[i] for i in np.flatnonzero(gap > 1e-8)]
         assert broken == ["cut_t0_k4", "cut_t1_k1"]
@@ -752,7 +753,7 @@ def test_row_generation_adds_the_most_violated_rows(matrices, monkeypatch):
     cut_rows = set().union(*(idx for _, _, idx in built.util_rows))
     for held, rows, sol in calls:
         x = np.array(sol.x)
-        rho, x[built.rho_col] = x[built.rho_col], 0.0
+        rho, x[models.RHO_COL] = x[models.RHO_COL], 0.0
         lhs = a @ x
         assert held.isdisjoint(rows) and cut_rows.issuperset(rows)
         for _, _, idx in built.util_rows:
@@ -924,7 +925,7 @@ class TestCutRowsOnDemand:
         base = models._generalized(inst, matrix, full=False)
         sol, _, products = models._solve_by_cut_rows(base)
         x = np.array(sol.x)
-        x[full.rho_col] = 0.0
+        x[models.RHO_COL] = 0.0
         lhs = full.problem.matrix @ x
         assert len(products) == len(full.util_rows)
         for got, (_, _, idx) in zip(products, full.util_rows):
@@ -1159,6 +1160,49 @@ class TestResultExtraction:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError, match="unknown model kind"):
             solve_capacity(example1_instance(), "quantum")
+
+
+def not_optimal(status):
+    """A stand-in for `lp._run` whose run ends with `status`."""
+    return lambda handle: lp._Answer(status, None, None, None, 0)
+
+
+class TestOneOutcome:
+    """A capacity solve returns a certified Optimal result or raises
+    LpSolverError naming the model, the instance and HiGHS's status."""
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_rates_far_below_the_tolerances_raise(self, kind, matrices):
+        """HiGHS calls the LP Infeasible, which no capacity LP that builds is."""
+        inst = tiny_rates_instance()
+        where = " in round 1 of row generation" if kind == "generalized" else ""
+        want = f"{kind}[gen_s1_1to4_l3_d2_n4_seed1]: HiGHS ended Infeasible{where}"
+        with pytest.raises(LpSolverError, match=re.escape(want)):
+            solve_capacity(inst, kind, matrix=matrices[4])
+
+    @pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED])
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_a_first_run_not_optimal_raises(self, kind, status, matrices, monkeypatch):
+        monkeypatch.setattr(lp, "_run", not_optimal(status))
+        where = " in round 1 of row generation" if kind == "generalized" else ""
+        want = f"{kind}[example1]: HiGHS ended {status}{where}"
+        with pytest.raises(LpSolverError, match=re.escape(want)):
+            solve_capacity(example1_instance(), kind, matrix=matrices[3])
+
+    @pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED])
+    def test_a_later_round_not_optimal_raises(self, status, matrices, monkeypatch):
+        """example1 takes two rounds of row generation; the second fails."""
+        run, runs = lp._run, []
+
+        def second_not_optimal(handle):
+            runs.append(handle)
+            return not_optimal(status)(handle) if len(runs) == 2 else run(handle)
+
+        monkeypatch.setattr(lp, "_run", second_not_optimal)
+        want = f"generalized[example1]: HiGHS ended {status} in round 2 of row generation"
+        with pytest.raises(LpSolverError, match=re.escape(want)):
+            solve_capacity(example1_instance(), "generalized", matrix=matrices[3])
+        assert len(runs) == 2
 
 
 class TestSizeFormulas:

@@ -46,10 +46,12 @@ def test_bench_layers_adds_an_oracles_run_to_the_stored_ones(tmp_path):
 
 def test_bench_layers_reduce_runs_the_stages(tmp_path):
     out = tmp_path / "BENCH_reduce.json"
-    done = bench_layers("reduce", "--label", "now", "--repeats", "1", "--out", str(out))
+    done = bench_layers("reduce", "--label", "now", "--repeats", "3", "--out", str(out))
     assert done.returncode == 0, done.stderr
     run = json.loads(out.read_text())["runs"]["now"]
-    assert set(run["stage_s"]) == {"enumerate", "collapse", "orbits", "perceptron", "lps"}
+    stages = {"enumerate", "collapse", "orbits", "perceptron", "lps"}
+    assert set(run["stage_s"]) == set(run["stage_best_s"]) == stages
+    assert all(run["stage_best_s"][k] <= run["stage_s"][k] for k in stages)
     assert run["counts"] == {
         "covers": 7579,
         "raw_rows": 2645,
