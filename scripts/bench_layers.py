@@ -4,7 +4,8 @@
     python scripts/bench_layers.py oracles --label after --repeats 3
     python scripts/bench_layers.py reduce --label after --repeats 5
     python scripts/bench_layers.py solve --label after --repeats 3
-    python scripts/bench_layers.py startup --label after --repeats 5
+    python scripts/bench_layers.py startup --label after --repeats 5 --sizecat 2
+    python scripts/bench_layers.py instances --label after --repeats 20
 
 Each layer is timed `--repeats` times; the medians go into the JSON file
 (`--out`, by default `BENCH_<layer>.json` at the repository root) under
@@ -326,6 +327,52 @@ def solve(repeats):
     return {"instances": results}
 
 
+def instances(repeats):
+    """Time the steps that make, check, write and read a generated instance at sizecat 0 to 3; write BENCH_instances.json.
+
+    The instance: the plan 4:1 one of `startup` (shape 4:1, no locked
+    chambers, density 2, 5 chambers, seed 1) at each sizecat.  Steps, each
+    in this process, its best of `--repeats` calls in ms: generate
+    (`instances.generate`), validate (`models.Instance(...)` on the fields
+    of the generated instance), render (`instances.render_instance`) and
+    read (`instances.read_instance` of the rendered file, which parses the
+    JSON and validates).  Counts: tools, jobs, qualifications and the bytes
+    of the text.  Fails if the instance read back differs from the one
+    generated.
+    """
+    from dataclasses import fields
+
+    from clustercap import instances as inst_mod
+    from clustercap import models
+
+    def best(fn, *args):
+        return round(min(timed(fn, *args)[1] for _ in range(repeats)) * 1e3, 3)
+
+    results = {}
+    with tempfile.TemporaryDirectory() as work:
+        for sizecat in (0, 1, 2, 3):
+            p = inst_mod.GenParams(sizecat, "4:1", 0, 2, 5, 1)
+            inst = inst_mod.generate(p)
+            given = {f.name: getattr(inst, f.name) for f in fields(inst) if f.init}
+            text = inst_mod.render_instance(inst)
+            path = Path(work, f"{p.name}.json")
+            path.write_text(text)
+            if inst_mod.read_instance(path) != inst:
+                sys.exit(f"{p.name}: the instance read back differs from the one generated")
+            entry = results[f"sizecat={sizecat}"] = {
+                "generate_ms": best(inst_mod.generate, p),
+                "validate_ms": best(lambda: models.Instance(**given)),
+                "render_ms": best(inst_mod.render_instance, inst),
+                "read_ms": best(inst_mod.read_instance, path),
+                "tools": len(inst.tools),
+                "jobs": len(inst.jobs),
+                "qualifications": len(inst.qualifications),
+                "bytes": len(text.encode()),
+            }
+            print(f"sizecat={sizecat}", json.dumps(entry), flush=True)
+    return {"sizecats": results}
+
+
 def run_child(argv, env) -> tuple[float, float]:
     """Run one child process to its end, waited for with `os.wait4`: its
     wall time in s and its own peak resident memory in MB."""
@@ -339,8 +386,8 @@ def run_child(argv, env) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024
 
 
-def startup(repeats):
-    """Time fresh interpreters that import clustercap, solve the shipped instance, bench the plan instances or build the n = 5 cut matrix; write BENCH_startup.json.
+def startup(repeats, sizecat=2):
+    """Time fresh interpreters that import clustercap, solve the shipped instance, generate or bench the plan instances or build the n = 5 cut matrix; write BENCH_startup.json.
 
     Commands, each run in a new interpreter with PYTHONPATH set to `--src`:
 
@@ -348,11 +395,13 @@ def startup(repeats):
     * solve   `python -m clustercap.cli solve --model generalized
               tests/data/example1.json`, which reads the n = 3 cut matrix
               the package ships;
+    * gen     `python -m clustercap.cli gen` of the plan 4:1 instance
+              into a scratch file;
     * plan    `python -m clustercap.cli bench --reps 1 --models
               generalized,alternative` on perfbench's three plan-n5
-              instances (sizecat 2, density 2, 5 chambers, seed 1: shapes
-              1:4, 1:1 with 3 locked chambers, 4:1), written once beforehand
-              with `clustercap gen` of `--src`;
+              instances (density 2, 5 chambers, seed 1: shapes 1:4, 1:1
+              with 3 locked chambers, 4:1), written once beforehand with
+              `clustercap gen` of `--src`;
     * cuts    `python -m clustercap.cli cuts --chambers 5`, the cold
               n = 5 build, which solves no LP, its CSV to stdout.
 
@@ -362,26 +411,29 @@ def startup(repeats):
     imported scipy at all, and scipy_optimize and scipy_sparse, whether any
     module of `scipy.optimize` or of `scipy.sparse` was imported, from one
     more run under `python -X importtime`, which counts in no number.
-    Fails if a run fails.
+    The plan instances are at `--sizecat`, 2 by default, as in perfbench;
+    the run records it.  Fails if a run fails.
     """
     import clustercap  # from `--src`, as the other layers import it
 
     env = {**os.environ, "PYTHONPATH": str(Path(clustercap.__file__).parents[1])}
     results = {}
     with tempfile.TemporaryDirectory() as plans:
+        def gen(shape, locked, out):
+            return ["-m", "clustercap.cli", "gen", "--sizecat", str(sizecat), "--shape", shape,
+                    "--locked", str(locked), "--density", "2", "--chambers", "5", "--seed", "1",
+                    "--out", out]
+
         paths = []
         for shape, locked in (("1:4", 0), ("1:1", 3), ("4:1", 0)):
             paths.append(str(Path(plans, f"plan_{shape.replace(':', 'to')}_l{locked}.json")))
-            subprocess.run(
-                [sys.executable, "-m", "clustercap.cli", "gen", "--sizecat", "2", "--shape", shape,
-                 "--locked", str(locked), "--density", "2", "--chambers", "5", "--seed", "1",
-                 "--out", paths[-1]],
-                env=env, cwd=ROOT, check=True,
-            )
+            argv = [sys.executable, *gen(shape, locked, paths[-1])]
+            subprocess.run(argv, env=env, cwd=ROOT, check=True)
         commands = {
             "import": ["-c", "import clustercap"],
             "solve": ["-m", "clustercap.cli", "solve", "--model", "generalized",
                       str(ROOT / "tests" / "data" / "example1.json")],
+            "gen": gen("4:1", 0, str(Path(plans, "gen.json"))),
             "plan": ["-m", "clustercap.cli", "bench", "--reps", "1",
                      "--models", "generalized,alternative", *paths],
             "cuts": ["-m", "clustercap.cli", "cuts", "--chambers", "5"],
@@ -403,10 +455,13 @@ def startup(repeats):
                 "scipy_sparse": "scipy.sparse" in imported,
             }
             print(name, json.dumps(entry), flush=True)
-    return {"commands": results}
+    return {"sizecat": sizecat, "commands": results}
 
 
-LAYERS = {"oracles": oracles, "reduce": reduce, "solve": solve, "startup": startup}
+LAYERS = {
+    "oracles": oracles, "reduce": reduce, "solve": solve, "startup": startup,
+    "instances": instances,
+}
 
 
 def cpu_model() -> str:
@@ -437,13 +492,18 @@ def main():
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", help="JSON file to merge into (default BENCH_<layer>.json)")
     parser.add_argument("--src", default=str(ROOT / "src"), help="package source to time")
+    parser.add_argument(
+        "--sizecat", type=int, choices=range(4), default=2,
+        help="startup: the plan instances' sizecat",
+    )
     args = parser.parse_args()
 
     sys.path.insert(0, str(Path(args.src).resolve()))
     import scipy
 
     layer = LAYERS[args.layer]
-    entry = {"tree": tree_label(args.src), "repeats": args.repeats, **layer(args.repeats)}
+    extra = {"sizecat": args.sizecat} if layer is startup else {}
+    entry = {"tree": tree_label(args.src), "repeats": args.repeats, **layer(args.repeats, **extra)}
     out = Path(args.out or ROOT / f"BENCH_{args.layer}.json")
     doc = json.loads(out.read_text()) if out.is_file() else {}
     doc["what"] = layer.__doc__.split("\n")[0]

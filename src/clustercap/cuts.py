@@ -354,6 +354,7 @@ def _atomic_write(path: Path, text: str):
 
 
 _ENTRY = {0.0: "1", 0.5: "0.5", 1.0: "0"}  # weight -> rendered (1 - weight)
+_WEIGHT = {text: weight for weight, text in _ENTRY.items()}  # rendered entry -> weight
 
 
 def render_matrix_csv(matrix: CutMatrix) -> str:
@@ -389,12 +390,11 @@ def read_matrix_csv(path: str | os.PathLike, reduced: bool) -> CutMatrix:
             for lineno, cells in enumerate(reader, start=2):
                 if len(cells) != len(labels):
                     raise DomainError(f"{path}:{lineno}: expected {len(labels)} cells")
-                row = []
-                for cell in cells:
-                    if cell not in ("0", "0.5", "1"):
-                        raise DomainError(f"{path}:{lineno}: bad entry {cell!r}")
-                    row.append(1.0 - float(cell))
-                rows.append(tuple(row))
+                try:
+                    rows.append(tuple(map(_WEIGHT.__getitem__, cells)))
+                except KeyError:
+                    bad = next(cell for cell in cells if cell not in _WEIGHT)
+                    raise DomainError(f"{path}:{lineno}: bad entry {bad!r}") from None
     except (ValueError, csv.Error) as exc:  # undecodable bytes, a field past the size limit
         raise DomainError(f"{path}: {exc}") from exc
     if not rows:

@@ -9,19 +9,22 @@ instance byte for byte.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import numbers
 import os
+import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, InstanceFormatError
 from .models import Instance, Job, Qualification, RateOverride
-from .recipes import RECIPE_MASKS, chamber_letter
+from .recipes import MAX_CHAMBERS, RECIPE_MASKS, chamber_letter
 
 SHAPES = ("1:4", "1:1", "4:1", "16:1")
 LOCKED = (0, 3, 6, 9)
@@ -97,6 +100,15 @@ def generate(p: GenParams) -> Instance:
     Chamber rates are log-uniform on [0.1, 1.0], demands uniform integers in
     [10, 100].  A repair step adds minimal qualifications so that every job
     reaches a tool and every tool serves a job.
+
+    The stream: one `integers` draw per job for its demand; then, walking the
+    pairs job by job and tool by tool, one double for the pair's
+    qualification and, if it qualifies, per chamber one double for locking
+    and, if unlocked, one for its rate; then the repair step's draws.  Each
+    double of the walk is one `random()` or `uniform()` draw, so the walk
+    draws them as one block ahead, on a copy of the generator's state, and
+    the generator then moves on by exactly the doubles the walk used: the
+    repair step sees the stream a draw-by-draw walk would leave it.
     """
     rng = np.random.default_rng(p.seed)
     n_tools, n_jobs = planned_counts(p)
@@ -106,67 +118,81 @@ def generate(p: GenParams) -> Instance:
     )
     p_qual = DENSITY_P[p.density]
     p_locked = p.locked / 10.0
+    low, high = math.log(RATE_LOW), math.log(RATE_HIGH)
 
     def draw_rate() -> float:
-        return float(np.exp(rng.uniform(math.log(RATE_LOW), math.log(RATE_HIGH))))
+        return float(np.exp(rng.uniform(low, high)))
 
-    quals: list[Qualification] = []
-    by_job: dict[str, int] = {}
-    by_tool: dict[str, int] = {}
-    for job in jobs:
-        for tool in tools:
-            if rng.random() >= p_qual:
+    # at most one double per pair and two per chamber of it
+    ahead = copy.deepcopy(rng)
+    block = ahead.random(n_jobs * n_tools * (1 + 2 * p.chambers))
+    u = block.tolist()
+    used = 0  # doubles of the block the walk has read
+    walked = []  # (job index, tool index, unlocked chambers)
+    at = []  # the position in the block of each unlocked chamber's rate double
+    for ji in range(n_jobs):
+        for ti in range(n_tools):
+            qualifies = u[used] < p_qual
+            used += 1
+            if not qualifies:
                 continue
-            rates = []
+            chambers = []
             for c in range(p.chambers):
-                if rng.random() < p_locked:
-                    continue
-                rates.append((c, draw_rate()))
-            if not rates:
-                continue
-            quals.append(Qualification(job.id, tool, tuple(rates)))
-            by_job[job.id] = by_job.get(job.id, 0) + 1
-            by_tool[tool] = by_tool.get(tool, 0) + 1
-    for job in jobs:
-        if by_job.get(job.id, 0) == 0:
-            tool = tools[int(rng.integers(0, n_tools))]
+                unlocked = u[used] >= p_locked
+                used += 1
+                if unlocked:
+                    chambers.append(c)
+                    at.append(used)  # its rate's double comes next
+                    used += 1
+            if chambers:
+                walked.append((ji, ti, chambers))
+    rng.random(used)  # discarded: the stream moves on past the walk's doubles
+    rates = iter(np.exp(low + (high - low) * block[at]).tolist())
+    placed = [(ji, ti, tuple(zip(chambers, rates))) for ji, ti, chambers in walked]
+    served_jobs = {ji for ji, _, _ in placed}
+    served_tools = {ti for _, ti, _ in placed}
+    for ji in range(n_jobs):
+        if ji not in served_jobs:
+            ti = int(rng.integers(0, n_tools))
             chamber = int(rng.integers(0, p.chambers))
-            quals.append(Qualification(job.id, tool, ((chamber, draw_rate()),)))
-            by_job[job.id] = 1
-            by_tool[tool] = by_tool.get(tool, 0) + 1
-    for tool in tools:
-        if by_tool.get(tool, 0) == 0:
-            job = jobs[int(rng.integers(0, n_jobs))]
+            placed.append((ji, ti, ((chamber, draw_rate()),)))
+            served_tools.add(ti)
+    for ti in range(n_tools):
+        if ti not in served_tools:
+            ji = int(rng.integers(0, n_jobs))
             chamber = int(rng.integers(0, p.chambers))
-            quals.append(Qualification(job.id, tool, ((chamber, draw_rate()),)))
-            by_tool[tool] = 1
-    quals.sort(key=lambda q: (int(q.job[1:]), int(q.tool[1:])))
+            placed.append((ji, ti, ((chamber, draw_rate()),)))
+    placed.sort()  # by job, then tool: each pair is placed once
+    quals = tuple(Qualification(jobs[ji].id, tools[ti], pairs) for ji, ti, pairs in placed)
     return Instance(
         name=p.name,
         chambers=p.chambers,
         tools=tools,
         jobs=jobs,
-        qualifications=tuple(quals),
+        qualifications=quals,
     )
 
 
 def parse_generated_name(name: str) -> dict | None:
-    """Recover generator parameters from an instance name, if it has them."""
-    import re
-
-    m = re.fullmatch(
-        r"gen_s(\d)_(\d+to\d+)_l(\d)_d(\d)_n(\d)_seed(-?\d+)", name
-    )
+    """The generator parameters an instance name was made from, or None when
+    no `GenParams` makes that name (a factor out of its domain, a leading
+    zero, a sign)."""
+    m = re.fullmatch(r"gen_s(\d+)_(\d+to\d+)_l(\d+)_d(\d+)_n(\d+)_seed(\d+)", name)
     if not m:
         return None
-    return {
-        "sizecat": int(m.group(1)),
-        "shape": m.group(2).replace("to", ":"),
-        "locked": int(m.group(3)),
-        "density": int(m.group(4)),
-        "chambers": int(m.group(5)),
-        "seed": int(m.group(6)),
-    }
+    try:  # int() refuses a seed past its digit limit, which no name can hold
+        factors = {
+            "sizecat": int(m.group(1)),
+            "shape": m.group(2).replace("to", ":"),
+            "locked": int(m.group(3)),
+            "density": int(m.group(4)),
+            "chambers": int(m.group(5)),
+            "seed": int(m.group(6)),
+        }
+        made = GenParams(**factors).name
+    except (DomainError, ValueError):
+        return None
+    return factors if made == name else None
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -192,9 +218,68 @@ def instance_to_dict(inst: Instance) -> dict:
     return d
 
 
+def _scalar(value, pad: str) -> str:
+    """`value` as `json.dumps(..., indent=2, sort_keys=True)` writes it on a
+    line indented by `pad`.  An exact str, finite float or int is written as
+    the encoder writes it; anything else goes through `json.dumps` itself,
+    which raises for what it cannot encode."""
+    exact = type(value)
+    if exact is str:
+        return _encode_str(value)
+    if exact is float and math.isfinite(value):
+        return float.__repr__(value)
+    if exact is int:
+        return int.__repr__(value)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _array(items: list[str]) -> str:
+    """A JSON array of the instance's top level in the layout of `indent=2`:
+    `items` are its rendered elements."""
+    if not items:
+        return "[]"
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+
+
+# one line of a qualification's "chamber_rates" object, up to its rate
+_RATE_KEY = tuple(f'        "{chamber_letter(c)}": ' for c in range(MAX_CHAMBERS))
+
+
 def render_instance(inst: Instance) -> str:
-    """The instance as the JSON text `write_instance` and `clustercap gen` write."""
-    return json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n"
+    """The instance as the JSON text `write_instance` and `clustercap gen` write.
+
+    The text is written directly, and it is byte for byte
+    `json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n"`:
+    the keys of each object in sorted order, each value as `_scalar` writes
+    it, so that a value `json.dumps` rejects raises the same error here.
+    A qualification's chambers are distinct, and their letters sort as
+    their indices do.
+    """
+    s = _scalar
+    p1, p3 = "  ", "      "  # the indents of the top level's values and of a record's
+    jobs = [
+        f'{{\n{p3}"demand": {s(j.demand, p3)},\n{p3}"id": {s(j.id, p3)}\n    }}' for j in inst.jobs
+    ]
+    quals = []
+    for q in inst.qualifications:
+        rates = ",\n".join([_RATE_KEY[c] + s(r, "        ") for c, r in sorted(q.chamber_rates)])
+        quals.append(
+            f'{{\n{p3}"chamber_rates": {{\n{rates}\n{p3}}},\n'
+            f'{p3}"job": {s(q.job, p3)},\n{p3}"tool": {s(q.tool, p3)}\n    }}'
+        )
+    overrides = [
+        f'{{\n{p3}"job": {s(ov.job, p3)},\n{p3}"rate": {s(ov.rate, p3)},\n'
+        f'{p3}"recipe": {s(ov.recipe, p3)},\n{p3}"tool": {s(ov.tool, p3)}\n    }}'
+        for ov in inst.rate_overrides
+    ]
+    # an instance without overrides has no such key, as in `instance_to_dict`
+    listed = f'\n{p1}"recipe_rate_overrides": {_array(overrides)},' if overrides else ""
+    tools = [f'{{\n{p3}"id": {s(t, p3)}\n    }}' for t in inst.tools]
+    return (
+        f'{{\n{p1}"chambers": {s(inst.chambers, p1)},\n{p1}"jobs": {_array(jobs)},\n'
+        f'{p1}"name": {s(inst.name, p1)},\n{p1}"qualifications": {_array(quals)},{listed}\n'
+        f'{p1}"tools": {_array(tools)}\n}}\n'
+    )
 
 
 def write_instance(inst: Instance, path: str | os.PathLike):

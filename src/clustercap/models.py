@@ -75,7 +75,12 @@ class PairRates:
 
 
 def _is_a(value, kind) -> bool:
-    """`isinstance` for numbers.Integral or numbers.Real that rejects bools."""
+    """`isinstance` for numbers.Integral or numbers.Real that rejects bools.
+    An exact int or float, nearly every value an instance holds, is answered
+    without the ABC check."""
+    exact = type(value)
+    if exact is int or exact is float:
+        return exact is int or kind is numbers.Real
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
@@ -114,17 +119,17 @@ class Instance:
                 raise DomainError(f"duplicate qualification for ({q.job}, {q.tool})")
             if not q.chamber_rates:
                 raise DomainError(f"qualification ({q.job}, {q.tool}) lists no chambers")
-            rates = {}
+            mask = 0
             for c, rate in q.chamber_rates:
                 if not _is_a(c, numbers.Integral) or not 0 <= c < self.chambers:
                     raise DomainError(f"({q.job}, {q.tool}): chamber index {c!r} out of range")
-                if c in rates:
+                if mask >> c & 1:
                     raise DomainError(f"({q.job}, {q.tool}): duplicate chamber {c}")
                 if not _is_a(rate, numbers.Real) or not 0 < rate <= sys.float_info.max:
                     raise DomainError(f"({q.job}, {q.tool}): rate must be a finite number > 0")
-                rates[c] = rate
-            mask = sum(1 << c for c in rates)
-            pairs[(q.job, q.tool)] = PairRates(mask, dict(sorted(rates.items())), {})
+                mask |= 1 << c
+            # the chambers are distinct, so the pairs sort by chamber alone
+            pairs[(q.job, q.tool)] = PairRates(mask, dict(sorted(q.chamber_rates)), {})
         for k, ov in enumerate(self.rate_overrides):
             where = f"rate override {k} ({ov.job}, {ov.tool}, {ov.recipe!r})"
             pair = pairs.get((ov.job, ov.tool))
@@ -607,7 +612,11 @@ def _solve_by_cut_rows(model: BuiltModel) -> tuple[lp.LpSolution, int, np.ndarra
     iterations = rounds = 0
     while True:
         rounds += 1
-        sol = _optimal(handle.run(), handle.problem.name, rounds)
+        try:
+            ran = handle.run()
+        except LpSolverError as exc:  # a breakdown, which `Handle.run` reports without the round
+            raise LpSolverError(f"{exc} in round {rounds} of row generation") from exc
+        sol = _optimal(ran, handle.problem.name, rounds)
         iterations += sol.iterations
         x = np.array(sol.x)
         rho = x[RHO_COL]

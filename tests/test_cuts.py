@@ -598,6 +598,16 @@ def test_csv_rejects_bad_entries(tmp_path):
         read_matrix_csv(path, reduced=True)
 
 
+@pytest.mark.parametrize(
+    "row, bad", [("0,1,0.50", "0.50"), ("0,1.0,x", "1.0"), ('"0",1,x', "x"), ("0, 1,1", " 1")]
+)
+def test_csv_names_the_line_and_first_bad_entry(tmp_path, row, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"A,B,AB\n0,1,0.5\n{row}\n")
+    with pytest.raises(DomainError, match=re.escape(f"bad.csv:3: bad entry {bad!r}")):
+        read_matrix_csv(path, reduced=True)
+
+
 def test_csv_rejects_short_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("A,B,AB\n0,1\n")

@@ -1,20 +1,34 @@
+import itertools
 import json
+import math
+import numbers
+from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustercap import GenParams, generate, read_instance, write_instance
+from clustercap import GenParams, generate, models, read_instance, write_instance
 from clustercap.errors import DomainError, InstanceFormatError
 from clustercap.instances import (
+    CHAMBERS,
+    DENSITIES,
+    LOCKED,
+    SHAPES,
     instance_from_dict,
     instance_to_dict,
     parse_generated_name,
     planned_counts,
+    render_instance,
 )
+from clustercap.models import Instance, Job, Qualification, RateOverride
+from clustercap.recipes import label_for_mask
 
 from conftest import DATA, example1_instance
+from instance_oracles import generate_scalar, is_a_abc, render_json
 
 
 def params(**kw):
@@ -325,3 +339,130 @@ class TestParsing:
         d["qualifications"][0]["tool"] = "ghost"
         with pytest.raises(InstanceFormatError, match="ghost"):
             instance_from_dict(d)
+
+
+class IntSubclass(int):
+    pass
+
+
+class FloatSubclass(float):
+    pass
+
+
+# ids with every character class the encoder escapes: quote, backslash,
+# control characters and non-ASCII, inside the BMP and past it
+IDS = st.text(st.sampled_from('a7"\\/\n\t\x00\x1f\x7fé€😀'), max_size=4) | st.text(max_size=3)
+POSITIVE = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=1e-300, max_value=1e300).map(np.float64),
+    st.integers(min_value=1, max_value=10**20),
+)
+
+
+@st.composite
+def st_instances(draw):
+    """Valid instances, with empty job and tool lists, int and `np.float64`
+    numbers, chambers listed in any order, rate overrides and, at times, an
+    `np.int64` chamber count, which the encoder rejects."""
+    chambers = draw(st.integers(min_value=1, max_value=4))
+    jobs = draw(st.lists(IDS, unique=True, max_size=3))
+    tools = draw(st.lists(IDS, unique=True, max_size=3))
+    demands = st.one_of(st.floats(min_value=0, max_value=1e300), st.integers(0, 10**6))
+    quals, overrides = [], []
+    for job, tool in itertools.product(jobs, tools):
+        if not draw(st.booleans()):
+            continue
+        mine = draw(st.permutations(range(chambers)))[: draw(st.integers(1, chambers))]
+        quals.append(Qualification(job, tool, tuple((c, draw(POSITIVE)) for c in mine)))
+        mask = sum(1 << c for c in mine)
+        picked = draw(st.sets(st.integers(1, mask).filter(lambda m: not m & ~mask), max_size=2))
+        overrides += [RateOverride(job, tool, label_for_mask(m), draw(POSITIVE)) for m in picked]
+    return Instance(
+        name=draw(IDS),
+        chambers=draw(st.sampled_from([int, np.int64]))(chambers),
+        tools=tuple(tools),
+        jobs=tuple(Job(j, draw(demands)) for j in jobs),
+        qualifications=tuple(quals),
+        rate_overrides=tuple(overrides),
+    )
+
+
+class TestNameParsing:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "gen_s7_2to3_l5_d9_n8_seed-4",  # factors out of their domains, a signed seed
+            "gen_s1_01to4_l3_d2_n4_seed007",  # leading zeros
+            "gen_s1_1to4_l3_d2_n4_seed" + "1" * 5000,  # past int's digit limit
+        ],
+    )
+    def test_a_name_no_params_make_is_not_parsed(self, name):
+        assert parse_generated_name(name) is None
+
+    def test_every_factor_parses_back(self):
+        for p in (params(sizecat=3, shape="16:1", locked=9, density=3, chambers=5, seed=0),
+                  params(seed=2**70)):
+            assert GenParams(**parse_generated_name(p.name)) == p
+
+
+def grid(sizecats, seeds, shapes=SHAPES, locked=LOCKED, densities=DENSITIES, chambers=CHAMBERS):
+    return [
+        GenParams(*factors)
+        for factors in itertools.product(sizecats, shapes, locked, densities, chambers, seeds)
+    ]
+
+
+class TestFastPathsMatchReferences:
+    """`generate`, `render_instance` and `models._is_a` against the slow
+    references in `instance_oracles`.  Every factor of the grid, at three
+    seeds, is held at sizecat 0 and 1; sizecat 2 and 3, whose instances
+    take 40 and 170 ms each through both paths, hold a slice of it."""
+
+    @pytest.mark.parametrize(
+        "todo",
+        [
+            pytest.param(grid((0, 1), (1, 2, 3)), id="s0-s1-full-grid"),
+            pytest.param(grid((2,), (1,), densities=(2,), chambers=(5,)), id="s2"),
+            pytest.param(grid((3,), (1,), locked=(3,), densities=(2,), chambers=(4,)), id="s3"),
+        ],
+    )
+    def test_generated_text_is_the_scalar_generators(self, todo):
+        for p in todo:
+            assert render_instance(generate(p)) == render_json(generate_scalar(p)), p.name
+
+    def test_the_stream_after_the_walk_is_the_scalar_walks(self):
+        """locked 9 at density 1 leaves jobs and tools for the repair step,
+        which draws after the walk's doubles."""
+        for p in grid((0,), range(6), locked=(9,), densities=(1,)):
+            assert generate(p) == generate_scalar(p), p.name
+
+    @given(inst=st_instances())
+    @settings(max_examples=200)
+    def test_rendered_text_is_the_encoders(self, inst):
+        try:
+            want = render_json(inst)
+        except Exception as exc:  # the encoder's verdict, whatever it is
+            with pytest.raises(type(exc)):
+                render_instance(inst)
+        else:
+            assert render_instance(inst) == want
+
+    def test_a_rejected_scalar_raises_the_encoders_error(self):
+        inst = replace(example1_instance(), chambers=np.int64(3))
+        with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+            render_instance(inst)
+
+    @pytest.mark.parametrize("kind", [numbers.Integral, numbers.Real])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0, 1, -3, 2**100, 0.0, -0.5, 1e308, math.nan, math.inf, True, False, np.True_,
+            np.int64(3), np.int8(-1), np.uint32(7), np.float64(0.5), np.float32(0.25),
+            np.float64(math.nan), Fraction(1, 3), Decimal("1.5"), complex(1, 0), "3", None,
+            IntSubclass(4), FloatSubclass(0.5),
+        ],
+        ids=repr,
+    )
+    def test_is_a_gives_the_abc_verdict(self, value, kind):
+        assert models._is_a(value, kind) == is_a_abc(value, kind)
+

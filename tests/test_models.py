@@ -1204,6 +1204,24 @@ class TestOneOutcome:
             solve_capacity(example1_instance(), "generalized", matrix=matrices[3])
         assert len(runs) == 2
 
+    def test_a_later_round_breakdown_names_the_round(self, matrices, monkeypatch):
+        """A status `Handle.run` raises for itself, such as a time limit,
+        names the round it ended as an Infeasible one does."""
+        run, runs = lp._run, []
+
+        def second_time_limit(handle):
+            runs.append(handle)
+            return not_optimal("Time limit reached")(handle) if len(runs) == 2 else run(handle)
+
+        monkeypatch.setattr(lp, "_run", second_time_limit)
+        want = (
+            "generalized[example1]: solver failure: Time limit reached"
+            " in round 2 of row generation"
+        )
+        with pytest.raises(LpSolverError, match=re.escape(want)):
+            solve_capacity(example1_instance(), "generalized", matrix=matrices[3])
+        assert len(runs) == 2
+
 
 class TestSizeFormulas:
     def test_delta_and_gamma_sequences(self):

@@ -66,24 +66,39 @@ def test_bench_layers_reduce_runs_the_stages(tmp_path):
 
 def test_bench_layers_startup_times_fresh_interpreters(tmp_path):
     """The solve child reads the shipped cut matrix and writes nothing
-    under HOME; only the children that solve an LP import scipy."""
+    under HOME; only the children that solve an LP import scipy.  The plan
+    instances are at sizecat 0, which the run records, so that the plan
+    child takes well under a second."""
     out = tmp_path / "BENCH_startup.json"
     home = tmp_path / "home"
     home.mkdir()
     env = {**os.environ, "HOME": str(home)}
-    args = ("startup", "--label", "now", "--repeats", "1", "--out", str(out))
+    args = ("startup", "--label", "now", "--repeats", "1", "--sizecat", "0", "--out", str(out))
     done = bench_layers(*args, env=env)
     assert done.returncode == 0, done.stderr
     assert not list(home.iterdir())
-    commands = json.loads(out.read_text())["runs"]["now"]["commands"]
-    assert set(commands) == {"import", "solve", "plan", "cuts"}
+    run = json.loads(out.read_text())["runs"]["now"]
+    assert run["sizecat"] == 0
+    commands = run["commands"]
+    assert set(commands) == {"import", "solve", "gen", "plan", "cuts"}
     for entry in commands.values():
         assert entry["wall_s"] > 0 and entry["max_rss_mb"] > 0
         assert entry["scipy_optimize"] is False
         assert entry["scipy_sparse"] is False
     assert {name: entry["scipy"] for name, entry in commands.items()} == {
-        "import": False, "solve": True, "plan": True, "cuts": False
+        "import": False, "solve": True, "gen": False, "plan": True, "cuts": False
     }
+
+
+def test_bench_layers_instances_times_each_step(tmp_path):
+    out = tmp_path / "BENCH_instances.json"
+    done = bench_layers("instances", "--label", "now", "--repeats", "1", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    sizecats = json.loads(out.read_text())["runs"]["now"]["sizecats"]
+    assert list(sizecats) == ["sizecat=0", "sizecat=1", "sizecat=2", "sizecat=3"]
+    for entry in sizecats.values():
+        assert all(entry[k] > 0 for k in ("generate_ms", "validate_ms", "render_ms", "read_ms"))
+    assert [entry["tools"] * entry["jobs"] for entry in sizecats.values()] == [100, 400, 1600, 6400]
 
 
 def test_bench_layers_reads_each_childs_own_peak():
